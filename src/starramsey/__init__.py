@@ -17,7 +17,6 @@ from .coloring import (
 )
 from .constructions import (
     ClassLayout,
-    balanced_class_sizes,
     build_recipe,
     cyclic_matching_coloring,
     matching_class_coloring,
@@ -42,6 +41,7 @@ from .formulas import (
     BoundsInterval,
     CaseVerdict,
     WitnessRecipe,
+    balanced_class_sizes,
     classify,
     general_bounds,
     ramsey_star_t_minus_1,

@@ -7,7 +7,7 @@ the property its recipe promises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .coloring import (
     EdgeColoring,
@@ -16,7 +16,7 @@ from .coloring import (
     one_factorization,
 )
 from .errors import ConstructionFailedError, InvalidParameterError
-from .formulas import CaseVerdict, WitnessRecipe, classify
+from .formulas import CaseVerdict, WitnessRecipe, balanced_class_sizes, classify
 from .verify import min_star_colors
 
 
@@ -59,14 +59,6 @@ def near_regular_layout(t: int, q: int, r: int) -> ClassLayout:
         for i in range(1, q + 1)
     )
     return ClassLayout(x=x, singletons=tuple(range(1, r + 1)), classes=classes)
-
-
-def balanced_class_sizes(total: int, parts: int) -> list[int]:
-    """Split ``total`` into ``parts`` sizes differing by at most one, small first."""
-    if parts < 1 or total < 0:
-        raise InvalidParameterError(f"bad split: total={total}, parts={parts}")
-    q, r = divmod(total, parts)
-    return [q] * (parts - r) + [q + 1] * r
 
 
 def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
@@ -143,9 +135,23 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
     return coloring
 
 
-def _near_regular_build(t: int, q: int, r: int, offset: int) -> EdgeColoring:
+def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
+    """t-coloring of odd K_{tq+r}, 2 <= r <= t-1, with >= q of every color
+    at every vertex.
+
+    The r leftover matchings are finished with a deterministic cyclic
+    pattern; a row below the floor raises.
+    """
+    if t < 3:
+        raise InvalidParameterError(f"need t >= 3, got {t}")
+    if q < 1:
+        raise InvalidParameterError(f"need q >= 1, got {q}")
+    if not 2 <= r <= t - 1:
+        raise InvalidParameterError(f"need 2 <= r <= t-1, got r={r}, t={t}")
     layout = near_regular_layout(t, q, r)
     x = layout.x
+    if x % 2 == 0:
+        raise InvalidParameterError(f"order tq+r={x} must be odd")
     matchings = near_one_factorization(x)
     colors: dict = {}
     for cls in layout.classes:
@@ -160,41 +166,13 @@ def _near_regular_build(t: int, q: int, r: int, offset: int) -> EdgeColoring:
         colors[e] = (t - k) % t + 1
     for mid in range(2, r):
         for k, e in enumerate(matchings[mid - 1].edges, start=1):
-            colors[e] = (k + mid - 1 + offset) % t + 1
-    return EdgeColoring(x, t, colors)
-
-
-def _near_regular_search(t: int, q: int, r: int) -> tuple[EdgeColoring, int]:
-    """Build the floor-regular coloring, trying shifted completions if needed."""
-    if t < 3:
-        raise InvalidParameterError(f"need t >= 3, got {t}")
-    if q < 1:
-        raise InvalidParameterError(f"need q >= 1, got {q}")
-    if not 2 <= r <= t - 1:
-        raise InvalidParameterError(f"need 2 <= r <= t-1, got r={r}, t={t}")
-    x = t * q + r
-    if x % 2 == 0:
-        raise InvalidParameterError(f"order tq+r={x} must be odd")
-    floor = [q] * t
-    offsets = range(t) if r > 2 else range(1)
-    for offset in offsets:
-        coloring = _near_regular_build(t, q, r, offset)
-        if all(all(row[c] >= floor[c] for c in range(t))
-               for row in color_degree_profile(coloring)):
-            return coloring, offset
-    raise ConstructionFailedError(
-        f"no cyclic completion meets the floor {q} for t={t}, q={q}, r={r}"
-    )
-
-
-def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
-    """t-coloring of odd K_{tq+r}, 2 <= r <= t-1, with >= q of every color
-    at every vertex.
-
-    The r leftover matchings are finished with a deterministic cyclic
-    pattern; shifted patterns are tried as a fallback before giving up.
-    """
-    coloring, _ = _near_regular_search(t, q, r)
+            colors[e] = (k + mid - 1) % t + 1
+    coloring = EdgeColoring(x, t, colors)
+    for row in color_degree_profile(coloring):
+        if min(row) < q:
+            raise ConstructionFailedError(
+                f"near-regular row {row} misses the floor {q} for t={t}, q={q}, r={r}"
+            )
     return coloring
 
 
@@ -293,10 +271,7 @@ def build_recipe(recipe: WitnessRecipe) -> tuple[EdgeColoring, WitnessRecipe]:
     if recipe.tag == "regular":
         return regular_coloring(params["t"], params["q"]), recipe
     if recipe.tag == "near-regular":
-        coloring, offset = _near_regular_search(params["t"], params["q"], params["r"])
-        if offset:
-            recipe = replace(recipe, params={**params, "offset": offset})
-        return coloring, recipe
+        return near_regular_coloring(params["t"], params["q"], params["r"]), recipe
     if recipe.tag == "three-color-balanced":
         return three_color_balanced_coloring(params["n"]), recipe
     if recipe.tag == "matching-classes":

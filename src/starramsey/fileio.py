@@ -9,7 +9,7 @@ order so files diff cleanly.
 
 from __future__ import annotations
 
-from .coloring import EdgeColoring, all_edges
+from .coloring import EdgeColoring
 from .errors import ColoringFormatError
 
 
@@ -84,7 +84,8 @@ def parse_coloring(text: str) -> EdgeColoring:
         raise ColoringFormatError("empty file: missing 'p t' header")
     gap = p * (p - 1) // 2 - len(colors)
     if gap:
-        first = next(e for e in all_edges(p) if e not in colors)
+        first = next((u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)
+                     if (u, v) not in colors)
         raise ColoringFormatError(f"{gap} edge(s) missing, first is {first}")
     return EdgeColoring(p, t, colors)
 

@@ -100,7 +100,10 @@ def pigeonhole_upper(n: int, t: int, s: int) -> int:
     return (t - s) * ((n - 1) // s) + n + 1
 
 
-def _balanced_sizes(total: int, parts: int) -> list[int]:
+def balanced_class_sizes(total: int, parts: int) -> list[int]:
+    """Split ``total`` into ``parts`` sizes differing by at most one, small first."""
+    if parts < 1 or total < 0:
+        raise InvalidParameterError(f"bad split: total={total}, parts={parts}")
     q, r = divmod(total, parts)
     return [q] * (parts - r) + [q + 1] * r
 
@@ -120,7 +123,7 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
         return WitnessRecipe("three-color-balanced", {"n": n})
     if p % 2 == 0:
         return WitnessRecipe("partitioned-factorization",
-                             {"p": p, "class_sizes": _balanced_sizes(p - 1, t)})
+                             {"p": p, "class_sizes": balanced_class_sizes(p - 1, t)})
     if p <= n:
         return WitnessRecipe("cyclic", {"p": p, "t": t})
     q, r = divmod(p, t)
@@ -129,7 +132,7 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
     if 2 <= r <= t - 1 and q >= 1:
         return WitnessRecipe("near-regular", {"t": t, "q": q, "r": r})
     return WitnessRecipe("matching-classes",
-                         {"p": p, "class_sizes": _balanced_sizes(p, t)})
+                         {"p": p, "class_sizes": balanced_class_sizes(p, t)})
 
 
 def _trivial_verdict(t: int) -> CaseVerdict:

@@ -6,14 +6,15 @@ The search assigns edges in lexicographic order, quotients out color
 relabeling by allowing a new color only after all smaller ones appear,
 and prunes with a per-vertex optimistic bound.
 
-Results and node counts are identical for any worker count: the tree is
-split at a fixed shallow depth into independent subtree tasks, each
-searched with its own incumbent, and the reduction is order-free.
+The tree is split at a fixed shallow depth into independent subtree
+tasks, each searched with its own incumbent, and the reduction is
+order-free, so results and node counts depend on the instance alone.
+The tasks run one after another whatever ``threads`` says (it must be
+>= 1): the search is pure Python, and a thread pool gave no speedup.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .coloring import all_edges
@@ -205,14 +206,7 @@ def max_min_star_colors(p: int, n: int, t: int, *,
     depth = min(_SPLIT_DEPTH, num_edges)
     tasks, prefix_nodes, prefix_skips = _enumerate_prefixes(edges, t, depth)
 
-    if threads == 1:
-        outcomes = [_run_task(task, edges, p, n, t, depth) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(
-                pool.map(lambda task: _run_task(task, edges, p, n, t, depth), tasks)
-            )
-
+    outcomes = [_run_task(task, edges, p, n, t, depth) for task in tasks]
     value = max(best for best, _ in outcomes)
     stats = SearchStats(prefix_nodes, prefix_skips, 0)
     for _, task_stats in outcomes:

@@ -1,7 +1,8 @@
 """The judge: coloring validation, star color minima, and seeded sampling.
 
 A coloring of K_p certifies R > p for the instance (n, t, s) exactly when
-every n-edge star in it shows at least s+1 distinct colors.
+every n-edge star in it shows at least s+1 distinct colors; every such
+check goes through one kernel, ``star_minima``, over color degrees.
 """
 
 from __future__ import annotations
@@ -63,29 +64,32 @@ def _is_complete(coloring: EdgeColoring) -> bool:
     return True
 
 
-def min_star_colors(coloring: EdgeColoring, n: int) -> int | None:
-    """Fewest distinct colors over all n-edge stars; None when no star exists.
+def star_minima(counts: np.ndarray, n: int) -> np.ndarray:
+    """Per vertex, the least k whose k largest color degrees sum to >= n.
 
-    At a vertex, the k largest color classes cover the most edges any k
-    colors can, so scanning sorted color degrees by descending prefix
-    sums is exact.
+    ``counts`` is a (p, t) color-degree array.  At a vertex, the k largest
+    color classes cover the most edges any k colors can, so this is the
+    fewest colors an n-star centered there can show.  A row whose total
+    stays below n gets t+1.
     """
+    prefix = (-np.sort(-counts, axis=1)).cumsum(axis=1)
+    return (prefix < n).sum(axis=1) + 1
+
+
+def _profile_minima(coloring: EdgeColoring, n: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """(color-degree array, star minima); None when no n-star exists."""
     if n < 1:
         raise InvalidParameterError(f"star size must be >= 1, got {n}")
     if coloring.p - 1 < n:
         return None
-    best = coloring.t
-    for row in color_degree_profile(coloring):
-        acc = 0
-        for k, d in enumerate(sorted(row, reverse=True), start=1):
-            if k > best:
-                break
-            acc += d
-            if acc >= n:
-                if k < best:
-                    best = k
-                break
-    return best
+    counts = np.array(color_degree_profile(coloring))
+    return counts, star_minima(counts, n)
+
+
+def min_star_colors(coloring: EdgeColoring, n: int) -> int | None:
+    """Fewest distinct colors over all n-edge stars; None when no star exists."""
+    profile = _profile_minima(coloring, n)
+    return None if profile is None else int(profile[1].min())
 
 
 @dataclass(frozen=True)
@@ -103,22 +107,6 @@ class Certificate:
     recipe: object | None = None
 
 
-def _offending_star(coloring: EdgeColoring, n: int, s: int):
-    """Smallest vertex carrying an n-star on at most s colors, with the color set."""
-    for v, row in enumerate(color_degree_profile(coloring), start=1):
-        ranked = sorted(range(1, coloring.t + 1), key=lambda c: (-row[c - 1], c))
-        acc = 0
-        chosen = []
-        for c in ranked:
-            chosen.append(c)
-            acc += row[c - 1]
-            if acc >= n:
-                break
-        if acc >= n and len(chosen) <= s:
-            return v, tuple(chosen), acc
-    return None
-
-
 def check_certificate(coloring: EdgeColoring, n: int, s: int,
                       recipe: object | None = None) -> Certificate:
     """Pass iff every n-star uses more than s colors (or no n-star exists)."""
@@ -129,13 +117,19 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int,
         )
     if s < 1:
         raise InvalidParameterError(f"color budget must be >= 1, got {s}")
-    k = min_star_colors(coloring, n)
-    if k is None or k >= s + 1:
+    profile = _profile_minima(coloring, n)
+    if profile is None:
+        return Certificate(coloring, n, s, True, None, recipe=recipe)
+    counts, minima = profile
+    k = int(minima.min())
+    if k > s:
         return Certificate(coloring, n, s, True, k, recipe=recipe)
-    v, chosen, covered = _offending_star(coloring, n, s)
-    return Certificate(coloring, n, s, False, k,
-                       offending_vertex=v, offending_colors=chosen,
-                       covered_edges=covered, recipe=recipe)
+    # first vertex with an n-star on <= s colors; ties go to the smaller color
+    v = int(np.argmax(minima <= s))
+    chosen = np.argsort(-counts[v], kind="stable")[:minima[v]]
+    return Certificate(coloring, n, s, False, k, offending_vertex=v + 1,
+                       offending_colors=tuple(int(c) + 1 for c in chosen),
+                       covered_edges=int(counts[v, chosen].sum()), recipe=recipe)
 
 
 @dataclass(frozen=True)
@@ -177,10 +171,7 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
         counts = np.zeros((p, t), dtype=np.int64)
         np.add.at(counts, (us, cols - 1), 1)
         np.add.at(counts, (vs, cols - 1), 1)
-        top = -np.sort(-counts, axis=1)
-        prefix = top.cumsum(axis=1)
-        k_per_vertex = (prefix < n).sum(axis=1) + 1
-        if int(k_per_vertex.min()) > s:
+        if int(star_minima(counts, n).min()) > s:
             cex = EdgeColoring(p, t, dict(zip(edges, (int(c) for c in cols))))
             return SampleCheckResult(False, trials, i, cex)
     return SampleCheckResult(True, trials)

@@ -38,20 +38,21 @@ def pigeonhole_order(n, t, s):
     return p
 
 
+def brute_star_at(coloring: EdgeColoring, v: int, n: int):
+    """Reference implementation at one vertex: enumerate every n-subset of
+    its star; None when its degree is below n."""
+    incident = [
+        c for (a, b), c in coloring.colors.items() if v in (a, b)
+    ]
+    if len(incident) < n:
+        return None
+    return min(len(set(combo)) for combo in itertools.combinations(incident, n))
+
+
 def brute_min_star(coloring: EdgeColoring, n: int):
     """Reference implementation: enumerate every n-subset of every star."""
-    best = None
-    for v in range(1, coloring.p + 1):
-        incident = [
-            c for (a, b), c in coloring.colors.items() if v in (a, b)
-        ]
-        if len(incident) < n:
-            continue
-        for combo in itertools.combinations(incident, n):
-            k = len(set(combo))
-            if best is None or k < best:
-                best = k
-    return best
+    values = [brute_star_at(coloring, v, n) for v in range(1, coloring.p + 1)]
+    return min((k for k in values if k is not None), default=None)
 
 
 def brute_max_min_star(p: int, n: int, t: int) -> int:

@@ -17,7 +17,6 @@ from starramsey import (
     three_color_balanced_coloring,
     witness_coloring,
 )
-from starramsey.constructions import _near_regular_search
 from starramsey.errors import ConstructionFailedError, InvalidParameterError
 
 from .conftest import monochrome_build
@@ -77,12 +76,6 @@ def test_near_regular_floor_over_range():
         assert coloring.p == t * q + r
         for row in color_degree_profile(coloring):
             assert min(row) >= q
-
-
-def test_near_regular_never_needs_shifted_completion():
-    for t, q, r in _valid_floor_triples(41):
-        _, offset = _near_regular_search(t, q, r)
-        assert offset == 0
 
 
 def test_near_regular_examples():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given
 
@@ -56,7 +58,18 @@ def test_parse_rejects_bad_vertex_order():
 
 
 def test_parse_rejects_missing_edges():
-    _expect_error("3 2\n1 2 1\n", "missing")
+    _expect_error("3 2\n1 2 1\n", "2 edge(s) missing, first is (1, 3)")
+    _expect_error("3 2\n1 2 1\n2 3 1\n", "1 edge(s) missing, first is (1, 3)")
+
+
+def test_header_only_file_names_first_gap_in_small_memory():
+    tracemalloc.start()
+    try:
+        _expect_error("3000 2\n", "4498500 edge(s) missing, first is (1, 2)")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_parse_rejects_malformed_lines():

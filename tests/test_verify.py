@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from starramsey import (
 )
 from starramsey.errors import InvalidParameterError
 
-from .conftest import brute_min_star, colorings
+from .conftest import brute_min_star, brute_star_at, colorings
 
 
 def _mono(p, t=2, color=1):
@@ -112,6 +114,27 @@ def test_check_certificate_examples():
 
     cert = check_certificate(regular_coloring(4, 2), 5, 2)
     assert cert.passed and cert.min_colors == 3
+
+
+@given(colorings(min_p=2, max_p=7), st.data())
+@settings(max_examples=150)
+def test_failing_certificate_names_smallest_offending_star(coloring, data):
+    n = data.draw(st.integers(1, coloring.p - 1))
+    k = brute_min_star(coloring, n)
+    s = data.draw(st.integers(k, coloring.t))  # fails exactly when k <= s
+    cert = check_certificate(coloring, n, s)
+    assert not cert.passed and cert.min_colors == k
+
+    at = {v: brute_star_at(coloring, v, n) for v in range(1, coloring.p + 1)}
+    v = min(u for u, kv in at.items() if kv <= s)
+    assert cert.offending_vertex == v
+    assert len(cert.offending_colors) == at[v] <= s
+
+    degree = Counter(c for e, c in coloring.colors.items() if v in e)
+    assert cert.covered_edges == sum(degree[c] for c in cert.offending_colors)
+    assert cert.covered_edges >= n
+    ranked = sorted(range(1, coloring.t + 1), key=lambda c: (-degree[c], c))
+    assert cert.offending_colors == tuple(ranked[:at[v]])
 
 
 def test_check_certificate_no_star_passes():
