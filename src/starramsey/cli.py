@@ -3,6 +3,10 @@
 All commands print line-oriented ``key value`` pairs with stable keys.
 Exit codes: 0 on pass/success, 1 on fail/counterexample (including a
 failed construction), 2 on usage errors.
+
+numpy is imported only by the commands that build, read or sample
+colorings, so ``compute``, ``bounds``, ``table`` and ``oracle`` start
+without it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import constructions, fileio, formulas, oracle, verify
+from . import formulas, oracle
 from .errors import (
     ColoringFormatError,
     ConstructionFailedError,
@@ -58,6 +62,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import constructions, fileio
+
     coloring, recipe = constructions.witness_coloring(args.n, args.t, args.s)
     text = fileio.serialize_coloring(coloring)
     if args.out:
@@ -73,6 +79,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import fileio, verify
+
     coloring = fileio.read_coloring(args.file)
     cert = verify.check_certificate(coloring, args.n, args.s)
     _emit("verdict", "pass" if cert.passed else "fail")
@@ -123,6 +131,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_sample_check(args) -> int:
+    from . import verify
+
     result = verify.sample_upper_check(
         args.p, args.n, args.t, args.s, args.trials, args.seed
     )

@@ -2,15 +2,36 @@
 
 Vertices are numbered 1..p and colors 1..t throughout, in files as well
 as in memory.
+
+An ``EdgeColoring`` stores its colors as one flat int64 array in
+lexicographic edge-rank order: edge (u, v), u < v, sits at
+``edge_rank(p, u, v)``, and ``edge_endpoints(p)`` lists every edge's
+endpoints in that order.  Builders, degree profiles, validation and file
+I/O are vectorised passes over that array; ``.colors`` is a read-only
+mapping view of it for callers that want (u, v) -> color.
 """
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
+
+import numpy as np
 
 from .errors import InvalidParameterError
 
 Edge = tuple[int, int]
+
+# Refuse K_p when its per-edge arrays would need more than this.  Building,
+# checking or reading a coloring peaks at about 70-80 bytes per edge under
+# tracemalloc (int64 endpoints, colors, file bytes and temporaries), so
+# BYTES_PER_EDGE leaves room for allocator overhead.  The limit admits
+# orders up to K_5793.
+MAX_COLORING_BYTES = 2 << 30
+BYTES_PER_EDGE = 128
 
 
 def canonical_edge(u: int, v: int) -> Edge:
@@ -23,6 +44,72 @@ def canonical_edge(u: int, v: int) -> Edge:
 def all_edges(p: int) -> list[Edge]:
     """Edges of K_p in lexicographic order."""
     return [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
+
+
+def edge_count(p: int) -> int:
+    """Edges of K_p; 0 for p < 1."""
+    return p * (p - 1) // 2 if p > 0 else 0
+
+
+def edge_rank(p: int, u: int, v: int) -> int:
+    """Position of edge (u, v), 1 <= u < v <= p, in lexicographic order."""
+    return (u - 1) * (2 * p - u) // 2 + (v - u - 1)
+
+
+def check_order(p: int) -> None:
+    """Refuse K_p before allocating when its arrays would exceed
+    ``MAX_COLORING_BYTES``."""
+    need = edge_count(p) * BYTES_PER_EDGE
+    if need > MAX_COLORING_BYTES:
+        raise InvalidParameterError(
+            f"K_{p} has {edge_count(p)} edges, about {need >> 20} MiB of arrays; "
+            f"the limit is {MAX_COLORING_BYTES >> 20} MiB"
+        )
+
+
+def _rank_of(p: int, key) -> int | None:
+    """Rank of ``key`` when it is an edge (u, v), 1 <= u < v <= p, else None."""
+    if type(key) is not tuple or len(key) != 2:
+        return None
+    try:
+        u, v = map(operator.index, key)
+    except TypeError:
+        return None
+    return edge_rank(p, u, v) if 1 <= u < v <= p else None
+
+
+def _int64_array(values) -> np.ndarray:
+    try:
+        return np.fromiter(map(operator.index, values), np.int64)
+    except (TypeError, OverflowError):
+        raise InvalidParameterError("colors must be 64-bit integers") from None
+
+
+@lru_cache(maxsize=2)
+def edge_endpoints(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """1-based endpoint arrays (u, v) of every edge of K_p in rank order
+    (read-only, cached)."""
+    check_order(p)
+    iu, iv = np.triu_indices(max(p, 0), 1)
+    iu += 1
+    iv += 1
+    iu.flags.writeable = False
+    iv.flags.writeable = False
+    return iu, iv
+
+
+def matching_position(a: np.ndarray, b: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
+    """Closed form of ``near_one_factorization(x)`` for edges {a, b} of odd K_x.
+
+    Returns (center, k): the edge is edge k (1-based) of M_center.  It lies
+    in M_i exactly when a + b = 2i (mod x), and edge k of M_i joins i+k and
+    i-k, so (a - b)/2 = +-k (mod x).
+    """
+    half = (x + 1) // 2  # the inverse of 2 mod x
+    center = (a + b) * half % x
+    center[center == 0] = x
+    d = (a - b) * half % x
+    return center, np.minimum(d, x - d)
 
 
 @dataclass(frozen=True)
@@ -38,20 +125,87 @@ class OrderedMatching:
     edges: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
 class EdgeColoring:
-    """Total assignment of colors 1..t to the edges of K_p."""
+    """Assignment of colors 1..t to the edges of K_p.
 
-    p: int
-    t: int
-    colors: dict[Edge, int]
+    ``EdgeColoring(p, t, colors)`` takes a mapping (u, v) -> color;
+    ``EdgeColoring.from_array`` takes the rank-ordered color array.  A
+    mapping may be malformed (edges missing, keys that are not edges of
+    K_p, colors outside 1..t); the defects are kept so that
+    ``verify.validate`` can name them.
+    """
+
+    __slots__ = ("p", "t", "array", "missing", "unexpected", "_dict")
+
+    def __init__(self, p: int, t: int, colors: Mapping[Edge, int]):
+        check_order(p)
+        colors = dict(colors)
+        if list(colors) == all_edges(p):  # complete and in rank order
+            array = _int64_array(colors.values())
+            self._set(p, t, array, frozenset(), {}, colors)
+            return
+        ranks, values, unexpected = [], [], {}
+        for key, c in colors.items():
+            r = _rank_of(p, key)
+            if r is None:
+                unexpected[key] = c
+            else:
+                ranks.append(r)
+                values.append(c)
+        array = np.zeros(edge_count(p), dtype=np.int64)
+        array[ranks] = _int64_array(values)
+        missing = frozenset(range(array.size)).difference(ranks)
+        self._set(p, t, array, missing, unexpected, colors)
+
+    @classmethod
+    def from_array(cls, p: int, t: int, array) -> "EdgeColoring":
+        """Coloring whose edge of rank r has color array[r] (copied)."""
+        array = np.array(array, dtype=np.int64)
+        if array.shape != (edge_count(p),):
+            raise InvalidParameterError(
+                f"K_{p} needs {edge_count(p)} colors, got shape {array.shape}"
+            )
+        coloring = cls.__new__(cls)
+        coloring._set(p, t, array, frozenset(), {}, None)
+        return coloring
+
+    def _set(self, p, t, array, missing, unexpected, as_dict):
+        array.flags.writeable = False
+        self.p = int(p)
+        self.t = int(t)
+        self.array = array            # colors by edge rank; 0 where missing
+        self.missing = missing        # ranks the mapping left out
+        self.unexpected = unexpected  # mapping keys that are not edges of K_p
+        self._dict = as_dict          # the (u, v) -> color dict, built on demand
+
+    @property
+    def colors(self) -> Mapping[Edge, int]:
+        """Read-only (u, v) -> color view, built on first use."""
+        if self._dict is None:
+            us, vs = edge_endpoints(self.p)
+            self._dict = dict(zip(zip(us.tolist(), vs.tolist()), self.array.tolist()))
+        return MappingProxyType(self._dict)
 
     def color_of(self, u: int, v: int) -> int:
         return self.colors[canonical_edge(u, v)]
 
     @property
     def edge_count(self) -> int:
-        return self.p * (self.p - 1) // 2
+        return edge_count(self.p)
+
+    def __eq__(self, other):
+        if not isinstance(other, EdgeColoring):
+            return NotImplemented
+        if (self.p, self.t) != (other.p, other.t):
+            return False
+        if self.missing or self.unexpected or other.missing or other.unexpected:
+            return self.colors == other.colors
+        return bool(np.array_equal(self.array, other.array))
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"EdgeColoring(p={self.p}, t={self.t}, colors={dict(self.colors)!r})"
 
 
 def near_one_factorization(x: int) -> list[OrderedMatching]:
@@ -59,7 +213,8 @@ def near_one_factorization(x: int) -> list[OrderedMatching]:
 
     Each M_i holds (x-1)/2 ordered edges; edge k of M_i is {i+k, i-k}
     (indices mod x, 0 read as x).  Edge {a, b} lands in M_i exactly when
-    a + b = 2i (mod x), so the matchings partition the edge set.
+    a + b = 2i (mod x), so the matchings partition the edge set
+    (``matching_position`` is the same rule in closed form).
     """
     if x < 3 or x % 2 == 0:
         raise InvalidParameterError(f"need odd x >= 3, got {x}")
@@ -91,10 +246,27 @@ def one_factorization(p: int) -> list[list[Edge]]:
     return rounds
 
 
+@lru_cache(maxsize=2)
+def _profile_offsets(p: int, t: int) -> np.ndarray:
+    """(v-1)*t - 1 for the endpoints v of every edge, u's then v's; adding
+    an edge's color gives its cell in the flattened (p, t) profile."""
+    us, vs = edge_endpoints(p)
+    offsets = np.concatenate((us, vs)) * t - (t + 1)
+    offsets.flags.writeable = False
+    return offsets
+
+
+def degree_counts(p: int, t: int, colors: np.ndarray) -> np.ndarray:
+    """(p, t) int64 array: [v-1, c-1] = edges of color c at vertex v, for
+    the rank-ordered colors (all in 1..t) of K_p.
+
+    One bincount over vertex*t + color for both endpoints of every edge.
+    """
+    cells = _profile_offsets(p, t) + np.concatenate((colors, colors))
+    rows = max(p, 0)
+    return np.bincount(cells, minlength=rows * t).reshape(rows, t)
+
+
 def color_degree_profile(coloring: EdgeColoring) -> list[list[int]]:
     """Per-vertex color counts: rows[v-1][c-1] = edges of color c at vertex v."""
-    rows = [[0] * coloring.t for _ in range(coloring.p)]
-    for (u, v), c in coloring.colors.items():
-        rows[u - 1][c - 1] += 1
-        rows[v - 1][c - 1] += 1
-    return rows
+    return degree_counts(coloring.p, coloring.t, coloring.array).tolist()

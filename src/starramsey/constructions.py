@@ -3,17 +3,27 @@
 Every builder checks its own postcondition before returning, so a
 coloring handed back from this module is always a valid certificate for
 the property its recipe promises.
+
+Each builder is a closed form over the edge endpoints of K_p: the
+near-1-factorization position of every edge (``matching_position``) is
+computed in one vectorised pass, and tables indexed by matching center
+and edge index give the colors.  ``witness_coloring`` refuses orders
+past the module-wide size limit (``coloring.check_order``) before it
+builds anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .coloring import (
     EdgeColoring,
-    color_degree_profile,
-    near_one_factorization,
-    one_factorization,
+    check_order,
+    degree_counts,
+    edge_endpoints,
+    matching_position,
 )
 from .errors import ConstructionFailedError, InvalidParameterError
 from .formulas import CaseVerdict, WitnessRecipe, balanced_class_sizes, classify
@@ -61,9 +71,17 @@ def near_regular_layout(t: int, q: int, r: int) -> ClassLayout:
     return ClassLayout(x=x, singletons=tuple(range(1, r + 1)), classes=classes)
 
 
+def _rows_differ(counts: np.ndarray, expected: np.ndarray) -> int | None:
+    """Index of the first row of ``counts`` unlike ``expected``, or None."""
+    bad = np.flatnonzero((counts != expected).any(axis=1))
+    return int(bad[0]) if bad.size else None
+
+
 def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
     """Group the p-1 perfect matchings of even K_p into color classes.
 
+    Round i of ``one_factorization(p)`` is M_i of K_{p-1} plus the edge
+    (i, p); rounds go to colors in order, class_sizes[c-1] rounds each.
     Each matching touches every vertex once, so every vertex sees
     exactly class_sizes[c-1] edges of color c.
     """
@@ -76,21 +94,31 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
         raise InvalidParameterError(
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
-    rounds = one_factorization(p)
-    colors: dict = {}
-    idx = 0
-    for c, size in enumerate(sizes, start=1):
-        for matching in rounds[idx:idx + size]:
-            for e in matching:
-                colors[e] = c
-        idx += size
-    coloring = EdgeColoring(p, len(sizes), colors)
-    for row in color_degree_profile(coloring):
-        if row != sizes:
-            raise ConstructionFailedError(
-                f"partitioned factorization row {row} != {sizes}"
-            )
+    color_of_round = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    a, b = edge_endpoints(p)
+    # edges of K_{p-1} lie in the round of their matching, (i, p) in round i
+    rounds = np.where(b < p, matching_position(a, b, p - 1)[0], a)
+    coloring = EdgeColoring.from_array(p, len(sizes), color_of_round[rounds - 1])
+    counts = degree_counts(coloring.p, coloring.t, coloring.array)
+    bad = _rows_differ(counts, np.array(sizes))
+    if bad is not None:
+        raise ConstructionFailedError(
+            f"partitioned factorization row {counts[bad].tolist()} != {sizes}"
+        )
     return coloring
+
+
+def _rotation_colors(x: int, color_of_center: np.ndarray,
+                     color_by_k: dict[int, np.ndarray]) -> np.ndarray:
+    """Colors of odd K_x from its near-factorization: every edge of M_i gets
+    color_of_center[i-1], except that M_i for i in ``color_by_k`` colors its
+    edge k with color_by_k[i][k-1]."""
+    center, k = matching_position(*edge_endpoints(x), x)
+    colors = color_of_center[center - 1]
+    for i, by_k in color_by_k.items():
+        mine = center == i
+        colors[mine] = by_k[k[mine] - 1]
+    return colors
 
 
 def regular_coloring(t: int, q: int) -> EdgeColoring:
@@ -108,30 +136,27 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
         raise InvalidParameterError(f"need even q >= 2, got {q}")
     layout = regular_layout(t, q)
     x = layout.x
-    matchings = near_one_factorization(x)
-    colors: dict = {}
-    for cls in layout.classes:
-        for j, m in enumerate(cls, start=1):
-            for e in matchings[m - 1].edges:
-                colors[e] = j
-    last = matchings[x - 1]
-    for i in range(q // 2):
-        for j in range(t):
-            m = layout.classes[i][j]
-            partner = layout.classes[q - 1 - i][j]
-            if (m + partner) % x != 0:
-                raise ConstructionFailedError(
-                    f"layout pair ({m}, {partner}) does not sum to 0 mod {x}"
-                )
-            # edge k of the last matching joins positions k and x-k
-            colors[last.edges[min(m, partner) - 1]] = j + 1
-    coloring = EdgeColoring(x, t, colors)
-    expected = [q] * t
-    for row in color_degree_profile(coloring):
-        if row != expected:
-            raise ConstructionFailedError(
-                f"regular coloring row {row} != {expected}"
-            )
+    classes = np.array(layout.classes)          # (q, t) circle positions
+    color_of_center = np.zeros(x, dtype=np.int64)
+    color_of_center[classes - 1] = np.arange(1, t + 1)
+    m, partner = classes[:q // 2], classes[::-1][:q // 2]
+    unpaired = np.argwhere((m + partner) % x != 0)
+    if unpaired.size:
+        i, j = unpaired[0]
+        raise ConstructionFailedError(
+            f"layout pair ({m[i, j]}, {partner[i, j]}) does not sum to 0 mod {x}"
+        )
+    # edge k of the last matching joins positions k and x-k
+    last = np.zeros((x - 1) // 2, dtype=np.int64)
+    last[np.minimum(m, partner) - 1] = np.arange(1, t + 1)
+    colors = _rotation_colors(x, color_of_center, {x: last})
+    coloring = EdgeColoring.from_array(x, t, colors)
+    counts = degree_counts(coloring.p, coloring.t, coloring.array)
+    bad = _rows_differ(counts, np.full(t, q))
+    if bad is not None:
+        raise ConstructionFailedError(
+            f"regular coloring row {counts[bad].tolist()} != {[q] * t}"
+        )
     return coloring
 
 
@@ -152,27 +177,23 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     x = layout.x
     if x % 2 == 0:
         raise InvalidParameterError(f"order tq+r={x} must be odd")
-    matchings = near_one_factorization(x)
-    colors: dict = {}
-    for cls in layout.classes:
-        for j, m in enumerate(cls, start=1):
-            for e in matchings[m - 1].edges:
-                colors[e] = j
+    # class positions r+1..x color their matchings j = 1..t in turn
+    color_of_center = np.zeros(x, dtype=np.int64)
+    color_of_center[r:] = np.arange(x - r) % t + 1
     # last singleton counts 1, 2, ..., t along its edge order; the first
     # counts t, t-1, ..., 1; singletons in between get a cyclic filler
-    for k, e in enumerate(matchings[r - 1].edges, start=1):
-        colors[e] = (k - 1) % t + 1
-    for k, e in enumerate(matchings[0].edges, start=1):
-        colors[e] = (t - k) % t + 1
+    k = np.arange(1, (x - 1) // 2 + 1)
+    by_k = {r: (k - 1) % t + 1, 1: (t - k) % t + 1}
     for mid in range(2, r):
-        for k, e in enumerate(matchings[mid - 1].edges, start=1):
-            colors[e] = (k + mid - 1) % t + 1
-    coloring = EdgeColoring(x, t, colors)
-    for row in color_degree_profile(coloring):
-        if min(row) < q:
-            raise ConstructionFailedError(
-                f"near-regular row {row} misses the floor {q} for t={t}, q={q}, r={r}"
-            )
+        by_k[mid] = (k + mid - 1) % t + 1
+    coloring = EdgeColoring.from_array(x, t, _rotation_colors(x, color_of_center, by_k))
+    counts = degree_counts(coloring.p, coloring.t, coloring.array)
+    low = np.flatnonzero(counts.min(axis=1) < q)
+    if low.size:
+        raise ConstructionFailedError(
+            f"near-regular row {counts[low[0]].tolist()} misses the floor {q} "
+            f"for t={t}, q={q}, r={r}"
+        )
     return coloring
 
 
@@ -187,12 +208,9 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
     if p < 1 or p % 2 == 0:
         raise InvalidParameterError(f"need odd p >= 1, got {p}")
     if p == 1:
-        return EdgeColoring(1, t, {})
-    colors: dict = {}
-    for m in near_one_factorization(p):
-        for k, e in enumerate(m.edges, start=1):
-            colors[e] = (k - 1) % t + 1
-    return EdgeColoring(p, t, colors)
+        return EdgeColoring.from_array(1, t, [])
+    _, k = matching_position(*edge_endpoints(p), p)
+    return EdgeColoring.from_array(p, t, (k - 1) % t + 1)
 
 
 def three_color_balanced_coloring(n: int) -> EdgeColoring:
@@ -212,12 +230,12 @@ def three_color_balanced_coloring(n: int) -> EdgeColoring:
         coloring = partitioned_factorization_coloring(x, [n - 1] * 3)
     else:
         coloring = cyclic_matching_coloring(x, 3)
-    expected = [n - 1] * 3
-    for row in color_degree_profile(coloring):
-        if row != expected:
-            raise ConstructionFailedError(
-                f"three-color balanced row {row} != {expected}"
-            )
+    counts = degree_counts(coloring.p, coloring.t, coloring.array)
+    bad = _rows_differ(counts, np.full(3, n - 1))
+    if bad is not None:
+        raise ConstructionFailedError(
+            f"three-color balanced row {counts[bad].tolist()} != {[n - 1] * 3}"
+        )
     return coloring
 
 
@@ -237,24 +255,18 @@ def matching_class_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
         raise InvalidParameterError(
             f"class sizes must sum to p={p}, got {sizes} (sum {sum(sizes)})"
         )
-    matchings = near_one_factorization(p)
-    colors: dict = {}
-    class_of_matching: dict[int, int] = {}
-    idx = 0
-    for c, size in enumerate(sizes, start=1):
-        for m in matchings[idx:idx + size]:
-            class_of_matching[m.center] = c
-            for e in m.edges:
-                colors[e] = c
-        idx += size
-    coloring = EdgeColoring(p, len(sizes), colors)
-    for v, row in enumerate(color_degree_profile(coloring), start=1):
-        expected = list(sizes)
-        expected[class_of_matching[v] - 1] -= 1
-        if row != expected:
-            raise ConstructionFailedError(
-                f"matching-class row {row} != {expected} at vertex {v}"
-            )
+    class_of_matching = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    coloring = EdgeColoring.from_array(
+        p, len(sizes), _rotation_colors(p, class_of_matching, {}))
+    counts = degree_counts(coloring.p, coloring.t, coloring.array)
+    expected = np.tile(sizes, (p, 1))
+    expected[np.arange(p), class_of_matching - 1] -= 1
+    bad = _rows_differ(counts, expected)
+    if bad is not None:
+        raise ConstructionFailedError(
+            f"matching-class row {counts[bad].tolist()} != {expected[bad].tolist()} "
+            f"at vertex {bad + 1}"
+        )
     return coloring
 
 
@@ -287,6 +299,7 @@ def witness_coloring(n: int, t: int, s: int) -> tuple[EdgeColoring, WitnessRecip
     rather than handing back a bad certificate.
     """
     verdict: CaseVerdict = classify(n, t, s)
+    check_order(verdict.value - 1)
     coloring, recipe = build_recipe(verdict.witness)
     k = min_star_colors(coloring, n)
     if k is not None and k < s + 1:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coloring import all_edges
 from .errors import InfeasibleInstanceError, InvalidParameterError
 
 DEFAULT_EDGE_BUDGET = 21
@@ -202,7 +201,8 @@ def max_min_star_colors(p: int, n: int, t: int, *,
         raise InfeasibleInstanceError(
             f"t={t} is over the color budget of {max_colors}"
         )
-    edges = all_edges(p)
+    # its own lexicographic edge list: the oracle does not import numpy
+    edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
     depth = min(_SPLIT_DEPTH, num_edges)
     tasks, prefix_nodes, prefix_skips = _enumerate_prefixes(edges, t, depth)
 
@@ -229,6 +229,8 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
         raise InvalidParameterError(
             f"need n, t, s >= 1 and p_max >= 2; got {n}, {t}, {s}, {p_max}"
         )
+    if threads < 1:
+        raise InvalidParameterError(f"need threads >= 1, got {threads}")
     checked: list[tuple[int, OracleResult]] = []
     for p in range(n + 1, p_max + 1):
         result = max_min_star_colors(

@@ -3,6 +3,12 @@
 A coloring of K_p certifies R > p for the instance (n, t, s) exactly when
 every n-edge star in it shows at least s+1 distinct colors; every such
 check goes through one kernel, ``star_minima``, over color degrees.
+
+Everything here works on the coloring's rank-ordered color array: the
+color degrees are one ``bincount`` (``coloring.degree_counts``),
+``validate`` is a range check on the array plus the missing and
+unexpected edges a malformed mapping left, and the sampler draws each
+trial's colors straight into an array of that shape.
 """
 
 from __future__ import annotations
@@ -11,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import EdgeColoring, all_edges, color_degree_profile
+from .coloring import EdgeColoring, check_order, degree_counts, edge_count, edge_endpoints
 from .errors import InvalidParameterError
 
 
@@ -20,7 +26,9 @@ def validate(coloring: EdgeColoring) -> list[str]:
 
     Defects are data, not exceptions: missing edges, unexpected edges
     (out of range or not in canonical (u < v) form), and colors outside
-    1..t are all enumerated.
+    1..t are all enumerated.  Only a coloring built from a malformed
+    mapping can have the first two; the color check is one pass over
+    the color array.
     """
     defects: list[str] = []
     if coloring.p < 1:
@@ -29,39 +37,21 @@ def validate(coloring: EdgeColoring) -> list[str]:
         defects.append(f"color count must be >= 1, got {coloring.t}")
     if defects:
         return defects
-    if _is_complete(coloring):
-        return defects
-    expected = set(all_edges(coloring.p))
-    present = set(coloring.colors)
-    for edge in sorted(expected - present):
-        defects.append(f"missing edge {edge}")
-    for edge in sorted(present - expected):
+    colors = coloring.array
+    missing = sorted(coloring.missing)
+    out_of_range = (colors < 1) | (colors > coloring.t)
+    out_of_range[missing] = False
+    out_of_range = np.flatnonzero(out_of_range).tolist()
+    if missing or out_of_range:
+        us, vs = edge_endpoints(coloring.p)
+    for r in missing:
+        defects.append(f"missing edge {(int(us[r]), int(vs[r]))}")
+    for edge in sorted(coloring.unexpected):
         defects.append(f"unexpected edge {edge}")
-    for edge in sorted(present & expected):
-        c = coloring.colors[edge]
-        if not (1 <= c <= coloring.t):
-            defects.append(f"color out of range on edge {edge}: {c}")
+    for r in out_of_range:
+        defects.append(
+            f"color out of range on edge {(int(us[r]), int(vs[r]))}: {int(colors[r])}")
     return defects
-
-
-def _is_complete(coloring: EdgeColoring) -> bool:
-    """True when the coloring holds p(p-1)/2 int keys (u, v) with
-    1 <= u < v <= p and int colors in 1..t.
-
-    Distinct keys in range that many must be every edge of K_p, so this
-    proves a coloring well formed without materialising the edge set.
-    """
-    p, t = coloring.p, coloring.t
-    if len(coloring.colors) != p * (p - 1) // 2:
-        return False
-    for key, c in coloring.colors.items():
-        if type(key) is not tuple or len(key) != 2:
-            return False
-        u, v = key
-        if not (type(u) is int and type(v) is int and type(c) is int
-                and 1 <= u < v <= p and 1 <= c <= t):
-            return False
-    return True
 
 
 def star_minima(counts: np.ndarray, n: int) -> np.ndarray:
@@ -82,7 +72,7 @@ def _profile_minima(coloring: EdgeColoring, n: int) -> tuple[np.ndarray, np.ndar
         raise InvalidParameterError(f"star size must be >= 1, got {n}")
     if coloring.p - 1 < n:
         return None
-    counts = np.array(color_degree_profile(coloring))
+    counts = degree_counts(coloring.p, coloring.t, coloring.array)
     return counts, star_minima(counts, n)
 
 
@@ -156,22 +146,16 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
-    edges = all_edges(p)
+    check_order(p)
+    m = edge_count(p)
     if p - 1 < n:
         # No n-star exists at all: any sample is a counterexample.
         rng = np.random.default_rng([seed, 0])
-        cols = rng.integers(1, t + 1, size=len(edges))
-        cex = EdgeColoring(p, t, dict(zip(edges, (int(c) for c in cols))))
+        cex = EdgeColoring.from_array(p, t, rng.integers(1, t + 1, size=m))
         return SampleCheckResult(False, trials, 0, cex)
-    us = np.array([u - 1 for u, _ in edges])
-    vs = np.array([v - 1 for _, v in edges])
     for i in range(trials):
         rng = np.random.default_rng([seed, i])
-        cols = rng.integers(1, t + 1, size=len(edges))
-        counts = np.zeros((p, t), dtype=np.int64)
-        np.add.at(counts, (us, cols - 1), 1)
-        np.add.at(counts, (vs, cols - 1), 1)
-        if int(star_minima(counts, n).min()) > s:
-            cex = EdgeColoring(p, t, dict(zip(edges, (int(c) for c in cols))))
-            return SampleCheckResult(False, trials, i, cex)
+        cols = rng.integers(1, t + 1, size=m)
+        if int(star_minima(degree_counts(p, t, cols), n).min()) > s:
+            return SampleCheckResult(False, trials, i, EdgeColoring.from_array(p, t, cols))
     return SampleCheckResult(True, trials)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from starramsey import all_edges, constructions, read_coloring, write_coloring
@@ -195,3 +200,37 @@ def test_missing_file_exits_two(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", "--file", str(tmp_path / "nope"),
                      "--n", "2", "--s", "1")
     assert rc == 2
+
+
+def test_oracle_threads_checked_before_empty_range(capsys):
+    # --max-p 4 leaves no order >= n+1 = 6 to search
+    rc, out, err = run(capsys, "oracle", "--n", "5", "--t", "2", "--s", "1",
+                       "--max-p", "4", "--threads", "0")
+    assert rc == 2
+    assert out == ""
+    assert "need threads >= 1" in err
+
+
+def test_oversized_construct_exits_two(capsys):
+    rc, out, err = run(capsys, "construct", "--n", "1000000", "--t", "8", "--s", "6")
+    assert rc == 2
+    assert out == ""
+    assert "K_1333332 has 888886444446 edges" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "4", "--t", "2", "--s", "1"),
+    ("oracle", "--n", "2", "--t", "3", "--s", "1", "--max-p", "6"),
+])
+def test_numpy_free_commands_do_not_import_numpy(argv):
+    # the same start-up path as `python -m starramsey`: package, then cli
+    code = ("import sys\n"
+            "from starramsey.cli import main\n"
+            "rc = main(sys.argv[1:])\n"
+            "print('numpy loaded' if 'numpy' in sys.modules else 'numpy absent', rc)\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "numpy absent 0"

@@ -10,6 +10,7 @@ from starramsey import (
     one_factorization,
     regular_coloring,
 )
+from starramsey.coloring import edge_endpoints, edge_rank, matching_position
 from starramsey.errors import InvalidParameterError
 
 from .conftest import colorings
@@ -116,3 +117,45 @@ def test_canonical_edge():
     assert canonical_edge(5, 2) == (2, 5)
     with pytest.raises(InvalidParameterError):
         canonical_edge(3, 3)
+
+
+@pytest.mark.parametrize("p", [0, 1, 2, 3, 8, 21])
+def test_edge_rank_and_endpoints_follow_lexicographic_order(p):
+    edges = all_edges(p)
+    us, vs = edge_endpoints(p)
+    assert list(zip(us.tolist(), vs.tolist())) == edges
+    assert [edge_rank(p, u, v) for u, v in edges] == list(range(len(edges)))
+
+
+@pytest.mark.parametrize("x", range(3, 40, 2))
+def test_matching_position_is_the_factorization_in_closed_form(x):
+    us, vs = edge_endpoints(x)
+    center, k = matching_position(us, vs, x)
+    expected = {e: (m.center, i) for m in near_one_factorization(x)
+                for i, e in enumerate(m.edges, start=1)}
+    assert list(zip(center.tolist(), k.tolist())) == [expected[e] for e in all_edges(x)]
+
+
+@given(colorings())
+def test_array_and_mapping_forms_agree(coloring):
+    again = EdgeColoring.from_array(coloring.p, coloring.t, coloring.array)
+    assert again == coloring
+    assert dict(again.colors) == dict(coloring.colors)
+    assert list(again.colors) == all_edges(coloring.p)
+
+
+def test_colors_view_is_read_only():
+    coloring = EdgeColoring(3, 2, {(1, 2): 1, (1, 3): 2, (2, 3): 1})
+    with pytest.raises(TypeError):
+        coloring.colors[(1, 2)] = 2
+    with pytest.raises(ValueError):
+        coloring.array[0] = 2
+    assert coloring.colors == {(1, 2): 1, (1, 3): 2, (2, 3): 1}
+    assert coloring.color_of(3, 1) == 2
+
+
+def test_mapping_colors_must_be_integers():
+    with pytest.raises(InvalidParameterError):
+        EdgeColoring(2, 2, {(1, 2): 1.5})
+    with pytest.raises(InvalidParameterError):
+        EdgeColoring(2, 2, {(1, 2): 1 << 70})

@@ -1,22 +1,29 @@
+import hashlib
 import random
+import tracemalloc
 
 import pytest
 
 from starramsey import (
+    EdgeColoring,
     balanced_class_sizes,
     color_degree_profile,
     constructions,
     cyclic_matching_coloring,
     matching_class_coloring,
     min_star_colors,
+    near_one_factorization,
     near_regular_coloring,
     near_regular_layout,
     partitioned_factorization_coloring,
     regular_coloring,
     regular_layout,
+    sample_upper_check,
+    serialize_coloring,
     three_color_balanced_coloring,
     witness_coloring,
 )
+from starramsey.coloring import BYTES_PER_EDGE, MAX_COLORING_BYTES, check_order, edge_count
 from starramsey.errors import ConstructionFailedError, InvalidParameterError
 
 from .conftest import monochrome_build
@@ -182,3 +189,76 @@ def test_witness_failure_is_loud(monkeypatch):
     monkeypatch.setattr(constructions, "build_recipe", monochrome_build)
     with pytest.raises(ConstructionFailedError):
         witness_coloring(9, 5, 3)
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_certificate_bytes_are_pinned_over_grid():
+    # 507 certificates, t = 2..8, s in {t-1, t-2}, n = 2..40: every recipe
+    # tag classify picks there; the digest pins the file bytes
+    digest = hashlib.sha256()
+    count = 0
+    for t in range(2, 9):
+        for s in (t - 1, t - 2):
+            for n in range(2, 41) if s >= 1 else ():
+                digest.update(serialize_coloring(witness_coloring(n, t, s)[0]).encode())
+                count += 1
+    assert count == 507
+    assert digest.hexdigest() == (
+        "80e5e24e1e2a7c9f3a83489f1702efdc0972ab28255e4e8640d1edb800deee58")
+
+
+@pytest.mark.parametrize("n, t, s, order, tag, prefix", [
+    (600, 8, 6, 798, "partitioned-factorization", "f42f0988"),
+    (571, 7, 5, 799, "regular", "2202923e"),
+    (669, 12, 10, 801, "near-regular", "9791b949"),
+    (269, 3, 1, 805, "three-color-balanced", "5c28b78f"),
+])
+def test_large_certificate_bytes_are_pinned(n, t, s, order, tag, prefix):
+    coloring, recipe = witness_coloring(n, t, s)
+    assert (coloring.p, recipe.tag) == (order, tag)
+    assert _sha256(serialize_coloring(coloring)).startswith(prefix)
+
+
+def _matching_class_reference(p, sizes):
+    colors = {}
+    class_of = [c for c, size in enumerate(sizes, start=1) for _ in range(size)]
+    for m in near_one_factorization(p):
+        for e in m.edges:
+            colors[e] = class_of[m.center - 1]
+    return EdgeColoring(p, len(sizes), colors)
+
+
+def test_matching_class_coloring_matches_factorization_reference():
+    rng = random.Random(20261018)
+    for p in range(3, 60, 2):
+        for t in (1, 2, 3, 5, 7):
+            cuts = sorted(rng.randint(0, p) for _ in range(t - 1))
+            sizes = [b - a for a, b in zip([0] + cuts, cuts + [p])]
+            coloring = matching_class_coloring(p, sizes)
+            assert coloring == _matching_class_reference(p, sizes)
+        sizes = balanced_class_sizes(p, 4)
+        assert matching_class_coloring(p, sizes) == _matching_class_reference(p, sizes)
+
+
+def test_oversized_order_is_refused_before_allocating():
+    # (10^6, 8, 6) asks for K_1333332, 8.9e11 edges
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="K_1333332 has 888886444446 edges"):
+            witness_coloring(1_000_000, 8, 6)
+        with pytest.raises(InvalidParameterError, match="K_1333332"):
+            sample_upper_check(1_333_332, 2, 3, 1, trials=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_size_limit_leaves_room_for_the_largest_certificates():
+    assert edge_count(805) * BYTES_PER_EDGE * 20 < MAX_COLORING_BYTES
+    check_order(5793)
+    with pytest.raises(InvalidParameterError):
+        check_order(5794)

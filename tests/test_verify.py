@@ -182,3 +182,23 @@ def test_sample_upper_check_is_order_independent():
 def test_sample_upper_check_no_star_order():
     res = sample_upper_check(3, 5, 2, 1, trials=10, seed=0)
     assert not res.passed and res.trial_index == 0
+
+
+def test_validate_reads_zero_color_as_out_of_range_not_missing():
+    colors = {e: 1 for e in all_edges(3)}
+    colors[(2, 3)] = 0
+    colors[(1, 3)] = -4
+    assert validate(EdgeColoring(3, 2, colors)) == [
+        "color out of range on edge (1, 3): -4",
+        "color out of range on edge (2, 3): 0",
+    ]
+
+
+def test_validate_lists_defects_in_order():
+    colors = {(1, 2): 3, (2, 3): 1, (3, 1): 1, (2, 9): 2}
+    assert validate(EdgeColoring(3, 2, colors)) == [
+        "missing edge (1, 3)",
+        "unexpected edge (2, 9)",
+        "unexpected edge (3, 1)",
+        "color out of range on edge (1, 2): 3",
+    ]
