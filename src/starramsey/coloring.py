@@ -25,11 +25,12 @@ from .errors import InvalidParameterError
 
 Edge = tuple[int, int]
 
-# Refuse K_p when its per-edge arrays would need more than this.  Building,
-# checking or reading a coloring peaks at about 70-80 bytes per edge under
-# tracemalloc (int64 endpoints, colors, file bytes and temporaries), so
-# BYTES_PER_EDGE leaves room for allocator overhead.  The limit admits
-# orders up to K_5793.
+# witness_coloring and sample_upper_check refuse K_p when its per-edge
+# arrays would need more than this; reading a file is bounded by the file.
+# Building, checking or reading a coloring peaks at about 70-80 bytes per
+# edge under tracemalloc (int64 endpoints, colors, file bytes and
+# temporaries), so BYTES_PER_EDGE leaves room for allocator overhead.  The
+# limit admits orders up to K_5793.
 MAX_COLORING_BYTES = 2 << 30
 BYTES_PER_EDGE = 128
 
@@ -89,7 +90,6 @@ def _int64_array(values) -> np.ndarray:
 def edge_endpoints(p: int) -> tuple[np.ndarray, np.ndarray]:
     """1-based endpoint arrays (u, v) of every edge of K_p in rank order
     (read-only, cached)."""
-    check_order(p)
     iu, iv = np.triu_indices(max(p, 0), 1)
     iu += 1
     iv += 1
@@ -138,12 +138,7 @@ class EdgeColoring:
     __slots__ = ("p", "t", "array", "missing", "unexpected", "_dict")
 
     def __init__(self, p: int, t: int, colors: Mapping[Edge, int]):
-        check_order(p)
         colors = dict(colors)
-        if list(colors) == all_edges(p):  # complete and in rank order
-            array = _int64_array(colors.values())
-            self._set(p, t, array, frozenset(), {}, colors)
-            return
         ranks, values, unexpected = [], [], {}
         for key, c in colors.items():
             r = _rank_of(p, key)
@@ -267,6 +262,22 @@ def degree_counts(p: int, t: int, colors: np.ndarray) -> np.ndarray:
     return np.bincount(cells, minlength=rows * t).reshape(rows, t)
 
 
+def coloring_degree_counts(coloring: EdgeColoring) -> np.ndarray:
+    """``degree_counts`` of a complete coloring with colors in 1..t.
+
+    Raises ``InvalidParameterError`` for a coloring built from a malformed
+    mapping or holding a color outside 1..t, whose bincount cells would
+    land in another vertex's row.
+    """
+    colors = coloring.array
+    if coloring.missing or coloring.unexpected:
+        raise InvalidParameterError(
+            f"color degrees need every edge of K_{coloring.p} exactly once")
+    if colors.size and (colors.min() < 1 or colors.max() > coloring.t):
+        raise InvalidParameterError(f"color degrees need colors in 1..{coloring.t}")
+    return degree_counts(coloring.p, coloring.t, colors)
+
+
 def color_degree_profile(coloring: EdgeColoring) -> list[list[int]]:
     """Per-vertex color counts: rows[v-1][c-1] = edges of color c at vertex v."""
-    return degree_counts(coloring.p, coloring.t, coloring.array).tolist()
+    return coloring_degree_counts(coloring).tolist()

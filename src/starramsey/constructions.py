@@ -177,14 +177,15 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     x = layout.x
     if x % 2 == 0:
         raise InvalidParameterError(f"order tq+r={x} must be odd")
-    # class positions r+1..x color their matchings j = 1..t in turn
+    # the matchings of each class take colors 1..t in turn
     color_of_center = np.zeros(x, dtype=np.int64)
-    color_of_center[r:] = np.arange(x - r) % t + 1
+    color_of_center[np.array(layout.classes) - 1] = np.arange(1, t + 1)
     # last singleton counts 1, 2, ..., t along its edge order; the first
     # counts t, t-1, ..., 1; singletons in between get a cyclic filler
     k = np.arange(1, (x - 1) // 2 + 1)
-    by_k = {r: (k - 1) % t + 1, 1: (t - k) % t + 1}
-    for mid in range(2, r):
+    first, *middle, last = layout.singletons
+    by_k = {last: (k - 1) % t + 1, first: (t - k) % t + 1}
+    for mid in middle:
         by_k[mid] = (k + mid - 1) % t + 1
     coloring = EdgeColoring.from_array(x, t, _rotation_colors(x, color_of_center, by_k))
     counts = degree_counts(coloring.p, coloring.t, coloring.array)

@@ -17,7 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coloring import EdgeColoring, check_order, degree_counts, edge_count, edge_endpoints
+from .coloring import (
+    EdgeColoring,
+    check_order,
+    coloring_degree_counts,
+    degree_counts,
+    edge_count,
+    edge_endpoints,
+)
 from .errors import InvalidParameterError
 
 
@@ -72,7 +79,7 @@ def _profile_minima(coloring: EdgeColoring, n: int) -> tuple[np.ndarray, np.ndar
         raise InvalidParameterError(f"star size must be >= 1, got {n}")
     if coloring.p - 1 < n:
         return None
-    counts = degree_counts(coloring.p, coloring.t, coloring.array)
+    counts = coloring_degree_counts(coloring)
     return counts, star_minima(counts, n)
 
 

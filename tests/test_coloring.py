@@ -6,6 +6,7 @@ from starramsey import (
     all_edges,
     canonical_edge,
     color_degree_profile,
+    min_star_colors,
     near_one_factorization,
     one_factorization,
     regular_coloring,
@@ -105,6 +106,22 @@ def test_profile_proper_k4():
 def test_profile_regular_coloring_k5():
     rows = color_degree_profile(regular_coloring(2, 2))
     assert rows == [[2, 2]] * 5
+
+
+@pytest.mark.parametrize("colors", [
+    {(1, 2): 1, (1, 3): 2},                         # (2, 3) missing
+    {(1, 3): 1, (2, 3): 2},                         # (1, 2) missing, at vertex 1
+    {(1, 2): 1, (1, 3): 2, (2, 3): 3},              # color above t
+    {(1, 2): 1, (1, 3): 0, (2, 3): 2},              # color 0
+    {(1, 2): 1, (1, 3): -1, (2, 3): 2},             # negative color
+    {(1, 2): 1, (1, 3): 2, (2, 3): 1, (3, 4): 1},   # unexpected edge
+])
+def test_profile_refuses_malformed_colorings(colors):
+    coloring = EdgeColoring(3, 2, colors)
+    with pytest.raises(InvalidParameterError):
+        color_degree_profile(coloring)
+    with pytest.raises(InvalidParameterError):
+        min_star_colors(coloring, 2)
 
 
 @given(colorings())

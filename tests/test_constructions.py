@@ -7,6 +7,7 @@ import pytest
 from starramsey import (
     EdgeColoring,
     balanced_class_sizes,
+    check_certificate,
     color_degree_profile,
     constructions,
     cyclic_matching_coloring,
@@ -15,6 +16,7 @@ from starramsey import (
     near_one_factorization,
     near_regular_coloring,
     near_regular_layout,
+    parse_coloring,
     partitioned_factorization_coloring,
     regular_coloring,
     regular_layout,
@@ -23,6 +25,7 @@ from starramsey import (
     three_color_balanced_coloring,
     witness_coloring,
 )
+from starramsey import coloring as coloring_module
 from starramsey.coloring import BYTES_PER_EDGE, MAX_COLORING_BYTES, check_order, edge_count
 from starramsey.errors import ConstructionFailedError, InvalidParameterError
 
@@ -262,3 +265,19 @@ def test_size_limit_leaves_room_for_the_largest_certificates():
     check_order(5793)
     with pytest.raises(InvalidParameterError):
         check_order(5794)
+
+
+def test_size_limit_applies_only_to_building_and_sampling(monkeypatch):
+    # lower the limit to K_10: K_11 is refused by construct and
+    # sample-check, but a K_11 file still parses and checks
+    monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", edge_count(10) * BYTES_PER_EDGE)
+    with pytest.raises(InvalidParameterError, match="K_11"):
+        witness_coloring(8, 3, 2)
+    with pytest.raises(InvalidParameterError, match="K_11"):
+        sample_upper_check(11, 2, 3, 1, trials=1, seed=0)
+    coloring = near_regular_coloring(3, 3, 2)
+    text = serialize_coloring(coloring)
+    assert parse_coloring(text) == coloring                 # bulk path
+    assert parse_coloring("# K_11\n" + text) == coloring    # line parser
+    assert EdgeColoring(11, 3, dict(coloring.colors)) == coloring
+    assert check_certificate(coloring, 8, 2).passed
