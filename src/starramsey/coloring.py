@@ -13,6 +13,7 @@ mapping view of it for callers that want (u, v) -> color.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -256,14 +257,20 @@ def degree_counts(p: int, t: int, colors: np.ndarray) -> np.ndarray:
     the rank-ordered colors (all in 1..t) of K_p.
 
     One bincount over vertex*t + color for both endpoints of every edge.
+    A (B, edges) stack of colorings gives a (B, p, t) array from one
+    bincount, each coloring counted in its own block of cells.
     """
-    cells = _profile_offsets(p, t) + np.concatenate((colors, colors))
     rows = max(p, 0)
-    return np.bincount(cells, minlength=rows * t).reshape(rows, t)
+    shape = colors.shape[:-1] + (rows, t)
+    cells = _profile_offsets(p, t) + np.concatenate((colors, colors), axis=-1)
+    if cells.ndim == 2:  # a stack: each coloring gets its own rows * t cells
+        cells += np.arange(len(cells))[:, None] * (rows * t)
+    return np.bincount(cells.ravel(), minlength=math.prod(shape)).reshape(shape)
 
 
-def coloring_degree_counts(coloring: EdgeColoring) -> np.ndarray:
-    """``degree_counts`` of a complete coloring with colors in 1..t.
+def countable_colors(coloring: EdgeColoring) -> np.ndarray:
+    """The color array of a complete coloring with colors in 1..t, ready
+    for ``degree_counts``.
 
     Raises ``InvalidParameterError`` for a coloring built from a malformed
     mapping or holding a color outside 1..t, whose bincount cells would
@@ -275,9 +282,9 @@ def coloring_degree_counts(coloring: EdgeColoring) -> np.ndarray:
             f"color degrees need every edge of K_{coloring.p} exactly once")
     if colors.size and (colors.min() < 1 or colors.max() > coloring.t):
         raise InvalidParameterError(f"color degrees need colors in 1..{coloring.t}")
-    return degree_counts(coloring.p, coloring.t, colors)
+    return colors
 
 
 def color_degree_profile(coloring: EdgeColoring) -> list[list[int]]:
     """Per-vertex color counts: rows[v-1][c-1] = edges of color c at vertex v."""
-    return coloring_degree_counts(coloring).tolist()
+    return degree_counts(coloring.p, coloring.t, countable_colors(coloring)).tolist()

@@ -8,7 +8,8 @@ Everything here works on the coloring's rank-ordered color array: the
 color degrees are one ``bincount`` (``coloring.degree_counts``),
 ``validate`` is a range check on the array plus the missing and
 unexpected edges a malformed mapping left, and the sampler draws each
-trial's colors straight into an array of that shape.
+trial's colors into one row of a batch that is counted and checked in
+one pass.
 """
 
 from __future__ import annotations
@@ -18,14 +19,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coloring import (
+    MAX_COLORING_BYTES,
     EdgeColoring,
     check_order,
-    coloring_degree_counts,
+    countable_colors,
     degree_counts,
     edge_count,
     edge_endpoints,
 )
 from .errors import InvalidParameterError
+
+# The sampler checks max(1, SAMPLE_BATCH_EDGES // edges) trials at a time,
+# with one bincount and one star_minima per batch.  A batch's arrays grow
+# with it: K_14 fits 45 trials, and a sample-check process peaks about
+# 0.2 MB higher at 4,096 edges and 0.75 MB higher at 16,384 than with one
+# trial per batch.  An order with more edges than this goes one trial at
+# a time.
+SAMPLE_BATCH_EDGES = 1 << 12
 
 
 def validate(coloring: EdgeColoring) -> list[str]:
@@ -64,29 +74,53 @@ def validate(coloring: EdgeColoring) -> list[str]:
 def star_minima(counts: np.ndarray, n: int) -> np.ndarray:
     """Per vertex, the least k whose k largest color degrees sum to >= n.
 
-    ``counts`` is a (p, t) color-degree array.  At a vertex, the k largest
-    color classes cover the most edges any k colors can, so this is the
-    fewest colors an n-star centered there can show.  A row whose total
-    stays below n gets t+1.
+    ``counts`` is a (p, t) color-degree array, or a (B, p, t) stack of
+    them giving (B, p) minima.  At a vertex, the k largest color classes
+    cover the most edges any k colors can, so this is the fewest colors an
+    n-star centered there can show.  A row whose total stays below n gets
+    t+1.
     """
-    prefix = (-np.sort(-counts, axis=1)).cumsum(axis=1)
-    return (prefix < n).sum(axis=1) + 1
+    prefix = (-np.sort(-counts, axis=-1)).cumsum(axis=-1)
+    return (prefix < n).sum(axis=-1) + 1
 
 
-def _profile_minima(coloring: EdgeColoring, n: int) -> tuple[np.ndarray, np.ndarray] | None:
-    """(color-degree array, star minima); None when no n-star exists."""
+def _profile_minima(coloring: EdgeColoring,
+                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """(color-degree array, the color of each of its columns, star minima);
+    None when no n-star exists.
+
+    A vertex of K_p meets at most p-1 colors, so when t > p-1 the columns
+    are only the colors that occur, in increasing order, and a huge
+    declared t does not size the table.  Every row then still sums to
+    p-1 >= n, and ties between columns still go to the smaller color, so
+    the minima and the offending colors do not change.
+    """
     if n < 1:
         raise InvalidParameterError(f"star size must be >= 1, got {n}")
-    if coloring.p - 1 < n:
+    p, t = coloring.p, coloring.t
+    if p - 1 < n:
         return None
-    counts = coloring_degree_counts(coloring)
-    return counts, star_minima(counts, n)
+    colors = countable_colors(coloring)
+    if t <= p - 1:
+        palette = np.arange(1, t + 1)
+    else:
+        palette, dense = np.unique(colors, return_inverse=True)
+        t = len(palette)
+        # star_minima holds three int64 copies of the table at its peak
+        if 32 * p * t > MAX_COLORING_BYTES:
+            raise InvalidParameterError(
+                f"K_{p} with {t} distinct colors needs a {p} x {t} color-degree "
+                f"table, about {32 * p * t >> 20} MiB with its temporaries; "
+                f"the limit is {MAX_COLORING_BYTES >> 20} MiB")
+        colors = dense + 1
+    counts = degree_counts(p, t, colors)
+    return counts, palette, star_minima(counts, n)
 
 
 def min_star_colors(coloring: EdgeColoring, n: int) -> int | None:
     """Fewest distinct colors over all n-edge stars; None when no star exists."""
     profile = _profile_minima(coloring, n)
-    return None if profile is None else int(profile[1].min())
+    return None if profile is None else int(profile[2].min())
 
 
 @dataclass(frozen=True)
@@ -117,7 +151,7 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int,
     profile = _profile_minima(coloring, n)
     if profile is None:
         return Certificate(coloring, n, s, True, None, recipe=recipe)
-    counts, minima = profile
+    counts, palette, minima = profile
     k = int(minima.min())
     if k > s:
         return Certificate(coloring, n, s, True, k, recipe=recipe)
@@ -125,7 +159,7 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int,
     v = int(np.argmax(minima <= s))
     chosen = np.argsort(-counts[v], kind="stable")[:minima[v]]
     return Certificate(coloring, n, s, False, k, offending_vertex=v + 1,
-                       offending_colors=tuple(int(c) + 1 for c in chosen),
+                       offending_colors=tuple(palette[chosen].tolist()),
                        covered_edges=int(counts[v, chosen].sum()), recipe=recipe)
 
 
@@ -160,9 +194,14 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
         rng = np.random.default_rng([seed, 0])
         cex = EdgeColoring.from_array(p, t, rng.integers(1, t + 1, size=m))
         return SampleCheckResult(False, trials, 0, cex)
-    for i in range(trials):
-        rng = np.random.default_rng([seed, i])
-        cols = rng.integers(1, t + 1, size=m)
-        if int(star_minima(degree_counts(p, t, cols), n).min()) > s:
-            return SampleCheckResult(False, trials, i, EdgeColoring.from_array(p, t, cols))
+    batch = max(1, SAMPLE_BATCH_EDGES // m)
+    for start in range(0, trials, batch):
+        draws = np.empty((min(batch, trials - start), m), dtype=np.int64)
+        for j, row in enumerate(draws):
+            row[:] = np.random.default_rng([seed, start + j]).integers(1, t + 1, size=m)
+        beats = star_minima(degree_counts(p, t, draws), n).min(axis=-1) > s
+        if beats.any():
+            j = int(beats.argmax())
+            return SampleCheckResult(False, trials, start + j,
+                                     EdgeColoring.from_array(p, t, draws[j]))
     return SampleCheckResult(True, trials)

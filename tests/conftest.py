@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 from hypothesis import strategies as st
@@ -55,8 +56,10 @@ def brute_min_star(coloring: EdgeColoring, n: int):
     return min((k for k in values if k is not None), default=None)
 
 
+@functools.cache
 def brute_max_min_star(p: int, n: int, t: int) -> int:
-    """Reference oracle: plain enumeration over all t-colorings of K_p."""
+    """Reference oracle: plain enumeration over all t-colorings of K_p
+    (memoized: several oracle tests ask for the same instances)."""
     edges = all_edges(p)
     best = 0
     for combo in itertools.product(range(1, t + 1), repeat=len(edges)):

@@ -1,11 +1,18 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from starramsey import all_edges, constructions, read_coloring, write_coloring
+from starramsey import (
+    all_edges,
+    check_certificate,
+    constructions,
+    read_coloring,
+    write_coloring,
+)
 from starramsey.cli import main
 
 from .conftest import monochrome_build
@@ -200,6 +207,29 @@ def test_missing_file_exits_two(capsys, tmp_path):
     rc, _, err = run(capsys, "verify", "--file", str(tmp_path / "nope"),
                      "--n", "2", "--s", "1")
     assert rc == 2
+
+
+def test_verify_huge_declared_t_counts_only_the_colors_that_occur(capsys, tmp_path):
+    # a valid K_3 file declaring 4,000,000 colors: a 3 x t color-degree
+    # table would peak near 300 MB; the output names the file's own colors
+    path = tmp_path / "k3.coloring"
+    path.write_text("3 4000000\n1 2 3999999\n1 3 7\n2 3 3999999\n")
+    coloring = read_coloring(str(path))
+    tracemalloc.start()
+    try:
+        check_certificate(coloring, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    rc, out, _ = run(capsys, "verify", "--file", str(path), "--n", "2", "--s", "1")
+    assert rc == 1
+    assert out == ("verdict fail\nmin_star_colors 1\noffending_vertex 2\n"
+                   "offending_colors 3999999\ncovered_edges 2\n")
+    rc, out, _ = run(capsys, "verify", "--file", str(path), "--n", "2", "--s", "2")
+    assert rc == 1
+    assert out == ("verdict fail\nmin_star_colors 1\noffending_vertex 1\n"
+                   "offending_colors 7,3999999\ncovered_edges 2\n")
 
 
 def test_oracle_threads_checked_before_empty_range(capsys):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from starramsey import check_certificate, classify, witness_coloring
@@ -23,6 +25,46 @@ def test_pruned_search_equals_plain_enumeration(p, t):
     # must not change any value
     for n in range(1, p):
         assert max_min_star_colors(p, n, t).value == brute_max_min_star(p, n, t)
+
+
+@pytest.mark.parametrize("t, p_max", ((2, 5), (3, 5), (4, 4)))
+def test_decision_search_equals_plain_enumeration(t, p_max):
+    # instances up to 10 edges, every budget 1 <= s < t (s = t-3 at t = 4):
+    # R is the first order whose plain maximum is within the budget
+    for n in range(1, p_max):
+        for s in range(1, t):
+            want = next((p for p in range(n + 1, p_max + 1)
+                         if brute_max_min_star(p, n, t) <= s), None)
+            res = ramsey_value(n, t, s, p_max)
+            assert res.value == want, (n, t, s)
+            # every order before the answer has a coloring beating the budget
+            assert all(r.value > s for p, r in res.checked if p != res.value)
+
+
+# the small-exact benchmark instances and the README example: R, and the
+# (nodes, canonical skips, bound prunes) of the whole scan up to it
+DECISION_INSTANCES = {
+    (4, 2, 1): (7, (11224, 3, 5605)),
+    (7, 2, 1): (14, (5969, 6, 2899)),
+    (5, 3, 1): (14, (827, 48, 417)),
+    (9, 3, 2): (14, (625, 30, 325)),
+    (6, 4, 2): (11, (552, 46, 358)),
+    (9, 4, 3): (12, (744, 29, 514)),
+    (3, 4, 2): (5, (62, 12, 43)),
+}
+
+
+def test_ramsey_value_matches_classify_on_pinned_instances():
+    t0 = time.perf_counter()
+    for (n, t, s), (want, stats) in DECISION_INSTANCES.items():
+        res = ramsey_value(n, t, s, want, edge_budget=want * (want - 1) // 2)
+        assert res.value == want == classify(n, t, s).value
+        assert (res.stats.nodes, res.stats.canonical_skips, res.stats.bound_prunes) == stats
+        *below, (p, last) = res.checked
+        assert p == want and last.value == s
+        assert all(r.value > s for _, r in below)
+    # about 0.15 s on a 2-vCPU VM
+    assert time.perf_counter() - t0 < 10
 
 
 def test_ramsey_examples():

@@ -1,5 +1,6 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +16,10 @@ from starramsey import (
     three_color_balanced_coloring,
     validate,
 )
+from starramsey import verify
+from starramsey.coloring import degree_counts, edge_count
 from starramsey.errors import InvalidParameterError
+from starramsey.verify import star_minima
 
 from .conftest import brute_min_star, brute_star_at, colorings
 
@@ -149,6 +153,18 @@ def test_check_certificate_rejects_invalid():
         check_certificate(EdgeColoring(4, 2, colors), 2, 1)
 
 
+def test_color_table_over_the_limit_is_refused():
+    # K_600 with every edge its own color: even counted over the colors
+    # that occur, the 600 x 179,700 table and its sort temporaries need
+    # more than 2 GiB
+    m = edge_count(600)
+    coloring = EdgeColoring.from_array(600, m, np.arange(1, m + 1))
+    with pytest.raises(InvalidParameterError, match="color-degree table"):
+        min_star_colors(coloring, 2)
+    with pytest.raises(InvalidParameterError, match="color-degree table"):
+        check_certificate(coloring, 2, 1)
+
+
 def test_sample_upper_check_tiny_always_holds():
     # two of K_3's three edges must share a color under 2 colors, and any
     # two edges of a triangle meet, so every sample passes
@@ -177,6 +193,50 @@ def test_sample_upper_check_is_order_independent():
     c = sample_upper_check(4, 2, 3, 1, trials=139, seed=42)
     assert c.trial_index == a.trial_index
     assert c.counterexample == a.counterexample
+
+
+def _per_trial_sample(p, n, t, s, trials, seed):
+    """Reference sampler, one trial at a time: (passed, trial index, colors)."""
+    m = edge_count(p)
+    for i in range(trials):
+        cols = np.random.default_rng([seed, i]).integers(1, t + 1, size=m)
+        if int(star_minima(degree_counts(p, t, cols), n).min()) > s:
+            return False, i, cols
+    return True, None, None
+
+
+def _assert_sampler_matches_reference(p, n, t, s, trials, seed):
+    res = sample_upper_check(p, n, t, s, trials, seed)
+    passed, index, cols = _per_trial_sample(p, n, t, s, trials, seed)
+    assert (res.passed, res.trial_index) == (passed, index)
+    if passed:
+        assert res.counterexample is None
+    else:
+        assert np.array_equal(res.counterexample.array, cols)
+
+
+# trial 138 is the first counterexample of (p, n, t, s) = (4, 2, 3, 1) at
+# seed 42; these batch sizes put it in the first batch, on the last trial
+# of a batch, on the first trial of the next, and in the 14th batch, and
+# 138 trials stop just before it
+@pytest.mark.parametrize("batch", (None, 139, 138, 10))
+def test_batched_sampler_matches_per_trial_loop_at_batch_edges(monkeypatch, batch):
+    if batch is not None:
+        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", batch * edge_count(4))
+    for trials in (138, 139, 10_000):
+        _assert_sampler_matches_reference(4, 2, 3, 1, trials, 42)
+
+
+@pytest.mark.parametrize("p, n, t, s", (
+    (5, 3, 2, 1), (6, 4, 2, 1), (4, 2, 3, 1), (5, 4, 3, 2),
+    (4, 3, 4, 2), (6, 5, 4, 3), (9, 5, 2, 1), (7, 3, 3, 1),
+))
+def test_batched_sampler_matches_per_trial_loop(p, n, t, s):
+    # counterexamples at varied trials, and orders where 1000 trials find
+    # none; 1000 trials end inside a batch, and at (6, 5, 4, 3) seeds 1 and
+    # 3 first fail at trials 841 and 553, past the first batch of 273
+    for seed in range(4):
+        _assert_sampler_matches_reference(p, n, t, s, 1000, seed)
 
 
 def test_sample_upper_check_no_star_order():
