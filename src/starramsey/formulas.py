@@ -15,6 +15,12 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidParameterError, UnsupportedParametersError
 
+# A witness recipe for t colors may list t class sizes, which ``compute``
+# prints and ``construct`` builds into int64 colors, so a recipe is refused
+# past this many colors: at the limit the list is 8 MiB and the printed
+# witness line about 3 MiB.
+MAX_WITNESS_COLORS = 1 << 20
+
 
 @dataclass(frozen=True)
 class WitnessRecipe:
@@ -115,7 +121,13 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
     Odd orders use the color-regular or floor-regular rotation coloring
     when the residue mod t permits, the balanced matching-class split
     otherwise, and the cyclic filler when no n-star can exist at all.
+    More than ``MAX_WITNESS_COLORS`` colors are refused before any list
+    of t sizes is built.
     """
+    if t > MAX_WITNESS_COLORS:
+        raise InvalidParameterError(
+            f"a witness for t = {t} colors may list t color classes; "
+            f"the limit is {MAX_WITNESS_COLORS} colors")
     p = value - 1
     if n == 1 or p == 1:
         return WitnessRecipe("cyclic", {"p": p, "t": t})

@@ -7,9 +7,9 @@ check goes through one kernel, ``star_minima``, over color degrees.
 Everything here works on the coloring's rank-ordered color array: the
 color degrees are one ``bincount`` (``coloring.degree_counts``),
 ``validate`` is a range check on the array plus the missing and
-unexpected edges a malformed mapping left, and the sampler draws each
-trial's colors into one row of a batch that is counted and checked in
-one pass.
+unexpected edges a malformed mapping left, and the sampler draws a batch
+of trials from one seeded stream in one call, then counts and checks the
+batch in one pass.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ from .coloring import (
 )
 from .errors import InvalidParameterError
 
-# The sampler checks max(1, SAMPLE_BATCH_EDGES // edges) trials at a time,
-# with one bincount and one star_minima per batch.  A batch's arrays grow
-# with it: K_14 fits 45 trials, and a sample-check process peaks about
-# 0.2 MB higher at 4,096 edges and 0.75 MB higher at 16,384 than with one
-# trial per batch.  An order with more edges than this goes one trial at
-# a time.
+# The sampler checks max(1, SAMPLE_BATCH_EDGES // max(edges, p * t)) trials
+# at a time, with one bincount and one star_minima per batch: a trial holds
+# `edges` drawn colors and p * t color-degree cells, so a batch's arrays stay
+# near this many cells whatever t is.  K_14 at t <= 4 fits 45 trials, and a
+# sample-check process peaks about 0.2 MB higher at 4,096 cells and 0.75 MB
+# higher at 16,384 than with one trial per batch.  A trial larger than this
+# goes alone.
 SAMPLE_BATCH_EDGES = 1 << 12
 
 
@@ -84,6 +85,17 @@ def star_minima(counts: np.ndarray, n: int) -> np.ndarray:
     return (prefix < n).sum(axis=-1) + 1
 
 
+def _check_table(p: int, t: int) -> None:
+    """Refuse a p x t color-degree table whose ``star_minima`` pass would
+    exceed ``MAX_COLORING_BYTES``: it holds three int64 copies of the table
+    at its peak, and 32 bytes per cell are assumed."""
+    if 32 * p * t > MAX_COLORING_BYTES:
+        raise InvalidParameterError(
+            f"K_{p} with {t} colors needs a {p} x {t} color-degree table, "
+            f"about {32 * p * t >> 20} MiB with its temporaries; "
+            f"the limit is {MAX_COLORING_BYTES >> 20} MiB")
+
+
 def _profile_minima(coloring: EdgeColoring,
                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(color-degree array, the color of each of its columns, star minima);
@@ -106,12 +118,7 @@ def _profile_minima(coloring: EdgeColoring,
     else:
         palette, dense = np.unique(colors, return_inverse=True)
         t = len(palette)
-        # star_minima holds three int64 copies of the table at its peak
-        if 32 * p * t > MAX_COLORING_BYTES:
-            raise InvalidParameterError(
-                f"K_{p} with {t} distinct colors needs a {p} x {t} color-degree "
-                f"table, about {32 * p * t >> 20} MiB with its temporaries; "
-                f"the limit is {MAX_COLORING_BYTES >> 20} MiB")
+        _check_table(p, t)
         colors = dense + 1
     counts = degree_counts(p, t, colors)
     return counts, palette, star_minima(counts, n)
@@ -179,26 +186,29 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     n-star with at most s colors.
 
     A sample where every n-star needs more than s colors disproves
-    R <= p and is returned as a counterexample.  Trial i draws from a
-    generator seeded with (seed, i), so the verdict does not depend on
-    evaluation order or worker count.
+    R <= p and is returned as a counterexample.  All trials come from one
+    generator seeded with ``seed``: trial i is the i-th run of edge-count
+    draws from that stream, whatever the batch size, so the verdict
+    depends on ``seed`` alone and a run with ``trials = i + 1`` draws
+    trial i's coloring again.  An order whose per-edge arrays, or a
+    color count whose p x t color-degree table, would exceed
+    ``MAX_COLORING_BYTES`` is refused before anything is drawn.
     """
     if p < 1 or n < 1 or t < 1 or s < 1 or trials < 1:
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
     if seed < 0:
         raise InvalidParameterError(f"seed must be >= 0, got {seed}")
     check_order(p)
+    _check_table(p, t)
     m = edge_count(p)
+    rng = np.random.default_rng(seed)
     if p - 1 < n:
         # No n-star exists at all: any sample is a counterexample.
-        rng = np.random.default_rng([seed, 0])
         cex = EdgeColoring.from_array(p, t, rng.integers(1, t + 1, size=m))
         return SampleCheckResult(False, trials, 0, cex)
-    batch = max(1, SAMPLE_BATCH_EDGES // m)
+    batch = max(1, SAMPLE_BATCH_EDGES // max(m, p * t))
     for start in range(0, trials, batch):
-        draws = np.empty((min(batch, trials - start), m), dtype=np.int64)
-        for j, row in enumerate(draws):
-            row[:] = np.random.default_rng([seed, start + j]).integers(1, t + 1, size=m)
+        draws = rng.integers(1, t + 1, size=(min(batch, trials - start), m))
         beats = star_minima(degree_counts(p, t, draws), n).min(axis=-1) > s
         if beats.any():
             j = int(beats.argmax())

@@ -10,7 +10,9 @@ from starramsey import (
     all_edges,
     check_certificate,
     constructions,
+    formulas,
     read_coloring,
+    verify,
     write_coloring,
 )
 from starramsey.cli import main
@@ -194,7 +196,48 @@ def test_sample_check_command(capsys):
     assert rc == 1
     fields = kv(out)
     assert fields["verdict"] == "counterexample"
-    assert fields["trial"] == "138"
+    assert fields["trial"] == "105"
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "2", "--t", "3", "--s", "1", "--p", "4", "--trials", "10000", "--seed", "42"),
+    ("--n", "2", "--t", "3", "--s", "1", "--p", "5", "--trials", "500", "--seed", "7"),
+    ("--n", "6", "--t", "4", "--s", "3", "--p", "7", "--trials", "1000", "--seed", "2"),
+])
+def test_sample_check_output_does_not_depend_on_batch_size(capsys, monkeypatch, argv):
+    # 1 and 6 cells are below one trial's size, so each batch is one trial;
+    # then the default, and 2^16 cells (over 2,000 trials per batch)
+    outputs = set()
+    for cells in (1, 6, verify.SAMPLE_BATCH_EDGES, 1 << 16):
+        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", cells)
+        outputs.add(run(capsys, "sample-check", *argv)[:2])
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("t", ("9223372036854775807", "18446744073709551616"))
+def test_sample_check_huge_t_exits_two(capsys, t):
+    rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "1",
+                       "--p", "3", "--trials", "1", "--seed", "0")
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and "color-degree table" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("compute", "--n", "2", "--t", "10000000", "--s", "9999999"),
+    ("compute", "--n", "2", "--t", "100000000000", "--s", "99999999999"),
+    ("compute", "--n", "2", "--t", "18446744073709551616", "--s", "18446744073709551615"),
+    ("table", "--t", "18446744073709551616", "--s", "18446744073709551615",
+     "--n-from", "2", "--n-to", "3"),
+    ("construct", "--n", "3", "--t", "18446744073709551616", "--s", "18446744073709551615"),
+])
+def test_huge_t_witness_exits_two(capsys, argv):
+    # the witness of (2, t, t-1) lists t class sizes; construct (3, t, t-1)
+    # would build a cyclic coloring whose colors overflow int64
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ") and f"limit is {formulas.MAX_WITNESS_COLORS}" in err
 
 
 def test_usage_error_from_argparse(capsys):

@@ -3,6 +3,7 @@ import pytest
 from starramsey import classify, general_bounds, threshold_predicate
 from starramsey.errors import InvalidParameterError, UnsupportedParametersError
 from starramsey.formulas import (
+    MAX_WITNESS_COLORS,
     _t_minus_2_clauses,
     ramsey_star_t_minus_1,
     ramsey_star_t_minus_2,
@@ -160,3 +161,19 @@ def test_witness_recipe_matches_case():
     v = classify(3, 5, 3)
     assert v.witness.tag == "cyclic"
     assert classify(7, 3, 1).witness.tag == "three-color-balanced"
+
+
+def test_witness_color_limit():
+    # (2, t, t-1) is K_3 with a K_2 witness listing t class sizes, and
+    # (2, t, t-2) at even t likewise; both stop at the limit
+    limit = MAX_WITNESS_COLORS
+    v = classify(2, limit, limit - 1)
+    assert v.value == 3 and len(v.witness.params["class_sizes"]) == limit
+    assert len(ramsey_star_t_minus_2(2, limit).witness.params["class_sizes"]) == limit
+    for t in (limit + 1, 10 ** 11, 2 ** 64):
+        with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
+            classify(2, t, t - 1)
+        with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
+            ramsey_star_t_minus_2(2, t)
+    # n = 1 needs no witness coloring beyond K_1
+    assert classify(1, 2 ** 64, 2 ** 64 - 1).value == 2

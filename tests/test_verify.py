@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -180,7 +181,7 @@ def test_sample_upper_check_at_known_value():
 def test_sample_upper_check_finds_proper_coloring():
     res = sample_upper_check(4, 2, 3, 1, trials=10_000, seed=42)
     assert not res.passed
-    assert res.trial_index == 138
+    assert res.trial_index == 105
     assert validate(res.counterexample) == []
     assert min_star_colors(res.counterexample, 2) == 2
 
@@ -190,16 +191,18 @@ def test_sample_upper_check_is_order_independent():
     b = sample_upper_check(4, 2, 3, 1, trials=10_000, seed=42)
     assert (a.passed, a.trial_index) == (b.passed, b.trial_index)
     # the failing trial draws the same coloring when reached directly
-    c = sample_upper_check(4, 2, 3, 1, trials=139, seed=42)
+    c = sample_upper_check(4, 2, 3, 1, trials=106, seed=42)
     assert c.trial_index == a.trial_index
     assert c.counterexample == a.counterexample
 
 
 def _per_trial_sample(p, n, t, s, trials, seed):
-    """Reference sampler, one trial at a time: (passed, trial index, colors)."""
+    """Reference sampler, one trial at a time from one seeded stream:
+    (passed, trial index, colors)."""
     m = edge_count(p)
+    rng = np.random.default_rng(seed)
     for i in range(trials):
-        cols = np.random.default_rng([seed, i]).integers(1, t + 1, size=m)
+        cols = rng.integers(1, t + 1, size=m)
         if int(star_minima(degree_counts(p, t, cols), n).min()) > s:
             return False, i, cols
     return True, None, None
@@ -215,26 +218,29 @@ def _assert_sampler_matches_reference(p, n, t, s, trials, seed):
         assert np.array_equal(res.counterexample.array, cols)
 
 
-# trial 138 is the first counterexample of (p, n, t, s) = (4, 2, 3, 1) at
+# trial 105 is the first counterexample of (p, n, t, s) = (4, 2, 3, 1) at
 # seed 42; these batch sizes put it in the first batch, on the last trial
-# of a batch, on the first trial of the next, and in the 14th batch, and
-# 138 trials stop just before it
-@pytest.mark.parametrize("batch", (None, 139, 138, 10))
+# of a batch, on the first trial of the next, and in the 11th batch, and
+# 105 trials stop just before it.  A K_4 trial at t = 3 holds 4 * 3 = 12
+# color-degree cells, more than its 6 edges, so a batch of b trials is
+# b * 12 cells.
+@pytest.mark.parametrize("batch", (None, 106, 105, 10))
 def test_batched_sampler_matches_per_trial_loop_at_batch_edges(monkeypatch, batch):
     if batch is not None:
-        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", batch * edge_count(4))
-    for trials in (138, 139, 10_000):
+        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", batch * 4 * 3)
+    for trials in (105, 106, 10_000):
         _assert_sampler_matches_reference(4, 2, 3, 1, trials, 42)
 
 
 @pytest.mark.parametrize("p, n, t, s", (
     (5, 3, 2, 1), (6, 4, 2, 1), (4, 2, 3, 1), (5, 4, 3, 2),
-    (4, 3, 4, 2), (6, 5, 4, 3), (9, 5, 2, 1), (7, 3, 3, 1),
+    (4, 3, 4, 2), (6, 5, 4, 3), (9, 5, 2, 1), (7, 3, 3, 1), (7, 6, 4, 3),
 ))
 def test_batched_sampler_matches_per_trial_loop(p, n, t, s):
     # counterexamples at varied trials, and orders where 1000 trials find
-    # none; 1000 trials end inside a batch, and at (6, 5, 4, 3) seeds 1 and
-    # 3 first fail at trials 841 and 553, past the first batch of 273
+    # none; 1000 trials end inside a batch.  Past the first batch: (9, 5, 2, 1)
+    # seed 3 first fails at trial 213 (batches of 113), and (7, 6, 4, 3)
+    # seeds 2 and 3 at trials 921 and 331 (batches of 146)
     for seed in range(4):
         _assert_sampler_matches_reference(p, n, t, s, 1000, seed)
 
@@ -242,6 +248,46 @@ def test_batched_sampler_matches_per_trial_loop(p, n, t, s):
 def test_sample_upper_check_no_star_order():
     res = sample_upper_check(3, 5, 2, 1, trials=10, seed=0)
     assert not res.passed and res.trial_index == 0
+
+
+@pytest.mark.parametrize("p, n, t, s, passed", (
+    (5, 2, 3, 1, True),      # every trial drawn, several batches
+    (7, 6, 4, 3, False),     # counterexample past the first batch
+    (3, 5, 2, 1, False),     # no 5-star in K_3: trial 0 is returned at once
+))
+def test_sampler_seeds_one_generator_per_call(monkeypatch, p, n, t, s, passed):
+    seeds = []
+    default_rng = np.random.default_rng
+
+    def counting(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    res = sample_upper_check(p, n, t, s, trials=5000, seed=2)
+    assert res.passed is passed
+    assert seeds == [2]
+
+
+def test_sampler_batch_memory_does_not_grow_with_t():
+    # at t = 1000 one K_5 trial has 5,000 color-degree cells, so a batch is
+    # one trial; a batch sized by edges alone took 409 trials, 46.8 MiB
+    sample_upper_check(5, 2, 3, 1, trials=1, seed=0)
+    tracemalloc.start()
+    try:
+        sample_upper_check(5, 2, 1000, 1, trials=409, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_sampler_color_table_limit_boundary(monkeypatch):
+    # 32 bytes per cell of one trial's 5 x t table, with the limit at t = 1000
+    monkeypatch.setattr(verify, "MAX_COLORING_BYTES", 32 * 5 * 1000)
+    assert sample_upper_check(5, 2, 1000, 1, trials=1, seed=0).trials == 1
+    with pytest.raises(InvalidParameterError, match="color-degree table"):
+        sample_upper_check(5, 2, 1001, 1, trials=1, seed=0)
 
 
 def test_validate_reads_zero_color_as_out_of_range_not_missing():
