@@ -2,19 +2,31 @@
 
 All commands print line-oriented ``key value`` pairs with stable keys.
 Exit codes: 0 on pass/success, 1 on fail/counterexample (including a
-failed construction), 2 on usage errors.
+failed construction), 2 on usage errors, 141 (128 + SIGPIPE) when the
+reader of stdout closes it early; nothing is printed then.
 
-numpy is imported only by the commands that build, read or sample
-colorings, so ``compute``, ``bounds``, ``table`` and ``oracle`` start
-without it.
+Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
+``oracle``, so each command imports only the modules it runs:
+
+* ``compute``, ``bounds`` and ``table`` load ``formulas``;
+* ``oracle`` loads ``oracle``;
+* ``construct`` loads ``constructions`` (with ``formulas``, ``coloring``
+  and ``verify``) and ``fileio``;
+* ``verify`` loads ``fileio`` and ``verify``; ``sample-check`` loads
+  ``verify``.
+
+Only the last three import numpy.  Modules are called through their
+attributes (``formulas.classify``), never through names imported from
+them, so a wrapper installed on a module attribute sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from typing import TYPE_CHECKING
 
-from . import formulas, oracle
 from .errors import (
     ColoringFormatError,
     ConstructionFailedError,
@@ -22,6 +34,13 @@ from .errors import (
     InvalidParameterError,
     UnsupportedParametersError,
 )
+
+if TYPE_CHECKING:
+    from .formulas import CaseVerdict
+
+# Exit status when stdout is closed under us, as for a process that
+# SIGPIPE ends (Python ignores the signal, so the write fails instead).
+EXIT_BROKEN_PIPE = 141
 
 USAGE_ERRORS = (
     InvalidParameterError,
@@ -35,7 +54,7 @@ def _emit(key: str, value) -> None:
     print(f"{key} {value}")
 
 
-def _emit_verdict_fields(verdict: formulas.CaseVerdict) -> None:
+def _emit_verdict_fields(verdict: CaseVerdict) -> None:
     _emit("value", verdict.value)
     _emit("case", verdict.case_tag)
     if verdict.x is not None:
@@ -46,12 +65,16 @@ def _emit_verdict_fields(verdict: formulas.CaseVerdict) -> None:
 
 
 def _cmd_compute(args) -> int:
+    from . import formulas
+
     verdict = formulas.classify(args.n, args.t, args.s)
     _emit_verdict_fields(verdict)
     return 0
 
 
 def _cmd_bounds(args) -> int:
+    from . import formulas
+
     interval = formulas.general_bounds(args.n, args.t, args.l)
     _emit("lower", interval.lower)
     _emit("upper", interval.upper)
@@ -94,9 +117,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import oracle
+
+    edge_budget = (oracle.DEFAULT_EDGE_BUDGET if args.edge_budget is None
+                   else args.edge_budget)
     result = oracle.ramsey_value(
         args.n, args.t, args.s, args.max_p,
-        edge_budget=args.edge_budget, threads=args.threads,
+        edge_budget=edge_budget, threads=args.threads,
     )
     if result.value is None:
         _emit("value", f"exceeds_p_max={args.max_p}")
@@ -110,23 +137,25 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import formulas
+
     if args.n_from > args.n_to or args.n_from < 1:
         raise InvalidParameterError(
             f"empty or invalid range: n-from={args.n_from}, n-to={args.n_to}"
         )
-    rows = []
-    for n in range(args.n_from, args.n_to + 1):
-        verdict = formulas.classify(n, args.t, args.s)
-        rows.append((n, verdict.value, verdict.case_tag))
+    # The last row sets the value column's width.  Computing it first also
+    # raises any error before a line is printed: classify's errors depend
+    # on (t, s) alone, except that n = 1 never raises.
+    width = max(len(str(formulas.classify(args.n_to, args.t, args.s).value)), 5)
     if args.format == "csv":
         print("n,value,case")
-        for n, value, case in rows:
-            print(f"{n},{value},{case}")
+        row = "{},{},{}".format
     else:
-        width = max(len(str(rows[-1][1])), 5)
         print(f"{'n':>4} {'value':>{width}}  case")
-        for n, value, case in rows:
-            print(f"{n:>4} {value:>{width}}  {case}")
+        row = f"{{:>4}} {{:>{width}}}  {{}}".format
+    for n in range(args.n_from, args.n_to + 1):
+        verdict = formulas.classify(n, args.t, args.s)
+        print(row(n, verdict.value, verdict.case_tag))
     return 0
 
 
@@ -180,8 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive small-instance value")
     common_nts(p)
     p.add_argument("--max-p", type=int, required=True, dest="max_p")
-    p.add_argument("--edge-budget", type=int, default=oracle.DEFAULT_EDGE_BUDGET,
-                   dest="edge_budget")
+    # default: oracle.DEFAULT_EDGE_BUDGET, read when the command runs
+    p.add_argument("--edge-budget", type=int, dest="edge_budget")
     p.add_argument("--threads", type=int, default=1)
     p.set_defaults(func=_cmd_oracle)
 
@@ -204,6 +233,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at devnull, so that the flush at interpreter exit does
+    not fail again on the closed pipe."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, ValueError, OSError):
+        return  # not a file descriptor (captured or replaced stdout)
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -211,7 +252,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe may show only when the buffer is written
+        return code
+    except BrokenPipeError:
+        _drop_stdout()
+        return EXIT_BROKEN_PIPE
     except ConstructionFailedError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return 1

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,8 +113,7 @@ def matching_position(a: np.ndarray, b: np.ndarray, x: int) -> tuple[np.ndarray,
     return center, np.minimum(d, x - d)
 
 
-@dataclass(frozen=True)
-class OrderedMatching:
+class OrderedMatching(NamedTuple):
     """Near-perfect matching of odd K_x that misses exactly ``center``.
 
     Edge k (1-based) joins the vertices at circle positions center+k and
@@ -283,6 +282,22 @@ def countable_colors(coloring: EdgeColoring) -> np.ndarray:
     if colors.size and (colors.min() < 1 or colors.max() > coloring.t):
         raise InvalidParameterError(f"color degrees need colors in 1..{coloring.t}")
     return colors
+
+
+def palette_colors(coloring: EdgeColoring) -> tuple[np.ndarray, np.ndarray]:
+    """(palette, columns) of a complete coloring with colors in 1..t: the
+    colors a color-degree table needs, in increasing order, and each edge's
+    1-based column, ready for ``degree_counts(p, len(palette), columns)``.
+
+    A vertex of K_p meets at most p-1 colors, so when t > p-1 the palette
+    is only the colors that occur and a huge declared t does not size the
+    table; otherwise it is 1..t and the columns are the colors themselves.
+    """
+    colors = countable_colors(coloring)
+    if coloring.t <= coloring.p - 1:
+        return np.arange(1, coloring.t + 1), colors
+    palette, dense = np.unique(colors, return_inverse=True)
+    return palette, dense + 1
 
 
 def color_degree_profile(coloring: EdgeColoring) -> list[list[int]]:

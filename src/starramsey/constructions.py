@@ -14,7 +14,7 @@ builds anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,14 +24,14 @@ from .coloring import (
     degree_counts,
     edge_endpoints,
     matching_position,
+    palette_colors,
 )
 from .errors import ConstructionFailedError, InvalidParameterError
 from .formulas import CaseVerdict, WitnessRecipe, balanced_class_sizes, classify
 from .verify import min_star_colors
 
 
-@dataclass(frozen=True)
-class ClassLayout:
+class ClassLayout(NamedTuple):
     """Circle positions used by the rotation colorings of odd K_x.
 
     ``singletons`` come first, then ``classes`` of t positions each, with
@@ -71,10 +71,38 @@ def near_regular_layout(t: int, q: int, r: int) -> ClassLayout:
     return ClassLayout(x=x, singletons=tuple(range(1, r + 1)), classes=classes)
 
 
-def _rows_differ(counts: np.ndarray, expected: np.ndarray) -> int | None:
-    """Index of the first row of ``counts`` unlike ``expected``, or None."""
-    bad = np.flatnonzero((counts != expected).any(axis=1))
-    return int(bad[0]) if bad.size else None
+def _first_bad_row(coloring: EdgeColoring, expected) -> tuple[int, list[int]] | None:
+    """(v-1, the t color degrees of v) for the first vertex v whose color
+    degrees differ from ``expected``, or None when every row matches.
+
+    ``expected(palette)`` gives every vertex's expected degrees in the
+    colors ``palette``, broadcast against the (p, len(palette)) table.
+    Only the colors that occur are counted once t > p-1
+    (``coloring.palette_colors``), so a large declared t does not size
+    the table.  Every expected row here is nonnegative and sums to p-1,
+    as every real row does, so rows that agree on the colors that occur
+    agree on all t colors.
+    """
+    palette, columns = palette_colors(coloring)
+    counts = degree_counts(coloring.p, len(palette), columns)
+    bad = np.flatnonzero((counts != expected(palette)).any(axis=1))
+    if not bad.size:
+        return None
+    row = np.zeros(coloring.t, dtype=np.int64)
+    row[palette - 1] = counts[bad[0]]
+    return int(bad[0]), row.tolist()
+
+
+def _classes_in_order(sizes: list[int]) -> np.ndarray:
+    """The class of each matching in order: class c takes sizes[c-1]
+    consecutive matchings, and a class of size 0 takes no room."""
+    used = [c for c, size in enumerate(sizes, 1) if size]
+    return np.repeat(np.array(used, dtype=np.int64), [sizes[c - 1] for c in used])
+
+
+def _sizes_at(sizes: list[int], palette: np.ndarray) -> np.ndarray:
+    """sizes[c-1] for each color c of ``palette``."""
+    return np.array([sizes[c - 1] for c in palette.tolist()], dtype=np.int64)
 
 
 def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
@@ -94,16 +122,15 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
         raise InvalidParameterError(
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
-    color_of_round = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    color_of_round = _classes_in_order(sizes)
     a, b = edge_endpoints(p)
     # edges of K_{p-1} lie in the round of their matching, (i, p) in round i
     rounds = np.where(b < p, matching_position(a, b, p - 1)[0], a)
     coloring = EdgeColoring.from_array(p, len(sizes), color_of_round[rounds - 1])
-    counts = degree_counts(coloring.p, coloring.t, coloring.array)
-    bad = _rows_differ(counts, np.array(sizes))
+    bad = _first_bad_row(coloring, lambda palette: _sizes_at(sizes, palette))
     if bad is not None:
         raise ConstructionFailedError(
-            f"partitioned factorization row {counts[bad].tolist()} != {sizes}"
+            f"partitioned factorization row {bad[1]} != {sizes}"
         )
     return coloring
 
@@ -151,11 +178,10 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
     last[np.minimum(m, partner) - 1] = np.arange(1, t + 1)
     colors = _rotation_colors(x, color_of_center, {x: last})
     coloring = EdgeColoring.from_array(x, t, colors)
-    counts = degree_counts(coloring.p, coloring.t, coloring.array)
-    bad = _rows_differ(counts, np.full(t, q))
+    bad = _first_bad_row(coloring, lambda palette: q)
     if bad is not None:
         raise ConstructionFailedError(
-            f"regular coloring row {counts[bad].tolist()} != {[q] * t}"
+            f"regular coloring row {bad[1]} != {[q] * t}"
         )
     return coloring
 
@@ -231,11 +257,10 @@ def three_color_balanced_coloring(n: int) -> EdgeColoring:
         coloring = partitioned_factorization_coloring(x, [n - 1] * 3)
     else:
         coloring = cyclic_matching_coloring(x, 3)
-    counts = degree_counts(coloring.p, coloring.t, coloring.array)
-    bad = _rows_differ(counts, np.full(3, n - 1))
+    bad = _first_bad_row(coloring, lambda palette: n - 1)
     if bad is not None:
         raise ConstructionFailedError(
-            f"three-color balanced row {counts[bad].tolist()} != {[n - 1] * 3}"
+            f"three-color balanced row {bad[1]} != {[n - 1] * 3}"
         )
     return coloring
 
@@ -256,17 +281,18 @@ def matching_class_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
         raise InvalidParameterError(
             f"class sizes must sum to p={p}, got {sizes} (sum {sum(sizes)})"
         )
-    class_of_matching = np.repeat(np.arange(1, len(sizes) + 1), sizes)
+    class_of_matching = _classes_in_order(sizes)
     coloring = EdgeColoring.from_array(
         p, len(sizes), _rotation_colors(p, class_of_matching, {}))
-    counts = degree_counts(coloring.p, coloring.t, coloring.array)
-    expected = np.tile(sizes, (p, 1))
-    expected[np.arange(p), class_of_matching - 1] -= 1
-    bad = _rows_differ(counts, expected)
+    # vertex v sees every class in full except one edge short in its own
+    bad = _first_bad_row(coloring, lambda palette: (
+        _sizes_at(sizes, palette) - (class_of_matching[:, None] == palette)))
     if bad is not None:
+        v, row = bad
+        want = list(sizes)
+        want[class_of_matching[v] - 1] -= 1
         raise ConstructionFailedError(
-            f"matching-class row {counts[bad].tolist()} != {expected[bad].tolist()} "
-            f"at vertex {bad + 1}"
+            f"matching-class row {row} != {want} at vertex {v + 1}"
         )
     return coloring
 

@@ -11,7 +11,7 @@ done in exact integer arithmetic (cross-multiplied), never in floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, UnsupportedParametersError
 
@@ -22,20 +22,18 @@ from .errors import InvalidParameterError, UnsupportedParametersError
 MAX_WITNESS_COLORS = 1 << 20
 
 
-@dataclass(frozen=True)
-class WitnessRecipe:
+class WitnessRecipe(NamedTuple):
     """Which builder produces the lower-bound certificate, with its arguments."""
 
     tag: str
-    params: dict = field(default_factory=dict)
+    params: dict
 
     def describe(self) -> str:
         inner = ", ".join(f"{k}={self.params[k]}" for k in sorted(self.params))
         return f"{self.tag}({inner})"
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(NamedTuple):
     """Exact value plus the clause that fixed it and the witness recipe."""
 
     value: int
@@ -46,8 +44,7 @@ class CaseVerdict:
     r: int | None = None
 
 
-@dataclass(frozen=True)
-class BoundsInterval:
+class BoundsInterval(NamedTuple):
     """General-l bracket: lower <= R <= upper."""
 
     lower: int

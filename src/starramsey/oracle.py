@@ -24,7 +24,7 @@ thread pool gave no speedup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleInstanceError, InvalidParameterError
 
@@ -32,28 +32,18 @@ DEFAULT_EDGE_BUDGET = 21
 DEFAULT_MAX_COLORS = 4
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes: int
     canonical_skips: int
     bound_prunes: int
 
-    def __add__(self, other: "SearchStats") -> "SearchStats":
-        return SearchStats(
-            self.nodes + other.nodes,
-            self.canonical_skips + other.canonical_skips,
-            self.bound_prunes + other.bound_prunes,
-        )
 
-
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(NamedTuple):
     value: int
     stats: SearchStats
 
 
-@dataclass(frozen=True)
-class RamseyResult:
+class RamseyResult(NamedTuple):
     """Smallest p <= p_max with f(p, n, t) <= s, or None if none qualifies.
 
     ``checked`` holds one decision search per order scanned.  Its value is
@@ -67,10 +57,11 @@ class RamseyResult:
 
     @property
     def stats(self) -> SearchStats:
-        total = SearchStats(0, 0, 0)
-        for _, res in self.checked:
-            total = total + res.stats
-        return total
+        """Each counter summed over the searches in ``checked``."""
+        searches = [res.stats for _, res in self.checked]
+        return SearchStats(sum(st.nodes for st in searches),
+                           sum(st.canonical_skips for st in searches),
+                           sum(st.bound_prunes for st in searches))
 
 
 def _reachable_k(row: list[int], extra: int, n: int) -> int:

@@ -14,7 +14,7 @@ batch in one pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +22,10 @@ from .coloring import (
     MAX_COLORING_BYTES,
     EdgeColoring,
     check_order,
-    countable_colors,
     degree_counts,
     edge_count,
     edge_endpoints,
+    palette_colors,
 )
 from .errors import InvalidParameterError
 
@@ -101,26 +101,21 @@ def _profile_minima(coloring: EdgeColoring,
     """(color-degree array, the color of each of its columns, star minima);
     None when no n-star exists.
 
-    A vertex of K_p meets at most p-1 colors, so when t > p-1 the columns
-    are only the colors that occur, in increasing order, and a huge
-    declared t does not size the table.  Every row then still sums to
-    p-1 >= n, and ties between columns still go to the smaller color, so
-    the minima and the offending colors do not change.
+    When t > p-1 the columns are only the colors that occur
+    (``coloring.palette_colors``), so a huge declared t does not size the
+    table.  Every row then still sums to p-1 >= n, and ties between
+    columns still go to the smaller color, so the minima and the
+    offending colors do not change.
     """
     if n < 1:
         raise InvalidParameterError(f"star size must be >= 1, got {n}")
     p, t = coloring.p, coloring.t
     if p - 1 < n:
         return None
-    colors = countable_colors(coloring)
-    if t <= p - 1:
-        palette = np.arange(1, t + 1)
-    else:
-        palette, dense = np.unique(colors, return_inverse=True)
-        t = len(palette)
-        _check_table(p, t)
-        colors = dense + 1
-    counts = degree_counts(p, t, colors)
+    palette, columns = palette_colors(coloring)
+    if t > p - 1:
+        _check_table(p, len(palette))
+    counts = degree_counts(p, len(palette), columns)
     return counts, palette, star_minima(counts, n)
 
 
@@ -130,8 +125,7 @@ def min_star_colors(coloring: EdgeColoring, n: int) -> int | None:
     return None if profile is None else int(profile[2].min())
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Outcome of checking that a coloring witnesses R > p for (n, t, s)."""
 
     coloring: EdgeColoring
@@ -170,8 +164,7 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int,
                        covered_edges=int(counts[v, chosen].sum()), recipe=recipe)
 
 
-@dataclass(frozen=True)
-class SampleCheckResult:
+class SampleCheckResult(NamedTuple):
     """Outcome of the randomized necessary-condition check of R <= p."""
 
     passed: bool

@@ -1,3 +1,5 @@
+import contextlib
+import hashlib
 import os
 import subprocess
 import sys
@@ -15,7 +17,7 @@ from starramsey import (
     verify,
     write_coloring,
 )
-from starramsey.cli import main
+from starramsey.cli import EXIT_BROKEN_PIPE, main
 
 from .conftest import monochrome_build
 
@@ -291,19 +293,117 @@ def test_oversized_construct_exits_two(capsys):
     assert "K_1333332 has 888886444446 edges" in err
 
 
+def _child_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
+
+
+# Per command, the modules that must stay unloaded after it runs.
+NOT_LOADED = {
+    "compute": ("numpy", "dataclasses", "starramsey.oracle"),
+    "bounds": ("numpy", "dataclasses", "starramsey.oracle"),
+    "table": ("numpy", "dataclasses", "starramsey.oracle"),
+    "oracle": ("numpy", "dataclasses", "starramsey.formulas"),
+    "verify": ("starramsey.formulas", "starramsey.oracle"),
+    "sample-check": ("starramsey.formulas", "starramsey.oracle"),
+    "construct": ("starramsey.oracle",),
+}
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--n", "4", "--t", "2", "--s", "1"),
     ("oracle", "--n", "2", "--t", "3", "--s", "1", "--max-p", "6"),
+    ("bounds", "--n", "5", "--t", "4", "--l", "2"),
+    ("table", "--t", "3", "--s", "1", "--n-from", "2", "--n-to", "40"),
+    ("verify", "--file", "{file}", "--n", "3", "--s", "1"),
+    ("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "5",
+     "--trials", "500", "--seed", "7"),
+    ("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"),
 ])
-def test_numpy_free_commands_do_not_import_numpy(argv):
-    # the same start-up path as `python -m starramsey`: package, then cli
+def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
+    # Each command loads only the modules it runs, on the same start-up
+    # path as `python -m starramsey`: package, then cli.  compute, bounds,
+    # table and oracle load neither numpy nor dataclasses.
+    path = tmp_path / "k7.coloring"
+    write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
+    watched = sorted({name for names in NOT_LOADED.values() for name in names})
     code = ("import sys\n"
             "from starramsey.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            "print('numpy loaded' if 'numpy' in sys.modules else 'numpy absent', rc)\n")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+            f"print(rc, *[m for m in {watched!r} if m in sys.modules])\n")
+    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.splitlines()[-1] == "numpy absent 0"
+    rc, *loaded = proc.stdout.splitlines()[-1].split()
+    assert rc == "0", proc.stderr
+    assert not set(loaded) & set(NOT_LOADED[argv[0]]), loaded
+
+
+def test_oracle_default_edge_budget(capsys):
+    # K_7 (21 edges) is searched and does not qualify; K_8 is over the budget
+    rc, out, err = run(capsys, "oracle", "--n", "6", "--t", "2", "--s", "1",
+                       "--max-p", "9")
+    assert (rc, out, err) == (2, "", "error: K_8 has 28 edges, over the budget of 21\n")
+
+
+class _DigestWriter:
+    """A stdout that keeps only a running digest of what is written."""
+
+    def __init__(self):
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        self.digest.update(text.encode())
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def _table_run(n_to, fmt):
+    """(exit code, output digest, tracemalloc peak) of one table command."""
+    writer = _DigestWriter()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(writer):
+            rc = main(["table", "--t", "5", "--s", "3", "--n-from", "1",
+                       "--n-to", str(n_to), "--format", fmt])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rc, writer.digest.hexdigest(), peak
+
+
+@pytest.mark.parametrize("fmt, digest", [
+    ("text", "88bd05ea13ca3c5aea0fc2872832a47f99decab2991a22c7d60565551ca7adf8"),
+    ("csv", "c09dc767215d7fd259a741eeb2778221e51c7809643cec5deec9267c40d7ddf2"),
+], ids=("text", "csv"))
+def test_table_streams_its_rows(fmt, digest):
+    # 10^4 rows print as each is computed: the peak stays that of 10^3
+    # rows (a kept row list took about 1.3 MB), and the bytes are those
+    # the row list printed
+    _table_run(100, fmt)  # first-use caches of argparse and re
+    _, _, small_peak = _table_run(1_000, fmt)
+    rc, got, peak = _table_run(10_000, fmt)
+    assert (rc, got) == (0, digest)
+    assert peak < small_peak + (64 << 10)
+
+
+def test_closed_stdout_ends_quietly():
+    # the reader takes one line of a 200,000-row table and closes the pipe
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starramsey", "table", "--t", "3", "--s", "2",
+         "--n-from", "1", "--n-to", "200000"],
+        env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        rc = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.split() == [b"n", b"value", b"case"]
+    assert (rc, err) == (EXIT_BROKEN_PIPE, b"")

@@ -2,6 +2,7 @@ import hashlib
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from starramsey import (
@@ -159,6 +160,41 @@ def test_matching_class_coloring_rows():
         assert sorted(row) == [2, 3, 3, 3, 3]
     with pytest.raises(InvalidParameterError):
         matching_class_coloring(15, [3, 3, 3, 3, 2])  # sums to 14
+
+
+@pytest.mark.parametrize("build, p, total", [
+    (partitioned_factorization_coloring, 2, 1),   # sizes sum to p-1
+    (matching_class_coloring, 7, 7),              # sizes sum to p
+])
+def test_builder_row_check_does_not_scale_with_declared_t(build, p, total):
+    # 2^20 declared colors, at most p of them used: the row check counts
+    # only the colors that occur, so the builder's peak is about its own
+    # copy of the size list (8 MiB); a p x t table made it 34 MiB and
+    # 128 MiB
+    sizes = balanced_class_sizes(total, 1 << 20)
+    tracemalloc.start()
+    try:
+        coloring = build(p, sizes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (coloring.p, coloring.t) == (p, 1 << 20)
+    assert set(coloring.array.tolist()) == {c for c, size in enumerate(sizes, 1) if size}
+    assert peak < 12 << 20
+
+
+@pytest.mark.parametrize("unused", [0, 1 << 12])
+def test_builder_row_checks_still_fire(monkeypatch, unused):
+    # every matching put in class 1: the rows no longer match the class
+    # sizes, whether or not colors past p-1 are declared and left unused
+    monkeypatch.setattr(constructions, "_classes_in_order",
+                        lambda sizes: np.ones(sum(sizes), dtype=np.int64))
+    with pytest.raises(ConstructionFailedError,
+                       match=r"^partitioned factorization row \[5, 0"):
+        partitioned_factorization_coloring(6, [2, 3] + [0] * unused)
+    with pytest.raises(ConstructionFailedError,
+                       match=r"^matching-class row \[4, 0.*\] != \[1, 3.* at vertex 1$"):
+        matching_class_coloring(5, [2, 3] + [0] * unused)
 
 
 def test_balanced_class_sizes():
