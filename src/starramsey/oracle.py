@@ -6,15 +6,25 @@ colors any n-star shows; R(n, t, s) <= p exactly when f(p, n, t) <= s.
 Both questions go through one depth-first search, ``_search``.  It
 assigns edges in lexicographic order, quotients out color relabeling by
 allowing a new color only after all smaller ones appear, and prunes a
-branch when a per-vertex optimistic bound cannot beat the incumbent.
-The incumbent starts at a floor and the search stops as soon as it
-reaches a ceiling:
+branch when a per-vertex optimistic bound cannot beat the incumbent;
+the bound of each color-degree row is computed once per search.  The
+incumbent starts at a floor and the search stops as soon as it reaches
+a ceiling:
 
 * ``max_min_star_colors`` searches with floor 1 and ceiling t, so it
   finds f(p) exactly;
 * ``ramsey_value`` asks only whether f(p) > s, so it searches with
   floor s and ceiling s+1 and stops at the first coloring whose every
   n-star shows more than s colors.
+
+Before the first edge, a parity rule can settle an order outright.  A
+vertex whose n-stars all show more than ``floor`` colors has an
+*admissible* color-degree row: its top-``floor`` sum is at most n-1.
+When p is odd and every admissible row has all parts odd, each vertex
+would have odd degree in color 1, and p odd degrees cannot sum to the
+even 2|E_1|; so no coloring beats the floor, and the search returns it
+at once.  The rule enumerates the rows itself, since the oracle is the
+check on ``formulas`` and imports nothing from it.
 
 The search is sequential and deterministic, so results and node counts
 depend on the instance alone.  ``threads`` is accepted (it must be
@@ -49,7 +59,9 @@ class RamseyResult(NamedTuple):
     ``checked`` holds one decision search per order scanned.  Its value is
     not f(p): ``value > s`` means some coloring of K_p has every n-star on
     more than s colors (the value is that coloring's fewest star colors),
-    and ``value == s`` means f(p) <= s.
+    and ``value == s`` means f(p) <= s.  An order settled before its
+    first edge, by the bound or by parity, counts zero nodes and one
+    bound prune.
     """
 
     value: int | None
@@ -98,13 +110,45 @@ def _reachable_k(row: list[int], extra: int, n: int) -> int:
     return t  # unreachable: totals always cover n when p-1 >= n
 
 
+def _profiles(total: int, t: int, most: int):
+    """Non-increasing t-tuples of nonnegative ints summing to ``total``,
+    each part at most ``most``."""
+    if t == 1:
+        if total <= most:
+            yield (total,)
+        return
+    # the largest part is at least the mean
+    for d in range(min(total, most), -(-total // t) - 1, -1):
+        for rest in _profiles(total - d, t - 1, d):
+            yield (d, *rest)
+
+
+def _parity_forbids(p: int, n: int, t: int, floor: int) -> bool:
+    """True when no t-coloring of K_p has every n-star on more than
+    ``floor`` colors, by parity.
+
+    A vertex's n-stars all show more than ``floor`` colors exactly when
+    its top-``floor`` color degrees sum to at most n-1; call such a row
+    admissible.  If p is odd and every admissible row has all parts odd,
+    every vertex has odd degree in color 1, and p odd degrees cannot sum
+    to the even 2|E_1|.
+    """
+    return p % 2 == 1 and all(
+        all(d % 2 for d in row)
+        for row in _profiles(p - 1, t, p - 1) if sum(row[:floor]) <= n - 1
+    )
+
+
 def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     """Best fewest-star-colors value above ``floor`` over t-colorings of
     K_p, or ``floor`` when none beats it; stops once it reaches ``ceiling``.
 
     A branch is pruned when the least per-vertex bound is ``<=`` the
     incumbent.  At a leaf no edge remains, so the bound is the coloring's
-    exact value.
+    exact value.  The root alone is also pruned by parity
+    (``_parity_forbids``); either root prune is one ``bound_prunes``.
+    Bounds are memoized per search by row: n is fixed, and a row fixes
+    its remaining edges (p-1 minus its sum).
     """
     # its own lexicographic edge list: the oracle does not import numpy
     edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
@@ -113,9 +157,10 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     rem = [p - 1] * (p + 1)
     vb = [_reachable_k([0] * t, p - 1, n)] * (p + 1)
     vb[0] = t + 1  # no vertex 0; never the least bound
-    if min(vb) <= floor:
+    if min(vb) <= floor or _parity_forbids(p, n, t, floor):
         return OracleResult(floor, SearchStats(0, 0, 1))
 
+    bounds: dict[tuple[int, ...], int] = {}
     nodes = 0
     skips = 0
     prunes = 0
@@ -134,8 +179,16 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
             rem[u] -= 1
             rem[v] -= 1
             old_u, old_v = vb[u], vb[v]
-            vb[u] = _reachable_k(cu, rem[u], n)
-            vb[v] = _reachable_k(cv, rem[v], n)
+            key = tuple(cu)
+            b = bounds.get(key)
+            if b is None:
+                b = bounds[key] = _reachable_k(cu, rem[u], n)
+            vb[u] = b
+            key = tuple(cv)
+            b = bounds.get(key)
+            if b is None:
+                b = bounds[key] = _reachable_k(cv, rem[v], n)
+            vb[v] = b
             bound = min(vb)
             if bound <= incumbent:
                 prunes += 1

@@ -1,6 +1,7 @@
 import functools
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
 from starramsey import EdgeColoring, all_edges
@@ -59,12 +60,27 @@ def brute_min_star(coloring: EdgeColoring, n: int):
 @functools.cache
 def brute_max_min_star(p: int, n: int, t: int) -> int:
     """Reference oracle: plain enumeration over all t-colorings of K_p
-    (memoized: several oracle tests ask for the same instances)."""
+    (memoized: several oracle tests ask for the same instances).
+
+    Coloring i gives edge j the color of digit j of i in base t.  Each
+    n-subset of each star is read as the OR of one bit per color, whose
+    popcount is the number of colors the subset shows; the colorings go
+    through in blocks of 2^16.
+    """
     edges = all_edges(p)
+    subsets = [list(sub) for v in range(1, p + 1)
+               for sub in itertools.combinations(
+                   [j for j, e in enumerate(edges) if v in e], n)]
+    if not subsets:
+        return 0
+    popcount = np.array([bin(b).count("1") for b in range(1 << t)])
+    place = t ** np.arange(len(edges))
+    total = t ** len(edges)
     best = 0
-    for combo in itertools.product(range(1, t + 1), repeat=len(edges)):
-        c = EdgeColoring(p, t, dict(zip(edges, combo)))
-        v = brute_min_star(c, n)
-        if v is not None and v > best:
-            best = v
+    for start in range(0, total, 1 << 16):
+        i = np.arange(start, min(start + (1 << 16), total))
+        bits = 1 << (i[:, None] // place % t)
+        fewest = np.minimum.reduce(
+            [popcount[np.bitwise_or.reduce(bits[:, sub], axis=1)] for sub in subsets])
+        best = max(best, int(fewest.max()))
     return best

@@ -1,12 +1,15 @@
+import itertools
 import time
 
 import pytest
 
-from starramsey import check_certificate, classify, witness_coloring
+from starramsey import EdgeColoring, all_edges, check_certificate, classify, witness_coloring
 from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
-from starramsey.oracle import max_min_star_colors, ramsey_value
+from starramsey.formulas import pigeonhole_upper
+from starramsey.oracle import (SearchStats, _parity_forbids, _reachable_k, _search,
+                               max_min_star_colors, ramsey_value)
 
-from .conftest import brute_max_min_star
+from .conftest import brute_max_min_star, brute_min_star
 
 
 def test_max_min_examples():
@@ -44,13 +47,13 @@ def test_decision_search_equals_plain_enumeration(t, p_max):
 # the small-exact benchmark instances and the README example: R, and the
 # (nodes, canonical skips, bound prunes) of the whole scan up to it
 DECISION_INSTANCES = {
-    (4, 2, 1): (7, (11224, 3, 5605)),
+    (4, 2, 1): (7, (47, 2, 17)),
     (7, 2, 1): (14, (5969, 6, 2899)),
     (5, 3, 1): (14, (827, 48, 417)),
     (9, 3, 2): (14, (625, 30, 325)),
     (6, 4, 2): (11, (552, 46, 358)),
     (9, 4, 3): (12, (744, 29, 514)),
-    (3, 4, 2): (5, (62, 12, 43)),
+    (3, 4, 2): (5, (12, 6, 7)),
 }
 
 
@@ -63,8 +66,51 @@ def test_ramsey_value_matches_classify_on_pinned_instances():
         *below, (p, last) = res.checked
         assert p == want and last.value == s
         assert all(r.value > s for _, r in below)
-    # about 0.15 s on a 2-vCPU VM
+    # about 0.02 s on a 2-vCPU VM
     assert time.perf_counter() - t0 < 10
+
+
+def test_brute_reference_matches_per_coloring_enumeration():
+    # the vectorized reference against one brute_min_star call per coloring
+    for p, t in itertools.product((2, 3, 4), (1, 2, 3)):
+        edges = all_edges(p)
+        colorings = [EdgeColoring(p, t, dict(zip(edges, combo)))
+                     for combo in itertools.product(range(1, t + 1), repeat=len(edges))]
+        for n in range(1, p):
+            assert brute_max_min_star(p, n, t) == max(
+                brute_min_star(c, n) for c in colorings), (p, n, t)
+
+
+def test_parity_rule_is_sound():
+    # wherever the root parity rule fires up to K_5 and 4 colors, plain
+    # enumeration finds no coloring with every n-star on more than k colors
+    fired = [(p, n, t, k) for p in range(2, 6) for t in range(1, 5)
+             for n in range(1, p) for k in range(1, t) if _parity_forbids(p, n, t, k)]
+    for p, n, t, k in fired:
+        assert brute_max_min_star(p, n, t) <= k, (p, n, t, k)
+        assert _search(p, n, t, k, k + 1) == (k, SearchStats(0, 0, 1))
+    # where no row is admissible the root bound prunes already; parity
+    # alone settles that K_3 has no proper 2-edge-coloring and K_5 no
+    # proper 4-edge-coloring
+    assert [(p, n, t, k) for p, n, t, k in fired
+            if _reachable_k([0] * t, p - 1, n) > k] == [
+        (3, 2, 2, 1), (5, 2, 4, 1), (5, 3, 4, 2), (5, 4, 4, 3)]
+
+
+def test_parity_orders_in_reach():
+    # orders the parity rule settles at the root, each one search that
+    # ends at once instead of a full refutation
+    t0 = time.perf_counter()
+    for n, want in ((6, 11), (8, 15)):
+        res = ramsey_value(n, 2, 1, want, edge_budget=want * (want - 1) // 2)
+        assert res.value == want == classify(n, 2, 1).value
+    # s = t-3, outside classify: 2 and 10 are the pigeonhole order, 5 and
+    # 13 one below it (parity)
+    for n, want, parity in ((1, 2, False), (2, 5, True), (3, 10, False), (4, 13, True)):
+        res = ramsey_value(n, 4, 1, want, edge_budget=want * (want - 1) // 2)
+        assert res.value == want == pigeonhole_upper(n, 4, 1) - parity
+    # about 0.02 s on a 2-vCPU VM
+    assert time.perf_counter() - t0 < 5
 
 
 def test_ramsey_examples():
@@ -122,11 +168,25 @@ def test_certificate_pass_implies_oracle_exceeds_order():
 
 
 def test_oracle_matches_classifier_where_feasible():
+    # every t <= 4, 1 <= s < t and n whose pigeonhole order is at most
+    # K_14.  The next points, (8, 4, 2) and (11, 4, 3), reach K_15: parity
+    # settles it at once, but the search for their K_14 coloring beating
+    # the budget takes minutes (71 million nodes, 114 s for (8, 4, 2)),
+    # so they stay out.
+    t0 = time.perf_counter()
+    points = 0
     for t in (2, 3, 4):
-        budgets = [t - 1] + ([t - 2] if t >= 3 else [])
-        for s in budgets:
-            for n in (2, 3, 4):
-                want = classify(n, t, s).value
-                if want * (want - 1) // 2 > 21:
-                    continue
-                assert ramsey_value(n, t, s, p_max=want + 1).value == want
+        for s in range(1, t):
+            for n in itertools.count(1):
+                upper = pigeonhole_upper(n, t, s)
+                if upper > 14:
+                    break
+                res = ramsey_value(n, t, s, upper, edge_budget=upper * (upper - 1) // 2)
+                if s >= t - 2:
+                    assert res.value == classify(n, t, s).value, (n, t, s)
+                else:
+                    assert res.value is not None and res.value <= upper, (n, t, s)
+                points += 1
+    assert points == 42
+    # about 0.05 s on a 2-vCPU VM
+    assert time.perf_counter() - t0 < 5
