@@ -192,5 +192,14 @@ def write_coloring(path: str, coloring: EdgeColoring) -> None:
 
 
 def read_coloring(path: str) -> EdgeColoring:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_coloring(fh.read())
+    """Read and parse a coloring file; a byte >= 0x80 is a format error
+    naming its line, numbered as the line parser numbers lines."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as fh:
+        text = fh.read()
+    if not text.isascii():
+        # surrogateescape reads byte b >= 0x80 as the code point 0xDC00 + b
+        lineno, line = next((i, line) for i, line in enumerate(text.splitlines(), 1)
+                            if not line.isascii())
+        byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
+        raise ColoringFormatError(f"non-ASCII byte {byte:#04x}; files are ASCII", lineno)
+    return parse_coloring(text)

@@ -34,11 +34,12 @@ class WitnessRecipe(NamedTuple):
 
 
 class CaseVerdict(NamedTuple):
-    """Exact value plus the clause that fixed it and the witness recipe."""
+    """Exact value plus the clause that fixed it and the witness recipe
+    (None only in the rows ``_case_value`` returns)."""
 
     value: int
     case_tag: str
-    witness: WitnessRecipe
+    witness: WitnessRecipe | None
     x: int | None = None
     q: int | None = None
     r: int | None = None
@@ -118,13 +119,9 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
     Odd orders use the color-regular or floor-regular rotation coloring
     when the residue mod t permits, the balanced matching-class split
     otherwise, and the cyclic filler when no n-star can exist at all.
-    More than ``MAX_WITNESS_COLORS`` colors are refused before any list
-    of t sizes is built.
+    The case analysis has already refused more than ``MAX_WITNESS_COLORS``
+    colors.
     """
-    if t > MAX_WITNESS_COLORS:
-        raise InvalidParameterError(
-            f"a witness for t = {t} colors may list t color classes; "
-            f"the limit is {MAX_WITNESS_COLORS} colors")
     p = value - 1
     if n == 1 or p == 1:
         return WitnessRecipe("cyclic", {"p": p, "t": t})
@@ -144,10 +141,24 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
                          {"p": p, "class_sizes": balanced_class_sizes(p, t)})
 
 
-def _trivial_verdict(t: int) -> CaseVerdict:
-    # A single edge is a 1-star with one color, so K_2 always suffices.
-    return CaseVerdict(value=2, case_tag="trivial",
-                       witness=WitnessRecipe("cyclic", {"p": 1, "t": t}))
+# A single edge is a 1-star with one color, so K_2 always suffices; its
+# witness is K_1, which lists no color classes.
+_TRIVIAL = CaseVerdict(value=2, case_tag="trivial", witness=None)
+
+
+def _check_witness_colors(t: int) -> None:
+    """Refuse more than ``MAX_WITNESS_COLORS`` colors for n >= 2, where a
+    witness recipe may list t class sizes.  The case analysis refuses them
+    before any list is built, with or without a recipe to follow, so
+    ``table`` refuses what ``compute`` refuses."""
+    if t > MAX_WITNESS_COLORS:
+        raise InvalidParameterError(
+            f"a witness for t = {t} colors may list t color classes; "
+            f"the limit is {MAX_WITNESS_COLORS} colors")
+
+
+def _with_witness(case: CaseVerdict, n: int, t: int, s: int) -> CaseVerdict:
+    return case._replace(witness=_witness_recipe(n, t, s, case.value))
 
 
 def ramsey_star_t_minus_1(n: int, t: int) -> CaseVerdict:
@@ -156,13 +167,17 @@ def ramsey_star_t_minus_1(n: int, t: int) -> CaseVerdict:
     With x = [(nt-1)/(t-1)] and q = [x/t]: the value is x exactly when
     x = tq+1 with x and q both odd, and x+1 otherwise.
     """
+    return _with_witness(_t_minus_1_case(n, t), n, t, t - 1)
+
+
+def _t_minus_1_case(n: int, t: int) -> CaseVerdict:
     if t < 2:
         raise InvalidParameterError(f"need t >= 2, got {t}")
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if n == 1:
-        return _trivial_verdict(t)
-    s = t - 1
+        return _TRIVIAL
+    _check_witness_colors(t)
     x = (n * t - 1) // (t - 1)
     q, r = divmod(x, t)
     if x % 2 == 0:
@@ -173,9 +188,7 @@ def ramsey_star_t_minus_1(n: int, t: int) -> CaseVerdict:
         value, tag = x + 1, "xp1.even-q"
     else:
         value, tag = x + 1, "xp1.remainder"
-    return CaseVerdict(value=value, case_tag=tag,
-                       witness=_witness_recipe(n, t, s, value),
-                       x=x, q=q, r=r)
+    return CaseVerdict(value=value, case_tag=tag, witness=None, x=x, q=q, r=r)
 
 
 def _t_minus_2_clauses(x: int, t: int, q: int, r: int) -> list[tuple[str, int, bool]]:
@@ -214,17 +227,19 @@ def ramsey_star_t_minus_2(n: int, t: int) -> CaseVerdict:
     strictly smaller.  On t = 2..12, n <= 200 the cap only cuts the x-2
     default, and only for odd t.
     """
+    return _with_witness(_t_minus_2_case(n, t), n, t, t - 2)
+
+
+def _t_minus_2_case(n: int, t: int) -> CaseVerdict:
     if t < 3:
         raise InvalidParameterError(f"need t >= 3 for budget t-2, got {t}")
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if n == 1:
-        return _trivial_verdict(t)
-    s = t - 2
+        return _TRIVIAL
+    _check_witness_colors(t)
     if t == 3:
-        value = 3 * n - 1
-        return CaseVerdict(value=value, case_tag="t3",
-                           witness=_witness_recipe(n, t, s, value))
+        return CaseVerdict(value=3 * n - 1, case_tag="t3", witness=None)
     t_prime = t // 2
     x = (n * t_prime - 1) // (t_prime - 1)
     q, r = divmod(x - 2, t)
@@ -238,24 +253,28 @@ def ramsey_star_t_minus_2(n: int, t: int) -> CaseVerdict:
         tag, value = fired[0]
     else:
         tag, value = "xm2", x - 2
-    upper = pigeonhole_upper(n, t, s)
+    upper = pigeonhole_upper(n, t, t - 2)
     if upper < value:
         tag, value = "pigeonhole", upper
-    return CaseVerdict(value=value, case_tag=tag,
-                       witness=_witness_recipe(n, t, s, value),
-                       x=x, q=q, r=r)
+    return CaseVerdict(value=value, case_tag=tag, witness=None, x=x, q=q, r=r)
 
 
 def classify(n: int, t: int, s: int) -> CaseVerdict:
     """Dispatch on the color budget; only s = t-1 and s = t-2 have exact values."""
+    return _with_witness(_case_value(n, t, s), n, t, s)
+
+
+def _case_value(n: int, t: int, s: int) -> CaseVerdict:
+    """``classify`` without the witness recipe (``witness`` is None): the
+    same value, case tag, x, q, r and errors, and no t-sized class list."""
     if t < 2:
         raise InvalidParameterError(f"need t >= 2, got {t}")
     if not 1 <= s < t:
         raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
     if s == t - 1:
-        return ramsey_star_t_minus_1(n, t)
+        return _t_minus_1_case(n, t)
     if s == t - 2:
-        return ramsey_star_t_minus_2(n, t)
+        return _t_minus_2_case(n, t)
     raise UnsupportedParametersError(
         f"exact values cover s in {{t-1, t-2}} only, got s={s}, t={t}; "
         "use general_bounds for other budgets"

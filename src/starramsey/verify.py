@@ -5,11 +5,11 @@ every n-edge star in it shows at least s+1 distinct colors; every such
 check goes through one kernel, ``star_minima``, over color degrees.
 
 Everything here works on the coloring's rank-ordered color array: the
-color degrees are one ``bincount`` (``coloring.degree_counts``),
+color degrees are one ``bincount`` (``coloring.degree_counts``), and
 ``validate`` is a range check on the array plus the missing and
-unexpected edges a malformed mapping left, and the sampler draws a batch
-of trials from one seeded stream in one call, then counts and checks the
-batch in one pass.
+unexpected edges a malformed mapping left.  The sampler draws any edge of
+any trial on demand (``sample_colors``), so it screens a batch of trials
+one vertex at a time and draws only the edges it reads.
 """
 
 from __future__ import annotations
@@ -25,18 +25,17 @@ from .coloring import (
     degree_counts,
     edge_count,
     edge_endpoints,
+    edge_rank,
     palette_colors,
 )
 from .errors import InvalidParameterError
 
-# The sampler checks max(1, SAMPLE_BATCH_EDGES // max(edges, p * t)) trials
-# at a time, with one bincount and one star_minima per batch: a trial holds
-# `edges` drawn colors and p * t color-degree cells, so a batch's arrays stay
-# near this many cells whatever t is.  K_14 at t <= 4 fits 45 trials, and a
-# sample-check process peaks about 0.2 MB higher at 4,096 cells and 0.75 MB
-# higher at 16,384 than with one trial per batch.  A trial larger than this
-# goes alone.
-SAMPLE_BATCH_EDGES = 1 << 12
+# The sampler screens max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1)) trials
+# at a time: at each vertex a surviving trial holds p - 1 drawn colors, then
+# a t-cell color-degree row and its star minimum, so a batch's arrays stay
+# near this many cells whatever p and t are.  K_14 at t <= 4 fits 1,260
+# trials; 8,000 of them take about 2 ms, against 4 ms at 4,096 cells.
+SAMPLE_BATCH_EDGES = 1 << 14
 
 
 def validate(coloring: EdgeColoring) -> list[str]:
@@ -173,38 +172,91 @@ class SampleCheckResult(NamedTuple):
     counterexample: EdgeColoring | None = None
 
 
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): Weyl increment, multipliers.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+
+
+def _mix(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer, a bijection of uint64, applied in place."""
+    z ^= z >> np.uint64(30)
+    z *= _MUL1
+    z ^= z >> np.uint64(27)
+    z *= _MUL2
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def sample_colors(p: int, t: int, seed: int, trials: np.ndarray,
+                  ranks: np.ndarray) -> np.ndarray:
+    """(len(trials), len(ranks)) int64 colors the sampler draws for these
+    edge ranks of these trials of K_p.
+
+    Counter-based (Salmon et al., SC 2011), so any edge of any trial can be
+    drawn alone: rank r of trial i gets ``z % t + 1``, z = _mix(_mix(seed) +
+    (i*m + r + 1)*gamma), m = p(p-1)/2.  Each color's probability is within
+    2^-64 of 1/t.  With seed < 2^64 and trials * m < 2^64 no two draws
+    share a counter.
+    """
+    key = _mix(np.array([seed], np.uint64))
+    z = (trials.astype(np.uint64)[:, None] * np.uint64(edge_count(p))
+         + (ranks.astype(np.uint64) + np.uint64(1)))
+    z *= _GAMMA
+    z += key
+    return (_mix(z) % np.uint64(t)).astype(np.int64) + 1
+
+
 def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
                        seed: int) -> SampleCheckResult:
     """Sample uniform t-colorings of K_p; pass iff every one contains an
     n-star with at most s colors.
 
-    A sample where every n-star needs more than s colors disproves
-    R <= p and is returned as a counterexample.  All trials come from one
-    generator seeded with ``seed``: trial i is the i-th run of edge-count
-    draws from that stream, whatever the batch size, so the verdict
-    depends on ``seed`` alone and a run with ``trials = i + 1`` draws
-    trial i's coloring again.  An order whose per-edge arrays, or a
-    color count whose p x t color-degree table, would exceed
-    ``MAX_COLORING_BYTES`` is refused before anything is drawn.
+    The first trial, in index order, where every n-star needs more than s
+    colors disproves R <= p and is returned as a counterexample.  Trial
+    i's colors come from ``sample_colors``, so the verdict depends on
+    ``seed`` alone and ``trials = i + 1`` draws trial i again.  Each batch
+    of trials draws vertex 1's edges and keeps the trials whose
+    ``star_minima`` there exceeds s; the survivors draw vertex 2's, and so
+    on, so when vertex 1 settles the trials the work is O(trials * p).
+    Refused before anything is drawn: per-edge arrays or a p x t
+    color-degree table over ``MAX_COLORING_BYTES``, a seed outside
+    0..2^64-1, and trials * p(p-1)/2 >= 2^64, where the counter would wrap.
     """
     if p < 1 or n < 1 or t < 1 or s < 1 or trials < 1:
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
-    if seed < 0:
-        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    if not 0 <= seed < 1 << 64:
+        raise InvalidParameterError(f"seed must be in 0..2^64-1, got {seed}")
     check_order(p)
     _check_table(p, t)
     m = edge_count(p)
-    rng = np.random.default_rng(seed)
-    if p - 1 < n:
-        # No n-star exists at all: any sample is a counterexample.
-        cex = EdgeColoring.from_array(p, t, rng.integers(1, t + 1, size=m))
-        return SampleCheckResult(False, trials, 0, cex)
-    batch = max(1, SAMPLE_BATCH_EDGES // max(m, p * t))
+    if trials * m >= 1 << 64:
+        raise InvalidParameterError(
+            f"{trials} trials of K_{p} need {trials * m} draws; the limit is 2^64-1")
+    # with no n-star at all, trial 0 already beats the budget
+    first = 0 if p - 1 < n else _first_beating_trial(p, n, t, s, trials, seed)
+    if first is None:
+        return SampleCheckResult(True, trials)
+    colors = sample_colors(p, t, seed, np.array([first]), np.arange(m))[0]
+    return SampleCheckResult(False, trials, first, EdgeColoring.from_array(p, t, colors))
+
+
+def _first_beating_trial(p: int, n: int, t: int, s: int, trials: int,
+                         seed: int) -> int | None:
+    """The vertex-by-vertex screen: the first trial that survives all p
+    vertices, or None."""
+    batch = max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1))
     for start in range(0, trials, batch):
-        draws = rng.integers(1, t + 1, size=(min(batch, trials - start), m))
-        beats = star_minima(degree_counts(p, t, draws), n).min(axis=-1) > s
-        if beats.any():
-            j = int(beats.argmax())
-            return SampleCheckResult(False, trials, start + j,
-                                     EdgeColoring.from_array(p, t, draws[j]))
-    return SampleCheckResult(True, trials)
+        alive = np.arange(start, min(start + batch, trials), dtype=np.uint64)
+        for v in range(1, p + 1):
+            ranks = np.concatenate((edge_rank(p, np.arange(1, v), v),
+                                    edge_rank(p, v, np.arange(v + 1, p + 1))))
+            cells = sample_colors(p, t, seed, alive, ranks)
+            cells += (np.arange(alive.size) * t - 1)[:, None]
+            counts = np.bincount(cells.ravel(), minlength=alive.size * t)
+            alive = alive[star_minima(counts.reshape(-1, t), n) > s]
+            if not alive.size:
+                break
+        else:
+            return int(alive[0])
+    return None

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
@@ -124,6 +125,14 @@ def test_verify_malformed_file_exits_two(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_verify_non_ascii_file_exits_two(capsys, tmp_path):
+    path = tmp_path / "accent.coloring"
+    path.write_bytes(b"3 2\n1 2 1\n1 3 2\n2 3 1 \xc3\xa9\n")
+    rc, out, err = run(capsys, "verify", "--file", str(path), "--n", "2", "--s", "1")
+    assert (rc, out) == (2, "")
+    assert err == "error: line 4: non-ASCII byte 0xc3; files are ASCII\n"
+
+
 def test_tampered_tight_certificate_flips_verdict(capsys, tmp_path):
     path = tmp_path / "tight.coloring"
     rc, _, _ = run(capsys, "construct", "--n", "4", "--t", "2", "--s", "1",
@@ -198,7 +207,7 @@ def test_sample_check_command(capsys):
     assert rc == 1
     fields = kv(out)
     assert fields["verdict"] == "counterexample"
-    assert fields["trial"] == "105"
+    assert fields["trial"] == "192"
 
 
 @pytest.mark.parametrize("argv", [
@@ -223,6 +232,26 @@ def test_sample_check_huge_t_exits_two(capsys, t):
     assert rc == 2
     assert out == ""
     assert err.startswith("error: ") and "color-degree table" in err
+
+
+@pytest.mark.parametrize("seed, trials, refused", [
+    ("18446744073709551615", "10000", None),
+    ("18446744073709551616", "10000", "seed must be in 0..2^64-1"),
+    ("-1", "10000", "seed must be in 0..2^64-1"),
+    # K_4 has 6 edges: 6 * 3074457345618258602 < 2^64 <= 6 * 3074457345618258603
+    ("42", "3074457345618258602", None),
+    ("42", "3074457345618258603", "the limit is 2^64-1"),
+])
+def test_sample_check_counter_range(capsys, seed, trials, refused):
+    # accepted runs stop at their first counterexample, long before the
+    # last trial
+    rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", "3", "--s", "1",
+                       "--p", "4", "--trials", trials, "--seed", seed)
+    if refused is None:
+        assert (rc, kv(out)["verdict"], err) == (1, "counterexample", "")
+    else:
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and refused in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -307,7 +336,7 @@ NOT_LOADED = {
     "table": ("numpy", "dataclasses", "starramsey.oracle"),
     "oracle": ("numpy", "dataclasses", "starramsey.formulas"),
     "verify": ("starramsey.formulas", "starramsey.oracle"),
-    "sample-check": ("starramsey.formulas", "starramsey.oracle"),
+    "sample-check": ("starramsey.formulas", "starramsey.oracle", "numpy.random"),
     "construct": ("starramsey.oracle",),
 }
 
@@ -389,6 +418,26 @@ def test_table_streams_its_rows(fmt, digest):
     rc, got, peak = _table_run(10_000, fmt)
     assert (rc, got) == (0, digest)
     assert peak < small_peak + (64 << 10)
+
+
+def test_table_builds_no_witness_recipe():
+    # at t = 2^20 each row's recipe would list 2^20 class sizes, a
+    # transient 16 MiB; the rows need only value and case tag
+    t = formulas.MAX_WITNESS_COLORS
+    argv = ["table", "--t", str(t), "--s", str(t - 1), "--n-from", "2", "--n-to", "41"]
+    with contextlib.redirect_stdout(_DigestWriter()):
+        main(argv)  # first-use caches of argparse and re
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            rc = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and peak < 1 << 20
+    rows = [line.split() for line in out.getvalue().splitlines()[1:]]
+    verdicts = {n: formulas.classify(n, t, t - 1) for n in range(2, 42)}
+    assert rows == [[str(n), str(v.value), v.case_tag] for n, v in verdicts.items()]
 
 
 def test_closed_stdout_ends_quietly():

@@ -4,6 +4,7 @@ from starramsey import classify, general_bounds, threshold_predicate
 from starramsey.errors import InvalidParameterError, UnsupportedParametersError
 from starramsey.formulas import (
     MAX_WITNESS_COLORS,
+    _case_value,
     _t_minus_2_clauses,
     ramsey_star_t_minus_1,
     ramsey_star_t_minus_2,
@@ -177,3 +178,14 @@ def test_witness_color_limit():
             ramsey_star_t_minus_2(2, t)
     # n = 1 needs no witness coloring beyond K_1
     assert classify(1, 2 ** 64, 2 ** 64 - 1).value == 2
+    for t in (limit + 1, 2 ** 64):
+        with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
+            _case_value(2, t, t - 1)
+    assert _case_value(1, 2 ** 64, 2 ** 64 - 1).value == 2
+
+
+def test_case_value_is_classify_without_the_recipe():
+    for t in range(2, 13):
+        for s in {t - 1, t - 2} - {0}:
+            for n in range(1, 201):
+                assert _case_value(n, t, s) == classify(n, t, s)._replace(witness=None)

@@ -181,7 +181,7 @@ def test_sample_upper_check_at_known_value():
 def test_sample_upper_check_finds_proper_coloring():
     res = sample_upper_check(4, 2, 3, 1, trials=10_000, seed=42)
     assert not res.passed
-    assert res.trial_index == 105
+    assert res.trial_index == 192
     assert validate(res.counterexample) == []
     assert min_star_colors(res.counterexample, 2) == 2
 
@@ -191,82 +191,130 @@ def test_sample_upper_check_is_order_independent():
     b = sample_upper_check(4, 2, 3, 1, trials=10_000, seed=42)
     assert (a.passed, a.trial_index) == (b.passed, b.trial_index)
     # the failing trial draws the same coloring when reached directly
-    c = sample_upper_check(4, 2, 3, 1, trials=106, seed=42)
+    c = sample_upper_check(4, 2, 3, 1, trials=193, seed=42)
     assert c.trial_index == a.trial_index
     assert c.counterexample == a.counterexample
 
 
+_MASK = (1 << 64) - 1
+
+
+def _splitmix64_color(p, t, seed, i, r):
+    """Color of edge rank r in trial i, in Python integers."""
+    def mix(z):
+        z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+        z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+        return z ^ z >> 31
+
+    z = mix(seed) + (i * edge_count(p) + r + 1) * 0x9E3779B97F4A7C15
+    return mix(z & _MASK) % t + 1
+
+
+@pytest.mark.parametrize("p, t, seed, trial, rank", (
+    (4, 3, 42, 192, 5), (5, 7, 2**64 - 1, 12_345, 3), (2, 1, 0, 0, 0),
+    (100, 1000, 7, 2**40, 4949), (5793, 3, 1, (2**64 - 1) // edge_count(5793) - 1, 0),
+))
+def test_sample_colors_follow_splitmix64(p, t, seed, trial, rank):
+    got = verify.sample_colors(p, t, seed, np.array([trial], np.uint64), np.array([rank]))
+    assert got.tolist() == [[_splitmix64_color(p, t, seed, trial, rank)]]
+
+
+def test_trial_drawn_alone_equals_trial_in_batch():
+    p, t, seed = 7, 3, 5
+    ranks = np.arange(edge_count(p))
+    batch = verify.sample_colors(p, t, seed, np.arange(50), ranks)
+    for i in (0, 1, 31, 49):
+        alone = verify.sample_colors(p, t, seed, np.array([i]), ranks)
+        assert np.array_equal(alone[0], batch[i])
+        odd = verify.sample_colors(p, t, seed, np.array([i]), ranks[1::2])
+        assert np.array_equal(odd[0], batch[i, 1::2])
+
+
 def _per_trial_sample(p, n, t, s, trials, seed):
-    """Reference sampler, one trial at a time from one seeded stream:
-    (passed, trial index, colors)."""
-    m = edge_count(p)
-    rng = np.random.default_rng(seed)
-    for i in range(trials):
-        cols = rng.integers(1, t + 1, size=m)
-        if int(star_minima(degree_counts(p, t, cols), n).min()) > s:
-            return False, i, cols
-    return True, None, None
+    """Unscreened reference: every trial's full coloring from the draw
+    function, judged by star_minima over all p vertices at once, in one
+    stack: (passed, first beating trial, its colors)."""
+    ranks = np.arange(edge_count(p))
+    cols = verify.sample_colors(p, t, seed, np.arange(trials), ranks)
+    beats = star_minima(degree_counts(p, t, cols), n).min(axis=-1) > s
+    if not beats.any():
+        return True, None, None
+    i = int(beats.argmax())
+    return False, i, cols[i]
 
 
-def _assert_sampler_matches_reference(p, n, t, s, trials, seed):
-    res = sample_upper_check(p, n, t, s, trials, seed)
+def _assert_sampler_matches_reference(monkeypatch, p, n, t, s, trials, seed, cells):
     passed, index, cols = _per_trial_sample(p, n, t, s, trials, seed)
-    assert (res.passed, res.trial_index) == (passed, index)
-    if passed:
-        assert res.counterexample is None
-    else:
-        assert np.array_equal(res.counterexample.array, cols)
+    for batch_cells in cells:
+        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", batch_cells)
+        res = sample_upper_check(p, n, t, s, trials, seed)
+        assert (res.passed, res.trial_index) == (passed, index), batch_cells
+        if passed:
+            assert res.counterexample is None
+        else:
+            assert np.array_equal(res.counterexample.array, cols)
 
 
-# trial 105 is the first counterexample of (p, n, t, s) = (4, 2, 3, 1) at
+# trial 192 is the first counterexample of (p, n, t, s) = (4, 2, 3, 1) at
 # seed 42; these batch sizes put it in the first batch, on the last trial
-# of a batch, on the first trial of the next, and in the 11th batch, and
-# 105 trials stop just before it.  A K_4 trial at t = 3 holds 4 * 3 = 12
-# color-degree cells, more than its 6 edges, so a batch of b trials is
-# b * 12 cells.
-@pytest.mark.parametrize("batch", (None, 106, 105, 10))
+# of a batch, on the first trial of the next, in the 20th batch, and in a
+# batch of its own, and 192 trials stop just before it.  A K_4 trial at
+# t = 3 counts as max(p - 1, t + 1) = 4 cells.
+@pytest.mark.parametrize("batch", (None, 193, 192, 10, 1))
 def test_batched_sampler_matches_per_trial_loop_at_batch_edges(monkeypatch, batch):
-    if batch is not None:
-        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", batch * 4 * 3)
-    for trials in (105, 106, 10_000):
-        _assert_sampler_matches_reference(4, 2, 3, 1, trials, 42)
+    cells = verify.SAMPLE_BATCH_EDGES if batch is None else batch * 4
+    for trials in (192, 193, 10_000):
+        _assert_sampler_matches_reference(monkeypatch, 4, 2, 3, 1, trials, 42, (cells,))
 
 
 @pytest.mark.parametrize("p, n, t, s", (
     (5, 3, 2, 1), (6, 4, 2, 1), (4, 2, 3, 1), (5, 4, 3, 2),
     (4, 3, 4, 2), (6, 5, 4, 3), (9, 5, 2, 1), (7, 3, 3, 1), (7, 6, 4, 3),
 ))
-def test_batched_sampler_matches_per_trial_loop(p, n, t, s):
+def test_batched_sampler_matches_per_trial_loop(monkeypatch, p, n, t, s):
     # counterexamples at varied trials, and orders where 1000 trials find
-    # none; 1000 trials end inside a batch.  Past the first batch: (9, 5, 2, 1)
-    # seed 3 first fails at trial 213 (batches of 113), and (7, 6, 4, 3)
-    # seeds 2 and 3 at trials 921 and 331 (batches of 146)
+    # none.  One cell gives one trial per batch, and the default puts all
+    # 1000 trials in one.  At 2^12 cells 1000 trials end inside a batch,
+    # and (7, 6, 4, 3) seeds 0 and 2 first fail past the first one, at
+    # trials 794 and 730 (batches of 682)
     for seed in range(4):
-        _assert_sampler_matches_reference(p, n, t, s, 1000, seed)
+        _assert_sampler_matches_reference(
+            monkeypatch, p, n, t, s, 1000, seed, (1, 1 << 12, verify.SAMPLE_BATCH_EDGES))
+
+
+def test_screened_sampler_matches_reference_on_grid(monkeypatch):
+    # 1,050 points, 368 of them with a counterexample; n = p leaves no n-star
+    for p in range(2, 9):
+        for t in range(1, 5):
+            for s in range(1, t + 1):
+                for n in range(1, p + 1):
+                    for seed in range(3):
+                        _assert_sampler_matches_reference(
+                            monkeypatch, p, n, t, s, 300, seed, (verify.SAMPLE_BATCH_EDGES,))
+
+
+def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
+    # at (200, 67, 3, 2) vertex 1 settles every trial: its two largest of
+    # three color classes hold at least 133 >= 67 of its 199 edges.  An
+    # unscreened sampler draws all 19,900 edges of each trial
+    drawn = []
+    sample_colors = verify.sample_colors
+
+    def counting(*args):
+        colors = sample_colors(*args)
+        drawn.append(colors.size)
+        return colors
+
+    monkeypatch.setattr(verify, "sample_colors", counting)
+    assert sample_upper_check(200, 67, 3, 2, trials=1000, seed=0).passed
+    assert sum(drawn) <= 1.2 * 1000 * 199
 
 
 def test_sample_upper_check_no_star_order():
     res = sample_upper_check(3, 5, 2, 1, trials=10, seed=0)
     assert not res.passed and res.trial_index == 0
-
-
-@pytest.mark.parametrize("p, n, t, s, passed", (
-    (5, 2, 3, 1, True),      # every trial drawn, several batches
-    (7, 6, 4, 3, False),     # counterexample past the first batch
-    (3, 5, 2, 1, False),     # no 5-star in K_3: trial 0 is returned at once
-))
-def test_sampler_seeds_one_generator_per_call(monkeypatch, p, n, t, s, passed):
-    seeds = []
-    default_rng = np.random.default_rng
-
-    def counting(seed):
-        seeds.append(seed)
-        return default_rng(seed)
-
-    monkeypatch.setattr(np.random, "default_rng", counting)
-    res = sample_upper_check(p, n, t, s, trials=5000, seed=2)
-    assert res.passed is passed
-    assert seeds == [2]
+    assert np.array_equal(res.counterexample.array,
+                          verify.sample_colors(3, 2, 0, np.array([0]), np.arange(3))[0])
 
 
 def test_sampler_batch_memory_does_not_grow_with_t():
