@@ -143,6 +143,10 @@ def _parse_lines(text: str) -> EdgeColoring:
     colors: dict = {}
     lines = text.splitlines()
     for lineno, line, fields in _data_lines(lines):
+        if not line.isascii():
+            # int() and split() would read other scripts' digits and spaces
+            char = next(ch for ch in line if not ch.isascii())
+            raise ColoringFormatError(f"non-ASCII character {char!r}; files are ASCII", lineno)
         if p is None:
             if len(fields) != 2:
                 raise ColoringFormatError(

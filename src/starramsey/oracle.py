@@ -4,27 +4,33 @@ f(p, n, t) is the maximum over all t-colorings of K_p of the fewest
 colors any n-star shows; R(n, t, s) <= p exactly when f(p, n, t) <= s.
 
 Both questions go through one depth-first search, ``_search``.  It
-assigns edges in lexicographic order, quotients out color relabeling by
-allowing a new color only after all smaller ones appear, and prunes a
-branch when a per-vertex optimistic bound cannot beat the incumbent;
-the bound of each color-degree row is computed once per search.  The
-incumbent starts at a floor and the search stops as soon as it reaches
-a ceiling:
+assigns edges in lexicographic order, tries each edge's colors
+least-loaded first, quotients out color relabeling by allowing a new
+color only after all smaller ones appear, and prunes a branch when a
+per-vertex optimistic bound cannot beat the incumbent; the bound of each
+color-degree row is computed once per search.  The incumbent starts at
+a floor and the search stops as soon as it reaches a ceiling:
 
 * ``max_min_star_colors`` searches with floor 1 and ceiling t, so it
   finds f(p) exactly;
 * ``ramsey_value`` asks only whether f(p) > s, so it searches with
   floor s and ceiling s+1 and stops at the first coloring whose every
-  n-star shows more than s colors.
+  n-star shows more than s colors (a witness).
 
-Before the first edge, a parity rule can settle an order outright.  A
-vertex whose n-stars all show more than ``floor`` colors has an
-*admissible* color-degree row: its top-``floor`` sum is at most n-1.
+Two root checks can settle an order before the first edge
+(``_root_settles``): the bound at the empty coloring, and a parity
+rule.  A vertex whose n-stars all show more than ``floor`` colors has
+an *admissible* color-degree row: its top-``floor`` sum is at most n-1.
 When p is odd and every admissible row has all parts odd, each vertex
 would have odd degree in color 1, and p odd degrees cannot sum to the
-even 2|E_1|; so no coloring beats the floor, and the search returns it
-at once.  The rule enumerates the rows itself, since the oracle is the
-check on ``formulas`` and imports nothing from it.
+even 2|E_1|; so no coloring beats the floor.  The rule enumerates the
+rows itself, since the oracle is the check on ``formulas`` and imports
+nothing from it.
+
+``ramsey_value`` scans upward with the root checks alone to the first
+order they settle, then searches downward from the order below it for
+a witness.  Where the root checks settle R itself, every node goes to
+the witness at K_{R-1}.
 
 The search is sequential and deterministic, so results and node counts
 depend on the instance alone.  ``threads`` is accepted (it must be
@@ -56,12 +62,14 @@ class OracleResult(NamedTuple):
 class RamseyResult(NamedTuple):
     """Smallest p <= p_max with f(p, n, t) <= s, or None if none qualifies.
 
-    ``checked`` holds one decision search per order scanned.  Its value is
-    not f(p): ``value > s`` means some coloring of K_p has every n-star on
+    ``checked`` lists the order the root checks settled (if it is at most
+    p_max), then one decision search per order below it, downward, up to
+    and including the first order with a witness.  Its value is not
+    f(p): ``value > s`` means some coloring of K_p has every n-star on
     more than s colors (the value is that coloring's fewest star colors),
-    and ``value == s`` means f(p) <= s.  An order settled before its
-    first edge, by the bound or by parity, counts zero nodes and one
-    bound prune.
+    and ``value == s`` means f(p) <= s.  The order settled at the root
+    counts zero nodes and one bound prune.  Orders the upward root scan
+    passed without settling are not listed.
     """
 
     value: int | None
@@ -139,6 +147,17 @@ def _parity_forbids(p: int, n: int, t: int, floor: int) -> bool:
     )
 
 
+def _root_settles(p: int, n: int, t: int, floor: int) -> bool:
+    """True when no t-coloring of K_p beats ``floor``, by the checks made
+    before the first edge: the bound at the empty coloring, then parity."""
+    return (_reachable_k([0] * t, p - 1, n) <= floor
+            or _parity_forbids(p, n, t, floor))
+
+
+# an order settled at the root: no node, one bound prune
+_ROOT_PRUNE = SearchStats(0, 0, 1)
+
+
 def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     """Best fewest-star-colors value above ``floor`` over t-colorings of
     K_p, or ``floor`` when none beats it; stops once it reaches ``ceiling``.
@@ -146,10 +165,16 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     A branch is pruned when the least per-vertex bound is ``<=`` the
     incumbent.  At a leaf no edge remains, so the bound is the coloring's
     exact value.  The root alone is also pruned by parity
-    (``_parity_forbids``); either root prune is one ``bound_prunes``.
+    (``_root_settles``); either root prune is one ``bound_prunes``.
+    Each edge tries its colors least-loaded first: by the edge's two
+    endpoints' current degrees in that color, then by color.  This
+    changes only the order of the children, so a refutation visits the
+    same nodes; a coloring beating the floor turns up sooner.
     Bounds are memoized per search by row: n is fixed, and a row fixes
     its remaining edges (p-1 minus its sum).
     """
+    if _root_settles(p, n, t, floor):
+        return OracleResult(floor, _ROOT_PRUNE)
     # its own lexicographic edge list: the oracle does not import numpy
     edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
     last = len(edges) - 1
@@ -157,8 +182,6 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     rem = [p - 1] * (p + 1)
     vb = [_reachable_k([0] * t, p - 1, n)] * (p + 1)
     vb[0] = t + 1  # no vertex 0; never the least bound
-    if min(vb) <= floor or _parity_forbids(p, n, t, floor):
-        return OracleResult(floor, SearchStats(0, 0, 1))
 
     bounds: dict[tuple[int, ...], int] = {}
     nodes = 0
@@ -172,7 +195,8 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
         cu, cv = counts[u], counts[v]
         allowed = maxc + 1 if maxc < t else t
         skips += t - allowed
-        for c in range(allowed):
+        # least-loaded color first; the sort is stable, so ties go by color
+        for c in sorted(range(allowed), key=lambda c: cu[c] + cv[c]):
             nodes += 1
             cu[c] += 1
             cv[c] += 1
@@ -208,16 +232,15 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     return OracleResult(incumbent, SearchStats(nodes, skips, prunes))
 
 
-def _check_instance(p: int, n: int, t: int, edge_budget: int, max_colors: int) -> None:
-    if p < 2 or n < 1 or t < 1:
-        raise InvalidParameterError(f"need p >= 2, n >= 1, t >= 1; got {p}, {n}, {t}")
-    if n > p - 1:
-        raise InvalidParameterError(f"K_{p} has no {n}-star (degree {p - 1})")
+def _check_edges(p: int, edge_budget: int) -> None:
     num_edges = p * (p - 1) // 2
     if num_edges > edge_budget:
         raise InfeasibleInstanceError(
             f"K_{p} has {num_edges} edges, over the budget of {edge_budget}"
         )
+
+
+def _check_colors(t: int, max_colors: int) -> None:
     if t > max_colors:
         raise InfeasibleInstanceError(
             f"t={t} is over the color budget of {max_colors}"
@@ -235,7 +258,12 @@ def max_min_star_colors(p: int, n: int, t: int, *,
                         threads: int = 1) -> OracleResult:
     """Exact f(p, n, t) by exhaustive search; refuses oversized instances."""
     _check_threads(threads)
-    _check_instance(p, n, t, edge_budget, max_colors)
+    if p < 2 or n < 1 or t < 1:
+        raise InvalidParameterError(f"need p >= 2, n >= 1, t >= 1; got {p}, {n}, {t}")
+    if n > p - 1:
+        raise InvalidParameterError(f"K_{p} has no {n}-star (degree {p - 1})")
+    _check_edges(p, edge_budget)
+    _check_colors(t, max_colors)
     # every n-star shows at least one color and at most t
     return _search(p, n, t, 1, t)
 
@@ -247,21 +275,39 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
     """Smallest p <= p_max where every t-coloring of K_p has an n-star on
     at most s colors.
 
-    Orders below n+1 hold no n-star at all, so the scan starts at n+1;
-    the first qualifying p is returned because the property is monotone
-    upward in p.  Each order is one decision search that stops at the
-    first coloring beating the budget.
+    Call a coloring of K_p whose every n-star shows more than s colors a
+    witness.  Deleting a vertex from a witness leaves a witness on K_{p-1}
+    (each n-star left was an n-star before), and K_n has no n-star, so R
+    is one above the largest order with a witness, and at least n+1.  The
+    scan runs two ways:
+
+    * upward from n+1 with the root checks alone (``_root_settles``, no
+      node), to the first order P0 they settle, or P0 = p_max + 1;
+    * downward from P0-1, one decision search per order, to the first
+      order with a witness.
+
+    Witnesses are cheap to find near R, and every order at or above P0 is
+    refuted without a search.  ``max_colors`` is checked first, since the
+    root checks build t-part rows too; ``edge_budget`` is checked at each
+    order the upward pass leaves open, since a search runs at that order
+    or above it.
     """
     if n < 1 or t < 1 or s < 1 or p_max < 2:
         raise InvalidParameterError(
             f"need n, t, s >= 1 and p_max >= 2; got {n}, {t}, {s}, {p_max}"
         )
     _check_threads(threads)
-    checked: list[tuple[int, OracleResult]] = []
-    for p in range(n + 1, p_max + 1):
-        _check_instance(p, n, t, edge_budget, max_colors)
+    _check_colors(t, max_colors)
+    p0 = n + 1
+    while p0 <= p_max and not _root_settles(p0, n, t, s):
+        _check_edges(p0, edge_budget)
+        p0 += 1
+    checked = [(p0, OracleResult(s, _ROOT_PRUNE))] if p0 <= p_max else []
+    for p in range(p0 - 1, n, -1):
         result = _search(p, n, t, s, s + 1)
         checked.append((p, result))
-        if result.value <= s:
-            return RamseyResult(p, tuple(checked))
-    return RamseyResult(None, tuple(checked))
+        if result.value > s:
+            break
+    else:
+        p = n
+    return RamseyResult(p + 1 if p < p_max else None, tuple(checked))

@@ -40,6 +40,20 @@ def pigeonhole_order(n, t, s):
     return p
 
 
+def parity_pigeonhole_order(n, t, s):
+    """``pigeonhole_order``, one lower when parity rules out its K_{p-1}.
+
+    With a, b = divmod(n-1, s), the order below the pigeonhole order is
+    K_{ta+b+1}.  There a vertex whose n-stars all show more than s colors
+    has t-s color degrees equal to a and s summing to sa+b; when b = 0
+    every one equals a.  If a is odd and t even, p-1 = ta+1 vertices of
+    odd degree in color 1 cannot exist, so no coloring of K_{p-1} beats
+    the budget.
+    """
+    a, b = divmod(n - 1, s)
+    return pigeonhole_order(n, t, s) - (b == 0 and a % 2 == 1 and t % 2 == 0)
+
+
 def brute_star_at(coloring: EdgeColoring, v: int, n: int):
     """Reference implementation at one vertex: enumerate every n-subset of
     its star; None when its degree is below n."""

@@ -190,8 +190,14 @@ def test_oracle_command(capsys):
 
 
 def test_oracle_budget_exit(capsys):
-    rc, _, err = run(capsys, "oracle", "--n", "3", "--t", "2", "--s", "1",
+    # R(3, 2, 1) = 6: the root settles K_6, so only K_5 (10 edges), where
+    # the search runs, has to fit the edge budget
+    rc, out, _ = run(capsys, "oracle", "--n", "3", "--t", "2", "--s", "1",
                      "--max-p", "9", "--edge-budget", "10")
+    assert rc == 0
+    assert kv(out)["value"] == "6"
+    rc, _, err = run(capsys, "oracle", "--n", "3", "--t", "2", "--s", "1",
+                     "--max-p", "9", "--edge-budget", "9")
     assert rc == 2
     assert "budget" in err
 

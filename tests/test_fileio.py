@@ -85,6 +85,17 @@ def test_parse_rejects_malformed_lines():
     _expect_error("", "empty file")
 
 
+def test_parse_rejects_non_ascii_digits():
+    # int() reads any script's digits: ARABIC-INDIC DIGIT ONE would be color 1
+    _expect_error("3 2\n1 2 \u0661\n1 3 2\n2 3 1\n",
+                  "non-ASCII character '\u0661'; files are ASCII", line=2)
+    _expect_error("\u0663 2\n1 2 1\n1 3 2\n2 3 1\n", "non-ASCII character", line=1)
+    # an EM SPACE is whitespace to split(), not a field separator here
+    _expect_error("2 2\n1\u20032 1\n", "non-ASCII character", line=2)
+    # comments may hold any text
+    assert parse_coloring("# K\u2082\n2 2\n1 2 1\n").colors == {(1, 2): 1}
+
+
 def _swap_lines(lines, i, j):
     lines[i], lines[j] = lines[j], lines[i]
 

@@ -6,10 +6,11 @@ import pytest
 from starramsey import EdgeColoring, all_edges, check_certificate, classify, witness_coloring
 from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
 from starramsey.formulas import pigeonhole_upper
+from starramsey import oracle
 from starramsey.oracle import (SearchStats, _parity_forbids, _reachable_k, _search,
                                max_min_star_colors, ramsey_value)
 
-from .conftest import brute_max_min_star, brute_min_star
+from .conftest import brute_max_min_star, brute_min_star, parity_pigeonhole_order
 
 
 def test_max_min_examples():
@@ -40,33 +41,67 @@ def test_decision_search_equals_plain_enumeration(t, p_max):
                          if brute_max_min_star(p, n, t) <= s), None)
             res = ramsey_value(n, t, s, p_max)
             assert res.value == want, (n, t, s)
-            # every order before the answer has a coloring beating the budget
-            assert all(r.value > s for p, r in res.checked if p != res.value)
+            # orders below the answer have a coloring beating the budget,
+            # orders from the answer up have none
+            assert all((r.value > s) == (want is None or p < want)
+                       for p, r in res.checked), (n, t, s)
 
 
-# the small-exact benchmark instances and the README example: R, and the
-# (nodes, canonical skips, bound prunes) of the whole scan up to it
+@pytest.mark.parametrize("t, p_max", ((2, 6), (3, 5), (4, 5)))
+def test_search_refutes_without_root_rules(monkeypatch, t, p_max):
+    # with the root bound and the parity rule switched off, every order
+    # from p_max down to R is refuted by exhaustive search alone, and R is
+    # still the first order whose plain maximum is within the budget
+    monkeypatch.setattr(oracle, "_root_settles", lambda p, n, t, floor: False)
+    for n in range(1, p_max):
+        for s in range(1, t):
+            want = next((p for p in range(n + 1, p_max + 1)
+                         if brute_max_min_star(p, n, t) <= s), None)
+            res = ramsey_value(n, t, s, p_max)
+            assert res.value == want, (n, t, s)
+            assert [p for p, _ in res.checked] == list(
+                range(p_max, max(n, (want or p_max + 1) - 2), -1)), (n, t, s)
+            assert all(r.stats.nodes > 0 for _, r in res.checked), (n, t, s)
+
+
+def test_search_refutes_parity_order_without_root_rules(monkeypatch):
+    # parity settles K_7 for (4, 2, 1) at the root; with the root rules off
+    # the search must refute K_7 itself (no 3-regular graph on 7 vertices)
+    monkeypatch.setattr(oracle, "_root_settles", lambda p, n, t, floor: False)
+    res = ramsey_value(4, 2, 1, 7)
+    assert res.value == 7
+    (p, refuted), (q, witness) = res.checked
+    assert (p, refuted.value, q) == (7, 1, 6) and witness.value > 1
+    assert refuted.stats.nodes > 1000
+
+
+# the small-exact benchmark instances, the README example, and the first
+# two points past K_14: R, and the (nodes, canonical skips, bound prunes)
+# of the whole scan, all of it spent finding the K_{R-1} witness
 DECISION_INSTANCES = {
-    (4, 2, 1): (7, (47, 2, 17)),
-    (7, 2, 1): (14, (5969, 6, 2899)),
-    (5, 3, 1): (14, (827, 48, 417)),
-    (9, 3, 2): (14, (625, 30, 325)),
-    (6, 4, 2): (11, (552, 46, 358)),
-    (9, 4, 3): (12, (744, 29, 514)),
-    (3, 4, 2): (5, (12, 6, 7)),
+    (4, 2, 1): (7, (15, 1, 1)),
+    (7, 2, 1): (14, (119, 1, 27)),
+    (5, 3, 1): (14, (114, 3, 30)),
+    (9, 3, 2): (14, (114, 3, 30)),
+    (6, 4, 2): (11, (95, 6, 41)),
+    (9, 4, 3): (12, (59, 6, 5)),
+    (3, 4, 2): (5, (6, 6, 1)),
+    (8, 4, 2): (15, (357, 6, 204)),
+    (11, 4, 3): (15, (357, 6, 204)),
 }
 
 
 def test_ramsey_value_matches_classify_on_pinned_instances():
     t0 = time.perf_counter()
     for (n, t, s), (want, stats) in DECISION_INSTANCES.items():
-        res = ramsey_value(n, t, s, want, edge_budget=want * (want - 1) // 2)
+        # the root settles K_R, so only K_{R-1} must fit the edge budget
+        res = ramsey_value(n, t, s, want, edge_budget=(want - 1) * (want - 2) // 2)
         assert res.value == want == classify(n, t, s).value
         assert (res.stats.nodes, res.stats.canonical_skips, res.stats.bound_prunes) == stats
-        *below, (p, last) = res.checked
-        assert p == want and last.value == s
-        assert all(r.value > s for _, r in below)
-    # about 0.02 s on a 2-vCPU VM
+        (p, root), (q, witness) = res.checked
+        assert (p, root) == (want, (s, (0, 0, 1)))
+        assert q == want - 1 and witness.value > s
+    # about 0.01 s on a 2-vCPU VM
     assert time.perf_counter() - t0 < 10
 
 
@@ -120,9 +155,11 @@ def test_ramsey_examples():
 
 
 def test_ramsey_exceeds_p_max():
+    # R(3, 2, 1) = 6: the root settles no order up to K_5, and the search
+    # at K_5 finds a coloring beating the budget
     res = ramsey_value(3, 2, 1, 5)
     assert res.value is None
-    assert [p for p, _ in res.checked] == [4, 5]
+    assert [(p, r.value) for p, r in res.checked] == [(5, 2)]
 
 
 def test_threshold_monotone_in_p():
@@ -168,25 +205,25 @@ def test_certificate_pass_implies_oracle_exceeds_order():
 
 
 def test_oracle_matches_classifier_where_feasible():
-    # every t <= 4, 1 <= s < t and n whose pigeonhole order is at most
-    # K_14.  The next points, (8, 4, 2) and (11, 4, 3), reach K_15: parity
-    # settles it at once, but the search for their K_14 coloring beating
-    # the budget takes minutes (71 million nodes, 114 s for (8, 4, 2)),
-    # so they stay out.
+    # every t <= 5, 1 <= s < t and n whose parity-refined pigeonhole order
+    # (computed independently in conftest) is at most K_27, so that the
+    # witness search runs up to K_26.  For s >= t-2 the oracle must equal
+    # the paper's value, and below that the parity-refined order
     t0 = time.perf_counter()
     points = 0
-    for t in (2, 3, 4):
+    for t in (2, 3, 4, 5):
         for s in range(1, t):
             for n in itertools.count(1):
-                upper = pigeonhole_upper(n, t, s)
-                if upper > 14:
+                if parity_pigeonhole_order(n, t, s) > 27:
                     break
-                res = ramsey_value(n, t, s, upper, edge_budget=upper * (upper - 1) // 2)
+                upper = pigeonhole_upper(n, t, s)
+                res = ramsey_value(n, t, s, upper, edge_budget=upper * (upper - 1) // 2,
+                                   max_colors=5)
                 if s >= t - 2:
                     assert res.value == classify(n, t, s).value, (n, t, s)
                 else:
-                    assert res.value is not None and res.value <= upper, (n, t, s)
+                    assert res.value == parity_pigeonhole_order(n, t, s), (n, t, s)
                 points += 1
-    assert points == 42
-    # about 0.05 s on a 2-vCPU VM
+    assert points == 136
+    # about 0.8 s on a 2-vCPU VM
     assert time.perf_counter() - t0 < 5

@@ -319,14 +319,16 @@ def test_sample_upper_check_no_star_order():
 
 def test_sampler_batch_memory_does_not_grow_with_t():
     # at t = 1000 one K_5 trial has 5,000 color-degree cells, so a batch is
-    # one trial; a batch sized by edges alone took 409 trials, 46.8 MiB
+    # one trial; a batch sized by edges alone took 409 trials, 46.8 MiB.
+    # Every 2-star shows at most 2 colors, so all 409 trials are drawn.
     sample_upper_check(5, 2, 3, 1, trials=1, seed=0)
     tracemalloc.start()
     try:
-        sample_upper_check(5, 2, 1000, 1, trials=409, seed=0)
+        result = sample_upper_check(5, 2, 1000, 2, trials=409, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert result.passed and result.trials == 409
     assert peak < 2 << 20
 
 
