@@ -18,13 +18,24 @@ Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
 Only the last three import numpy.  Modules are called through their
 attributes (``formulas.classify``), never through names imported from
 them, so a wrapper installed on a module attribute sees every call.
+
+Every command and flag is declared once, in ``COMMANDS``.  ``main`` reads
+the plain form that scripts and the benchmark use (a command name, then
+``--flag value`` pairs, each flag spelled in full and given once) with
+``parse_direct``, which does not import argparse: importing it, with
+``gettext`` and ``locale``, and building its parser cost about 8 ms of
+a 90 ms launch.  Every other argv (``-h``, abbreviations,
+``--flag=value``, signs or underscores in integers, repeated or unknown
+flags, ``--``) goes to the argparse parser that ``build_parser`` makes
+from the same table, so help text, usage errors and exit codes are
+argparse's.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -36,6 +47,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .formulas import CaseVerdict
 
 # Exit status when stdout is closed under us, as for a process that
@@ -88,16 +101,14 @@ def _cmd_construct(args) -> int:
     from . import constructions, fileio
 
     coloring, recipe = constructions.witness_coloring(args.n, args.t, args.s)
-    text = fileio.serialize_coloring(coloring)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        fileio.write_coloring(args.out, coloring)
         _emit("order", coloring.p)
         _emit("colors", coloring.t)
         _emit("witness", recipe.describe())
         _emit("out", args.out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(fileio.serialize_coloring(coloring))
     return 0
 
 
@@ -173,65 +184,139 @@ def _cmd_sample_check(args) -> int:
     return 0 if result.passed else 1
 
 
+class Flag:
+    """One ``--option value`` of a command.  ``kind`` is ``int``, ``str``
+    or a tuple of choices.  (A plain class: a NamedTuple class costs
+    about 0.2 ms to create, at every launch.)"""
+
+    __slots__ = ("option", "dest", "kind", "required", "default", "help")
+
+    def __init__(self, option: str, kind, required: bool = True,
+                 default=None, help: str | None = None):
+        self.option = option
+        self.dest = option[2:].replace("-", "_")
+        self.kind = kind
+        self.required = required
+        self.default = default
+        self.help = help
+
+
+_NTS = (
+    Flag("--n", int, help="star size (leaf count)"),
+    Flag("--t", int, help="number of colors"),
+    Flag("--s", int, help="color budget for the star"),
+)
+
+# Every command, in help order, as (handler, help, flags); build_parser
+# and the direct parser both read this table.
+COMMANDS = {
+    "compute": (_cmd_compute, "exact value for s in {t-1, t-2}", _NTS),
+    "bounds": (_cmd_bounds, "general lower/upper bounds for l = t-s", (
+        Flag("--n", int),
+        Flag("--t", int),
+        Flag("--l", int, help="number of missing colors"),
+    )),
+    "construct": (_cmd_construct, "write a verified certificate of K_{R-1}", (
+        *_NTS,
+        Flag("--out", str, required=False, help="output file (default: stdout)"),
+    )),
+    "verify": (_cmd_verify, "check a coloring file against (n, s)", (
+        Flag("--file", str),
+        Flag("--n", int),
+        Flag("--s", int),
+    )),
+    "oracle": (_cmd_oracle, "exhaustive small-instance value", (
+        *_NTS,
+        Flag("--max-p", int),
+        # default: oracle.DEFAULT_EDGE_BUDGET, read when the command runs
+        Flag("--edge-budget", int, required=False),
+        Flag("--threads", int, required=False, default=1),
+    )),
+    "table": (_cmd_table, "value table over a range of n", (
+        Flag("--t", int),
+        Flag("--s", int),
+        Flag("--n-from", int),
+        Flag("--n-to", int),
+        Flag("--format", ("text", "csv"), required=False, default="text"),
+    )),
+    "sample-check": (
+        _cmd_sample_check, "seeded random sampling of the upper-bound property", (
+            *_NTS,
+            Flag("--p", int),
+            Flag("--trials", int),
+            Flag("--seed", int),
+        )),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse parser of ``COMMANDS``: it parses every command line
+    the direct parser declines, and prints help and usage errors."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="starramsey",
         description="Star Ramsey numbers under color budgets: exact values, "
                     "bounds, certificates, and an exhaustive oracle.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common_nts(p):
-        p.add_argument("--n", type=int, required=True, help="star size (leaf count)")
-        p.add_argument("--t", type=int, required=True, help="number of colors")
-        p.add_argument("--s", type=int, required=True, help="color budget for the star")
-
-    p = sub.add_parser("compute", help="exact value for s in {t-1, t-2}")
-    common_nts(p)
-    p.set_defaults(func=_cmd_compute)
-
-    p = sub.add_parser("bounds", help="general lower/upper bounds for l = t-s")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--l", type=int, required=True, help="number of missing colors")
-    p.set_defaults(func=_cmd_bounds)
-
-    p = sub.add_parser("construct", help="write a verified certificate of K_{R-1}")
-    common_nts(p)
-    p.add_argument("--out", help="output file (default: stdout)")
-    p.set_defaults(func=_cmd_construct)
-
-    p = sub.add_parser("verify", help="check a coloring file against (n, s)")
-    p.add_argument("--file", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("oracle", help="exhaustive small-instance value")
-    common_nts(p)
-    p.add_argument("--max-p", type=int, required=True, dest="max_p")
-    # default: oracle.DEFAULT_EDGE_BUDGET, read when the command runs
-    p.add_argument("--edge-budget", type=int, dest="edge_budget")
-    p.add_argument("--threads", type=int, default=1)
-    p.set_defaults(func=_cmd_oracle)
-
-    p = sub.add_parser("table", help="value table over a range of n")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--n-from", type=int, required=True, dest="n_from")
-    p.add_argument("--n-to", type=int, required=True, dest="n_to")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("sample-check",
-                       help="seeded random sampling of the upper-bound property")
-    common_nts(p)
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(func=_cmd_sample_check)
-
+    for name, (func, summary, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag in flags:
+            choices = flag.kind if isinstance(flag.kind, tuple) else None
+            p.add_argument(flag.option, dest=flag.dest,
+                           type=int if flag.kind is int else None, choices=choices,
+                           required=flag.required, default=flag.default, help=flag.help)
+        p.set_defaults(func=func)
     return parser
+
+
+def _value(kind, text: str):
+    """``text`` read as a value of ``kind`` exactly as argparse reads it,
+    or None where argparse might read it otherwise or refuse it."""
+    if kind is int:
+        # int() also reads signs, underscores, spaces and non-ASCII digits
+        if not (text.isascii() and text.isdigit()):
+            return None
+        try:
+            return int(text)
+        except ValueError:  # over the int-string digit limit
+            return None
+    if kind is str:
+        # argparse may take a leading '-' for an option
+        return None if text.startswith("-") else text
+    return text if text in kind else None
+
+
+def parse_direct(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, when
+    ``argv`` is a command name followed by ``--flag value`` pairs with
+    each flag spelled in full, given at most once, and every required
+    flag present; otherwise None.
+
+    Values: an int is ASCII digits, a str does not start with '-', a
+    choice is one of its choices.  Every other form (help, abbreviations,
+    ``--flag=value``, signs, ``--``, unknown or repeated flags) is left
+    to argparse, which also owns every usage error.
+    """
+    if not argv or argv[0] not in COMMANDS or len(argv) % 2 == 0:
+        return None
+    func, _, declared = COMMANDS[argv[0]]
+    flags = {flag.option: flag for flag in declared}
+    values = {}
+    for option, text in zip(argv[1::2], argv[2::2]):
+        flag = flags.pop(option, None)
+        if flag is None:  # unknown, abbreviated or repeated
+            return None
+        value = _value(flag.kind, text)
+        if value is None:
+            return None
+        values[flag.dest] = value
+    for flag in flags.values():  # the flags not given
+        if flag.required:
+            return None
+        values[flag.dest] = flag.default
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def _drop_stdout() -> None:
@@ -247,11 +332,14 @@ def _drop_stdout() -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
+    if argv is None:
+        argv = sys.argv[1:]
+    args = parse_direct(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe may show only when the buffer is written

@@ -111,6 +111,18 @@ def _parse_canonical(text: str) -> EdgeColoring | None:
     return coloring if _render(coloring) == data else None
 
 
+def _integers(fields: list[str]) -> list[int] | None:
+    """ASCII fields as integers; None unless each is digits only (int()
+    alone also reads signs and underscores) and within int()'s digit
+    limit."""
+    if not all(f.isdigit() for f in fields):
+        return None
+    try:
+        return [int(f) for f in fields]
+    except ValueError:  # over the int-string digit limit
+        return None
+
+
 def _data_lines(lines: list[str]):
     """Yield (line number, stripped line, fields) for each non-blank,
     non-comment line."""
@@ -141,34 +153,35 @@ def _parse_lines(text: str) -> EdgeColoring:
     order, and reports the first defect with its line number."""
     p = t = None
     colors: dict = {}
-    lines = text.splitlines()
+    # only '\n' ends a line: str.splitlines() also splits at form feeds,
+    # \x1c-\x1e and \x85; strip() below drops a CRLF file's '\r'
+    lines = text.split("\n")
     for lineno, line, fields in _data_lines(lines):
         if not line.isascii():
             # int() and split() would read other scripts' digits and spaces
             char = next(ch for ch in line if not ch.isascii())
             raise ColoringFormatError(f"non-ASCII character {char!r}; files are ASCII", lineno)
+        numbers = _integers(fields)
         if p is None:
             if len(fields) != 2:
                 raise ColoringFormatError(
                     f"header must be 'p t', got {line!r}", lineno
                 )
-            try:
-                p, t = int(fields[0]), int(fields[1])
-            except ValueError:
+            if numbers is None:
                 raise ColoringFormatError(
                     f"header must hold two integers, got {line!r}", lineno
-                ) from None
+                )
+            p, t = numbers
             if p < 1 or t < 1:
                 raise ColoringFormatError(f"need p >= 1 and t >= 1, got p={p}, t={t}", lineno)
             continue
         if len(fields) != 3:
             raise ColoringFormatError(f"edge line must be 'u v c', got {line!r}", lineno)
-        try:
-            u, v, c = (int(f) for f in fields)
-        except ValueError:
+        if numbers is None:
             raise ColoringFormatError(
                 f"edge line must hold three integers, got {line!r}", lineno
-            ) from None
+            )
+        u, v, c = numbers
         if not (1 <= u < v <= p):
             raise ColoringFormatError(f"need 1 <= u < v <= {p}, got u={u}, v={v}", lineno)
         if not (1 <= c <= t):
@@ -191,8 +204,9 @@ def _parse_lines(text: str) -> EdgeColoring:
 
 
 def write_coloring(path: str, coloring: EdgeColoring) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(serialize_coloring(coloring))
+    data = _render(coloring)
+    with open(path, "wb") as fh:
+        fh.write(data)
 
 
 def read_coloring(path: str) -> EdgeColoring:
@@ -202,7 +216,7 @@ def read_coloring(path: str) -> EdgeColoring:
         text = fh.read()
     if not text.isascii():
         # surrogateescape reads byte b >= 0x80 as the code point 0xDC00 + b
-        lineno, line = next((i, line) for i, line in enumerate(text.splitlines(), 1)
+        lineno, line = next((i, line) for i, line in enumerate(text.split("\n"), 1)
                             if not line.isascii())
         byte = next(ord(ch) - 0xDC00 for ch in line if not ch.isascii())
         raise ColoringFormatError(f"non-ASCII byte {byte:#04x}; files are ASCII", lineno)

@@ -131,6 +131,11 @@ def test_verify_non_ascii_file_exits_two(capsys, tmp_path):
     rc, out, err = run(capsys, "verify", "--file", str(path), "--n", "2", "--s", "1")
     assert (rc, out) == (2, "")
     assert err == "error: line 4: non-ASCII byte 0xc3; files are ASCII\n"
+    # lines are numbered by '\n' alone, as the line parser numbers them
+    path.write_bytes(b"3 2\x0c1 2 1\n1 3 2\n2 3 1 \xc3\xa9\n")
+    rc, out, err = run(capsys, "verify", "--file", str(path), "--n", "2", "--s", "1")
+    assert (rc, out) == (2, "")
+    assert err == "error: line 3: non-ASCII byte 0xc3; files are ASCII\n"
 
 
 def test_tampered_tight_certificate_flips_verdict(capsys, tmp_path):
@@ -337,13 +342,13 @@ def _child_env():
 
 # Per command, the modules that must stay unloaded after it runs.
 NOT_LOADED = {
-    "compute": ("numpy", "dataclasses", "starramsey.oracle"),
-    "bounds": ("numpy", "dataclasses", "starramsey.oracle"),
-    "table": ("numpy", "dataclasses", "starramsey.oracle"),
-    "oracle": ("numpy", "dataclasses", "starramsey.formulas"),
-    "verify": ("starramsey.formulas", "starramsey.oracle"),
-    "sample-check": ("starramsey.formulas", "starramsey.oracle", "numpy.random"),
-    "construct": ("starramsey.oracle",),
+    "compute": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
+    "bounds": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
+    "table": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
+    "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas"),
+    "verify": ("argparse", "starramsey.formulas", "starramsey.oracle"),
+    "sample-check": ("argparse", "starramsey.formulas", "starramsey.oracle", "numpy.random"),
+    "construct": ("argparse", "starramsey.oracle"),
 }
 
 
@@ -419,7 +424,7 @@ def test_table_streams_its_rows(fmt, digest):
     # 10^4 rows print as each is computed: the peak stays that of 10^3
     # rows (a kept row list took about 1.3 MB), and the bytes are those
     # the row list printed
-    _table_run(100, fmt)  # first-use caches of argparse and re
+    _table_run(100, fmt)  # first-use imports and caches
     _, _, small_peak = _table_run(1_000, fmt)
     rc, got, peak = _table_run(10_000, fmt)
     assert (rc, got) == (0, digest)
@@ -432,7 +437,7 @@ def test_table_builds_no_witness_recipe():
     t = formulas.MAX_WITNESS_COLORS
     argv = ["table", "--t", str(t), "--s", str(t - 1), "--n-from", "2", "--n-to", "41"]
     with contextlib.redirect_stdout(_DigestWriter()):
-        main(argv)  # first-use caches of argparse and re
+        main(argv)  # first-use imports and caches
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()) as out:

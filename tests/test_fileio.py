@@ -96,6 +96,28 @@ def test_parse_rejects_non_ascii_digits():
     assert parse_coloring("# K\u2082\n2 2\n1 2 1\n").colors == {(1, 2): 1}
 
 
+def test_parse_reads_only_ascii_digit_fields():
+    # int() reads '0_1' as 1 and '+1' as 1
+    _expect_error("2 2\n1 2 0_1\n", "edge line must hold three integers", line=2)
+    _expect_error("2 2\n1 +2 1\n", "edge line must hold three integers", line=2)
+    _expect_error("2_0 2\n", "header must hold two integers", line=1)
+    _expect_error("-2 2\n", "header must hold two integers", line=1)
+
+
+def test_parse_ends_lines_at_newlines_only():
+    # splitlines() would read the form feed as a line break: header "2 2",
+    # then the edge line "1 2 1"
+    _expect_error("2 2\x0c1 2 1\n", "header must be 'p t'", line=1)
+    for sep in ("\x0b", "\x1c", "\x1d", "\x1e", "\r"):
+        with pytest.raises(ColoringFormatError):
+            parse_coloring(f"2 2{sep}1 2 1\n")
+    # lines are numbered by '\n': the 'x' is on line 5 (splitlines: 6)
+    _expect_error("# c\n3 2\n1 2 1\n1 3 1\x0c\n2 3 x\n",
+                  "edge line must hold three integers", line=5)
+    # CRLF files still parse
+    assert parse_coloring("# c\r\n2 2\r\n1 2 1\r\n").colors == {(1, 2): 1}
+
+
 def _swap_lines(lines, i, j):
     lines[i], lines[j] = lines[j], lines[i]
 
