@@ -6,9 +6,10 @@ as in memory.
 An ``EdgeColoring`` stores its colors as one flat int64 array in
 lexicographic edge-rank order: edge (u, v), u < v, sits at
 ``edge_rank(p, u, v)``, and ``edge_endpoints(p)`` lists every edge's
-endpoints in that order.  Builders, degree profiles, validation and file
-I/O are vectorised passes over that array; ``.colors`` is a read-only
-mapping view of it for callers that want (u, v) -> color.
+endpoints in that order as int32.  Builders, degree profiles, validation
+and file I/O are vectorised passes over that array, in place where they
+can be; ``.color_degrees`` keeps the degree table once built, and
+``.colors`` is a read-only mapping view for (u, v) -> color.
 """
 
 from __future__ import annotations
@@ -28,10 +29,10 @@ Edge = tuple[int, int]
 
 # witness_coloring and sample_upper_check refuse K_p when its per-edge
 # arrays would need more than this; reading a file is bounded by the file.
-# Building, checking or reading a coloring peaks at about 70-80 bytes per
-# edge under tracemalloc (int64 endpoints, colors, file bytes and
-# temporaries), so BYTES_PER_EDGE leaves room for allocator overhead.  The
-# limit admits orders up to K_5793.
+# Building and writing a coloring peaks at about 26 bytes per edge under
+# tracemalloc, reading and checking one at about 37 (int32 endpoints, int64
+# colors, file bytes; files are rendered in blocks), so BYTES_PER_EDGE
+# leaves room for allocator overhead.  The limit admits orders up to K_5793.
 MAX_COLORING_BYTES = 2 << 30
 BYTES_PER_EDGE = 128
 
@@ -69,6 +70,17 @@ def check_order(p: int) -> None:
         )
 
 
+def check_table(p: int, t: int) -> None:
+    """Refuse a p x t color-degree table whose ``verify.star_minima`` pass
+    would exceed ``MAX_COLORING_BYTES``: it holds three int64 copies of the
+    table at its peak, and 32 bytes per cell are assumed."""
+    if 32 * p * t > MAX_COLORING_BYTES:
+        raise InvalidParameterError(
+            f"K_{p} with {t} colors needs a {p} x {t} color-degree table, "
+            f"about {32 * p * t >> 20} MiB with its temporaries; "
+            f"the limit is {MAX_COLORING_BYTES >> 20} MiB")
+
+
 def _rank_of(p: int, key) -> int | None:
     """Rank of ``key`` when it is an edge (u, v), 1 <= u < v <= p, else None."""
     if type(key) is not tuple or len(key) != 2:
@@ -89,28 +101,38 @@ def _int64_array(values) -> np.ndarray:
 
 @lru_cache(maxsize=2)
 def edge_endpoints(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """1-based endpoint arrays (u, v) of every edge of K_p in rank order
-    (read-only, cached)."""
-    iu, iv = np.triu_indices(max(p, 0), 1)
-    iu += 1
-    iv += 1
-    iu.flags.writeable = False
-    iv.flags.writeable = False
-    return iu, iv
+    """1-based int32 endpoint arrays (u, v) of every edge of K_p in rank
+    order (read-only, cached)."""
+    lengths = np.arange(p - 1, 0, -1)  # row u holds v = u+1..p
+    us = np.repeat(np.arange(1, p, dtype=np.int32), lengths)
+    # v steps by 1 along a row and falls back from p to u+1 at its start
+    vs = np.ones(us.size, dtype=np.int32)
+    vs[np.cumsum(lengths) - lengths] = np.arange(2 - p, 1)
+    np.cumsum(vs, dtype=np.int32, out=vs)
+    vs += p
+    us.flags.writeable = vs.flags.writeable = False
+    return us, vs
 
 
-def matching_position(a: np.ndarray, b: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
-    """Closed form of ``near_one_factorization(x)`` for edges {a, b} of odd K_x.
+def matching_centers(a: np.ndarray, b: np.ndarray, x: int) -> np.ndarray:
+    """i - 1 for the near-matching M_i of odd K_x holding each edge {a, b}:
+    a + b = 2i (mod x).  In place after the sum; int64 past x = 46,340,
+    where (a + b)(x + 1)/2 could pass int32."""
+    center = np.add(a, b, dtype=np.int64 if x > 46_340 else None)
+    center *= (x + 1) // 2  # the inverse of 2 mod x
+    center -= 1
+    center %= x
+    return center
 
-    Returns (center, k): the edge is edge k (1-based) of M_center.  It lies
-    in M_i exactly when a + b = 2i (mod x), and edge k of M_i joins i+k and
-    i-k, so (a - b)/2 = +-k (mod x).
-    """
-    half = (x + 1) // 2  # the inverse of 2 mod x
-    center = (a + b) * half % x
-    center[center == 0] = x
-    d = (a - b) * half % x
-    return center, np.minimum(d, x - d)
+
+def matching_indices(a: np.ndarray, b: np.ndarray, x: int) -> np.ndarray:
+    """k for each edge {a, b} of odd K_x, edge k (1-based) of its M_i:
+    edge k joins i+k and i-k, so (a - b)/2 = +-k (mod x)."""
+    k = np.subtract(a, b, dtype=np.int64 if x > 46_340 else None)
+    k *= (x + 1) // 2
+    k %= x
+    np.minimum(k, x - k, out=k)
+    return k
 
 
 class OrderedMatching(NamedTuple):
@@ -135,7 +157,7 @@ class EdgeColoring:
     ``verify.validate`` can name them.
     """
 
-    __slots__ = ("p", "t", "array", "missing", "unexpected", "_dict")
+    __slots__ = ("p", "t", "array", "missing", "unexpected", "_dict", "_degrees")
 
     def __init__(self, p: int, t: int, colors: Mapping[Edge, int]):
         colors = dict(colors)
@@ -172,6 +194,7 @@ class EdgeColoring:
         self.missing = missing        # ranks the mapping left out
         self.unexpected = unexpected  # mapping keys that are not edges of K_p
         self._dict = as_dict          # the (u, v) -> color dict, built on demand
+        self._degrees = None          # (palette, color-degree table), built on demand
 
     @property
     def colors(self) -> Mapping[Edge, int]:
@@ -180,6 +203,25 @@ class EdgeColoring:
             us, vs = edge_endpoints(self.p)
             self._dict = dict(zip(zip(us.tolist(), vs.tolist()), self.array.tolist()))
         return MappingProxyType(self._dict)
+
+    @property
+    def color_degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """(palette, counts): the colors 1..t, or only those that occur
+        once t > p-1 (a vertex meets at most p-1), and the read-only
+        (p, len(palette)) table of every vertex's degree in each.  Built
+        once, so a builder's row check and the star check share it."""
+        if self._degrees is None:
+            palette = columns = countable_colors(self)
+            if self.t <= self.p - 1:
+                palette = np.arange(1, self.t + 1)
+            else:
+                palette, columns = np.unique(columns, return_inverse=True)
+                columns += 1
+                check_table(self.p, len(palette))
+            counts = degree_counts(self.p, len(palette), columns)
+            counts.flags.writeable = False
+            self._degrees = palette, counts
+        return self._degrees
 
     def color_of(self, u: int, v: int) -> int:
         return self.colors[canonical_edge(u, v)]
@@ -209,7 +251,7 @@ def near_one_factorization(x: int) -> list[OrderedMatching]:
     Each M_i holds (x-1)/2 ordered edges; edge k of M_i is {i+k, i-k}
     (indices mod x, 0 read as x).  Edge {a, b} lands in M_i exactly when
     a + b = 2i (mod x), so the matchings partition the edge set
-    (``matching_position`` is the same rule in closed form).
+    (``matching_centers`` and ``matching_indices`` give it in closed form).
     """
     if x < 3 or x % 2 == 0:
         raise InvalidParameterError(f"need odd x >= 3, got {x}")
@@ -241,30 +283,28 @@ def one_factorization(p: int) -> list[list[Edge]]:
     return rounds
 
 
-@lru_cache(maxsize=2)
-def _profile_offsets(p: int, t: int) -> np.ndarray:
-    """(v-1)*t - 1 for the endpoints v of every edge, u's then v's; adding
-    an edge's color gives its cell in the flattened (p, t) profile."""
-    us, vs = edge_endpoints(p)
-    offsets = np.concatenate((us, vs)) * t - (t + 1)
-    offsets.flags.writeable = False
-    return offsets
-
-
 def degree_counts(p: int, t: int, colors: np.ndarray) -> np.ndarray:
     """(p, t) int64 array: [v-1, c-1] = edges of color c at vertex v, for
     the rank-ordered colors (all in 1..t) of K_p.
 
-    One bincount over vertex*t + color for both endpoints of every edge.
-    A (B, edges) stack of colorings gives a (B, p, t) array from one
-    bincount, each coloring counted in its own block of cells.
+    Two bincounts over the cells vertex*t + color, one for each endpoint
+    of every edge, built in turn in one int64 buffer.  A (B, edges) stack
+    of colorings gives a (B, p, t) array, each coloring counted in its own
+    block of cells.
     """
     rows = max(p, 0)
     shape = colors.shape[:-1] + (rows, t)
-    cells = _profile_offsets(p, t) + np.concatenate((colors, colors), axis=-1)
-    if cells.ndim == 2:  # a stack: each coloring gets its own rows * t cells
-        cells += np.arange(len(cells))[:, None] * (rows * t)
-    return np.bincount(cells.ravel(), minlength=math.prod(shape)).reshape(shape)
+    offset = -(t + 1)  # the cell of color c at vertex v is (v-1)*t + c-1
+    if colors.ndim == 2:  # a stack: each coloring gets its own rows * t cells
+        offset = offset + np.arange(len(colors))[:, None] * (rows * t)
+    cells = np.empty(colors.shape, dtype=np.int64)
+    counts = 0
+    for ends in edge_endpoints(p):
+        np.multiply(ends, t, out=cells, dtype=np.int64)  # v*t passes 2^31
+        cells += colors
+        cells += offset
+        counts = counts + np.bincount(cells.ravel(), minlength=math.prod(shape))
+    return counts.reshape(shape)
 
 
 def countable_colors(coloring: EdgeColoring) -> np.ndarray:
@@ -282,22 +322,6 @@ def countable_colors(coloring: EdgeColoring) -> np.ndarray:
     if colors.size and (colors.min() < 1 or colors.max() > coloring.t):
         raise InvalidParameterError(f"color degrees need colors in 1..{coloring.t}")
     return colors
-
-
-def palette_colors(coloring: EdgeColoring) -> tuple[np.ndarray, np.ndarray]:
-    """(palette, columns) of a complete coloring with colors in 1..t: the
-    colors a color-degree table needs, in increasing order, and each edge's
-    1-based column, ready for ``degree_counts(p, len(palette), columns)``.
-
-    A vertex of K_p meets at most p-1 colors, so when t > p-1 the palette
-    is only the colors that occur and a huge declared t does not size the
-    table; otherwise it is 1..t and the columns are the colors themselves.
-    """
-    colors = countable_colors(coloring)
-    if coloring.t <= coloring.p - 1:
-        return np.arange(1, coloring.t + 1), colors
-    palette, dense = np.unique(colors, return_inverse=True)
-    return palette, dense + 1
 
 
 def color_degree_profile(coloring: EdgeColoring) -> list[list[int]]:

@@ -4,12 +4,13 @@ Every builder checks its own postcondition before returning, so a
 coloring handed back from this module is always a valid certificate for
 the property its recipe promises.
 
-Each builder is a closed form over the edge endpoints of K_p: the
-near-1-factorization position of every edge (``matching_position``) is
-computed in one vectorised pass, and tables indexed by matching center
-and edge index give the colors.  ``witness_coloring`` refuses orders
-past the module-wide size limit (``coloring.check_order``) before it
-builds anything.
+Each builder is a closed form over the int32 edge endpoints of K_p, one
+in-place pass for the matching center (``matching_centers``) or the
+index within it (``matching_indices``) of every edge; a table indexed
+by it gives the colors, and a matching colored edge by edge is reached
+through the ranks of its edges.  The row check builds the degree table
+that ``witness_coloring``'s star check reuses; that function refuses
+orders past ``coloring.check_order``'s limit before it builds anything.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import numpy as np
 from .coloring import (
     EdgeColoring,
     check_order,
-    degree_counts,
     edge_endpoints,
-    matching_position,
-    palette_colors,
+    edge_rank,
+    matching_centers,
+    matching_indices,
 )
 from .errors import ConstructionFailedError, InvalidParameterError
 from .formulas import CaseVerdict, WitnessRecipe, balanced_class_sizes, classify
@@ -76,15 +77,13 @@ def _first_bad_row(coloring: EdgeColoring, expected) -> tuple[int, list[int]] | 
     degrees differ from ``expected``, or None when every row matches.
 
     ``expected(palette)`` gives every vertex's expected degrees in the
-    colors ``palette``, broadcast against the (p, len(palette)) table.
-    Only the colors that occur are counted once t > p-1
-    (``coloring.palette_colors``), so a large declared t does not size
-    the table.  Every expected row here is nonnegative and sums to p-1,
+    colors ``palette``, broadcast against ``coloring.color_degrees``, which
+    the star check reuses.  Once t > p-1 that table counts only the colors
+    that occur.  Every expected row here is nonnegative and sums to p-1,
     as every real row does, so rows that agree on the colors that occur
     agree on all t colors.
     """
-    palette, columns = palette_colors(coloring)
-    counts = degree_counts(coloring.p, len(palette), columns)
+    palette, counts = coloring.color_degrees
     bad = np.flatnonzero((counts != expected(palette)).any(axis=1))
     if not bad.size:
         return None
@@ -122,11 +121,10 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
         raise InvalidParameterError(
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
-    color_of_round = _classes_in_order(sizes)
-    a, b = edge_endpoints(p)
     # edges of K_{p-1} lie in the round of their matching, (i, p) in round i
-    rounds = np.where(b < p, matching_position(a, b, p - 1)[0], a)
-    coloring = EdgeColoring.from_array(p, len(sizes), color_of_round[rounds - 1])
+    rounds = matching_centers(*edge_endpoints(p), p - 1)
+    rounds[edge_rank(p, np.arange(1, p), p)] = np.arange(p - 1)
+    coloring = EdgeColoring.from_array(p, len(sizes), _classes_in_order(sizes)[rounds])
     bad = _first_bad_row(coloring, lambda palette: _sizes_at(sizes, palette))
     if bad is not None:
         raise ConstructionFailedError(
@@ -140,12 +138,18 @@ def _rotation_colors(x: int, color_of_center: np.ndarray,
     """Colors of odd K_x from its near-factorization: every edge of M_i gets
     color_of_center[i-1], except that M_i for i in ``color_by_k`` colors its
     edge k with color_by_k[i][k-1]."""
-    center, k = matching_position(*edge_endpoints(x), x)
-    colors = color_of_center[center - 1]
+    colors = color_of_center[matching_centers(*edge_endpoints(x), x)]
     for i, by_k in color_by_k.items():
-        mine = center == i
-        colors[mine] = by_k[k[mine] - 1]
+        colors[_matching_ranks(x, i)] = by_k
     return colors
+
+
+def _matching_ranks(x: int, i: int) -> np.ndarray:
+    """Edge ranks of M_i of odd K_x in edge order: edge k joins the circle
+    positions i+k and i-k."""
+    k = np.arange(1, (x + 1) // 2)
+    a, b = (i + k - 1) % x + 1, (i - k - 1) % x + 1
+    return edge_rank(x, np.minimum(a, b), np.maximum(a, b))
 
 
 def regular_coloring(t: int, q: int) -> EdgeColoring:
@@ -214,7 +218,7 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     for mid in middle:
         by_k[mid] = (k + mid - 1) % t + 1
     coloring = EdgeColoring.from_array(x, t, _rotation_colors(x, color_of_center, by_k))
-    counts = degree_counts(coloring.p, coloring.t, coloring.array)
+    counts = coloring.color_degrees[1]  # t < x, so the palette is 1..t
     low = np.flatnonzero(counts.min(axis=1) < q)
     if low.size:
         raise ConstructionFailedError(
@@ -236,8 +240,11 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
         raise InvalidParameterError(f"need odd p >= 1, got {p}")
     if p == 1:
         return EdgeColoring.from_array(1, t, [])
-    _, k = matching_position(*edge_endpoints(p), p)
-    return EdgeColoring.from_array(p, t, (k - 1) % t + 1)
+    k = matching_indices(*edge_endpoints(p), p)
+    k -= 1
+    k %= min(t, p)  # k <= (p-1)/2; a t past int32 would not fit k's dtype
+    k += 1
+    return EdgeColoring.from_array(p, t, k)
 
 
 def three_color_balanced_coloring(n: int) -> EdgeColoring:

@@ -5,7 +5,7 @@ every n-edge star in it shows at least s+1 distinct colors; every such
 check goes through one kernel, ``star_minima``, over color degrees.
 
 Everything here works on the coloring's rank-ordered color array: the
-color degrees are one ``bincount`` (``coloring.degree_counts``), and
+color degrees are ``EdgeColoring.color_degrees``, built once, and
 ``validate`` is a range check on the array plus the missing and
 unexpected edges a malformed mapping left.  The sampler draws any edge of
 any trial on demand (``sample_colors``), so it screens a batch of trials
@@ -19,14 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .coloring import (
-    MAX_COLORING_BYTES,
     EdgeColoring,
     check_order,
-    degree_counts,
+    check_table,
     edge_count,
     edge_endpoints,
     edge_rank,
-    palette_colors,
 )
 from .errors import InvalidParameterError
 
@@ -84,37 +82,22 @@ def star_minima(counts: np.ndarray, n: int) -> np.ndarray:
     return (prefix < n).sum(axis=-1) + 1
 
 
-def _check_table(p: int, t: int) -> None:
-    """Refuse a p x t color-degree table whose ``star_minima`` pass would
-    exceed ``MAX_COLORING_BYTES``: it holds three int64 copies of the table
-    at its peak, and 32 bytes per cell are assumed."""
-    if 32 * p * t > MAX_COLORING_BYTES:
-        raise InvalidParameterError(
-            f"K_{p} with {t} colors needs a {p} x {t} color-degree table, "
-            f"about {32 * p * t >> 20} MiB with its temporaries; "
-            f"the limit is {MAX_COLORING_BYTES >> 20} MiB")
-
-
 def _profile_minima(coloring: EdgeColoring,
                     n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """(color-degree array, the color of each of its columns, star minima);
     None when no n-star exists.
 
-    When t > p-1 the columns are only the colors that occur
-    (``coloring.palette_colors``), so a huge declared t does not size the
-    table.  Every row then still sums to p-1 >= n, and ties between
-    columns still go to the smaller color, so the minima and the
-    offending colors do not change.
+    The array is ``coloring.color_degrees``, which a builder's row check
+    may have made.  When t > p-1 its columns are only the colors that
+    occur.  Every row then still sums to p-1 >= n, and ties between
+    columns still go to the smaller color, so the minima and the offending
+    colors do not change.
     """
     if n < 1:
         raise InvalidParameterError(f"star size must be >= 1, got {n}")
-    p, t = coloring.p, coloring.t
-    if p - 1 < n:
+    if coloring.p - 1 < n:
         return None
-    palette, columns = palette_colors(coloring)
-    if t > p - 1:
-        _check_table(p, len(palette))
-    counts = degree_counts(p, len(palette), columns)
+    palette, counts = coloring.color_degrees
     return counts, palette, star_minima(counts, n)
 
 
@@ -228,7 +211,7 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     if not 0 <= seed < 1 << 64:
         raise InvalidParameterError(f"seed must be in 0..2^64-1, got {seed}")
     check_order(p)
-    _check_table(p, t)
+    check_table(p, t)
     m = edge_count(p)
     if trials * m >= 1 << 64:
         raise InvalidParameterError(

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -11,7 +12,12 @@ from starramsey import (
     one_factorization,
     regular_coloring,
 )
-from starramsey.coloring import edge_endpoints, edge_rank, matching_position
+from starramsey.coloring import (
+    edge_endpoints,
+    edge_rank,
+    matching_centers,
+    matching_indices,
+)
 from starramsey.errors import InvalidParameterError
 
 from .conftest import colorings
@@ -144,13 +150,38 @@ def test_edge_rank_and_endpoints_follow_lexicographic_order(p):
     assert [edge_rank(p, u, v) for u, v in edges] == list(range(len(edges)))
 
 
-@pytest.mark.parametrize("x", range(3, 40, 2))
+@pytest.mark.parametrize("p", [*range(71), 805])
+def test_edge_endpoints_are_triu_indices_in_int32(p):
+    us, vs = edge_endpoints(p)
+    iu, iv = np.triu_indices(p, 1)
+    assert us.dtype == vs.dtype == np.int32
+    assert np.array_equal(us, iu + 1) and np.array_equal(vs, iv + 1)
+    for ends in (us, vs):
+        assert not ends.flags.writeable
+        with pytest.raises(ValueError):
+            ends[:1] = 0
+
+
+@pytest.mark.parametrize("x", range(3, 62, 2))
 def test_matching_position_is_the_factorization_in_closed_form(x):
     us, vs = edge_endpoints(x)
-    center, k = matching_position(us, vs, x)
+    center = matching_centers(us, vs, x) + 1
+    k = matching_indices(us, vs, x)
     expected = {e: (m.center, i) for m in near_one_factorization(x)
                 for i, e in enumerate(m.edges, start=1)}
     assert list(zip(center.tolist(), k.tolist())) == [expected[e] for e in all_edges(x)]
+
+
+def test_matching_passes_stay_exact_past_int32():
+    # in int32, (a + b)(x + 1)/2 passes 2^31 past x = 46,340, and
+    # (a - b)(x + 1)/2 past x = 65,535
+    x, half = 70_001, 35_001
+    a = np.array([1, 2, 69_999], dtype=np.int32)
+    b = np.array([70_000, 70_001, 70_001], dtype=np.int32)
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert matching_centers(a, b, x).tolist() == [((u + v) * half - 1) % x for u, v in pairs]
+    d = [(u - v) * half % x for u, v in pairs]
+    assert matching_indices(a, b, x).tolist() == [min(e, x - e) for e in d]
 
 
 @given(colorings())

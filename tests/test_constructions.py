@@ -27,8 +27,17 @@ from starramsey import (
     witness_coloring,
 )
 from starramsey import coloring as coloring_module
-from starramsey.coloring import BYTES_PER_EDGE, MAX_COLORING_BYTES, check_order, edge_count
+from starramsey.coloring import (
+    BYTES_PER_EDGE,
+    MAX_COLORING_BYTES,
+    check_order,
+    edge_count,
+    edge_endpoints,
+    matching_centers,
+    matching_indices,
+)
 from starramsey.errors import ConstructionFailedError, InvalidParameterError
+from starramsey.formulas import CaseVerdict, WitnessRecipe
 
 from .conftest import monochrome_build
 
@@ -280,6 +289,53 @@ def test_matching_class_coloring_matches_factorization_reference():
             assert coloring == _matching_class_reference(p, sizes)
         sizes = balanced_class_sizes(p, 4)
         assert matching_class_coloring(p, sizes) == _matching_class_reference(p, sizes)
+
+
+@pytest.mark.parametrize("x", range(3, 62, 2))
+def test_special_matching_ranks_are_the_center_scan(x):
+    # the closed form lists M_i's edges by k, as a scan of every edge would
+    center = matching_centers(*edge_endpoints(x), x)
+    k = matching_indices(*edge_endpoints(x), x)
+    for i in range(1, x + 1):
+        mine = np.flatnonzero(center == i - 1)
+        assert constructions._matching_ranks(x, i).tolist() == mine[np.argsort(k[mine])].tolist()
+
+
+_ONE_TABLE_CASES = [
+    # (n, t, s, tag, params): params None takes classify's recipe, which has an
+    # n-star here
+    (4, 2, 1, "partitioned-factorization", None),       # K_6
+    (3, 2, 1, "regular", None),                         # K_5
+    (4, 3, 2, "near-regular", None),                    # K_5
+    (2, 3, 1, "three-color-balanced", None),            # even K_4
+    (3, 3, 1, "three-color-balanced", None),            # odd K_7
+    # classify picks these two only where no n-star exists
+    (12, 5, 3, "matching-classes", {"p": 15, "class_sizes": [3] * 5}),
+    (3, 3, 1, "cyclic", {"p": 7, "t": 3}),
+]
+
+
+@pytest.mark.parametrize("n, t, s, tag, params", _ONE_TABLE_CASES)
+def test_witness_coloring_builds_one_degree_table(monkeypatch, n, t, s, tag, params):
+    # the builder's row check and the star check share one color-degree table
+    if params is not None:
+        verdict = CaseVerdict(value=params["p"] + 1, case_tag="test",
+                              witness=WitnessRecipe(tag, params))
+        monkeypatch.setattr(constructions, "classify", lambda *args: verdict)
+    calls = []
+    degree_counts = coloring_module.degree_counts
+    monkeypatch.setattr(coloring_module, "degree_counts",
+                        lambda *args: calls.append(args[:2]) or degree_counts(*args))
+    coloring, recipe = witness_coloring(n, t, s)
+    assert recipe.tag == tag and coloring.p - 1 >= n
+    assert calls == [(coloring.p, t)]
+    assert check_certificate(coloring, n, s).passed and len(calls) == 1
+
+
+def test_cyclic_coloring_takes_a_color_count_past_int32():
+    # edge indices stay below p, so any t >= p leaves them as they are
+    assert np.array_equal(cyclic_matching_coloring(7, 2**40).array,
+                          cyclic_matching_coloring(7, 7).array)
 
 
 def test_oversized_order_is_refused_before_allocating():

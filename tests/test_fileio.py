@@ -6,11 +6,15 @@ from hypothesis import strategies as st
 
 from starramsey import (
     EdgeColoring,
+    check_certificate,
     fileio,
     parse_coloring,
+    read_coloring,
     serialize_coloring,
     witness_coloring,
+    write_coloring,
 )
+from starramsey.coloring import edge_count, edge_endpoints
 from starramsey.errors import ColoringFormatError, InvalidParameterError
 
 from .conftest import colorings
@@ -112,10 +116,63 @@ def test_parse_ends_lines_at_newlines_only():
         with pytest.raises(ColoringFormatError):
             parse_coloring(f"2 2{sep}1 2 1\n")
     # lines are numbered by '\n': the 'x' is on line 5 (splitlines: 6)
-    _expect_error("# c\n3 2\n1 2 1\n1 3 1\x0c\n2 3 x\n",
+    _expect_error("# c\x0cd\n3 2\n1 2 1\n1 3 1\n2 3 x\n",
                   "edge line must hold three integers", line=5)
     # CRLF files still parse
     assert parse_coloring("# c\r\n2 2\r\n1 2 1\r\n").colors == {(1, 2): 1}
+
+
+def test_parse_separates_fields_by_spaces_only():
+    # split() and strip() would read these as '1 2 1' and '2 2'
+    _expect_error("2 2\n1\x0c2\t1\n", "edge line must be 'u v c'", line=2)
+    _expect_error("2 2\n1\t2 1\n", "edge line must be 'u v c'", line=2)
+    _expect_error("2 2\n1 2 1\x1f\n", "edge line must hold three integers", line=2)
+    _expect_error("2 2\n1 2 1\x0b\n", "edge line must hold three integers", line=2)
+    _expect_error("2 2\x1f\n1 2 1\n", "header must hold two integers", line=1)
+    _expect_error("\x0c2 2\n1 2 1\n", "header must hold two integers", line=1)
+    _expect_error("\t# c\n2 2\n1 2 1\n", "header must hold two integers", line=1)
+    _expect_error("2 2\n\x0c\n1 2 1\n", "edge line must be 'u v c'", line=2)
+    # one final '\r' is dropped, not two
+    _expect_error("2 2\n1 2 1\r\r\n", "edge line must hold three integers", line=2)
+    # runs of spaces, leading and trailing spaces and CRLF still parse
+    for text in ("  2  2 \r\n 1   2 1  \r\n", "2 2\n  # c\n\n   \n1 2 1 \n"):
+        assert parse_coloring(text).colors == {(1, 2): 1}
+        assert parse_coloring(text.encode()).colors == {(1, 2): 1}
+
+
+def test_read_coloring_ends_lines_at_newlines_only(tmp_path, monkeypatch):
+    text = serialize_coloring(witness_coloring(4, 2, 1)[0])
+    (tmp_path / "crlf.txt").write_bytes(text.replace("\n", "\r\n").encode())
+    (tmp_path / "cr.txt").write_bytes(text.replace("\n", "\r").encode())
+    with pytest.raises(ColoringFormatError, match="line 1: header must be 'p t'"):
+        read_coloring(str(tmp_path / "cr.txt"))
+    # a CRLF file reads as its LF twin, on the bulk path
+    monkeypatch.setattr(fileio, "_parse_lines", None)
+    assert read_coloring(str(tmp_path / "crlf.txt")) == parse_coloring(text)
+
+
+def test_certificate_files_peak_bytes_per_edge(tmp_path):
+    # K_405 (near-regular) peaks at 26.4 and 37.3 bytes per edge under
+    # tracemalloc (73.2 and 84.2 with int64 passes and whole-file renders),
+    # with the endpoint arrays built inside each measurement; the bounds
+    # leave about 20% headroom
+    path = str(tmp_path / "k405.txt")
+    edge_endpoints.cache_clear()
+    tracemalloc.start()
+    try:
+        coloring, _ = witness_coloring(338, 6, 5)
+        write_coloring(path, coloring)
+        build = tracemalloc.get_traced_memory()[1]
+        del coloring
+        edge_endpoints.cache_clear()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        assert check_certificate(read_coloring(path), 338, 5).passed
+        check = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert build / edge_count(405) < 32
+    assert check / edge_count(405) < 45
 
 
 def _swap_lines(lines, i, j):
@@ -174,23 +231,25 @@ def _outcome(parse, text):
 @settings(max_examples=300)
 def test_parse_agrees_with_line_parser_on_mutated_files(coloring, kind, i, j):
     text = _mutate(serialize_coloring(coloring), kind, i, j)
-    assert _outcome(parse_coloring, text) == _outcome(fileio._parse_lines, text)
+    expected = _outcome(fileio._parse_lines, text)
+    assert _outcome(parse_coloring, text) == expected
+    assert _outcome(parse_coloring, text.encode()) == expected
 
 
 @given(colorings())
 def test_serialized_files_take_the_bulk_path(coloring):
     text = serialize_coloring(coloring)
-    assert fileio._parse_canonical(text) == coloring
+    assert fileio._parse_canonical(text.encode()) == coloring
     assert fileio._parse_lines(text) == coloring
 
 
 def test_bulk_path_refuses_near_canonical_files():
     text = serialize_coloring(witness_coloring(4, 2, 1)[0])
-    assert fileio._parse_canonical(text) is not None
+    assert fileio._parse_canonical(text.encode()) is not None
     for other in (text[:-1], text + "\n", text.replace("\n", "\r\n", 1),
                   text.replace(" ", "  ", 1), "# c\n" + text,
                   text.replace("1 2 ", "01 2 ", 1), text.replace("\n1 3", " 1\n3", 1)):
-        assert fileio._parse_canonical(other) is None
+        assert fileio._parse_canonical(other.encode()) is None
 
 
 def test_serialize_writes_any_integer_color():

@@ -17,6 +17,7 @@ from starramsey import (
     three_color_balanced_coloring,
     validate,
 )
+from starramsey import coloring as coloring_module
 from starramsey import verify
 from starramsey.coloring import degree_counts, edge_count
 from starramsey.errors import InvalidParameterError
@@ -334,7 +335,7 @@ def test_sampler_batch_memory_does_not_grow_with_t():
 
 def test_sampler_color_table_limit_boundary(monkeypatch):
     # 32 bytes per cell of one trial's 5 x t table, with the limit at t = 1000
-    monkeypatch.setattr(verify, "MAX_COLORING_BYTES", 32 * 5 * 1000)
+    monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", 32 * 5 * 1000)
     assert sample_upper_check(5, 2, 1000, 1, trials=1, seed=0).trials == 1
     with pytest.raises(InvalidParameterError, match="color-degree table"):
         sample_upper_check(5, 2, 1001, 1, trials=1, seed=0)
