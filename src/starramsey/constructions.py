@@ -4,12 +4,14 @@ Every builder checks its own postcondition before returning, so a
 coloring handed back from this module is always a valid certificate for
 the property its recipe promises.
 
-Each builder is a closed form over the int32 edge endpoints of K_p, one
-in-place pass for the matching center (``matching_centers``) or the
-index within it (``matching_indices``) of every edge; a table indexed
-by it gives the colors, and a matching colored edge by edge is reached
-through the ranks of its edges.  The row check builds the degree table
-that ``witness_coloring``'s star check reuses; that function refuses
+Each builder is a closed form over the int32 edge endpoints of K_p.  One
+table builder for both parities, ``_rotation_colors``, colors each edge
+by the center of its matching (``matching_centers``), the edge (i, p) of
+even K_p completing M_i of K_{p-1}; the cyclic colors use the index
+within it (``matching_indices``).  One row check, ``_certified``, builds
+the degree table that ``witness_coloring``'s star check reuses and raises
+"<name> row [...] != [...] at vertex v" (``below`` for a floor).
+``BUILDERS`` maps recipe tags to builders; ``witness_coloring`` refuses
 orders past ``coloring.check_order``'s limit before it builds anything.
 """
 
@@ -28,7 +30,7 @@ from .coloring import (
     matching_indices,
 )
 from .errors import ConstructionFailedError, InvalidParameterError
-from .formulas import CaseVerdict, WitnessRecipe, balanced_class_sizes, classify
+from .formulas import CaseVerdict, WitnessRecipe, classify
 from .verify import min_star_colors
 
 
@@ -72,24 +74,29 @@ def near_regular_layout(t: int, q: int, r: int) -> ClassLayout:
     return ClassLayout(x=x, singletons=tuple(range(1, r + 1)), classes=classes)
 
 
-def _first_bad_row(coloring: EdgeColoring, expected) -> tuple[int, list[int]] | None:
-    """(v-1, the t color degrees of v) for the first vertex v whose color
-    degrees differ from ``expected``, or None when every row matches.
-
-    ``expected(palette)`` gives every vertex's expected degrees in the
-    colors ``palette``, broadcast against ``coloring.color_degrees``, which
-    the star check reuses.  Once t > p-1 that table counts only the colors
-    that occur.  Every expected row here is nonnegative and sums to p-1,
-    as every real row does, so rows that agree on the colors that occur
-    agree on all t colors.
+def _certified(coloring: EdgeColoring, name: str, expected,
+               at_least: bool = False) -> EdgeColoring:
+    """``coloring`` once each row of its ``color_degrees`` equals
+    ``expected(palette)``, or reaches it when ``at_least``.  Builders pass
+    the built coloring rather than its colors, so that no call argument
+    keeps the fresh color array alive beside the degree table.  Once
+    t > p-1 that table counts only the colors that occur; every exact row
+    here is nonnegative and sums to p-1, as every real row does, so rows
+    that agree there agree on all t colors.
     """
     palette, counts = coloring.color_degrees
-    bad = np.flatnonzero((counts != expected(palette)).any(axis=1))
-    if not bad.size:
-        return None
-    row = np.zeros(coloring.t, dtype=np.int64)
-    row[palette - 1] = counts[bad[0]]
-    return int(bad[0]), row.tolist()
+    want = expected(palette)
+    bad = np.flatnonzero(((counts < want) if at_least else (counts != want)).any(axis=1))
+    if bad.size:
+        p, t, v = coloring.p, coloring.t, int(bad[0])
+        row = np.zeros(t, dtype=np.int64)
+        row[palette - 1] = counts[v]
+        want = np.broadcast_to(expected(np.arange(1, t + 1)), (p, t))[v]
+        raise ConstructionFailedError(
+            f"{name} row {row.tolist()} {'below' if at_least else '!='} "
+            f"{want.tolist()} at vertex {v + 1}"
+        )
+    return coloring
 
 
 def _classes_in_order(sizes: list[int]) -> np.ndarray:
@@ -121,26 +128,23 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
         raise InvalidParameterError(
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
-    # edges of K_{p-1} lie in the round of their matching, (i, p) in round i
-    rounds = matching_centers(*edge_endpoints(p), p - 1)
-    rounds[edge_rank(p, np.arange(1, p), p)] = np.arange(p - 1)
-    coloring = EdgeColoring.from_array(p, len(sizes), _classes_in_order(sizes)[rounds])
-    bad = _first_bad_row(coloring, lambda palette: _sizes_at(sizes, palette))
-    if bad is not None:
-        raise ConstructionFailedError(
-            f"partitioned factorization row {bad[1]} != {sizes}"
-        )
-    return coloring
+    classes = _classes_in_order(sizes)
+    coloring = EdgeColoring.from_array(p, len(sizes), _rotation_colors(p, classes, {}))
+    return _certified(coloring, "partitioned factorization",
+                      lambda palette: _sizes_at(sizes, palette))
 
 
-def _rotation_colors(x: int, color_of_center: np.ndarray,
-                     color_by_k: dict[int, np.ndarray]) -> np.ndarray:
-    """Colors of odd K_x from its near-factorization: every edge of M_i gets
-    color_of_center[i-1], except that M_i for i in ``color_by_k`` colors its
-    edge k with color_by_k[i][k-1]."""
-    colors = color_of_center[matching_centers(*edge_endpoints(x), x)]
-    for i, by_k in color_by_k.items():
-        colors[_matching_ranks(x, i)] = by_k
+def _rotation_colors(p: int, color_of_center: np.ndarray, by_k: dict) -> np.ndarray:
+    """Colors of K_p from the near-factorization of odd K_x, x = p or p-1:
+    every edge of M_i gets color_of_center[i-1], except that M_i for i in
+    ``by_k`` colors its edge k with by_k[i][k-1].  On even p the edge
+    (i, p) completes M_i and gets color_of_center[i-1] too."""
+    x = p - 1 + p % 2
+    colors = color_of_center[matching_centers(*edge_endpoints(p), x)]
+    if x < p:
+        colors[edge_rank(p, np.arange(1, p), p)] = color_of_center
+    for i, k_colors in by_k.items():
+        colors[_matching_ranks(x, i)] = k_colors
     return colors
 
 
@@ -180,14 +184,8 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
     # edge k of the last matching joins positions k and x-k
     last = np.zeros((x - 1) // 2, dtype=np.int64)
     last[np.minimum(m, partner) - 1] = np.arange(1, t + 1)
-    colors = _rotation_colors(x, color_of_center, {x: last})
-    coloring = EdgeColoring.from_array(x, t, colors)
-    bad = _first_bad_row(coloring, lambda palette: q)
-    if bad is not None:
-        raise ConstructionFailedError(
-            f"regular coloring row {bad[1]} != {[q] * t}"
-        )
-    return coloring
+    coloring = EdgeColoring.from_array(x, t, _rotation_colors(x, color_of_center, {x: last}))
+    return _certified(coloring, "regular coloring", lambda palette: q)
 
 
 def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
@@ -218,14 +216,8 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     for mid in middle:
         by_k[mid] = (k + mid - 1) % t + 1
     coloring = EdgeColoring.from_array(x, t, _rotation_colors(x, color_of_center, by_k))
-    counts = coloring.color_degrees[1]  # t < x, so the palette is 1..t
-    low = np.flatnonzero(counts.min(axis=1) < q)
-    if low.size:
-        raise ConstructionFailedError(
-            f"near-regular row {counts[low[0]].tolist()} misses the floor {q} "
-            f"for t={t}, q={q}, r={r}"
-        )
-    return coloring
+    # t < x, so the floor is checked on all t colors
+    return _certified(coloring, "near-regular", lambda palette: q, at_least=True)
 
 
 def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
@@ -238,8 +230,6 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
         raise InvalidParameterError(f"need t >= 1, got {t}")
     if p < 1 or p % 2 == 0:
         raise InvalidParameterError(f"need odd p >= 1, got {p}")
-    if p == 1:
-        return EdgeColoring.from_array(1, t, [])
     k = matching_indices(*edge_endpoints(p), p)
     k -= 1
     k %= min(t, p)  # k <= (p-1)/2; a t past int32 would not fit k's dtype
@@ -261,15 +251,9 @@ def three_color_balanced_coloring(n: int) -> EdgeColoring:
         raise InvalidParameterError(f"need n >= 2, got {n}")
     x = 3 * n - 2
     if x % 2 == 0:
-        coloring = partitioned_factorization_coloring(x, [n - 1] * 3)
-    else:
-        coloring = cyclic_matching_coloring(x, 3)
-    bad = _first_bad_row(coloring, lambda palette: n - 1)
-    if bad is not None:
-        raise ConstructionFailedError(
-            f"three-color balanced row {bad[1]} != {[n - 1] * 3}"
-        )
-    return coloring
+        return partitioned_factorization_coloring(x, [n - 1] * 3)
+    return _certified(cyclic_matching_coloring(x, 3), "three-color balanced",
+                      lambda palette: n - 1)
 
 
 def matching_class_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
@@ -288,41 +272,30 @@ def matching_class_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
         raise InvalidParameterError(
             f"class sizes must sum to p={p}, got {sizes} (sum {sum(sizes)})"
         )
-    class_of_matching = _classes_in_order(sizes)
-    coloring = EdgeColoring.from_array(
-        p, len(sizes), _rotation_colors(p, class_of_matching, {}))
+    classes = _classes_in_order(sizes)
+    coloring = EdgeColoring.from_array(p, len(sizes), _rotation_colors(p, classes, {}))
     # vertex v sees every class in full except one edge short in its own
-    bad = _first_bad_row(coloring, lambda palette: (
-        _sizes_at(sizes, palette) - (class_of_matching[:, None] == palette)))
-    if bad is not None:
-        v, row = bad
-        want = list(sizes)
-        want[class_of_matching[v] - 1] -= 1
-        raise ConstructionFailedError(
-            f"matching-class row {row} != {want} at vertex {v + 1}"
-        )
-    return coloring
+    return _certified(coloring, "matching-class", lambda palette: (
+        _sizes_at(sizes, palette) - (classes[:, None] == palette)))
+
+
+# recipe tag -> builder; a recipe's params are its builder's keyword arguments
+BUILDERS = {
+    "cyclic": cyclic_matching_coloring,
+    "partitioned-factorization": partitioned_factorization_coloring,
+    "regular": regular_coloring,
+    "near-regular": near_regular_coloring,
+    "three-color-balanced": three_color_balanced_coloring,
+    "matching-classes": matching_class_coloring,
+}
 
 
 def build_recipe(recipe: WitnessRecipe) -> tuple[EdgeColoring, WitnessRecipe]:
     """Run a witness recipe; the returned recipe records what was executed."""
-    params = recipe.params
-    if recipe.tag == "cyclic":
-        return cyclic_matching_coloring(params["p"], params["t"]), recipe
-    if recipe.tag == "partitioned-factorization":
-        return (
-            partitioned_factorization_coloring(params["p"], params["class_sizes"]),
-            recipe,
-        )
-    if recipe.tag == "regular":
-        return regular_coloring(params["t"], params["q"]), recipe
-    if recipe.tag == "near-regular":
-        return near_regular_coloring(params["t"], params["q"], params["r"]), recipe
-    if recipe.tag == "three-color-balanced":
-        return three_color_balanced_coloring(params["n"]), recipe
-    if recipe.tag == "matching-classes":
-        return matching_class_coloring(params["p"], params["class_sizes"]), recipe
-    raise InvalidParameterError(f"unknown recipe tag {recipe.tag!r}")
+    builder = BUILDERS.get(recipe.tag)
+    if builder is None:
+        raise InvalidParameterError(f"unknown recipe tag {recipe.tag!r}")
+    return builder(**recipe.params), recipe
 
 
 def witness_coloring(n: int, t: int, s: int) -> tuple[EdgeColoring, WitnessRecipe]:

@@ -1,6 +1,9 @@
+import ast
 import hashlib
+import inspect
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +40,7 @@ from starramsey.coloring import (
     matching_indices,
 )
 from starramsey.errors import ConstructionFailedError, InvalidParameterError
-from starramsey.formulas import CaseVerdict, WitnessRecipe
+from starramsey.formulas import CaseVerdict, WitnessRecipe, classify
 
 from .conftest import monochrome_build
 
@@ -204,6 +207,26 @@ def test_builder_row_checks_still_fire(monkeypatch, unused):
     with pytest.raises(ConstructionFailedError,
                        match=r"^matching-class row \[4, 0.*\] != \[1, 3.* at vertex 1$"):
         matching_class_coloring(5, [2, 3] + [0] * unused)
+    # an even three-color order is the partitioned factorization, whose
+    # row check is exactly the balanced one
+    with pytest.raises(ConstructionFailedError, match=(
+            r"^partitioned factorization row \[3, 0, 0\] != \[1, 1, 1\] at vertex 1$")):
+        three_color_balanced_coloring(2)
+    # one color on every edge: the rotation colorings and the odd
+    # three-color coloring miss their rows at the first vertex
+    monkeypatch.setattr(constructions, "_rotation_colors",
+                        lambda p, color_of_center, by_k: np.ones(edge_count(p), np.int64))
+    with pytest.raises(ConstructionFailedError,
+                       match=r"^regular coloring row \[4, 0\] != \[2, 2\] at vertex 1$"):
+        regular_coloring(2, 2)
+    with pytest.raises(ConstructionFailedError,
+                       match=r"^near-regular row \[4, 0, 0\] below \[1, 1, 1\] at vertex 1$"):
+        near_regular_coloring(3, 1, 2)
+    monkeypatch.setattr(constructions, "cyclic_matching_coloring", lambda p, t: (
+        EdgeColoring.from_array(p, t, np.ones(edge_count(p), np.int64))))
+    with pytest.raises(ConstructionFailedError, match=(
+            r"^three-color balanced row \[6, 0, 0\] != \[2, 2, 2\] at vertex 1$")):
+        three_color_balanced_coloring(3)
 
 
 def test_balanced_class_sizes():
@@ -313,6 +336,33 @@ _ONE_TABLE_CASES = [
     (12, 5, 3, "matching-classes", {"p": 15, "class_sizes": [3] * 5}),
     (3, 3, 1, "cyclic", {"p": 7, "t": 3}),
 ]
+
+
+def test_builder_table_covers_every_recipe():
+    # every tag classify picks on the 507-point grid, and the two it picks
+    # only where no n-star exists, names a builder whose keyword arguments
+    # are the params
+    recipes = [classify(n, t, s).witness
+               for t in range(2, 9) for s in (t - 1, t - 2) if s >= 1 for n in range(2, 41)]
+    recipes += [WitnessRecipe(tag, params) for *_, tag, params in _ONE_TABLE_CASES if params]
+    assert {recipe.tag for recipe in recipes} == set(constructions.BUILDERS)
+    for recipe in recipes:
+        inspect.signature(constructions.BUILDERS[recipe.tag]).bind(**recipe.params)
+    with pytest.raises(InvalidParameterError, match=r"^unknown recipe tag 'nope'$"):
+        constructions.build_recipe(WitnessRecipe("nope", {}))
+
+
+def test_benchmark_counts_every_builder_tag():
+    # perfbench/tracing.py counts builds per tag in RECIPE_TAGS; a tag
+    # missing there would make its constructions.recipe.<tag> counter
+    # read 0 without any error.  Read without importing the benchmark.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tags = [ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign)
+            and [getattr(t, "id", None) for t in node.targets] == ["RECIPE_TAGS"]]
+    assert len(tags) == 1
+    assert sorted(tags[0]) == sorted(constructions.BUILDERS)
 
 
 @pytest.mark.parametrize("n, t, s, tag, params", _ONE_TABLE_CASES)
