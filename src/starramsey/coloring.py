@@ -177,7 +177,13 @@ class EdgeColoring:
     @classmethod
     def from_array(cls, p: int, t: int, array) -> "EdgeColoring":
         """Coloring whose edge of rank r has color array[r] (copied)."""
-        array = np.array(array, dtype=np.int64)
+        return cls._adopt(p, t, np.array(array, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, p: int, t: int, array: np.ndarray) -> "EdgeColoring":
+        """``from_array`` for a fresh array that no one else holds: an
+        int64 one becomes the coloring's own, read-only, without a copy."""
+        array = array.astype(np.int64, copy=False)
         if array.shape != (edge_count(p),):
             raise InvalidParameterError(
                 f"K_{p} needs {edge_count(p)} colors, got shape {array.shape}"

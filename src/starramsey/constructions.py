@@ -129,7 +129,7 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
     classes = _classes_in_order(sizes)
-    coloring = EdgeColoring.from_array(p, len(sizes), _rotation_colors(p, classes, {}))
+    coloring = EdgeColoring._adopt(p, len(sizes), _rotation_colors(p, classes, {}))
     return _certified(coloring, "partitioned factorization",
                       lambda palette: _sizes_at(sizes, palette))
 
@@ -184,7 +184,7 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
     # edge k of the last matching joins positions k and x-k
     last = np.zeros((x - 1) // 2, dtype=np.int64)
     last[np.minimum(m, partner) - 1] = np.arange(1, t + 1)
-    coloring = EdgeColoring.from_array(x, t, _rotation_colors(x, color_of_center, {x: last}))
+    coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, {x: last}))
     return _certified(coloring, "regular coloring", lambda palette: q)
 
 
@@ -215,7 +215,7 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     by_k = {last: (k - 1) % t + 1, first: (t - k) % t + 1}
     for mid in middle:
         by_k[mid] = (k + mid - 1) % t + 1
-    coloring = EdgeColoring.from_array(x, t, _rotation_colors(x, color_of_center, by_k))
+    coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, by_k))
     # t < x, so the floor is checked on all t colors
     return _certified(coloring, "near-regular", lambda palette: q, at_least=True)
 
@@ -234,7 +234,7 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
     k -= 1
     k %= min(t, p)  # k <= (p-1)/2; a t past int32 would not fit k's dtype
     k += 1
-    return EdgeColoring.from_array(p, t, k)
+    return EdgeColoring._adopt(p, t, k)
 
 
 def three_color_balanced_coloring(n: int) -> EdgeColoring:
@@ -273,7 +273,7 @@ def matching_class_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
             f"class sizes must sum to p={p}, got {sizes} (sum {sum(sizes)})"
         )
     classes = _classes_in_order(sizes)
-    coloring = EdgeColoring.from_array(p, len(sizes), _rotation_colors(p, classes, {}))
+    coloring = EdgeColoring._adopt(p, len(sizes), _rotation_colors(p, classes, {}))
     # vertex v sees every class in full except one edge short in its own
     return _certified(coloring, "matching-class", lambda palette: (
         _sizes_at(sizes, palette) - (classes[:, None] == palette)))

@@ -66,11 +66,19 @@ def _render(coloring: EdgeColoring) -> Iterator[bytes]:
         color = _fields(colors, "\n")
     vertex = _fields(np.arange(coloring.p + 1), " ")
     us, vs = edge_endpoints(coloring.p)
+    # one packed record per line, filled field by field in each block
+    lines = np.empty(min(colors.size, RENDER_BLOCK),
+                     [("u", vertex.dtype), ("v", vertex.dtype), ("c", color.dtype)])
 
     def block(lo: int) -> bytes:
         at = slice(lo, lo + RENDER_BLOCK)
-        lines = np.rec.fromarrays([vertex[us[at]], vertex[vs[at]], color[at]])
-        body = lines.view(np.uint8)
+        part = lines[:colors.size - lo]
+        # the endpoints are in range; "clip" writes into the strided field
+        # directly, where the default mode fills a buffer and copies it
+        np.take(vertex, us[at], out=part["u"], mode="clip")
+        np.take(vertex, vs[at], out=part["v"], mode="clip")
+        part["c"] = color[at]
+        body = part.view(np.uint8)
         keep = body != _PAD
         return (body if keep.all() else body[keep]).tobytes()
 
@@ -104,7 +112,7 @@ def _line_colors(data: bytes, p: int, t: int) -> EdgeColoring | None:
         rows = rows[buf[ends[rows] - place] - ord("0") < 10]
     if rows.size or (colors.size and (colors.min() < 1 or colors.max() > t)):
         return None
-    return EdgeColoring.from_array(p, t, colors)
+    return EdgeColoring._adopt(p, t, colors)
 
 
 def _parse_canonical(data: bytes) -> EdgeColoring | None:
@@ -171,7 +179,9 @@ def parse_coloring(text: str | bytes) -> EdgeColoring:
     # a non-ASCII character turns into '?', which no canonical file holds;
     # the line parser drops a final '\r', so CRLF files may read as LF ones
     data = text if isinstance(text, bytes) else text.encode("ascii", "replace")
-    return _parse_canonical(data.replace(b"\r\n", b"\n")) or _parse_lines(
+    if b"\r" in data:  # a scan, where the fold would copy the whole file
+        data = data.replace(b"\r\n", b"\n")
+    return _parse_canonical(data) or _parse_lines(
         text if isinstance(text, str) else text.decode("ascii", "surrogateescape"))
 
 

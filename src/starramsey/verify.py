@@ -221,7 +221,7 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     if first is None:
         return SampleCheckResult(True, trials)
     colors = sample_colors(p, t, seed, np.array([first]), np.arange(m))[0]
-    return SampleCheckResult(False, trials, first, EdgeColoring.from_array(p, t, colors))
+    return SampleCheckResult(False, trials, first, EdgeColoring._adopt(p, t, colors))
 
 
 def _first_beating_trial(p: int, n: int, t: int, s: int, trials: int,

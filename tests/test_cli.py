@@ -1,7 +1,10 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
+import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +19,7 @@ from starramsey import (
     formulas,
     read_coloring,
     verify,
+    serialize_coloring,
     write_coloring,
 )
 from starramsey.cli import EXIT_BROKEN_PIPE, main
@@ -346,9 +350,9 @@ NOT_LOADED = {
     "bounds": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "table": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas"),
-    "verify": ("argparse", "starramsey.formulas", "starramsey.oracle"),
+    "verify": ("argparse", "starramsey.formulas", "starramsey.oracle", "numpy.rec"),
     "sample-check": ("argparse", "starramsey.formulas", "starramsey.oracle", "numpy.random"),
-    "construct": ("argparse", "starramsey.oracle"),
+    "construct": ("argparse", "starramsey.oracle", "numpy.rec"),
 }
 
 
@@ -467,3 +471,115 @@ def test_closed_stdout_ends_quietly():
         proc.stderr.close()
     assert first.split() == [b"n", b"value", b"case"]
     assert (rc, err) == (EXIT_BROKEN_PIPE, b"")
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _launch(*argv, stdout=subprocess.PIPE):
+    """``python -m starramsey ARGV`` with stderr (and by default stdout)
+    as pipes, block-buffered (no PYTHONUNBUFFERED), so the launcher's own
+    flush writes them."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    env["COLUMNS"] = "80"
+    return subprocess.run([sys.executable, "-m", "starramsey", *argv], env=env,
+                          stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+
+
+def test_launcher_writes_all_of_stdout():
+    # 2.4 MB of K_802 certificate, still in stdout's buffer when main returns
+    proc = _launch("construct", "--n", "268", "--t", "3", "--s", "1")
+    expected = serialize_coloring(constructions.witness_coloring(268, 3, 1)[0])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == expected.encode()
+
+
+def test_launcher_prints_the_pinned_help():
+    pins = json.loads(ROOT.joinpath("tests", "cli_pins.json").read_text(encoding="utf-8"))
+    version = "%d.%d" % sys.version_info[:2]
+    if version not in pins:
+        pytest.skip(f"no pins recorded for Python {version}")
+    proc = _launch("--help")
+    assert [proc.returncode, proc.stdout.decode(), proc.stderr.decode()] == pins[version]["help"]
+
+
+def test_launcher_exit_codes(capsys, tmp_path):
+    # each launch prints what main prints in-process, and exits with its code
+    path = str(tmp_path / "k7.coloring")
+    for argv, code in [
+        (("construct", "--n", "3", "--t", "3", "--s", "1", "--out", path), 0),
+        (("verify", "--file", path, "--n", "3", "--s", "1"), 0),
+        (("verify", "--file", path, "--n", "3", "--s", "2"), 1),
+        (("compute", "--n", "3", "--t", "4", "--s", "1"), 2),
+    ]:
+        proc = _launch(*argv)
+        rc, out, err = run(capsys, *argv)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) \
+            == (rc, out, err) and rc == code, argv
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc, status, last", [
+    ("RuntimeError('escaped main')", 1, "RuntimeError: escaped main"),
+    ("KeyboardInterrupt", -signal.SIGINT, "KeyboardInterrupt"),
+])
+def test_exception_escaping_main_keeps_its_traceback(exc, status, last):
+    code = ("from starramsey import cli\n"
+            "def main(argv=None):\n"
+            f"    raise {exc}\n"
+            "cli.main = main\n"
+            "cli.run()\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == status
+    assert proc.stderr.startswith("Traceback (most recent call last):\n")
+    assert proc.stderr.endswith(f"\n{last}\n")
+
+
+def test_installed_command_shares_the_launcher():
+    # read as text: Python 3.10 has no tomllib
+    text = ROOT.joinpath("pyproject.toml").read_text(encoding="utf-8")
+    scripts = text.split("\n[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    name = re.fullmatch(r'starramsey = "starramsey\.cli:(\w+)"\s*', scripts).group(1)
+    code = ("import runpy\n"
+            "from starramsey import cli\n"
+            f"cli.{name} = lambda: print('launcher')\n"
+            "runpy.run_module('starramsey', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "launcher\n", "")
+
+
+# fd 1 closed, then the launcher started in its place: sys.stdout is None
+_NO_STDOUT = ("import os, sys\n"
+              "os.close(1)\n"
+              "os.execv(sys.executable, [sys.executable, '-m', 'starramsey', *sys.argv[1:]])\n")
+
+
+@pytest.mark.parametrize("argv, status, err", [
+    (("compute", "--n", "4", "--t", "2", "--s", "1"), EXIT_BROKEN_PIPE, ""),
+    (("construct", "--n", "3", "--t", "3", "--s", "1"), EXIT_BROKEN_PIPE, ""),
+    (("compute", "--n", "3", "--t", "4", "--s", "1"), 2, "error: exact values cover"),
+])
+def test_missing_stdout_counts_as_a_closed_pipe(argv, status, err):
+    # a command whose output is lost exits 141 quietly; a usage error
+    # printed nothing to stdout and keeps its exit 2
+    proc = subprocess.run([sys.executable, "-c", _NO_STDOUT, *argv], env=_child_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+                          text=True, timeout=60)
+    assert proc.returncode == status
+    assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)
+
+
+def test_help_into_a_closed_pipe_ends_quietly():
+    # argparse's help is still in stdout's buffer when main returns, so
+    # the launcher's flush meets the closed pipe (teardown printed
+    # "Exception ignored ... BrokenPipeError" and exited 120)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _launch("--help", stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_BROKEN_PIPE, b"")

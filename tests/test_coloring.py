@@ -192,6 +192,23 @@ def test_array_and_mapping_forms_agree(coloring):
     assert list(again.colors) == all_edges(coloring.p)
 
 
+def test_fresh_arrays_are_adopted_without_a_copy():
+    # the builders, the bulk parser and the sampler hand over int64 arrays
+    # they made; from_array still copies whatever it is given
+    fresh = np.arange(1, 7, dtype=np.int64)
+    coloring = EdgeColoring._adopt(4, 6, fresh)
+    assert coloring.array is fresh and not fresh.flags.writeable
+    narrow = np.arange(1, 7, dtype=np.int32)
+    assert EdgeColoring._adopt(4, 6, narrow).array.dtype == np.int64
+    assert narrow.flags.writeable
+    given_array = np.arange(1, 7, dtype=np.int64)
+    copied = EdgeColoring.from_array(4, 6, given_array)
+    assert copied.array is not given_array and given_array.flags.writeable
+    assert copied == coloring
+    with pytest.raises(InvalidParameterError):
+        EdgeColoring._adopt(5, 6, fresh)
+
+
 def test_colors_view_is_read_only():
     coloring = EdgeColoring(3, 2, {(1, 2): 1, (1, 3): 2, (2, 3): 1})
     with pytest.raises(TypeError):

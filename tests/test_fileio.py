@@ -155,7 +155,10 @@ def test_certificate_files_peak_bytes_per_edge(tmp_path):
     # K_405 (near-regular) peaks at 26.4 and 37.3 bytes per edge under
     # tracemalloc (73.2 and 84.2 with int64 passes and whole-file renders),
     # with the endpoint arrays built inside each measurement; the bounds
-    # leave about 20% headroom
+    # leave about 20% headroom.  Handing fresh color arrays over without a
+    # copy leaves both peaks as they were: here they come from the degree
+    # table and from the render comparison, whose 16,384-line blocks are a
+    # fifth of K_405's edges
     path = str(tmp_path / "k405.txt")
     edge_endpoints.cache_clear()
     tracemalloc.start()
@@ -173,6 +176,23 @@ def test_certificate_files_peak_bytes_per_edge(tmp_path):
         tracemalloc.stop()
     assert build / edge_count(405) < 32
     assert check / edge_count(405) < 45
+
+
+def test_bulk_parser_keeps_one_color_array():
+    # K_405's colors read back at about 18 B/edge over the file (the newline
+    # mask, then the line ends and the colors); a copy of the colors into
+    # the coloring made it 24
+    coloring, _ = witness_coloring(338, 6, 5)
+    data = serialize_coloring(coloring).encode()
+    edge_endpoints(coloring.p)  # cached, as the render comparison builds it
+    tracemalloc.start()
+    try:
+        parsed = fileio._line_colors(data, coloring.p, coloring.t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == coloring
+    assert peak / edge_count(coloring.p) < 21
 
 
 def _swap_lines(lines, i, j):
