@@ -28,7 +28,6 @@ _EXPORTS = {
         "ClassLayout",
         "build_recipe",
         "cyclic_matching_coloring",
-        "matching_class_coloring",
         "near_regular_coloring",
         "near_regular_layout",
         "partitioned_factorization_coloring",

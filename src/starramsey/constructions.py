@@ -2,7 +2,10 @@
 
 Every builder checks its own postcondition before returning, so a
 coloring handed back from this module is always a valid certificate for
-the property its recipe promises.
+the property its recipe promises.  ``formulas._witness_recipe`` picks one
+of four builders (partitioned factorization, cyclic, regular,
+near-regular), or the balanced three-coloring at (t, s) = (3, 1), and
+its docstring proves the pick a certificate.
 
 Each builder is a closed form over the int32 edge endpoints of K_p.  One
 table builder for both parities, ``_rotation_colors``, colors each edge
@@ -11,8 +14,10 @@ even K_p completing M_i of K_{p-1}; the cyclic colors use the index
 within it (``matching_indices``).  One row check, ``_certified``, builds
 the degree table that ``witness_coloring``'s star check reuses and raises
 "<name> row [...] != [...] at vertex v" (``below`` for a floor).
-``BUILDERS`` maps recipe tags to builders; ``witness_coloring`` refuses
-orders past ``coloring.check_order``'s limit before it builds anything.
+``BUILDERS`` maps recipe tags to builders.  Every builder goes through
+``_rotation_colors`` or ``cyclic_matching_coloring``, which refuse orders
+past ``coloring.check_order``'s limit before any per-edge array exists;
+``witness_coloring`` refuses them before it builds anything.
 """
 
 from __future__ import annotations
@@ -139,6 +144,7 @@ def _rotation_colors(p: int, color_of_center: np.ndarray, by_k: dict) -> np.ndar
     every edge of M_i gets color_of_center[i-1], except that M_i for i in
     ``by_k`` colors its edge k with by_k[i][k-1].  On even p the edge
     (i, p) completes M_i and gets color_of_center[i-1] too."""
+    check_order(p)
     x = p - 1 + p % 2
     colors = color_of_center[matching_centers(*edge_endpoints(p), x)]
     if x < p:
@@ -189,11 +195,24 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
 
 
 def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
-    """t-coloring of odd K_{tq+r}, 2 <= r <= t-1, with >= q of every color
-    at every vertex.
+    """t-coloring of odd K_x, x = tq+r, 2 <= r <= t-1, with >= q of every
+    color at every vertex.
 
-    The r leftover matchings are finished with a deterministic cyclic
-    pattern; a row below the floor raises.
+    The matchings of the q classes give every vertex q edges of each
+    color, except that a class vertex v of color j misses its own
+    matching and gets q-1 of color j.  One singleton matching makes up
+    for it, its edge k joining positions i+k and i-k:
+
+    * if v - r <= (x-1)/2, the last singleton's matching (i = r) meets v
+      at k = v - r = (c-1)t + j for v in class c, and colors that edge
+      ((k-1) mod t) + 1 = j;
+    * otherwise the first singleton's matching (i = 1) meets v at
+      k = x - (v-1) = (q-c+1)t - j + 1, which is at most (x-1)/2 because
+      v >= r + (x+1)/2, and colors that edge (t-k) mod t + 1 = j.
+
+    Singleton vertices lie in every class matching, so every row is at
+    least q.  The singletons in between take a cyclic filler, and
+    ``_certified`` checks the floor at every build.
     """
     if t < 3:
         raise InvalidParameterError(f"need t >= 3, got {t}")
@@ -230,6 +249,7 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
         raise InvalidParameterError(f"need t >= 1, got {t}")
     if p < 1 or p % 2 == 0:
         raise InvalidParameterError(f"need odd p >= 1, got {p}")
+    check_order(p)
     k = matching_indices(*edge_endpoints(p), p)
     k -= 1
     k %= min(t, p)  # k <= (p-1)/2; a t past int32 would not fit k's dtype
@@ -256,29 +276,6 @@ def three_color_balanced_coloring(n: int) -> EdgeColoring:
                       lambda palette: n - 1)
 
 
-def matching_class_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
-    """Group the p near-matchings of odd K_p into color classes.
-
-    Vertex v misses only its own matching, so its row equals the class
-    sizes with one unit removed in the class holding matching v.  This
-    is the odd-order counterpart of the partitioned factorization.
-    """
-    if p < 3 or p % 2 == 0:
-        raise InvalidParameterError(f"need odd p >= 3, got {p}")
-    sizes = list(class_sizes)
-    if not sizes or any(sz < 0 for sz in sizes):
-        raise InvalidParameterError(f"class sizes must be nonnegative, got {sizes}")
-    if sum(sizes) != p:
-        raise InvalidParameterError(
-            f"class sizes must sum to p={p}, got {sizes} (sum {sum(sizes)})"
-        )
-    classes = _classes_in_order(sizes)
-    coloring = EdgeColoring._adopt(p, len(sizes), _rotation_colors(p, classes, {}))
-    # vertex v sees every class in full except one edge short in its own
-    return _certified(coloring, "matching-class", lambda palette: (
-        _sizes_at(sizes, palette) - (classes[:, None] == palette)))
-
-
 # recipe tag -> builder; a recipe's params are its builder's keyword arguments
 BUILDERS = {
     "cyclic": cyclic_matching_coloring,
@@ -286,7 +283,6 @@ BUILDERS = {
     "regular": regular_coloring,
     "near-regular": near_regular_coloring,
     "three-color-balanced": three_color_balanced_coloring,
-    "matching-classes": matching_class_coloring,
 }
 
 

@@ -1,9 +1,12 @@
 """Closed forms and case analysis for star Ramsey numbers under color budgets.
 
 R(n, t, s) is the smallest p such that every t-coloring of E(K_p)
-contains an n-edge star using at most s distinct colors.  Exact values
-are implemented for s = t-1 and s = t-2; for other s only the general
-bounds are available.
+contains an n-edge star using at most s distinct colors.  One closed
+form, ``star_upper``'s U_par (the pigeonhole bound with its parity cut),
+gives R for every budget 1 <= s < t, and ``_witness_recipe`` names the
+builder whose certificate shows R > U_par - 1.  ``classify`` serves the
+paper's budgets s = t-1 and s = t-2, whose case theorems now only name
+the case; for other s it refers to the general bounds.
 
 All bracket expressions are floors, and every threshold comparison is
 done in exact integer arithmetic (cross-multiplied), never in floats.
@@ -34,8 +37,8 @@ class WitnessRecipe(NamedTuple):
 
 
 class CaseVerdict(NamedTuple):
-    """Exact value plus the clause that fixed it and the witness recipe
-    (None only in the rows ``_case_value`` returns)."""
+    """Exact value (``star_upper``'s), the paper clause that names it, and
+    the witness recipe (None only in the rows ``_case_value`` returns)."""
 
     value: int
     case_tag: str
@@ -112,33 +115,75 @@ def balanced_class_sizes(total: int, parts: int) -> list[int]:
     return [q] * (parts - r) + [q + 1] * r
 
 
-def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
-    """Pick the builder for a certificate coloring of K_{value-1}.
+def star_upper(n: int, t: int, s: int) -> tuple[int, str]:
+    """U_par >= R(n, t, s) for every budget 1 <= s < t, with the argument
+    that gives it: ``"pigeonhole"`` or ``"parity"``.
 
-    Even orders always use a balanced partition of a 1-factorization.
-    Odd orders use the color-regular or floor-regular rotation coloring
-    when the residue mod t permits, the balanced matching-class split
-    otherwise, and the cyclic filler when no n-star can exist at all.
-    The case analysis has already refused more than ``MAX_WITNESS_COLORS``
-    colors.
+    Write a, b = divmod(n-1, s) and U = ``pigeonhole_upper(n, t, s)`` =
+    (t-s)a + n + 1.  Call a vertex's color-degree row admissible when its
+    s largest parts sum to at most n-1 = sa + b, so that every n-star
+    there shows more than s colors.  A vertex of K_{U-1} has ta + b
+    edges, so an admissible row leaves at least (t-s)a to its t-s
+    smallest parts.  If they held more, the largest of them, and so each
+    of the s larger parts, would reach a+1, and s(a+1) > sa + b.  So the
+    t-s smallest parts are exactly a, and the s largest are a + e_i with
+    e_i >= 0 and sum(e_i) = b.  (K_U has one edge more per vertex and no
+    admissible row, which is the pigeonhole bound.)
+
+    Every admissible row is all odd exactly when b = 0 and a is odd: with
+    a even each row has an even part a, and with a odd and b >= 1 one
+    part may be a+1.  Then U-1 = ta + 1 is odd exactly when t is even,
+    and a coloring of K_{U-1} with admissible rows only would give each
+    of its odd number of vertices odd degree in color 1, whose degrees
+    sum to the even 2|E_1|.  So U_par = U-1 when b = 0, a is odd and t is even
+    (the parity cut), and U_par = U otherwise.  ``_witness_recipe``
+    gives the matching certificate of K_{U_par - 1}, so R = U_par.
+    """
+    a, b = divmod(n - 1, s)
+    upper = pigeonhole_upper(n, t, s)
+    if b == 0 and a % 2 == 1 and t % 2 == 0:
+        return upper - 1, "parity"
+    return upper, "pigeonhole"
+
+
+def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
+    """Pick the builder for a certificate coloring of K_p, p = value - 1,
+    where value is ``star_upper``'s U_par.
+
+    With a, b = divmod(n-1, s), p = ta + b + 1, or p = ta at a parity cut
+    (b = 0, a odd, t even).  The coloring certifies R > p once the s
+    largest color degrees of every vertex sum to at most n-1 = sa + b,
+    and every p falls in one of four cases:
+
+    * p even: the balanced partitioned factorization of the p-1 = ta + b
+      (or ta - 1) matchings into t classes gives rows of a and a+1 with
+      at most b parts a+1 (of a-1 and a at a cut), so the top-s sum is at
+      most sa + b.
+    * a = 0 (n <= s, p = n odd): K_n has no n-star at all; ``cyclic``.
+    * b = 0 (p = ta + 1 odd, so a is even: a odd would make t even, the
+      cut): ``regular(t, a)``, every row a, top-s sum sa.
+    * otherwise p = ta + r with 2 <= r = b+1 <= s <= t-1:
+      ``near-regular(t, a, r)``, every color at least a at every vertex,
+      so the top-s sum is at most (p-1) - (t-s)a = sa + b.
+
+    Before them n = 1 takes K_1, and (t, s) = (3, 1) the balanced
+    three-coloring of K_{3n-2}.  The case analysis has already refused
+    more than ``MAX_WITNESS_COLORS`` colors.
     """
     p = value - 1
-    if n == 1 or p == 1:
+    if n == 1:
         return WitnessRecipe("cyclic", {"p": p, "t": t})
     if s == 1 and t == 3:
         return WitnessRecipe("three-color-balanced", {"n": n})
+    a, b = divmod(n - 1, s)
     if p % 2 == 0:
         return WitnessRecipe("partitioned-factorization",
                              {"p": p, "class_sizes": balanced_class_sizes(p - 1, t)})
-    if p <= n:
+    if a == 0:
         return WitnessRecipe("cyclic", {"p": p, "t": t})
-    q, r = divmod(p, t)
-    if r == 1 and q >= 2 and q % 2 == 0:
-        return WitnessRecipe("regular", {"t": t, "q": q})
-    if 2 <= r <= t - 1 and q >= 1:
-        return WitnessRecipe("near-regular", {"t": t, "q": q, "r": r})
-    return WitnessRecipe("matching-classes",
-                         {"p": p, "class_sizes": balanced_class_sizes(p, t)})
+    if b == 0:
+        return WitnessRecipe("regular", {"t": t, "q": a})
+    return WitnessRecipe("near-regular", {"t": t, "q": a, "r": b + 1})
 
 
 # A single edge is a 1-star with one color, so K_2 always suffices; its
@@ -157,38 +202,25 @@ def _check_witness_colors(t: int) -> None:
             f"the limit is {MAX_WITNESS_COLORS} colors")
 
 
-def _with_witness(case: CaseVerdict, n: int, t: int, s: int) -> CaseVerdict:
-    return case._replace(witness=_witness_recipe(n, t, s, case.value))
-
-
 def ramsey_star_t_minus_1(n: int, t: int) -> CaseVerdict:
-    """Exact value for budget s = t-1.
+    """Exact value for budget s = t-1: ``classify(n, t, t-1)``.
 
-    With x = [(nt-1)/(t-1)] and q = [x/t]: the value is x exactly when
-    x = tq+1 with x and q both odd, and x+1 otherwise.
+    With x = [(nt-1)/(t-1)] and q = [x/t], the paper's value is x exactly
+    when x = tq+1 with x and q both odd, and x+1 otherwise; ``star_upper``
+    gives the same value.
     """
-    return _with_witness(_t_minus_1_case(n, t), n, t, t - 1)
+    return classify(n, t, t - 1)
 
 
-def _t_minus_1_case(n: int, t: int) -> CaseVerdict:
-    if t < 2:
-        raise InvalidParameterError(f"need t >= 2, got {t}")
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    if n == 1:
-        return _TRIVIAL
-    _check_witness_colors(t)
+def _t_minus_1_case(n: int, t: int) -> tuple[str, int, int, int, int]:
+    """The paper's clause for budget t-1, as (tag, clause value, x, q, r)."""
     x = (n * t - 1) // (t - 1)
     q, r = divmod(x, t)
     if x % 2 == 0:
-        value, tag = x + 1, "xp1.even-x"
-    elif r == 1 and q % 2 == 1:
-        value, tag = x, "x.odd-q"
-    elif r == 1:
-        value, tag = x + 1, "xp1.even-q"
-    else:
-        value, tag = x + 1, "xp1.remainder"
-    return CaseVerdict(value=value, case_tag=tag, witness=None, x=x, q=q, r=r)
+        return "xp1.even-x", x + 1, x, q, r
+    if r == 1 and q % 2 == 1:
+        return "x.odd-q", x, x, q, r
+    return ("xp1.even-q" if r == 1 else "xp1.remainder"), x + 1, x, q, r
 
 
 def _t_minus_2_clauses(x: int, t: int, q: int, r: int) -> list[tuple[str, int, bool]]:
@@ -217,65 +249,61 @@ def _t_minus_2_clauses(x: int, t: int, q: int, r: int) -> list[tuple[str, int, b
 
 
 def ramsey_star_t_minus_2(n: int, t: int) -> CaseVerdict:
-    """Exact value for budget s = t-2.
+    """Exact value for budget s = t-2: ``classify(n, t, t-2)``.
 
     t = 3 gives 3n-1 directly.  For t >= 4, with t' = [t/2],
     x = [(nt'-1)/(t'-1)] and x-2 = tq+r, at most one clause of the
-    x+1 / x / x-1 case theorems fires, giving x-2 when none does.  That
-    case value is capped at the pigeonhole bound U of
-    ``pigeonhole_upper``; the case tag is ``pigeonhole`` when U is
-    strictly smaller.  On t = 2..12, n <= 200 the cap only cuts the x-2
-    default, and only for odd t.
+    paper's x+1 / x / x-1 case theorems fires, and x-2 holds when none
+    does.  The value is ``star_upper``'s; the case tag is ``pigeonhole``
+    where that clause value lies above it.  On t = 2..40, n <= 400 the
+    two differ only at odd t >= 5, where the x-2 default exceeds the
+    pigeonhole bound U.
     """
-    return _with_witness(_t_minus_2_case(n, t), n, t, t - 2)
+    return classify(n, t, t - 2)
 
 
-def _t_minus_2_case(n: int, t: int) -> CaseVerdict:
-    if t < 3:
-        raise InvalidParameterError(f"need t >= 3 for budget t-2, got {t}")
+def _t_minus_2_case(n: int, t: int) -> tuple[str, int, int | None, int | None, int | None]:
+    """The paper's clause for budget t-2, as (tag, clause value, x, q, r)."""
+    if t == 3:
+        return "t3", 3 * n - 1, None, None, None
+    t_prime = t // 2
+    x = (n * t_prime - 1) // (t_prime - 1)
+    q, r = divmod(x - 2, t)
+    fired = [(tag, value) for tag, value, hit in _t_minus_2_clauses(x, t, q, r) if hit]
+    if len(fired) > 1:
+        raise AssertionError(
+            f"clause exclusivity violated at n={n}, t={t}: {fired}"
+        )
+    tag, value = fired[0] if fired else ("xm2", x - 2)
+    return tag, value, x, q, r
+
+
+def classify(n: int, t: int, s: int) -> CaseVerdict:
+    """Dispatch on the color budget; only s = t-1 and s = t-2 have exact values."""
+    case = _case_value(n, t, s)
+    return case._replace(witness=_witness_recipe(n, t, s, case.value))
+
+
+def _case_value(n: int, t: int, s: int) -> CaseVerdict:
+    """``classify`` without the witness recipe (``witness`` is None): the
+    same value, case tag, x, q, r and errors, and no t-sized class list.
+    The value is ``star_upper``'s; the paper's clause names the case."""
+    if t < 2:
+        raise InvalidParameterError(f"need t >= 2, got {t}")
+    if not 1 <= s < t:
+        raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
+    if s < t - 2:
+        raise UnsupportedParametersError(
+            f"exact values cover s in {{t-1, t-2}} only, got s={s}, t={t}; "
+            "use general_bounds for other budgets"
+        )
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
     if n == 1:
         return _TRIVIAL
     _check_witness_colors(t)
-    if t == 3:
-        return CaseVerdict(value=3 * n - 1, case_tag="t3", witness=None)
-    t_prime = t // 2
-    x = (n * t_prime - 1) // (t_prime - 1)
-    q, r = divmod(x - 2, t)
-    clauses = _t_minus_2_clauses(x, t, q, r)
-    fired = [(tag, value) for tag, value, hit in clauses if hit]
-    if len(fired) > 1:
-        raise AssertionError(
-            f"clause exclusivity violated at n={n}, t={t}: {fired}"
-        )
-    if fired:
-        tag, value = fired[0]
-    else:
-        tag, value = "xm2", x - 2
-    upper = pigeonhole_upper(n, t, t - 2)
-    if upper < value:
-        tag, value = "pigeonhole", upper
+    value, _ = star_upper(n, t, s)
+    tag, clause_value, x, q, r = (_t_minus_1_case if s == t - 1 else _t_minus_2_case)(n, t)
+    if clause_value > value:
+        tag = "pigeonhole"
     return CaseVerdict(value=value, case_tag=tag, witness=None, x=x, q=q, r=r)
-
-
-def classify(n: int, t: int, s: int) -> CaseVerdict:
-    """Dispatch on the color budget; only s = t-1 and s = t-2 have exact values."""
-    return _with_witness(_case_value(n, t, s), n, t, s)
-
-
-def _case_value(n: int, t: int, s: int) -> CaseVerdict:
-    """``classify`` without the witness recipe (``witness`` is None): the
-    same value, case tag, x, q, r and errors, and no t-sized class list."""
-    if t < 2:
-        raise InvalidParameterError(f"need t >= 2, got {t}")
-    if not 1 <= s < t:
-        raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
-    if s == t - 1:
-        return _t_minus_1_case(n, t)
-    if s == t - 2:
-        return _t_minus_2_case(n, t)
-    raise UnsupportedParametersError(
-        f"exact values cover s in {{t-1, t-2}} only, got s={s}, t={t}; "
-        "use general_bounds for other budgets"
-    )

@@ -435,6 +435,21 @@ def test_table_streams_its_rows(fmt, digest):
     assert peak < small_peak + (64 << 10)
 
 
+def test_compute_output_is_pinned_over_grid():
+    # 30,800 compute runs, t = 2..40, s = t-1 then t-2 (s >= 1),
+    # n = 1..400: value, case, x, q, r and witness, byte for byte
+    writer, runs = _DigestWriter(), 0
+    with contextlib.redirect_stdout(writer):
+        for t in range(2, 41):
+            for s in (t - 1, t - 2):
+                for n in range(1, 401) if s >= 1 else ():
+                    assert main(["compute", "--n", str(n), "--t", str(t), "--s", str(s)]) == 0
+                    runs += 1
+    assert runs == 30_800
+    assert writer.digest.hexdigest() == (
+        "555077848d7f4c3445273987af2496599bb9ff4d0e1117525b8fa5ba8a571148")
+
+
 def test_table_builds_no_witness_recipe():
     # at t = 2^20 each row's recipe would list 2^20 class sizes, a
     # transient 16 MiB; the rows need only value and case tag

@@ -15,9 +15,7 @@ from starramsey import (
     color_degree_profile,
     constructions,
     cyclic_matching_coloring,
-    matching_class_coloring,
     min_star_colors,
-    near_one_factorization,
     near_regular_coloring,
     near_regular_layout,
     parse_coloring,
@@ -40,7 +38,13 @@ from starramsey.coloring import (
     matching_indices,
 )
 from starramsey.errors import ConstructionFailedError, InvalidParameterError
-from starramsey.formulas import CaseVerdict, WitnessRecipe, classify
+from starramsey.formulas import (
+    CaseVerdict,
+    WitnessRecipe,
+    _witness_recipe,
+    classify,
+    star_upper,
+)
 
 from .conftest import monochrome_build
 
@@ -165,24 +169,13 @@ def test_cyclic_matching_coloring():
         cyclic_matching_coloring(4, 3)
 
 
-def test_matching_class_coloring_rows():
-    sizes = balanced_class_sizes(15, 5)
-    coloring = matching_class_coloring(15, sizes)
-    for row in color_degree_profile(coloring):
-        assert sorted(row) == [2, 3, 3, 3, 3]
-    with pytest.raises(InvalidParameterError):
-        matching_class_coloring(15, [3, 3, 3, 3, 2])  # sums to 14
-
-
 @pytest.mark.parametrize("build, p, total", [
     (partitioned_factorization_coloring, 2, 1),   # sizes sum to p-1
-    (matching_class_coloring, 7, 7),              # sizes sum to p
 ])
 def test_builder_row_check_does_not_scale_with_declared_t(build, p, total):
     # 2^20 declared colors, at most p of them used: the row check counts
     # only the colors that occur, so the builder's peak is about its own
-    # copy of the size list (8 MiB); a p x t table made it 34 MiB and
-    # 128 MiB
+    # copy of the size list (8 MiB); a p x t table made it 34 MiB
     sizes = balanced_class_sizes(total, 1 << 20)
     tracemalloc.start()
     try:
@@ -204,9 +197,6 @@ def test_builder_row_checks_still_fire(monkeypatch, unused):
     with pytest.raises(ConstructionFailedError,
                        match=r"^partitioned factorization row \[5, 0"):
         partitioned_factorization_coloring(6, [2, 3] + [0] * unused)
-    with pytest.raises(ConstructionFailedError,
-                       match=r"^matching-class row \[4, 0.*\] != \[1, 3.* at vertex 1$"):
-        matching_class_coloring(5, [2, 3] + [0] * unused)
     # an even three-color order is the partitioned factorization, whose
     # row check is exactly the balanced one
     with pytest.raises(ConstructionFailedError, match=(
@@ -293,27 +283,6 @@ def test_large_certificate_bytes_are_pinned(n, t, s, order, tag, prefix):
     assert _sha256(serialize_coloring(coloring)).startswith(prefix)
 
 
-def _matching_class_reference(p, sizes):
-    colors = {}
-    class_of = [c for c, size in enumerate(sizes, start=1) for _ in range(size)]
-    for m in near_one_factorization(p):
-        for e in m.edges:
-            colors[e] = class_of[m.center - 1]
-    return EdgeColoring(p, len(sizes), colors)
-
-
-def test_matching_class_coloring_matches_factorization_reference():
-    rng = random.Random(20261018)
-    for p in range(3, 60, 2):
-        for t in (1, 2, 3, 5, 7):
-            cuts = sorted(rng.randint(0, p) for _ in range(t - 1))
-            sizes = [b - a for a, b in zip([0] + cuts, cuts + [p])]
-            coloring = matching_class_coloring(p, sizes)
-            assert coloring == _matching_class_reference(p, sizes)
-        sizes = balanced_class_sizes(p, 4)
-        assert matching_class_coloring(p, sizes) == _matching_class_reference(p, sizes)
-
-
 @pytest.mark.parametrize("x", range(3, 62, 2))
 def test_special_matching_ranks_are_the_center_scan(x):
     # the closed form lists M_i's edges by k, as a scan of every edge would
@@ -332,14 +301,13 @@ _ONE_TABLE_CASES = [
     (4, 3, 2, "near-regular", None),                    # K_5
     (2, 3, 1, "three-color-balanced", None),            # even K_4
     (3, 3, 1, "three-color-balanced", None),            # odd K_7
-    # classify picks these two only where no n-star exists
-    (12, 5, 3, "matching-classes", {"p": 15, "class_sizes": [3] * 5}),
+    # classify picks this one only where no n-star exists
     (3, 3, 1, "cyclic", {"p": 7, "t": 3}),
 ]
 
 
 def test_builder_table_covers_every_recipe():
-    # every tag classify picks on the 507-point grid, and the two it picks
+    # every tag classify picks on the 507-point grid, and the one it picks
     # only where no n-star exists, names a builder whose keyword arguments
     # are the params
     recipes = [classify(n, t, s).witness
@@ -362,7 +330,9 @@ def test_benchmark_counts_every_builder_tag():
             if isinstance(node, ast.Assign)
             and [getattr(t, "id", None) for t in node.targets] == ["RECIPE_TAGS"]]
     assert len(tags) == 1
-    assert sorted(tags[0]) == sorted(constructions.BUILDERS)
+    # the benchmark still lists the retired "matching-classes" tag, whose
+    # counter reads 0; it goes at the benchmark's next change
+    assert sorted(tags[0]) == sorted([*constructions.BUILDERS, "matching-classes"])
 
 
 @pytest.mark.parametrize("n, t, s, tag, params", _ONE_TABLE_CASES)
@@ -402,6 +372,41 @@ def test_oversized_order_is_refused_before_allocating():
     assert peak < 1 << 20
 
 
+def test_builders_refuse_oversized_orders_before_allocating():
+    # the library builders and build_recipe check the order themselves;
+    # only the partitioned factorization's (p-1)-entry class array exists
+    # before the check
+    recipe = WitnessRecipe("partitioned-factorization",
+                           {"p": 100_000, "class_sizes": balanced_class_sizes(99_999, 3)})
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="K_100001 has"):
+            cyclic_matching_coloring(100_001, 3)
+        with pytest.raises(InvalidParameterError, match="K_100000 has"):
+            constructions.build_recipe(recipe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
+
+
+def test_four_builder_cases_certify_every_budget():
+    # budgets classify does not serve: the recipe for star_upper's value
+    # certifies K_{U_par - 1} with one of the four cases
+    count = 0
+    for t in range(4, 11):
+        for s in range(1, t - 2):
+            for n in range(2, 61):
+                value, _ = star_upper(n, t, s)
+                coloring, recipe = constructions.build_recipe(_witness_recipe(n, t, s, value))
+                assert recipe.tag in ("partitioned-factorization", "cyclic", "regular",
+                                      "near-regular"), (n, t, s)
+                assert coloring.p == value - 1
+                assert check_certificate(coloring, n, s).passed, (n, t, s, recipe)
+                count += 1
+    assert count == 1652
+
+
 def test_size_limit_leaves_room_for_the_largest_certificates():
     assert edge_count(805) * BYTES_PER_EDGE * 20 < MAX_COLORING_BYTES
     check_order(5793)
@@ -410,14 +415,17 @@ def test_size_limit_leaves_room_for_the_largest_certificates():
 
 
 def test_size_limit_applies_only_to_building_and_sampling(monkeypatch):
-    # lower the limit to K_10: K_11 is refused by construct and
-    # sample-check, but a K_11 file still parses and checks
+    # lower the limit to K_10: K_11 is refused by construct, by the
+    # library builders and by sample-check, but a K_11 file still parses
+    # and checks
+    coloring = near_regular_coloring(3, 3, 2)
     monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", edge_count(10) * BYTES_PER_EDGE)
     with pytest.raises(InvalidParameterError, match="K_11"):
         witness_coloring(8, 3, 2)
     with pytest.raises(InvalidParameterError, match="K_11"):
+        near_regular_coloring(3, 3, 2)
+    with pytest.raises(InvalidParameterError, match="K_11"):
         sample_upper_check(11, 2, 3, 1, trials=1, seed=0)
-    coloring = near_regular_coloring(3, 3, 2)
     text = serialize_coloring(coloring)
     assert parse_coloring(text) == coloring                 # bulk path
     assert parse_coloring("# K_11\n" + text) == coloring    # line parser

@@ -1,13 +1,17 @@
 import pytest
 
-from starramsey import classify, general_bounds, threshold_predicate
+from starramsey import classify, general_bounds, oracle, threshold_predicate
 from starramsey.errors import InvalidParameterError, UnsupportedParametersError
 from starramsey.formulas import (
     MAX_WITNESS_COLORS,
     _case_value,
+    _t_minus_1_case,
+    _t_minus_2_case,
     _t_minus_2_clauses,
+    pigeonhole_upper,
     ramsey_star_t_minus_1,
     ramsey_star_t_minus_2,
+    star_upper,
 )
 
 from .conftest import pigeonhole_order
@@ -189,3 +193,39 @@ def test_case_value_is_classify_without_the_recipe():
         for s in {t - 1, t - 2} - {0}:
             for n in range(1, 201):
                 assert _case_value(n, t, s) == classify(n, t, s)._replace(witness=None)
+
+
+def _first_forced_order(n, t, s):
+    """Smallest p >= n+1 where no color-degree row of K_p is admissible
+    (top-s sum <= n-1) or the oracle's parity rule refutes every
+    coloring, from the oracle's own row enumeration."""
+    p = n + 1
+    while (any(sum(row[:s]) <= n - 1 for row in oracle._profiles(p - 1, t, p - 1))
+           and not oracle._parity_forbids(p, n, t, s)):
+        p += 1
+    return p
+
+
+def test_star_upper_is_the_first_order_rows_or_parity_refute():
+    points = [(n, t, s) for t in range(2, 6) for s in range(1, t) for n in range(2, 15)]
+    points += [(n, 6, s) for s in range(1, 6) for n in range(2, 9)]
+    assert len(points) == 165
+    for n, t, s in points:
+        value, kind = star_upper(n, t, s)
+        assert value == _first_forced_order(n, t, s), (n, t, s)
+        assert kind == ("parity" if value < pigeonhole_upper(n, t, s) else "pigeonhole")
+
+
+def test_paper_clauses_agree_with_star_upper():
+    # the clause a case theorem fires gives star_upper's value, except the
+    # x-2 default at odd t >= 5, which lies above it and is tagged pigeonhole
+    for t in range(2, 41):
+        for s in {t - 1, t - 2} - {0}:
+            for n in range(2, 401):
+                case = _t_minus_1_case if s == t - 1 else _t_minus_2_case
+                tag, clause_value, *_ = case(n, t)
+                verdict = classify(n, t, s)
+                assert verdict.value == star_upper(n, t, s)[0]
+                if clause_value != verdict.value:
+                    assert (tag, t % 2, s) == ("xm2", 1, t - 2)
+                    assert clause_value > verdict.value and verdict.case_tag == "pigeonhole"
