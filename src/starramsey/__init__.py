@@ -5,8 +5,8 @@ verified lower-bound certificate colorings, and an exhaustive oracle
 for small instances.
 
 Names are loaded from their modules on first use, so importing the
-package (or running ``python -m starramsey compute``) does not import
-numpy; the coloring, construction, verification and file modules do.
+package loads none of them.  No module imports numpy at its top; only
+the sampler (``sample_upper_check``) imports it when it runs.
 """
 
 import importlib
@@ -17,12 +17,8 @@ _EXPORTS = {
     "coloring": (
         "Edge",
         "EdgeColoring",
-        "OrderedMatching",
-        "all_edges",
         "canonical_edge",
         "color_degree_profile",
-        "near_one_factorization",
-        "one_factorization",
     ),
     "constructions": (
         "ClassLayout",

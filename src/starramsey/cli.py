@@ -15,7 +15,8 @@ Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
 * ``verify`` loads ``fileio`` and ``verify``; ``sample-check`` loads
   ``verify``.
 
-Only the last three import numpy.  Modules are called through their
+Only ``sample-check`` imports numpy, inside the sampler; the certificate
+layers work on ``bytes``.  Modules are called through their
 attributes (``formulas.classify``), never through names imported from
 them, so a wrapper installed on a module attribute sees every call.
 
@@ -87,6 +88,25 @@ def _emit(key: str, value) -> None:
     print(f"{key} {value}")
 
 
+def _write_all(text: str) -> None:
+    """Write ``text`` to stdout through its binary layer, to the last byte.
+    Unbuffered (PYTHONUNBUFFERED), that layer is the raw file, whose write
+    may stop short when the reader closes the pipe mid-write; writing the
+    rest then raises BrokenPipeError, as a buffered write does.  A missing
+    stdout is passed over, as print passes over it, and a stdout without a
+    binary layer (an in-process capture) takes the text."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if raw is None:
+        if out is not None:
+            out.write(text)
+        return
+    out.flush()
+    data = memoryview(text.encode("ascii"))
+    while data:
+        data = data[raw.write(data) or 0:]
+
+
 def _emit_verdict_fields(verdict: CaseVerdict) -> None:
     _emit("value", verdict.value)
     _emit("case", verdict.case_tag)
@@ -127,8 +147,8 @@ def _cmd_construct(args) -> int:
         _emit("colors", coloring.t)
         _emit("witness", recipe.describe())
         _emit("out", args.out)
-    else:  # print, unlike sys.stdout.write, passes over a missing stdout
-        print(fileio.serialize_coloring(coloring), end="")
+    else:
+        _write_all(fileio.serialize_coloring(coloring))
     return 0
 
 

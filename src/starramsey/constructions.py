@@ -7,33 +7,25 @@ of four builders (partitioned factorization, cyclic, regular,
 near-regular), or the balanced three-coloring at (t, s) = (3, 1), and
 its docstring proves the pick a certificate.
 
-Each builder is a closed form over the int32 edge endpoints of K_p.  One
-table builder for both parities, ``_rotation_colors``, colors each edge
-by the center of its matching (``matching_centers``), the edge (i, p) of
-even K_p completing M_i of K_{p-1}; the cyclic colors use the index
-within it (``matching_indices``).  One row check, ``_certified``, builds
-the degree table that ``witness_coloring``'s star check reuses and raises
-"<name> row [...] != [...] at vertex v" (``below`` for a floor).
-``BUILDERS`` maps recipe tags to builders.  Every builder goes through
-``_rotation_colors`` or ``cyclic_matching_coloring``, which refuse orders
-past ``coloring.check_order``'s limit before any per-edge array exists;
-``witness_coloring`` refuses them before it builds anything.
+Each builder joins row slices of one table per order.  Edge {a, b} of
+odd K_x lies in the near-matching M_i exactly when a + b = 2i (mod x),
+so in the rotation colorings an edge's color depends only on u + v: row
+u of K_p is a slice of one table indexed by u + v (``_rotation_colors``),
+and on even p the edge (u, p) completing M_u of K_{p-1} takes the
+table's entry at 2u.  The cyclic colors use the index k of the edge
+within its matching, which depends only on v - u.  One row check,
+``_certified``, builds the degree table that ``witness_coloring``'s star
+check reuses and raises "<name> row [...] != [...] at vertex v"
+(``below`` for a floor).  ``BUILDERS`` maps recipe tags to builders.
+Every builder refuses an order past ``coloring.check_order``'s limit
+before it builds any per-vertex or per-edge list.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
-from .coloring import (
-    EdgeColoring,
-    check_order,
-    edge_endpoints,
-    edge_rank,
-    matching_centers,
-    matching_indices,
-)
+from .coloring import EdgeColoring, check_order, color_store, edge_rank, join_store
 from .errors import ConstructionFailedError, InvalidParameterError
 from .formulas import CaseVerdict, WitnessRecipe, classify
 from .verify import min_star_colors
@@ -82,47 +74,47 @@ def near_regular_layout(t: int, q: int, r: int) -> ClassLayout:
 def _certified(coloring: EdgeColoring, name: str, expected,
                at_least: bool = False) -> EdgeColoring:
     """``coloring`` once each row of its ``color_degrees`` equals
-    ``expected(palette)``, or reaches it when ``at_least``.  Builders pass
-    the built coloring rather than its colors, so that no call argument
-    keeps the fresh color array alive beside the degree table.  Once
-    t > p-1 that table counts only the colors that occur; every exact row
-    here is nonnegative and sums to p-1, as every real row does, so rows
-    that agree there agree on all t colors.
+    ``expected(palette)``, or reaches it when ``at_least``.  Once t > p-1
+    that table counts only the colors that occur; every exact row here is
+    nonnegative and sums to p-1, as every real row does, so rows that
+    agree there agree on all t colors.
     """
-    palette, counts = coloring.color_degrees
-    want = expected(palette)
-    bad = np.flatnonzero(((counts < want) if at_least else (counts != want)).any(axis=1))
-    if bad.size:
-        p, t, v = coloring.p, coloring.t, int(bad[0])
-        row = np.zeros(t, dtype=np.int64)
-        row[palette - 1] = counts[v]
-        want = np.broadcast_to(expected(np.arange(1, t + 1)), (p, t))[v]
+    palette, rows = coloring.color_degrees
+    want = tuple(expected(palette))
+    if at_least:
+        bad = (v for v, row in enumerate(rows) if any(map(int.__lt__, row, want)))
+    else:
+        bad = (v for v, row in enumerate(rows) if row != want)
+    v = next(bad, None)
+    if v is not None:
+        row = [0] * coloring.t
+        for c, d in zip(palette, rows[v]):
+            row[c - 1] = d
         raise ConstructionFailedError(
-            f"{name} row {row.tolist()} {'below' if at_least else '!='} "
-            f"{want.tolist()} at vertex {v + 1}"
+            f"{name} row {row} {'below' if at_least else '!='} "
+            f"{list(expected(range(1, coloring.t + 1)))} at vertex {v + 1}"
         )
     return coloring
 
 
-def _classes_in_order(sizes: list[int]) -> np.ndarray:
+def _classes_in_order(sizes: list[int]) -> list[int]:
     """The class of each matching in order: class c takes sizes[c-1]
     consecutive matchings, and a class of size 0 takes no room."""
-    used = [c for c, size in enumerate(sizes, 1) if size]
-    return np.repeat(np.array(used, dtype=np.int64), [sizes[c - 1] for c in used])
+    return [c for c, size in enumerate(sizes, 1) if size for _ in range(size)]
 
 
-def _sizes_at(sizes: list[int], palette: np.ndarray) -> np.ndarray:
+def _sizes_at(sizes: list[int], palette) -> list[int]:
     """sizes[c-1] for each color c of ``palette``."""
-    return np.array([sizes[c - 1] for c in palette.tolist()], dtype=np.int64)
+    return [sizes[c - 1] for c in palette]
 
 
 def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
     """Group the p-1 perfect matchings of even K_p into color classes.
 
-    Round i of ``one_factorization(p)`` is M_i of K_{p-1} plus the edge
-    (i, p); rounds go to colors in order, class_sizes[c-1] rounds each.
-    Each matching touches every vertex once, so every vertex sees
-    exactly class_sizes[c-1] edges of color c.
+    Round i of the circle method is M_i of K_{p-1} plus the edge (i, p);
+    rounds go to colors in order, class_sizes[c-1] rounds each.  Each
+    round touches every vertex once, so every vertex sees exactly
+    class_sizes[c-1] edges of color c.
     """
     if p < 2 or p % 2:
         raise InvalidParameterError(f"need even p >= 2, got {p}")
@@ -133,33 +125,62 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
         raise InvalidParameterError(
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
-    classes = _classes_in_order(sizes)
-    coloring = EdgeColoring._adopt(p, len(sizes), _rotation_colors(p, classes, {}))
+    check_order(p)
+    coloring = EdgeColoring._adopt(
+        p, len(sizes), _rotation_colors(p, _classes_in_order(sizes), {}))
     return _certified(coloring, "partitioned factorization",
                       lambda palette: _sizes_at(sizes, palette))
 
 
-def _rotation_colors(p: int, color_of_center: np.ndarray, by_k: dict) -> np.ndarray:
-    """Colors of K_p from the near-factorization of odd K_x, x = p or p-1:
-    every edge of M_i gets color_of_center[i-1], except that M_i for i in
-    ``by_k`` colors its edge k with by_k[i][k-1].  On even p the edge
-    (i, p) completes M_i and gets color_of_center[i-1] too."""
+def _center_table(x: int, size: int) -> list[int]:
+    """i - 1 for the near-matching M_i of odd K_x that holds the edges
+    {a, b} with a + b = s, for s = 0..size-1: 2i = s (mod x)."""
+    half = (x + 1) // 2  # the inverse of 2 mod x
+    return [(s * half - 1) % x for s in range(size)]
+
+
+def _index_table(x: int) -> list[int]:
+    """k for the edges {a, b} of odd K_x with b - a = d, for d = 0..x-1
+    (0 at d = 0): edge k of its matching joins i+k and i-k, so (a - b)/2
+    = +-k (mod x)."""
+    half = (x + 1) // 2
+    return [min(k, x - k) for k in (d * half % x for d in range(x))]
+
+
+def _rotation_colors(p: int, color_of_center: list[int], by_k: dict):
+    """The store of K_p colored by the near-factorization of odd K_x, x = p
+    or p-1: every edge of M_i gets color_of_center[i-1], except that M_i
+    for i in ``by_k`` colors its edge k with by_k[i][k-1].  On even p the
+    edge (i, p) completes M_i and gets color_of_center[i-1] too.
+
+    Edge (u, v) lies in M_i for 2i = u + v (mod x), so its color is
+    table[u + v], and row u is table[2u+1 : u+x+1], v = u+1..x; the edge
+    (u, p) of even p is table[2u], whose center is u."""
     check_order(p)
     x = p - 1 + p % 2
-    colors = color_of_center[matching_centers(*edge_endpoints(p), x)]
-    if x < p:
-        colors[edge_rank(p, np.arange(1, p), p)] = color_of_center
-    for i, k_colors in by_k.items():
-        colors[_matching_ranks(x, i)] = k_colors
-    return colors
+    table = color_store([color_of_center[i] for i in _center_table(x, p + x + 1)])
+    rows = []
+    for u in range(1, p):
+        rows.append(table[2 * u + 1:u + x + 1])
+        if x < p:
+            rows.append(table[2 * u:2 * u + 1])
+    colors = bytearray(b"".join(rows))
+    view = memoryview(colors).cast("B" if isinstance(table, bytes) else "q")
+    for i, k_colors in by_k.items():  # at most t-1 matchings of (x-1)/2 edges
+        for r, c in zip(_matching_ranks(x, i), k_colors):
+            view[r] = c
+    view.release()
+    return join_store([colors], table)
 
 
-def _matching_ranks(x: int, i: int) -> np.ndarray:
+def _matching_ranks(x: int, i: int) -> list[int]:
     """Edge ranks of M_i of odd K_x in edge order: edge k joins the circle
     positions i+k and i-k."""
-    k = np.arange(1, (x + 1) // 2)
-    a, b = (i + k - 1) % x + 1, (i - k - 1) % x + 1
-    return edge_rank(x, np.minimum(a, b), np.maximum(a, b))
+    ranks = []
+    for k in range(1, (x + 1) // 2):
+        a, b = (i + k - 1) % x + 1, (i - k - 1) % x + 1
+        ranks.append(edge_rank(x, min(a, b), max(a, b)))
+    return ranks
 
 
 def regular_coloring(t: int, q: int) -> EdgeColoring:
@@ -175,23 +196,23 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
         raise InvalidParameterError(f"need t >= 2, got {t}")
     if q < 2 or q % 2:
         raise InvalidParameterError(f"need even q >= 2, got {q}")
+    check_order(t * q + 1)
     layout = regular_layout(t, q)
     x = layout.x
-    classes = np.array(layout.classes)          # (q, t) circle positions
-    color_of_center = np.zeros(x, dtype=np.int64)
-    color_of_center[classes - 1] = np.arange(1, t + 1)
-    m, partner = classes[:q // 2], classes[::-1][:q // 2]
-    unpaired = np.argwhere((m + partner) % x != 0)
-    if unpaired.size:
-        i, j = unpaired[0]
-        raise ConstructionFailedError(
-            f"layout pair ({m[i, j]}, {partner[i, j]}) does not sum to 0 mod {x}"
-        )
+    color_of_center = [0] * x
+    for row in layout.classes:
+        for j, position in enumerate(row, 1):
+            color_of_center[position - 1] = j
     # edge k of the last matching joins positions k and x-k
-    last = np.zeros((x - 1) // 2, dtype=np.int64)
-    last[np.minimum(m, partner) - 1] = np.arange(1, t + 1)
+    last = [0] * ((x - 1) // 2)
+    for m, partner in zip(layout.classes[:q // 2], layout.classes[::-1]):
+        for j, (a, b) in enumerate(zip(m, partner), 1):
+            if (a + b) % x:
+                raise ConstructionFailedError(
+                    f"layout pair ({a}, {b}) does not sum to 0 mod {x}")
+            last[min(a, b) - 1] = j
     coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, {x: last}))
-    return _certified(coloring, "regular coloring", lambda palette: q)
+    return _certified(coloring, "regular coloring", lambda palette: [q] * len(palette))
 
 
 def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
@@ -220,41 +241,46 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
         raise InvalidParameterError(f"need q >= 1, got {q}")
     if not 2 <= r <= t - 1:
         raise InvalidParameterError(f"need 2 <= r <= t-1, got r={r}, t={t}")
-    layout = near_regular_layout(t, q, r)
-    x = layout.x
+    x = t * q + r
     if x % 2 == 0:
         raise InvalidParameterError(f"order tq+r={x} must be odd")
+    check_order(x)
+    layout = near_regular_layout(t, q, r)
     # the matchings of each class take colors 1..t in turn
-    color_of_center = np.zeros(x, dtype=np.int64)
-    color_of_center[np.array(layout.classes) - 1] = np.arange(1, t + 1)
+    color_of_center = [0] * x
+    for row in layout.classes:
+        for j, position in enumerate(row, 1):
+            color_of_center[position - 1] = j
     # last singleton counts 1, 2, ..., t along its edge order; the first
     # counts t, t-1, ..., 1; singletons in between get a cyclic filler
-    k = np.arange(1, (x - 1) // 2 + 1)
+    ks = range(1, (x - 1) // 2 + 1)
     first, *middle, last = layout.singletons
-    by_k = {last: (k - 1) % t + 1, first: (t - k) % t + 1}
+    by_k = {last: [(k - 1) % t + 1 for k in ks], first: [(t - k) % t + 1 for k in ks]}
     for mid in middle:
-        by_k[mid] = (k + mid - 1) % t + 1
+        by_k[mid] = [(k + mid - 1) % t + 1 for k in ks]
     coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, by_k))
     # t < x, so the floor is checked on all t colors
-    return _certified(coloring, "near-regular", lambda palette: q, at_least=True)
+    return _certified(coloring, "near-regular", lambda palette: [q] * len(palette),
+                      at_least=True)
 
 
 def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
     """Color edge k of every near-matching of odd K_p with ((k-1) mod t) + 1.
 
-    Used both as the three-color balanced coloring for odd orders and as
-    the filler certificate when no n-star exists at all.
+    Edge k of M_i joins i+k and i-k, so an edge (u, v) has k = +-(u-v)/2
+    (mod p), a function of v - u: row u is table[1 : p-u+1] of one table
+    indexed by v - u.  Used both as the three-color balanced coloring for
+    odd orders and as the filler certificate when no n-star exists at all.
     """
     if t < 1:
         raise InvalidParameterError(f"need t >= 1, got {t}")
     if p < 1 or p % 2 == 0:
         raise InvalidParameterError(f"need odd p >= 1, got {p}")
     check_order(p)
-    k = matching_indices(*edge_endpoints(p), p)
-    k -= 1
-    k %= min(t, p)  # k <= (p-1)/2; a t past int32 would not fit k's dtype
-    k += 1
-    return EdgeColoring._adopt(p, t, k)
+    period = min(t, p)  # k <= (p-1)/2, so any t >= p acts as p
+    table = color_store([(k - 1) % period + 1 if k else 0 for k in _index_table(p)])
+    return EdgeColoring._adopt(p, t, join_store(
+        [table[1:p - u + 1] for u in range(1, p)], table))
 
 
 def three_color_balanced_coloring(n: int) -> EdgeColoring:
@@ -273,7 +299,7 @@ def three_color_balanced_coloring(n: int) -> EdgeColoring:
     if x % 2 == 0:
         return partitioned_factorization_coloring(x, [n - 1] * 3)
     return _certified(cyclic_matching_coloring(x, 3), "three-color balanced",
-                      lambda palette: n - 1)
+                      lambda palette: [n - 1] * len(palette))
 
 
 # recipe tag -> builder; a recipe's params are its builder's keyword arguments

@@ -6,84 +6,103 @@ fields.  Lines starting with ``#`` are ignored.  Parsing and
 serialization round-trip losslessly; edges are written in lexicographic
 order so files diff cleanly.
 
-Both directions work on the coloring's rank-ordered color array:
-``serialize_coloring`` writes each line as one packed record of its
-three fields, and ``parse_coloring`` reads a file (its text or bytes)
-that is byte for byte what ``serialize_coloring`` writes by reading
-each line's color back from its newline, then renders the result and
-compares it with the input; a CRLF file reads as its LF twin.  Any
-other file (comments, blank lines, another edge order, any error) goes
-through the line parser, which names the offending line.
+Both directions work on the coloring's rank-ordered store with the C
+loops of ``bytes``, without numpy.  ``serialize_coloring`` renders blocks
+of rows with every line at one width, v and c right-aligned behind NUL
+bytes, by strided assignment of one column of digits at a time, and
+then deletes the NULs.  ``parse_coloring`` reads a file that is byte for
+byte what ``serialize_coloring`` writes: in each run of lines of one
+width (one row, one digit count of v, one-digit colors) the colors are
+a strided slice, and any other run is split into lines; it renders the
+result and compares it with the file.  A CRLF file reads as its LF
+twin, and a file that only adds lines starting with ``#`` and empty
+lines reads as the file without them.  Any other file (indented
+comments, another edge order, any error) goes through the line parser,
+which names the offending line.
 """
 
 from __future__ import annotations
 
-import itertools
-from collections.abc import Iterator
+from operator import itemgetter
 
-import numpy as np
-
-from .coloring import EdgeColoring, edge_count, edge_endpoints
+from .coloring import EdgeColoring, color_store, edge_count, edge_rank, in_color_range
 from .errors import ColoringFormatError, InvalidParameterError
 
-_PAD = 0  # marks unused digit positions; dropped from the output
-RENDER_BLOCK = 1 << 14  # lines at a time: a block's temporaries are reused
+RENDER_LINES = 1 << 16  # a render block ends after the row that reaches this
+_BYTES = bytes(range(256))
+# ASCII digit -> its value; any other byte -> 0, which no valid color is
+_DIGIT_VALUES = bytes(c - 48 if 48 <= c <= 57 else 0 for c in range(256))
 
 
-def _fields(values: np.ndarray, end: str) -> np.ndarray:
-    """Each value in ASCII, right-aligned behind _PAD bytes (with a '-'
-    before the digits of a negative value), then ``end``: one unsigned
-    integer per value when 2, 4 or 8 bytes hold that, else one void item."""
-    magnitude = np.abs(values)
-    digits = len(str(int(magnitude.max()))) if values.size else 1
-    sign = bool(values.size) and values.min() < 0
-    width = next(w for w in (2, 4, 8, digits + sign + 1) if w > digits + sign)
-    cells = np.full((values.size, width), _PAD, dtype=np.uint8)
-    cells[:, -1] = ord(end)
-    rest = magnitude
-    for j in range(1, digits + 1):  # digit j from the right
-        rest, digit = np.divmod(rest, 10)
-        cells[:, -1 - j] = digit + ord("0")
-        if j > 1:  # leading zeros are padding
-            cells[magnitude < 10 ** (j - 1), -1 - j] = _PAD
-    if sign:
-        cells[values < 0, -2 - digits] = ord("-")
-    return cells.view(f"u{width}" if width in (2, 4, 8) else f"V{width}")[:, 0]
+def _digit_columns(numbers: list[str], width: int) -> list[bytes]:
+    """Column j of the numbers right-aligned in ``width`` behind NUL
+    bytes, for j = 0..width-1: one byte per number."""
+    joined = "".join(number.rjust(width, "\0") for number in numbers).encode()
+    return [joined[j::width] for j in range(width)]
 
 
-def _render(coloring: EdgeColoring) -> Iterator[bytes]:
-    """The file bytes: the header, then RENDER_BLOCK data lines at a time,
-    line i being the ``_fields`` "u ", "v " and "c\\n" of edge i as one packed
-    record without its _PAD bytes.  The checks and the vertex and color
-    tables come first, so a coloring that cannot be written fails early."""
+def _color_columns(colors: bytes | memoryview) -> list[bytes]:
+    """The digit columns of every color in the store: one translate per
+    column for one-byte colors, one string per color otherwise."""
+    if not isinstance(colors, bytes):
+        numbers = list(map(str, colors))
+        return _digit_columns(numbers, max(map(len, numbers)))
+    width, top = next((w, top) for w, top in ((1, 10), (2, 100), (3, 256))
+                      if not colors.translate(None, _BYTES[:top]))
+    # a table maps every byte; those at or past ``top`` do not occur
+    return [colors.translate(table)
+            for table in _digit_columns([str(c % top) for c in range(256)], width)]
+
+
+def _row_blocks(p: int):
+    """(first, last) rows of each render block: the rows whose u has one
+    digit count, cut after the row that reaches ``RENDER_LINES`` lines."""
+    first, lines = 1, 0
+    for u in range(1, p):
+        lines += p - u
+        if u == p - 1 or lines >= RENDER_LINES or len(str(u + 1)) > len(str(first)):
+            yield first, u
+            first, lines = u + 1, 0
+
+
+def _render(coloring: EdgeColoring) -> list[bytes]:
+    """The file bytes: the header, then the data lines in blocks of rows.
+
+    A block first lays every line out at the full width of "u v c\n",
+    with v and c right-aligned behind NUL bytes; each digit column of u,
+    v and c is one strided assignment (u is constant along a row, and v
+    runs over a suffix of 1..p).  Deleting the NULs, where a block has
+    any, leaves the lines."""
     if coloring.missing:
         raise InvalidParameterError(
             f"cannot serialize K_{coloring.p}: {len(coloring.missing)} edge(s) missing")
-    colors = coloring.array
-    if colors.size and 0 <= colors.min() and colors.max() <= colors.size:
-        color = np.take(_fields(np.arange(colors.max() + 1), "\n"), colors)
-    else:
-        color = _fields(colors, "\n")
-    vertex = _fields(np.arange(coloring.p + 1), " ")
-    us, vs = edge_endpoints(coloring.p)
-    # one packed record per line, filled field by field in each block
-    lines = np.empty(min(colors.size, RENDER_BLOCK),
-                     [("u", vertex.dtype), ("v", vertex.dtype), ("c", color.dtype)])
-
-    def block(lo: int) -> bytes:
-        at = slice(lo, lo + RENDER_BLOCK)
-        part = lines[:colors.size - lo]
-        # the endpoints are in range; "clip" writes into the strided field
-        # directly, where the default mode fills a buffer and copies it
-        np.take(vertex, us[at], out=part["u"], mode="clip")
-        np.take(vertex, vs[at], out=part["v"], mode="clip")
-        part["c"] = color[at]
-        body = part.view(np.uint8)
-        keep = body != _PAD
-        return (body if keep.all() else body[keep]).tobytes()
-
-    head = f"{coloring.p} {coloring.t}\n".encode()
-    return itertools.chain([head], map(block, range(0, colors.size, RENDER_BLOCK)))
+    p, colors = coloring.p, coloring.array
+    blocks = [f"{p} {coloring.t}\n".encode()]
+    if not colors:
+        return blocks
+    color_columns = _color_columns(colors)
+    padded_colors = b"\0" in color_columns[0]
+    wv, wc = len(str(p)), len(color_columns)
+    v_columns = _digit_columns(list(map(str, range(p + 1))), wv)
+    for first, last in _row_blocks(p):
+        wu = len(str(first))
+        width = wu + wv + wc + 3
+        start, end = edge_rank(p, first, first + 1), edge_rank(p, last, p) + 1
+        line = bytearray(width)
+        line[wu] = line[wu + wv + 1] = ord(" ")
+        line[-1] = ord("\n")
+        body = line * (end - start)
+        rows = range(first, last + 1)
+        for j, column in enumerate(_digit_columns(list(map(str, rows)), wu)):
+            body[j::width] = b"".join(column[i:i + 1] * (p - u) for i, u in enumerate(rows))
+        for j, column in enumerate(v_columns, wu + 1):
+            body[j::width] = b"".join(column[u + 1:] for u in rows)
+        for j, column in enumerate(color_columns, wu + wv + 2):
+            body[j::width] = column[start:end]
+        if padded_colors or len(str(first + 1)) < wv:
+            body = body.translate(None, b"\0")
+        blocks.append(body)
+    return blocks
 
 
 def serialize_coloring(coloring: EdgeColoring) -> str:
@@ -92,25 +111,47 @@ def serialize_coloring(coloring: EdgeColoring) -> str:
 
 def _line_colors(data: bytes, p: int, t: int) -> EdgeColoring | None:
     """The coloring of K_p whose edge of rank r has the last field of data
-    line r as its color, read back from the newline over ASCII digits; None
-    when they do not fit K_p and 1..t.  Rendering the coloring and comparing
-    it with the file checks every other byte."""
-    buf = np.frombuffer(data, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))[1:]  # after the header's
-    if ends.size != edge_count(p):
+    line r as its color; None when the lines do not fit K_p and 1..t.
+
+    The lines of one row with one digit count of v share their prefix
+    width.  When each of them ends one byte after its color's first
+    digit, their colors are one strided slice; otherwise that run is split
+    into lines.  Rendering the coloring and comparing it with the file
+    checks every other byte."""
+    pos = data.find(b"\n") + 1
+    parts = []
+    for u in range(1, p):
+        lo = u + 1
+        while lo <= p:
+            hi = min(p, 10 ** len(str(lo)) - 1)
+            n, prefix = hi - lo + 1, len(str(u)) + len(str(lo)) + 2
+            end = pos + n * (prefix + 2)
+            if data[pos + prefix + 1:end:prefix + 2].count(10) == n:  # one-digit colors
+                parts.append(data[pos + prefix:end:prefix + 2].translate(_DIGIT_VALUES))
+                pos = end
+            else:
+                run = data[pos:pos + n * (prefix + len(str(t)) + 1)]
+                lines = run.split(b"\n", n)
+                if len(lines) <= n:
+                    return None
+                pos += len(run) - len(lines.pop())
+                fields = list(map(itemgetter(slice(prefix, None)), lines))
+                try:  # each distinct field is read once
+                    value = {field: int(field) for field in set(fields)}
+                except ValueError:
+                    return None
+                parts.append(list(map(value.__getitem__, fields)))
+            lo = hi + 1
+    if pos != len(data):
         return None
-    ends -= 1  # now each line's last digit
-    colors = buf[ends].astype(np.int64)
-    colors -= ord("0")
-    ends -= 1
-    rows = np.flatnonzero(buf[ends] - ord("0") < 10)  # lines still in digits
-    for place in range(1, 18):  # int64 holds every 18-digit color
-        if not rows.size:
-            break
-        digits = buf[ends[rows] - (place - 1)]
-        colors[rows] += (digits.astype(np.int64) - ord("0")) * 10 ** place
-        rows = rows[buf[ends[rows] - place] - ord("0") < 10]
-    if rows.size or (colors.size and (colors.min() < 1 or colors.max() > t)):
+    try:
+        colors = b"".join(part if isinstance(part, bytes) else bytes(part) for part in parts)
+    except ValueError:  # a color outside 0..255
+        try:
+            colors = color_store([c for part in parts for c in part])
+        except InvalidParameterError:
+            return None
+    if not in_color_range(colors, t):
         return None
     return EdgeColoring._adopt(p, t, colors)
 
@@ -134,12 +175,37 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     if p < 1 or t < 1 or len(data) - len(head) < 6 * edge_count(p):
         return None
     coloring = _line_colors(data, p, t)
+    if coloring is None:
+        return None
     end = 0
-    for block in _render(coloring) if coloring else ():
+    for block in _render(coloring):
         if not data.startswith(block, end):
             return None
         end += len(block)
     return coloring if end == len(data) else None
+
+
+def _drop_comment_lines(data: bytes) -> bytes:
+    """``data`` without the lines that start with '#', found by one scan
+    for '#'."""
+    kept, start = [], 0
+    at = data.find(b"#")
+    while at >= 0:
+        if at and data[at - 1] != 10:  # not at a line start
+            at = data.find(b"#", at + 1)
+            continue
+        kept.append(data[start:at])
+        end = data.find(b"\n", at)
+        start = len(data) if end < 0 else end + 1
+        at = data.find(b"#", start)
+    return b"".join(kept) + data[start:] if kept else data
+
+
+def _drop_empty_lines(data: bytes) -> bytes:
+    """``data`` without its empty lines."""
+    while b"\n\n" in data:
+        data = data.replace(b"\n\n", b"\n")
+    return data.removeprefix(b"\n")
 
 
 def _integers(fields: list[str]) -> list[int] | None:
@@ -181,7 +247,15 @@ def parse_coloring(text: str | bytes) -> EdgeColoring:
     data = text if isinstance(text, bytes) else text.encode("ascii", "replace")
     if b"\r" in data:  # a scan, where the fold would copy the whole file
         data = data.replace(b"\r\n", b"\n")
-    return _parse_canonical(data) or _parse_lines(
+    # a file that only adds comment lines or empty lines also takes the
+    # bulk path; the scan for empty lines runs only when one is left to try
+    coloring = _parse_canonical(data)
+    if coloring is None and b"#" in data:
+        data = _drop_comment_lines(data)
+        coloring = _parse_canonical(data)
+    if coloring is None and (data.startswith(b"\n") or b"\n\n" in data):
+        coloring = _parse_canonical(_drop_empty_lines(data))
+    return coloring or _parse_lines(
         text if isinstance(text, str) else text.decode("ascii", "surrogateescape"))
 
 

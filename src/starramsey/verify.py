@@ -2,29 +2,32 @@
 
 A coloring of K_p certifies R > p for the instance (n, t, s) exactly when
 every n-edge star in it shows at least s+1 distinct colors; every such
-check goes through one kernel, ``star_minima``, over color degrees.
+check goes through one per-row kernel, ``star_minima``, over color
+degrees.
 
-Everything here works on the coloring's rank-ordered color array: the
-color degrees are ``EdgeColoring.color_degrees``, built once, and
-``validate`` is a range check on the array plus the missing and
-unexpected edges a malformed mapping left.  The sampler draws any edge of
-any trial on demand (``sample_colors``), so it screens a batch of trials
-one vertex at a time and draws only the edges it reads.
+The color degrees are ``EdgeColoring.color_degrees``, built once, and
+``validate`` is a range check on the coloring's store plus the missing
+and unexpected edges a malformed mapping left.  None of this imports
+numpy.  The sampler does, inside its own functions only: it draws any
+edge of any trial on demand (``sample_colors``), so it screens a batch
+of trials one vertex at a time and draws only the edges it reads.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import NamedTuple
-
-import numpy as np
 
 from .coloring import (
     EdgeColoring,
     check_order,
     check_table,
+    color_store,
     edge_count,
-    edge_endpoints,
     edge_rank,
+    edges,
+    in_color_range,
 )
 from .errors import InvalidParameterError
 
@@ -32,7 +35,7 @@ from .errors import InvalidParameterError
 # at a time: at each vertex a surviving trial holds p - 1 drawn colors, then
 # a t-cell color-degree row and its star minimum, so a batch's arrays stay
 # near this many cells whatever p and t are.  K_14 at t <= 4 fits 1,260
-# trials; 8,000 of them take about 2 ms, against 4 ms at 4,096 cells.
+# trials.
 SAMPLE_BATCH_EDGES = 1 << 14
 
 
@@ -42,8 +45,8 @@ def validate(coloring: EdgeColoring) -> list[str]:
     Defects are data, not exceptions: missing edges, unexpected edges
     (out of range or not in canonical (u < v) form), and colors outside
     1..t are all enumerated.  Only a coloring built from a malformed
-    mapping can have the first two; the color check is one pass over
-    the color array.
+    mapping can have the first two; the color check is one range check
+    over the store, and a scan for the offending edges only when it fails.
     """
     defects: list[str] = []
     if coloring.p < 1:
@@ -52,43 +55,45 @@ def validate(coloring: EdgeColoring) -> list[str]:
         defects.append(f"color count must be >= 1, got {coloring.t}")
     if defects:
         return defects
-    colors = coloring.array
+    colors, t = coloring.array, coloring.t
     missing = sorted(coloring.missing)
-    out_of_range = (colors < 1) | (colors > coloring.t)
-    out_of_range[missing] = False
-    out_of_range = np.flatnonzero(out_of_range).tolist()
+    out_of_range = []
+    if not in_color_range(colors, t):
+        out_of_range = [r for r, c in enumerate(colors)
+                        if not 1 <= c <= t and r not in coloring.missing]
     if missing or out_of_range:
-        us, vs = edge_endpoints(coloring.p)
+        ends = list(edges(coloring.p))
     for r in missing:
-        defects.append(f"missing edge {(int(us[r]), int(vs[r]))}")
+        defects.append(f"missing edge {ends[r]}")
     for edge in sorted(coloring.unexpected):
         defects.append(f"unexpected edge {edge}")
     for r in out_of_range:
-        defects.append(
-            f"color out of range on edge {(int(us[r]), int(vs[r]))}: {int(colors[r])}")
+        defects.append(f"color out of range on edge {ends[r]}: {colors[r]}")
     return defects
 
 
-def star_minima(counts: np.ndarray, n: int) -> np.ndarray:
-    """Per vertex, the least k whose k largest color degrees sum to >= n.
+def star_minima(rows, n: int) -> list[int]:
+    """Per row of color degrees, the least k whose k largest sum to >= n.
 
-    ``counts`` is a (p, t) color-degree array, or a (B, p, t) stack of
-    them giving (B, p) minima.  At a vertex, the k largest color classes
-    cover the most edges any k colors can, so this is the fewest colors an
-    n-star centered there can show.  A row whose total stays below n gets
-    t+1.
+    At a vertex, the k largest color classes cover the most edges any k
+    colors can, so this is the fewest colors an n-star centered there can
+    show: the first of the descending prefix sums to reach n, found by
+    bisection.  A row whose total stays below n gets len(row) + 1.  Rows
+    repeat (every row of a regular certificate, most of a sampler batch),
+    so each distinct row is computed once.
     """
-    prefix = (-np.sort(-counts, axis=-1)).cumsum(axis=-1)
-    return (prefix < n).sum(axis=-1) + 1
+    rows = list(map(tuple, rows))
+    minimum = {row: bisect_left(list(accumulate(sorted(row, reverse=True))), n) + 1
+               for row in set(rows)}
+    return list(map(minimum.__getitem__, rows))
 
 
-def _profile_minima(coloring: EdgeColoring,
-                    n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """(color-degree array, the color of each of its columns, star minima);
-    None when no n-star exists.
+def _profile_minima(coloring: EdgeColoring, n: int):
+    """(color-degree rows, the color of each of their columns, star
+    minima); None when no n-star exists.
 
-    The array is ``coloring.color_degrees``, which a builder's row check
-    may have made.  When t > p-1 its columns are only the colors that
+    The rows are ``coloring.color_degrees``, which a builder's row check
+    may have made.  When t > p-1 their columns are only the colors that
     occur.  Every row then still sums to p-1 >= n, and ties between
     columns still go to the smaller color, so the minima and the offending
     colors do not change.
@@ -97,14 +102,14 @@ def _profile_minima(coloring: EdgeColoring,
         raise InvalidParameterError(f"star size must be >= 1, got {n}")
     if coloring.p - 1 < n:
         return None
-    palette, counts = coloring.color_degrees
-    return counts, palette, star_minima(counts, n)
+    palette, rows = coloring.color_degrees
+    return rows, palette, star_minima(rows, n)
 
 
 def min_star_colors(coloring: EdgeColoring, n: int) -> int | None:
     """Fewest distinct colors over all n-edge stars; None when no star exists."""
     profile = _profile_minima(coloring, n)
-    return None if profile is None else int(profile[2].min())
+    return None if profile is None else min(profile[2])
 
 
 class Certificate(NamedTuple):
@@ -134,16 +139,17 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int,
     profile = _profile_minima(coloring, n)
     if profile is None:
         return Certificate(coloring, n, s, True, None, recipe=recipe)
-    counts, palette, minima = profile
-    k = int(minima.min())
+    rows, palette, minima = profile
+    k = min(minima)
     if k > s:
         return Certificate(coloring, n, s, True, k, recipe=recipe)
     # first vertex with an n-star on <= s colors; ties go to the smaller color
-    v = int(np.argmax(minima <= s))
-    chosen = np.argsort(-counts[v], kind="stable")[:minima[v]]
+    v = next(v for v, m in enumerate(minima) if m <= s)
+    row = rows[v]
+    chosen = sorted(range(len(row)), key=lambda i: -row[i])[:minima[v]]  # stable
     return Certificate(coloring, n, s, False, k, offending_vertex=v + 1,
-                       offending_colors=tuple(palette[chosen].tolist()),
-                       covered_edges=int(counts[v, chosen].sum()), recipe=recipe)
+                       offending_colors=tuple(palette[i] for i in chosen),
+                       covered_edges=sum(row[i] for i in chosen), recipe=recipe)
 
 
 class SampleCheckResult(NamedTuple):
@@ -156,25 +162,28 @@ class SampleCheckResult(NamedTuple):
 
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): Weyl increment, multipliers.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_MUL2 = np.uint64(0x94D049BB133111EB)
+_GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """SplitMix64's finalizer, a bijection of uint64, applied in place."""
+def _mix(z):
+    """SplitMix64's finalizer, a bijection of uint64, applied in place to a
+    numpy uint64 array."""
+    import numpy as np
+
     z ^= z >> np.uint64(30)
-    z *= _MUL1
+    z *= np.uint64(_MUL1)
     z ^= z >> np.uint64(27)
-    z *= _MUL2
+    z *= np.uint64(_MUL2)
     z ^= z >> np.uint64(31)
     return z
 
 
-def sample_colors(p: int, t: int, seed: int, trials: np.ndarray,
-                  ranks: np.ndarray) -> np.ndarray:
-    """(len(trials), len(ranks)) int64 colors the sampler draws for these
-    edge ranks of these trials of K_p.
+def sample_colors(p: int, t: int, seed: int, trials, ranks):
+    """(len(trials), len(ranks)) int64 numpy array of the colors the
+    sampler draws for these edge ranks (an integer array) of these trials
+    of K_p.
 
     Counter-based (Salmon et al., SC 2011), so any edge of any trial can be
     drawn alone: rank r of trial i gets ``z % t + 1``, z = _mix(_mix(seed) +
@@ -182,10 +191,12 @@ def sample_colors(p: int, t: int, seed: int, trials: np.ndarray,
     2^-64 of 1/t.  With seed < 2^64 and trials * m < 2^64 no two draws
     share a counter.
     """
+    import numpy as np
+
     key = _mix(np.array([seed], np.uint64))
-    z = (trials.astype(np.uint64)[:, None] * np.uint64(edge_count(p))
-         + (ranks.astype(np.uint64) + np.uint64(1)))
-    z *= _GAMMA
+    z = (np.asarray(trials).astype(np.uint64)[:, None] * np.uint64(edge_count(p))
+         + (np.asarray(ranks).astype(np.uint64) + np.uint64(1)))
+    z *= np.uint64(_GAMMA)
     z += key
     return (_mix(z) % np.uint64(t)).astype(np.int64) + 1
 
@@ -220,24 +231,28 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     first = 0 if p - 1 < n else _first_beating_trial(p, n, t, s, trials, seed)
     if first is None:
         return SampleCheckResult(True, trials)
-    colors = sample_colors(p, t, seed, np.array([first]), np.arange(m))[0]
-    return SampleCheckResult(False, trials, first, EdgeColoring._adopt(p, t, colors))
+    colors = sample_colors(p, t, seed, [first], range(m))[0]
+    return SampleCheckResult(False, trials, first,
+                             EdgeColoring._adopt(p, t, color_store(colors.tolist())))
 
 
 def _first_beating_trial(p: int, n: int, t: int, s: int, trials: int,
                          seed: int) -> int | None:
     """The vertex-by-vertex screen: the first trial that survives all p
     vertices, or None."""
+    import numpy as np
+
     batch = max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1))
     for start in range(0, trials, batch):
         alive = np.arange(start, min(start + batch, trials), dtype=np.uint64)
         for v in range(1, p + 1):
-            ranks = np.concatenate((edge_rank(p, np.arange(1, v), v),
-                                    edge_rank(p, v, np.arange(v + 1, p + 1))))
+            ranks = [edge_rank(p, u, v) for u in range(1, v)]
+            ranks += range(edge_rank(p, v, v + 1), edge_rank(p, v, p) + 1)
             cells = sample_colors(p, t, seed, alive, ranks)
             cells += (np.arange(alive.size) * t - 1)[:, None]
             counts = np.bincount(cells.ravel(), minlength=alive.size * t)
-            alive = alive[star_minima(counts.reshape(-1, t), n) > s]
+            minima = star_minima(counts.reshape(-1, t).tolist(), n)
+            alive = alive[np.array(minima) > s]
             if not alive.size:
                 break
         else:

@@ -1,10 +1,106 @@
 import functools
 import itertools
+import math
+from typing import NamedTuple
 
 import numpy as np
 from hypothesis import strategies as st
 
-from starramsey import EdgeColoring, all_edges
+from starramsey import EdgeColoring
+from starramsey.errors import InvalidParameterError
+
+# Brute-force references.  The package builds every coloring from closed
+# forms over its byte store; these spell the same objects out edge by edge
+# (or in numpy) so that tests can check the closed forms against them.
+
+
+def all_edges(p):
+    """Edges of K_p in lexicographic order."""
+    return [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
+
+
+@functools.lru_cache(maxsize=2)
+def edge_endpoints(p):
+    """1-based int32 endpoint arrays (u, v) of every edge of K_p in rank
+    order (read-only, cached)."""
+    lengths = np.arange(p - 1, 0, -1)  # row u holds v = u+1..p
+    us = np.repeat(np.arange(1, p, dtype=np.int32), lengths)
+    # v steps by 1 along a row and falls back from p to u+1 at its start
+    vs = np.ones(us.size, dtype=np.int32)
+    vs[np.cumsum(lengths) - lengths] = np.arange(2 - p, 1)
+    np.cumsum(vs, dtype=np.int32, out=vs)
+    vs += p
+    us.flags.writeable = vs.flags.writeable = False
+    return us, vs
+
+
+class OrderedMatching(NamedTuple):
+    """Near-perfect matching of odd K_x that misses exactly ``center``.
+
+    Edge k (1-based) joins the vertices at circle positions center+k and
+    center-k, taken mod x with residue 0 read as x.  The order of
+    ``edges`` follows k.
+    """
+
+    center: int
+    edges: tuple
+
+
+def near_one_factorization(x):
+    """Split E(K_x), x odd, into x matchings M_1..M_x with M_i missing vertex i.
+
+    Each M_i holds (x-1)/2 ordered edges; edge k of M_i is {i+k, i-k}
+    (indices mod x, 0 read as x).  Edge {a, b} lands in M_i exactly when
+    a + b = 2i (mod x), so the matchings partition the edge set.
+    """
+    if x < 3 or x % 2 == 0:
+        raise InvalidParameterError(f"need odd x >= 3, got {x}")
+    half = (x - 1) // 2
+    matchings = []
+    for i in range(1, x + 1):
+        edges = []
+        for k in range(1, half + 1):
+            a = (i + k - 1) % x + 1
+            b = (i - k - 1) % x + 1
+            edges.append((a, b) if a < b else (b, a))
+        matchings.append(OrderedMatching(center=i, edges=tuple(edges)))
+    return matchings
+
+
+def one_factorization(p):
+    """Split E(K_p), p even, into p-1 perfect matchings (circle method).
+
+    Round i pairs vertex p with the center that round i of the
+    near-factorization of K_{p-1} leaves uncovered.
+    """
+    if p < 2 or p % 2:
+        raise InvalidParameterError(f"need even p >= 2, got {p}")
+    if p == 2:
+        return [[(1, 2)]]
+    return [list(m.edges) + [(m.center, p)] for m in near_one_factorization(p - 1)]
+
+
+def degree_counts(p, t, colors):
+    """(p, t) int64 array: [v-1, c-1] = edges of color c at vertex v, for
+    numpy rank-ordered colors (all in 1..t) of K_p; a (B, edges) stack of
+    colorings gives a (B, p, t) array."""
+    shape = colors.shape[:-1] + (p, t)
+    offset = -(t + 1)  # the cell of color c at vertex v is (v-1)*t + c-1
+    if colors.ndim == 2:  # a stack: each coloring gets its own p * t cells
+        offset = offset + np.arange(len(colors))[:, None] * (p * t)
+    counts = 0
+    for ends in edge_endpoints(p):
+        cells = ends.astype(np.int64) * t + colors + offset
+        counts = counts + np.bincount(cells.ravel(), minlength=math.prod(shape))
+    return counts.reshape(shape)
+
+
+def star_minima_reference(counts, n):
+    """Per vertex of a (..., p, t) color-degree array, the least k whose k
+    largest color degrees sum to >= n (t+1 when none does), by sorted
+    prefix sums in numpy."""
+    prefix = (-np.sort(-counts, axis=-1)).cumsum(axis=-1)
+    return (prefix < n).sum(axis=-1) + 1
 
 
 @st.composite

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from starramsey import (
-    all_edges,
     check_certificate,
     constructions,
     formulas,
@@ -24,7 +23,7 @@ from starramsey import (
 )
 from starramsey.cli import EXIT_BROKEN_PIPE, main
 
-from .conftest import monochrome_build
+from .conftest import all_edges, monochrome_build
 
 
 def run(capsys, *argv):
@@ -350,10 +349,13 @@ NOT_LOADED = {
     "bounds": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "table": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas"),
-    "verify": ("argparse", "starramsey.formulas", "starramsey.oracle", "numpy.rec"),
+    "verify": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
     "sample-check": ("argparse", "starramsey.formulas", "starramsey.oracle", "numpy.random"),
-    "construct": ("argparse", "starramsey.oracle", "numpy.rec"),
+    "construct": ("argparse", "numpy", "starramsey.oracle"),
 }
+# Per command, the modules that must be loaded after it runs: only the
+# sampler's draws import numpy.
+LOADED = {"sample-check": ("numpy",)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -365,14 +367,17 @@ NOT_LOADED = {
     ("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "5",
      "--trials", "500", "--seed", "7"),
     ("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"),
+    ("construct", "--n", "3", "--t", "3", "--s", "1"),
 ])
 def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # Each command loads only the modules it runs, on the same start-up
     # path as `python -m starramsey`: package, then cli.  compute, bounds,
-    # table and oracle load neither numpy nor dataclasses.
+    # table and oracle load neither numpy nor dataclasses, and construct
+    # (to a file or to stdout) and verify work on bytes without numpy.
     path = tmp_path / "k7.coloring"
     write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
-    watched = sorted({name for names in NOT_LOADED.values() for name in names})
+    watched = sorted({name for names in (*NOT_LOADED.values(), *LOADED.values())
+                      for name in names})
     code = ("import sys\n"
             "from starramsey.cli import main\n"
             "rc = main(sys.argv[1:])\n"
@@ -383,6 +388,7 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     rc, *loaded = proc.stdout.splitlines()[-1].split()
     assert rc == "0", proc.stderr
     assert not set(loaded) & set(NOT_LOADED[argv[0]]), loaded
+    assert set(LOADED.get(argv[0], ())) <= set(loaded), loaded
 
 
 def test_oracle_default_edge_budget(capsys):
@@ -500,6 +506,30 @@ def _launch(*argv, stdout=subprocess.PIPE):
     env["COLUMNS"] = "80"
     return subprocess.run([sys.executable, "-m", "starramsey", *argv], env=env,
                           stdout=stdout, stderr=subprocess.PIPE, timeout=60)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=("buffered", "unbuffered"))
+def test_construct_into_a_closed_pipe_exits_141(unbuffered):
+    # the reader takes 10 bytes of the 2.4 MB K_802 certificate and closes
+    # the pipe: unbuffered, stdout's raw write stops short there, and the
+    # rest of the write must still meet the closed pipe
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "starramsey", "construct", "--n", "268", "--t", "3", "--s", "1"],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.read(10)
+        proc.stdout.close()
+        rc = proc.wait(timeout=60)
+        err = proc.stderr.read()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first == b"802 3\n1 2 "
+    assert (rc, err) == (EXIT_BROKEN_PIPE, b"")
 
 
 def test_launcher_writes_all_of_stdout():

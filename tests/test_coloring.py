@@ -4,23 +4,24 @@ from hypothesis import given
 
 from starramsey import (
     EdgeColoring,
-    all_edges,
     canonical_edge,
     color_degree_profile,
+    constructions,
+    cyclic_matching_coloring,
     min_star_colors,
-    near_one_factorization,
-    one_factorization,
     regular_coloring,
 )
-from starramsey.coloring import (
-    edge_endpoints,
-    edge_rank,
-    matching_centers,
-    matching_indices,
-)
+from starramsey.coloring import edge_count, edge_rank, edges
 from starramsey.errors import InvalidParameterError
 
-from .conftest import colorings
+from .conftest import (
+    all_edges,
+    colorings,
+    degree_counts,
+    edge_endpoints,
+    near_one_factorization,
+    one_factorization,
+)
 
 
 def test_near_factorization_printed_order_x5():
@@ -130,6 +131,24 @@ def test_profile_refuses_malformed_colorings(colors):
         min_star_colors(coloring, 2)
 
 
+@pytest.mark.parametrize("p, t, top", [
+    (9, 5, 5),        # one-byte colors, one bytes.count per color
+    (60, 40, 40),     # past COUNT_COLORS: one Counter pass per vertex
+    (40, 300, 300),   # colors past 255: an int64 store, counted by Counter
+    (12, 10**6, 10**6),  # t > p-1: only the colors that occur get a column
+])
+def test_degree_table_matches_reference_on_every_store(p, t, top):
+    rng = np.random.default_rng(p)
+    colors = rng.integers(1, top + 1, edge_count(p))
+    coloring = EdgeColoring.from_array(p, t, colors)
+    expected = degree_counts(p, top, colors)
+    palette, rows = coloring.color_degrees
+    assert np.array_equal(np.array(rows), expected[:, np.array(palette) - 1])
+    assert expected[:, np.setdiff1d(np.arange(top), np.array(palette) - 1)].sum() == 0
+    if t <= p - 1:
+        assert color_degree_profile(coloring) == expected.tolist()
+
+
 @given(colorings())
 def test_profile_rows_sum_to_degree(coloring):
     for row in color_degree_profile(coloring):
@@ -144,14 +163,17 @@ def test_canonical_edge():
 
 @pytest.mark.parametrize("p", [0, 1, 2, 3, 8, 21])
 def test_edge_rank_and_endpoints_follow_lexicographic_order(p):
-    edges = all_edges(p)
+    expected = all_edges(p)
     us, vs = edge_endpoints(p)
-    assert list(zip(us.tolist(), vs.tolist())) == edges
-    assert [edge_rank(p, u, v) for u, v in edges] == list(range(len(edges)))
+    assert list(zip(us.tolist(), vs.tolist())) == expected
+    assert list(edges(p)) == expected
+    assert [edge_rank(p, u, v) for u, v in expected] == list(range(len(expected)))
 
 
 @pytest.mark.parametrize("p", [*range(71), 805])
 def test_edge_endpoints_are_triu_indices_in_int32(p):
+    # the reference endpoints, and the package's edge order, are numpy's
+    # upper-triangle order
     us, vs = edge_endpoints(p)
     iu, iv = np.triu_indices(p, 1)
     assert us.dtype == vs.dtype == np.int32
@@ -160,28 +182,30 @@ def test_edge_endpoints_are_triu_indices_in_int32(p):
         assert not ends.flags.writeable
         with pytest.raises(ValueError):
             ends[:1] = 0
+    assert list(edges(p)) == list(zip((iu + 1).tolist(), (iv + 1).tolist()))
 
 
 @pytest.mark.parametrize("x", range(3, 62, 2))
 def test_matching_position_is_the_factorization_in_closed_form(x):
-    us, vs = edge_endpoints(x)
-    center = matching_centers(us, vs, x) + 1
-    k = matching_indices(us, vs, x)
+    # the rotation table with color i on M_i gives each edge its matching;
+    # the cyclic coloring with x >= k colors gives its index k there
+    center = constructions._rotation_colors(x, list(range(1, x + 1)), {})
+    k = cyclic_matching_coloring(x, x).array
     expected = {e: (m.center, i) for m in near_one_factorization(x)
                 for i, e in enumerate(m.edges, start=1)}
-    assert list(zip(center.tolist(), k.tolist())) == [expected[e] for e in all_edges(x)]
+    assert list(zip(center, k)) == [expected[e] for e in all_edges(x)]
 
 
 def test_matching_passes_stay_exact_past_int32():
     # in int32, (a + b)(x + 1)/2 passes 2^31 past x = 46,340, and
-    # (a - b)(x + 1)/2 past x = 65,535
+    # (a - b)(x + 1)/2 past x = 65,535; the tables are Python integers
     x, half = 70_001, 35_001
-    a = np.array([1, 2, 69_999], dtype=np.int32)
-    b = np.array([70_000, 70_001, 70_001], dtype=np.int32)
-    pairs = list(zip(a.tolist(), b.tolist()))
-    assert matching_centers(a, b, x).tolist() == [((u + v) * half - 1) % x for u, v in pairs]
+    pairs = [(1, 70_000), (2, 70_001), (69_999, 70_001)]
+    centers = constructions._center_table(x, 2 * x)
+    assert [centers[u + v] for u, v in pairs] == [((u + v) * half - 1) % x for u, v in pairs]
     d = [(u - v) * half % x for u, v in pairs]
-    assert matching_indices(a, b, x).tolist() == [min(e, x - e) for e in d]
+    index = constructions._index_table(x)
+    assert [index[v - u] for u, v in pairs] == [min(e, x - e) for e in d]
 
 
 @given(colorings())
@@ -193,27 +217,41 @@ def test_array_and_mapping_forms_agree(coloring):
 
 
 def test_fresh_arrays_are_adopted_without_a_copy():
-    # the builders, the bulk parser and the sampler hand over int64 arrays
-    # they made; from_array still copies whatever it is given
-    fresh = np.arange(1, 7, dtype=np.int64)
+    # the builders, the bulk parser and the sampler hand over stores they
+    # made; from_array still copies whatever it is given
+    fresh = bytes(range(1, 7))
     coloring = EdgeColoring._adopt(4, 6, fresh)
-    assert coloring.array is fresh and not fresh.flags.writeable
-    narrow = np.arange(1, 7, dtype=np.int32)
-    assert EdgeColoring._adopt(4, 6, narrow).array.dtype == np.int64
-    assert narrow.flags.writeable
-    given_array = np.arange(1, 7, dtype=np.int64)
-    copied = EdgeColoring.from_array(4, 6, given_array)
-    assert copied.array is not given_array and given_array.flags.writeable
-    assert copied == coloring
+    assert coloring.array is fresh
+    given = bytearray(range(1, 7))
+    copied = EdgeColoring.from_array(4, 6, given)
+    given[0] = 6
+    assert copied.array == fresh and copied == coloring
+    for array in (np.arange(1, 7, dtype=np.int32), list(range(1, 7))):
+        assert EdgeColoring.from_array(4, 6, array).array == fresh
     with pytest.raises(InvalidParameterError):
         EdgeColoring._adopt(5, 6, fresh)
+
+
+@pytest.mark.parametrize("values, kind", [
+    ([1, 2, 255, 0, 7, 3], bytes),
+    ([1, 2, 256, 0, 7, 3], memoryview),
+    ([1, -1, 2, 0, 7, 3], memoryview),
+    ([1, 2, (1 << 63) - 1, -(1 << 63), 7, 3], memoryview),
+])
+def test_store_is_bytes_exactly_when_every_color_fits_a_byte(values, kind):
+    store = EdgeColoring.from_array(4, 6, values).array
+    assert type(store) is kind and list(store) == values
+    if kind is memoryview:
+        assert store.readonly and store.format == "q"
+    with pytest.raises(TypeError):
+        store[0] = 2
 
 
 def test_colors_view_is_read_only():
     coloring = EdgeColoring(3, 2, {(1, 2): 1, (1, 3): 2, (2, 3): 1})
     with pytest.raises(TypeError):
         coloring.colors[(1, 2)] = 2
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         coloring.array[0] = 2
     assert coloring.colors == {(1, 2): 1, (1, 3): 2, (2, 3): 1}
     assert coloring.color_of(3, 1) == 2

@@ -5,7 +5,6 @@ import random
 import tracemalloc
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from starramsey import (
@@ -33,9 +32,7 @@ from starramsey.coloring import (
     MAX_COLORING_BYTES,
     check_order,
     edge_count,
-    edge_endpoints,
-    matching_centers,
-    matching_indices,
+    edge_rank,
 )
 from starramsey.errors import ConstructionFailedError, InvalidParameterError
 from starramsey.formulas import (
@@ -46,7 +43,7 @@ from starramsey.formulas import (
     star_upper,
 )
 
-from .conftest import monochrome_build
+from .conftest import monochrome_build, near_one_factorization
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -184,7 +181,7 @@ def test_builder_row_check_does_not_scale_with_declared_t(build, p, total):
     finally:
         tracemalloc.stop()
     assert (coloring.p, coloring.t) == (p, 1 << 20)
-    assert set(coloring.array.tolist()) == {c for c, size in enumerate(sizes, 1) if size}
+    assert set(coloring.array) == {c for c, size in enumerate(sizes, 1) if size}
     assert peak < 12 << 20
 
 
@@ -192,8 +189,7 @@ def test_builder_row_check_does_not_scale_with_declared_t(build, p, total):
 def test_builder_row_checks_still_fire(monkeypatch, unused):
     # every matching put in class 1: the rows no longer match the class
     # sizes, whether or not colors past p-1 are declared and left unused
-    monkeypatch.setattr(constructions, "_classes_in_order",
-                        lambda sizes: np.ones(sum(sizes), dtype=np.int64))
+    monkeypatch.setattr(constructions, "_classes_in_order", lambda sizes: [1] * sum(sizes))
     with pytest.raises(ConstructionFailedError,
                        match=r"^partitioned factorization row \[5, 0"):
         partitioned_factorization_coloring(6, [2, 3] + [0] * unused)
@@ -205,7 +201,7 @@ def test_builder_row_checks_still_fire(monkeypatch, unused):
     # one color on every edge: the rotation colorings and the odd
     # three-color coloring miss their rows at the first vertex
     monkeypatch.setattr(constructions, "_rotation_colors",
-                        lambda p, color_of_center, by_k: np.ones(edge_count(p), np.int64))
+                        lambda p, color_of_center, by_k: b"\x01" * edge_count(p))
     with pytest.raises(ConstructionFailedError,
                        match=r"^regular coloring row \[4, 0\] != \[2, 2\] at vertex 1$"):
         regular_coloring(2, 2)
@@ -213,7 +209,7 @@ def test_builder_row_checks_still_fire(monkeypatch, unused):
                        match=r"^near-regular row \[4, 0, 0\] below \[1, 1, 1\] at vertex 1$"):
         near_regular_coloring(3, 1, 2)
     monkeypatch.setattr(constructions, "cyclic_matching_coloring", lambda p, t: (
-        EdgeColoring.from_array(p, t, np.ones(edge_count(p), np.int64))))
+        EdgeColoring.from_array(p, t, [1] * edge_count(p))))
     with pytest.raises(ConstructionFailedError, match=(
             r"^three-color balanced row \[6, 0, 0\] != \[2, 2, 2\] at vertex 1$")):
         three_color_balanced_coloring(3)
@@ -285,12 +281,10 @@ def test_large_certificate_bytes_are_pinned(n, t, s, order, tag, prefix):
 
 @pytest.mark.parametrize("x", range(3, 62, 2))
 def test_special_matching_ranks_are_the_center_scan(x):
-    # the closed form lists M_i's edges by k, as a scan of every edge would
-    center = matching_centers(*edge_endpoints(x), x)
-    k = matching_indices(*edge_endpoints(x), x)
-    for i in range(1, x + 1):
-        mine = np.flatnonzero(center == i - 1)
-        assert constructions._matching_ranks(x, i).tolist() == mine[np.argsort(k[mine])].tolist()
+    # the closed form lists M_i's edges by k, as the factorization does
+    for m in near_one_factorization(x):
+        assert constructions._matching_ranks(x, m.center) == [
+            edge_rank(x, u, v) for u, v in m.edges]
 
 
 _ONE_TABLE_CASES = [
@@ -343,9 +337,9 @@ def test_witness_coloring_builds_one_degree_table(monkeypatch, n, t, s, tag, par
                               witness=WitnessRecipe(tag, params))
         monkeypatch.setattr(constructions, "classify", lambda *args: verdict)
     calls = []
-    degree_counts = coloring_module.degree_counts
-    monkeypatch.setattr(coloring_module, "degree_counts",
-                        lambda *args: calls.append(args[:2]) or degree_counts(*args))
+    degree_table = coloring_module.degree_table
+    monkeypatch.setattr(coloring_module, "degree_table",
+                        lambda c: calls.append((c.p, c.t)) or degree_table(c))
     coloring, recipe = witness_coloring(n, t, s)
     assert recipe.tag == tag and coloring.p - 1 >= n
     assert calls == [(coloring.p, t)]
@@ -354,8 +348,7 @@ def test_witness_coloring_builds_one_degree_table(monkeypatch, n, t, s, tag, par
 
 def test_cyclic_coloring_takes_a_color_count_past_int32():
     # edge indices stay below p, so any t >= p leaves them as they are
-    assert np.array_equal(cyclic_matching_coloring(7, 2**40).array,
-                          cyclic_matching_coloring(7, 7).array)
+    assert cyclic_matching_coloring(7, 2**40).array == cyclic_matching_coloring(7, 7).array
 
 
 def test_oversized_order_is_refused_before_allocating():
@@ -373,9 +366,8 @@ def test_oversized_order_is_refused_before_allocating():
 
 
 def test_builders_refuse_oversized_orders_before_allocating():
-    # the library builders and build_recipe check the order themselves;
-    # only the partitioned factorization's (p-1)-entry class array exists
-    # before the check
+    # the library builders and build_recipe check the order themselves,
+    # before any per-vertex or per-edge list
     recipe = WitnessRecipe("partitioned-factorization",
                            {"p": 100_000, "class_sizes": balanced_class_sizes(99_999, 3)})
     tracemalloc.start()
@@ -388,6 +380,21 @@ def test_builders_refuse_oversized_orders_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 2 << 20
+
+
+def test_rotation_builders_refuse_oversized_orders_before_their_layouts():
+    # K_100001 both: the order is checked before the circle layout, whose
+    # tuples take about 8 MB there
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="K_100001 has"):
+            regular_coloring(2, 50_000)
+        with pytest.raises(InvalidParameterError, match="K_100001 has"):
+            near_regular_coloring(3, 33_333, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_four_builder_cases_certify_every_budget():

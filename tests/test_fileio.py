@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import pytest
@@ -14,7 +15,7 @@ from starramsey import (
     witness_coloring,
     write_coloring,
 )
-from starramsey.coloring import edge_count, edge_endpoints
+from starramsey.coloring import edge_count
 from starramsey.errors import ColoringFormatError, InvalidParameterError
 
 from .conftest import colorings
@@ -152,22 +153,17 @@ def test_read_coloring_ends_lines_at_newlines_only(tmp_path, monkeypatch):
 
 
 def test_certificate_files_peak_bytes_per_edge(tmp_path):
-    # K_405 (near-regular) peaks at 26.4 and 37.3 bytes per edge under
-    # tracemalloc (73.2 and 84.2 with int64 passes and whole-file renders),
-    # with the endpoint arrays built inside each measurement; the bounds
-    # leave about 20% headroom.  Handing fresh color arrays over without a
-    # copy leaves both peaks as they were: here they come from the degree
-    # table and from the render comparison, whose 16,384-line blocks are a
-    # fifth of K_405's edges
+    # K_405 (near-regular) peaks at 13.7 and 22.6 bytes per edge under
+    # tracemalloc with one-byte colors, a p x p degree matrix and the
+    # padded render of each block of rows (26.4 and 37.3 with int64 numpy
+    # passes, 73.2 and 84.2 before those were narrowed)
     path = str(tmp_path / "k405.txt")
-    edge_endpoints.cache_clear()
     tracemalloc.start()
     try:
         coloring, _ = witness_coloring(338, 6, 5)
         write_coloring(path, coloring)
         build = tracemalloc.get_traced_memory()[1]
         del coloring
-        edge_endpoints.cache_clear()
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         assert check_certificate(read_coloring(path), 338, 5).passed
@@ -179,12 +175,11 @@ def test_certificate_files_peak_bytes_per_edge(tmp_path):
 
 
 def test_bulk_parser_keeps_one_color_array():
-    # K_405's colors read back at about 18 B/edge over the file (the newline
-    # mask, then the line ends and the colors); a copy of the colors into
-    # the coloring made it 24
+    # K_405's colors read back at about 3.3 B/edge over the file: strided
+    # slices of the lines' color bytes, one byte per color (18 with a numpy
+    # newline mask and int64 colors, 24 with a copy of them)
     coloring, _ = witness_coloring(338, 6, 5)
     data = serialize_coloring(coloring).encode()
-    edge_endpoints(coloring.p)  # cached, as the render comparison builds it
     tracemalloc.start()
     try:
         parsed = fileio._line_colors(data, coloring.p, coloring.t)
@@ -270,6 +265,52 @@ def test_bulk_path_refuses_near_canonical_files():
                   text.replace(" ", "  ", 1), "# c\n" + text,
                   text.replace("1 2 ", "01 2 ", 1), text.replace("\n1 3", " 1\n3", 1)):
         assert fileio._parse_canonical(other.encode()) is None
+
+
+def test_commented_files_take_the_bulk_path(monkeypatch):
+    # a K_798 file that adds only '#' lines and empty lines to a canonical
+    # one parses without the line parser, within twice the canonical time
+    coloring, _ = witness_coloring(600, 8, 6)
+    data = serialize_coloring(coloring).encode()
+    commented = b"# c\n" + data
+    monkeypatch.setattr(fileio, "_parse_lines", None)
+    for variant in (commented, b"\n\n# a\n#\n" + data.replace(b"\n", b"\n\n", 5),
+                    data.replace(b"\n1 3 ", b"\n# 1 3\n1 3 ", 1) + b"# end"):
+        assert parse_coloring(variant) == coloring
+        assert parse_coloring(variant.decode()) == coloring
+
+    def best(text):
+        times = []
+        for _ in range(5):
+            start = time.perf_counter()
+            parse_coloring(text)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    best(data)  # first-use costs
+    assert best(commented) < 2 * best(data)
+
+
+def test_multi_digit_colors_take_the_bulk_path(monkeypatch):
+    # K_801 with colors 1..12, and a K_6 whose colors past 255 make an
+    # int64 store: the runs of lines with wider colors are split
+    monkeypatch.setattr(fileio, "_parse_lines", None)
+    near_regular, _ = witness_coloring(669, 12, 10)
+    wide = EdgeColoring.from_array(6, 300, [7, 300, 12, 255, 256, 1, 99, 100, 5, 5, 5, 5, 5,
+                                            5, 5])
+    assert type(wide.array) is memoryview
+    for coloring in (near_regular, wide):
+        assert parse_coloring(serialize_coloring(coloring)) == coloring
+
+
+def test_bad_commented_files_keep_their_line_numbers():
+    # the bulk path refuses them, and the line parser counts every line
+    _expect_error("# c\n2 2\n1 2 3\n", "color 3 out of range", line=3)
+    _expect_error("2 2\n\n# c\n1 2 1\n1 2 1\n", "duplicate edge (1, 2); first seen on line 4",
+                  line=5)
+    _expect_error("# c\n3 2\n\n1 2 1\n", "2 edge(s) missing, first is (1, 3)")
+    _expect_error("# c\n2 2\n  # indented\n1 2 x\n", "edge line must hold three integers",
+                  line=4)
 
 
 def test_serialize_writes_any_integer_color():

@@ -3,14 +3,14 @@ import time
 
 import pytest
 
-from starramsey import EdgeColoring, all_edges, check_certificate, classify, witness_coloring
+from starramsey import EdgeColoring, check_certificate, classify, witness_coloring
 from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
 from starramsey.formulas import pigeonhole_upper
 from starramsey import oracle
 from starramsey.oracle import (SearchStats, _parity_forbids, _reachable_k, _search,
                                max_min_star_colors, ramsey_value)
 
-from .conftest import brute_max_min_star, brute_min_star, parity_pigeonhole_order
+from .conftest import all_edges, brute_max_min_star, brute_min_star, parity_pigeonhole_order
 
 
 def test_max_min_examples():

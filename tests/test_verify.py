@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 
 from starramsey import (
     EdgeColoring,
-    all_edges,
     check_certificate,
     min_star_colors,
-    one_factorization,
     regular_coloring,
     sample_upper_check,
     three_color_balanced_coloring,
@@ -19,11 +17,19 @@ from starramsey import (
 )
 from starramsey import coloring as coloring_module
 from starramsey import verify
-from starramsey.coloring import degree_counts, edge_count
+from starramsey.coloring import edge_count
 from starramsey.errors import InvalidParameterError
 from starramsey.verify import star_minima
 
-from .conftest import brute_min_star, brute_star_at, colorings
+from .conftest import (
+    all_edges,
+    brute_min_star,
+    brute_star_at,
+    colorings,
+    degree_counts,
+    one_factorization,
+    star_minima_reference,
+)
 
 
 def _mono(p, t=2, color=1):
@@ -65,6 +71,13 @@ def test_min_star_examples():
     assert min_star_colors(_proper_k4(), 3) == 3
     assert min_star_colors(regular_coloring(2, 2), 3) == 2
     assert min_star_colors(_mono(3), 3) is None
+
+
+@given(st.integers(1, 6).flatmap(lambda t: st.lists(
+    st.lists(st.integers(0, 30), min_size=t, max_size=t), min_size=1, max_size=6)),
+    st.integers(1, 200))
+def test_star_minima_matches_sorted_prefix_reference(rows, n):
+    assert star_minima(rows, n) == star_minima_reference(np.array(rows), n).tolist()
 
 
 def test_min_star_rejects_bad_n():
@@ -233,11 +246,11 @@ def test_trial_drawn_alone_equals_trial_in_batch():
 
 def _per_trial_sample(p, n, t, s, trials, seed):
     """Unscreened reference: every trial's full coloring from the draw
-    function, judged by star_minima over all p vertices at once, in one
-    stack: (passed, first beating trial, its colors)."""
+    function, judged by numpy star minima over all p vertices at once, in
+    one stack: (passed, first beating trial, its colors)."""
     ranks = np.arange(edge_count(p))
     cols = verify.sample_colors(p, t, seed, np.arange(trials), ranks)
-    beats = star_minima(degree_counts(p, t, cols), n).min(axis=-1) > s
+    beats = star_minima_reference(degree_counts(p, t, cols), n).min(axis=-1) > s
     if not beats.any():
         return True, None, None
     i = int(beats.argmax())
@@ -253,7 +266,7 @@ def _assert_sampler_matches_reference(monkeypatch, p, n, t, s, trials, seed, cel
         if passed:
             assert res.counterexample is None
         else:
-            assert np.array_equal(res.counterexample.array, cols)
+            assert list(res.counterexample.array) == cols.tolist()
 
 
 # trial 192 is the first counterexample of (p, n, t, s) = (4, 2, 3, 1) at
@@ -314,8 +327,8 @@ def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
 def test_sample_upper_check_no_star_order():
     res = sample_upper_check(3, 5, 2, 1, trials=10, seed=0)
     assert not res.passed and res.trial_index == 0
-    assert np.array_equal(res.counterexample.array,
-                          verify.sample_colors(3, 2, 0, np.array([0]), np.arange(3))[0])
+    assert list(res.counterexample.array) == (
+        verify.sample_colors(3, 2, 0, np.array([0]), np.arange(3))[0].tolist())
 
 
 def test_sampler_batch_memory_does_not_grow_with_t():
