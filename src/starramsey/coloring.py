@@ -11,8 +11,11 @@ read-only int64 memoryview of an ``array('q')`` otherwise
 (``color_store``); the choice depends on the values alone.  Builders,
 the degree table, validation and file I/O work on slices of that store
 with the C loops of ``bytes`` (slicing, ``count``, ``translate``), so no
-numpy is loaded.  ``.color_degrees`` keeps the degree table once built,
-and ``.colors`` is a read-only mapping view for (u, v) -> color.
+numpy is loaded.  No other module tells the two kinds apart: they make,
+join, patch, range-check and render stores through ``color_store``,
+``join_store``, ``join_colors``, ``patch_store``, ``in_color_range`` and
+``color_digit_columns``.  ``.color_degrees`` keeps the degree table once
+built, and ``.colors`` is a read-only mapping view for (u, v) -> color.
 """
 
 from __future__ import annotations
@@ -36,10 +39,6 @@ Edge = tuple[int, int]
 # up to K_5793.
 MAX_COLORING_BYTES = 2 << 30
 BYTES_PER_EDGE = 128
-
-# Up to this many one-byte colors a vertex's degrees are counted with one
-# bytes.count each; past it one Counter pass over the vertex is cheaper.
-COUNT_COLORS = 32
 
 _BYTE_VALUES = bytes(range(256))
 
@@ -108,6 +107,58 @@ def join_store(pieces, like: bytes | memoryview) -> bytes | memoryview:
     """Slices of a store ``like`` joined into one store of the same kind."""
     joined = b"".join(pieces)
     return joined if isinstance(like, bytes) else memoryview(joined).cast("q")
+
+
+def join_colors(parts) -> bytes | memoryview:
+    """The store of the colors of ``parts`` in order, each part a sequence
+    of integers (``bytes`` or a list).  Raises ``InvalidParameterError``
+    as ``color_store`` does."""
+    try:
+        return b"".join(map(bytes, parts))
+    except ValueError:  # a value outside 0..255
+        return color_store([c for part in parts for c in part])
+    except TypeError:
+        raise InvalidParameterError("colors must be 64-bit integers") from None
+
+
+def patch_store(store: bytes | memoryview, patches: dict[int, int]) -> bytes | memoryview:
+    """The store with color c at rank r for each r: c of ``patches``;
+    a new store when there are any."""
+    if not patches:
+        return store
+    if isinstance(store, bytes):
+        patched = bytearray(store)
+        try:
+            for r, c in patches.items():
+                patched[r] = c
+            return bytes(patched)
+        except ValueError:  # a color past one byte
+            pass
+    values = list(store)
+    for r, c in patches.items():
+        values[r] = c
+    return color_store(values)
+
+
+def digit_columns(numbers: list[str], width: int) -> list[bytes]:
+    """Column j of the numbers right-aligned in ``width`` behind NUL
+    bytes, for j = 0..width-1: one byte per number."""
+    joined = "".join(number.rjust(width, "\0") for number in numbers).encode()
+    return [joined[j::width] for j in range(width)]
+
+
+def color_digit_columns(colors: bytes | memoryview) -> list[bytes]:
+    """``digit_columns`` of every color in a store, as wide as its widest
+    color: one translate per column for one-byte colors, one string per
+    color otherwise."""
+    if not isinstance(colors, bytes):
+        numbers = list(map(str, colors))
+        return digit_columns(numbers, max(map(len, numbers)))
+    width, top = next((w, top) for w, top in ((1, 10), (2, 100), (3, 256))
+                      if not colors.translate(None, _BYTE_VALUES[:top]))
+    # a table maps every byte; those at or past ``top`` do not occur
+    return [colors.translate(table)
+            for table in digit_columns([str(c % top) for c in range(256)], width)]
 
 
 def in_color_range(colors: bytes | memoryview, t: int) -> bool:
@@ -247,9 +298,8 @@ def degree_table(coloring: EdgeColoring) -> tuple[tuple[int, ...], tuple[tuple[i
     """The (palette, rows) of ``EdgeColoring.color_degrees``, counted anew.
 
     A vertex's row and column are counted with one ``bytes.count`` per
-    color when the colors take one byte and at most ``COUNT_COLORS`` of
-    them are counted, else with one ``Counter`` pass.  Raises
-    ``InvalidParameterError`` for a coloring built from a malformed
+    color when the colors take one byte, else with one ``Counter`` pass.
+    Raises ``InvalidParameterError`` for a coloring built from a malformed
     mapping or holding a color outside 1..t, or when the table would
     exceed ``MAX_COLORING_BYTES``.
     """
@@ -261,7 +311,7 @@ def degree_table(coloring: EdgeColoring) -> tuple[tuple[int, ...], tuple[tuple[i
         check_table(p, len(palette))
     rows = []
     for row, column in _vertex_colors(colors, p):
-        if isinstance(row, bytes) and len(palette) <= COUNT_COLORS:
+        if isinstance(row, bytes):
             row += column
             rows.append(tuple(map(row.count, palette)))
         else:

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, check_order, color_store, edge_rank, join_store
+from .coloring import (EdgeColoring, check_order, color_store, edge_rank, join_store,
+                       patch_store)
 from .errors import ConstructionFailedError, InvalidParameterError
 from .formulas import CaseVerdict, WitnessRecipe, classify
 from .verify import min_star_colors
@@ -164,13 +165,10 @@ def _rotation_colors(p: int, color_of_center: list[int], by_k: dict):
         rows.append(table[2 * u + 1:u + x + 1])
         if x < p:
             rows.append(table[2 * u:2 * u + 1])
-    colors = bytearray(b"".join(rows))
-    view = memoryview(colors).cast("B" if isinstance(table, bytes) else "q")
+    patches = {}
     for i, k_colors in by_k.items():  # at most t-1 matchings of (x-1)/2 edges
-        for r, c in zip(_matching_ranks(x, i), k_colors):
-            view[r] = c
-    view.release()
-    return join_store([colors], table)
+        patches.update(zip(_matching_ranks(x, i), k_colors))
+    return patch_store(join_store(rows, table), patches)
 
 
 def _matching_ranks(x: int, i: int) -> list[int]:

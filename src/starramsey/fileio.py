@@ -25,33 +25,15 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .coloring import EdgeColoring, color_store, edge_count, edge_rank, in_color_range
+from .coloring import (EdgeColoring, color_digit_columns, digit_columns, edge_count, edge_rank,
+                       in_color_range, join_colors)
 from .errors import ColoringFormatError, InvalidParameterError
 
 RENDER_LINES = 1 << 16  # a render block ends after the row that reaches this
-_BYTES = bytes(range(256))
 # ASCII digit -> its value; any other byte -> 0, which no valid color is
 _DIGIT_VALUES = bytes(c - 48 if 48 <= c <= 57 else 0 for c in range(256))
-
-
-def _digit_columns(numbers: list[str], width: int) -> list[bytes]:
-    """Column j of the numbers right-aligned in ``width`` behind NUL
-    bytes, for j = 0..width-1: one byte per number."""
-    joined = "".join(number.rjust(width, "\0") for number in numbers).encode()
-    return [joined[j::width] for j in range(width)]
-
-
-def _color_columns(colors: bytes | memoryview) -> list[bytes]:
-    """The digit columns of every color in the store: one translate per
-    column for one-byte colors, one string per color otherwise."""
-    if not isinstance(colors, bytes):
-        numbers = list(map(str, colors))
-        return _digit_columns(numbers, max(map(len, numbers)))
-    width, top = next((w, top) for w, top in ((1, 10), (2, 100), (3, 256))
-                      if not colors.translate(None, _BYTES[:top]))
-    # a table maps every byte; those at or past ``top`` do not occur
-    return [colors.translate(table)
-            for table in _digit_columns([str(c % top) for c in range(256)], width)]
+# characters of the widest 64-bit color, 2**63 - 1
+_COLOR_DIGITS = 19
 
 
 def _row_blocks(p: int):
@@ -65,25 +47,31 @@ def _row_blocks(p: int):
             first, lines = u + 1, 0
 
 
-def _render(coloring: EdgeColoring) -> list[bytes]:
-    """The file bytes: the header, then the data lines in blocks of rows.
+def _render(coloring: EdgeColoring):
+    """The file bytes as an iterator of blocks: the header, then the data
+    lines in blocks of rows.  A coloring with missing edges is refused
+    here, before any block is made."""
+    if coloring.missing:
+        raise InvalidParameterError(
+            f"cannot serialize K_{coloring.p}: {len(coloring.missing)} edge(s) missing")
+    return _blocks(coloring.p, coloring.t, coloring.array)
+
+
+def _blocks(p: int, t: int, colors):
+    """The blocks of ``_render``, made one at a time.
 
     A block first lays every line out at the full width of "u v c\n",
     with v and c right-aligned behind NUL bytes; each digit column of u,
     v and c is one strided assignment (u is constant along a row, and v
     runs over a suffix of 1..p).  Deleting the NULs, where a block has
     any, leaves the lines."""
-    if coloring.missing:
-        raise InvalidParameterError(
-            f"cannot serialize K_{coloring.p}: {len(coloring.missing)} edge(s) missing")
-    p, colors = coloring.p, coloring.array
-    blocks = [f"{p} {coloring.t}\n".encode()]
+    yield f"{p} {t}\n".encode()
     if not colors:
-        return blocks
-    color_columns = _color_columns(colors)
+        return
+    color_columns = color_digit_columns(colors)
     padded_colors = b"\0" in color_columns[0]
     wv, wc = len(str(p)), len(color_columns)
-    v_columns = _digit_columns(list(map(str, range(p + 1))), wv)
+    v_columns = digit_columns(list(map(str, range(p + 1))), wv)
     for first, last in _row_blocks(p):
         wu = len(str(first))
         width = wu + wv + wc + 3
@@ -93,7 +81,7 @@ def _render(coloring: EdgeColoring) -> list[bytes]:
         line[-1] = ord("\n")
         body = line * (end - start)
         rows = range(first, last + 1)
-        for j, column in enumerate(_digit_columns(list(map(str, rows)), wu)):
+        for j, column in enumerate(digit_columns(list(map(str, rows)), wu)):
             body[j::width] = b"".join(column[i:i + 1] * (p - u) for i, u in enumerate(rows))
         for j, column in enumerate(v_columns, wu + 1):
             body[j::width] = b"".join(column[u + 1:] for u in rows)
@@ -101,8 +89,7 @@ def _render(coloring: EdgeColoring) -> list[bytes]:
             body[j::width] = column[start:end]
         if padded_colors or len(str(first + 1)) < wv:
             body = body.translate(None, b"\0")
-        blocks.append(body)
-    return blocks
+        yield body
 
 
 def serialize_coloring(coloring: EdgeColoring) -> str:
@@ -120,6 +107,9 @@ def _line_colors(data: bytes, p: int, t: int) -> EdgeColoring | None:
     checks every other byte."""
     pos = data.find(b"\n") + 1
     parts = []
+    # a line longer than prefix + cw + 1 holds no color that fits 1..t and
+    # a 64-bit store
+    cw = min(len(str(t)), _COLOR_DIGITS)
     for u in range(1, p):
         lo = u + 1
         while lo <= p:
@@ -130,7 +120,7 @@ def _line_colors(data: bytes, p: int, t: int) -> EdgeColoring | None:
                 parts.append(data[pos + prefix:end:prefix + 2].translate(_DIGIT_VALUES))
                 pos = end
             else:
-                run = data[pos:pos + n * (prefix + len(str(t)) + 1)]
+                run = data[pos:pos + n * (prefix + cw + 1)]
                 lines = run.split(b"\n", n)
                 if len(lines) <= n:
                     return None
@@ -145,12 +135,9 @@ def _line_colors(data: bytes, p: int, t: int) -> EdgeColoring | None:
     if pos != len(data):
         return None
     try:
-        colors = b"".join(part if isinstance(part, bytes) else bytes(part) for part in parts)
-    except ValueError:  # a color outside 0..255
-        try:
-            colors = color_store([c for part in parts for c in part])
-        except InvalidParameterError:
-            return None
+        colors = join_colors(parts)
+    except InvalidParameterError:
+        return None
     if not in_color_range(colors, t):
         return None
     return EdgeColoring._adopt(p, t, colors)

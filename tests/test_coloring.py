@@ -11,7 +11,14 @@ from starramsey import (
     min_star_colors,
     regular_coloring,
 )
-from starramsey.coloring import edge_count, edge_rank, edges
+from starramsey.coloring import (
+    color_store,
+    edge_count,
+    edge_rank,
+    edges,
+    join_colors,
+    patch_store,
+)
 from starramsey.errors import InvalidParameterError
 
 from .conftest import (
@@ -133,7 +140,8 @@ def test_profile_refuses_malformed_colorings(colors):
 
 @pytest.mark.parametrize("p, t, top", [
     (9, 5, 5),        # one-byte colors, one bytes.count per color
-    (60, 40, 40),     # past COUNT_COLORS: one Counter pass per vertex
+    (60, 40, 40),     # 40 one-byte colors
+    (300, 255, 255),  # every one-byte color, still one bytes.count each
     (40, 300, 300),   # colors past 255: an int64 store, counted by Counter
     (12, 10**6, 10**6),  # t > p-1: only the colors that occur get a column
 ])
@@ -245,6 +253,34 @@ def test_store_is_bytes_exactly_when_every_color_fits_a_byte(values, kind):
         assert store.readonly and store.format == "q"
     with pytest.raises(TypeError):
         store[0] = 2
+
+
+@pytest.mark.parametrize("values, patches, expected", [
+    ([1, 2, 255], {}, [1, 2, 255]),
+    ([1, 2, 255], {0: 9, 2: 0}, [9, 2, 0]),
+    ([1, 2, 255], {1: 256}, [1, 256, 255]),   # a color past one byte widens the store
+    ([1, 300, 4], {1: 3}, [1, 3, 4]),         # and the last one going narrows it
+    ([1, 300, 4], {0: -(1 << 63)}, [-(1 << 63), 300, 4]),
+])
+def test_patched_stores_take_the_kind_of_their_values(values, patches, expected):
+    patched = patch_store(color_store(values), patches)
+    assert type(patched) is type(color_store(expected)) and list(patched) == expected
+
+
+@pytest.mark.parametrize("parts, expected", [
+    ([b"\x01\x02", [3, 4], b""], [1, 2, 3, 4]),
+    ([b"\x01\x02", [300, 4]], [1, 2, 300, 4]),
+    ([[1], [-(1 << 63)]], [1, -(1 << 63)]),
+])
+def test_joined_parts_take_the_kind_of_their_values(parts, expected):
+    joined = join_colors(parts)
+    assert type(joined) is type(color_store(expected)) and list(joined) == expected
+
+
+@pytest.mark.parametrize("parts", [[b"\x01", [1 << 63]], [[1, "2"]], [[1.0]]])
+def test_joined_parts_refuse_what_the_store_refuses(parts):
+    with pytest.raises(InvalidParameterError, match="64-bit integers"):
+        join_colors(parts)
 
 
 def test_colors_view_is_read_only():

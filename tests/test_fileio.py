@@ -303,6 +303,26 @@ def test_multi_digit_colors_take_the_bulk_path(monkeypatch):
         assert parse_coloring(serialize_coloring(coloring)) == coloring
 
 
+def test_huge_color_bound_does_not_widen_the_parse(monkeypatch):
+    # a header t of thousands of digits over two-digit colors: each run of
+    # lines is sliced at the width of the widest 64-bit color, not of t, so
+    # the parse peaks as with t = 99 (1.4x that when runs took str(t) digits)
+    monkeypatch.setattr(fileio, "_parse_lines", None)
+    p = 400
+    colors = [10 + r % 90 for r in range(edge_count(p))]
+    peaks = []
+    for t in (99, 10 ** 4000):
+        coloring = EdgeColoring.from_array(p, t, colors)
+        data = serialize_coloring(coloring).encode()
+        tracemalloc.start()
+        try:
+            assert parse_coloring(data) == coloring
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
+
+
 def test_bad_commented_files_keep_their_line_numbers():
     # the bulk path refuses them, and the line parser counts every line
     _expect_error("# c\n2 2\n1 2 3\n", "color 3 out of range", line=3)
@@ -321,3 +341,10 @@ def test_serialize_writes_any_integer_color():
 def test_serialize_refuses_missing_edges():
     with pytest.raises(InvalidParameterError, match="1 edge"):
         serialize_coloring(EdgeColoring(3, 2, {(1, 2): 1, (1, 3): 2}))
+
+
+def test_write_refuses_missing_edges_before_opening_the_file(tmp_path):
+    path = tmp_path / "k3.txt"
+    with pytest.raises(InvalidParameterError, match="1 edge"):
+        write_coloring(str(path), EdgeColoring(3, 2, {(1, 2): 1, (1, 3): 2}))
+    assert not path.exists()
