@@ -2,7 +2,7 @@
 
 Exact values of R(n, t, s) for s = t-1 and s = t-2, general-l bounds,
 verified lower-bound certificate colorings, and an exhaustive oracle
-for small instances.
+for small instances.  ``__all__`` is the public surface; README lists it.
 
 Names are loaded from their modules on first use, so importing the
 package loads none of them.  No module imports numpy at its top; only
@@ -21,14 +21,11 @@ _EXPORTS = {
         "color_degree_profile",
     ),
     "constructions": (
-        "ClassLayout",
         "build_recipe",
         "cyclic_matching_coloring",
         "near_regular_coloring",
-        "near_regular_layout",
         "partitioned_factorization_coloring",
         "regular_coloring",
-        "regular_layout",
         "three_color_balanced_coloring",
         "witness_coloring",
     ),
@@ -48,9 +45,6 @@ _EXPORTS = {
         "balanced_class_sizes",
         "classify",
         "general_bounds",
-        "ramsey_star_t_minus_1",
-        "ramsey_star_t_minus_2",
-        "threshold_predicate",
     ),
     "verify": (
         "Certificate",

@@ -24,6 +24,7 @@ import operator
 from array import array
 from collections import Counter
 from collections.abc import Mapping
+from itertools import islice
 from types import MappingProxyType
 
 from .errors import InvalidParameterError
@@ -207,11 +208,16 @@ class EdgeColoring:
     @classmethod
     def from_array(cls, p: int, t: int, array) -> "EdgeColoring":
         """Coloring whose edge of rank r has color array[r] (copied from
-        any sequence of integers)."""
+        any iterable of integers).  The order is checked first, and at most
+        one value past K_p's edges is read."""
+        check_order(p)
+        m = edge_count(p)
         try:
-            values = list(map(operator.index, array))
+            values = list(map(operator.index, islice(array, m + 1)))
         except TypeError:
             raise InvalidParameterError("colors must be 64-bit integers") from None
+        if len(values) > m:
+            raise InvalidParameterError(f"K_{p} needs {m} colors, got more")
         return cls._adopt(p, t, color_store(values))
 
     @classmethod

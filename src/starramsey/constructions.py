@@ -13,7 +13,10 @@ so in the rotation colorings an edge's color depends only on u + v: row
 u of K_p is a slice of one table indexed by u + v (``_rotation_colors``),
 and on even p the edge (u, p) completing M_u of K_{p-1} takes the
 table's entry at 2u.  The cyclic colors use the index k of the edge
-within its matching, which depends only on v - u.  One row check,
+within its matching, which depends only on v - u.  The regular and
+near-regular colorings give each matching a color that is a closed form
+in its center i, and color the edges of the matchings they patch by a
+closed form in k.  One row check,
 ``_certified``, builds the degree table that ``witness_coloring``'s star
 check reuses and raises "<name> row [...] != [...] at vertex v"
 (``below`` for a floor).  ``BUILDERS`` maps recipe tags to builders.
@@ -23,53 +26,11 @@ before it builds any per-vertex or per-edge list.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .coloring import (EdgeColoring, check_order, color_store, edge_rank, join_store,
                        patch_store)
 from .errors import ConstructionFailedError, InvalidParameterError
 from .formulas import CaseVerdict, WitnessRecipe, classify
 from .verify import min_star_colors
-
-
-class ClassLayout(NamedTuple):
-    """Circle positions used by the rotation colorings of odd K_x.
-
-    ``singletons`` come first, then ``classes`` of t positions each, with
-    len(singletons) + t * len(classes) == x.  The color-regular layout
-    additionally places class i and class q+1-i so that paired positions
-    sum to 0 mod x, which puts the prescribed edge inside the last
-    vertex's matching.
-    """
-
-    x: int
-    singletons: tuple[int, ...]
-    classes: tuple[tuple[int, ...], ...]
-
-
-def regular_layout(t: int, q: int) -> ClassLayout:
-    """Positions for the q-regular-per-color coloring: the lone vertex at x,
-    classes 1..q/2 before it and their mirror images after it."""
-    x = t * q + 1
-    classes = []
-    for i in range(1, q + 1):
-        if i <= q // 2:
-            row = tuple((i - 1) * t + j for j in range(1, t + 1))
-        else:
-            row = tuple(x - ((q - i) * t + j) for j in range(1, t + 1))
-        classes.append(row)
-    return ClassLayout(x=x, singletons=(x,), classes=tuple(classes))
-
-
-def near_regular_layout(t: int, q: int, r: int) -> ClassLayout:
-    """Positions for the floor-regular coloring: singletons 1..r, then
-    classes of t consecutive positions."""
-    x = t * q + r
-    classes = tuple(
-        tuple(r + (i - 1) * t + j for j in range(1, t + 1))
-        for i in range(1, q + 1)
-    )
-    return ClassLayout(x=x, singletons=tuple(range(1, r + 1)), classes=classes)
 
 
 def _certified(coloring: EdgeColoring, name: str, expected,
@@ -182,33 +143,24 @@ def _matching_ranks(x: int, i: int) -> list[int]:
 
 
 def regular_coloring(t: int, q: int) -> EdgeColoring:
-    """t-coloring of K_{tq+1}, q even, with every color class q-regular.
+    """t-coloring of K_x, x = tq+1, q even, with every color class q-regular.
 
-    The matching of the j-th vertex of every class is colored wholly
-    with j, and the edge of the last vertex's matching joining the j-th
-    vertices of classes i and q+1-i is colored j as well.  The mirrored
-    layout makes those paired positions sum to 0 mod x, so that edge
-    really does lie in the last vertex's matching.
+    The matching M_i, i < x, is colored wholly with c(i) = (min(i, x-i) -
+    1) mod t + 1, so every color colors q of them, paired as M_i and
+    M_{x-i}.  Edge k of M_x joins k and x-k and is colored ((k-1) mod t)
+    + 1.  The vertex x lies in every M_i, i < x, so it meets q edges of
+    each color.  A vertex v < x lies in all of them but its own M_v, so
+    it meets q-1 of c(v) there, and M_x meets it at k = min(v, x-v), on
+    an edge of color c(v).
     """
     if t < 2:
         raise InvalidParameterError(f"need t >= 2, got {t}")
     if q < 2 or q % 2:
         raise InvalidParameterError(f"need even q >= 2, got {q}")
-    check_order(t * q + 1)
-    layout = regular_layout(t, q)
-    x = layout.x
-    color_of_center = [0] * x
-    for row in layout.classes:
-        for j, position in enumerate(row, 1):
-            color_of_center[position - 1] = j
-    # edge k of the last matching joins positions k and x-k
-    last = [0] * ((x - 1) // 2)
-    for m, partner in zip(layout.classes[:q // 2], layout.classes[::-1]):
-        for j, (a, b) in enumerate(zip(m, partner), 1):
-            if (a + b) % x:
-                raise ConstructionFailedError(
-                    f"layout pair ({a}, {b}) does not sum to 0 mod {x}")
-            last[min(a, b) - 1] = j
+    x = t * q + 1
+    check_order(x)
+    color_of_center = [(min(i, x - i) - 1) % t + 1 for i in range(1, x)] + [0]
+    last = [(k - 1) % t + 1 for k in range(1, (x + 1) // 2)]
     coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, {x: last}))
     return _certified(coloring, "regular coloring", lambda palette: [q] * len(palette))
 
@@ -217,21 +169,20 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     """t-coloring of odd K_x, x = tq+r, 2 <= r <= t-1, with >= q of every
     color at every vertex.
 
-    The matchings of the q classes give every vertex q edges of each
-    color, except that a class vertex v of color j misses its own
-    matching and gets q-1 of color j.  One singleton matching makes up
-    for it, its edge k joining positions i+k and i-k:
+    The matching M_i of each class vertex i > r is colored wholly with
+    c(i) = (i-r-1) mod t + 1, so every color colors q of them.  The
+    singletons 1..r lie in all of them, and a class vertex v in all but
+    its own M_v, where it gets q-1 of c(v).  One singleton matching makes
+    up for it, its edge k joining positions i+k and i-k:
 
     * if v - r <= (x-1)/2, the last singleton's matching (i = r) meets v
-      at k = v - r = (c-1)t + j for v in class c, and colors that edge
-      ((k-1) mod t) + 1 = j;
+      at k = v - r, and colors that edge ((k-1) mod t) + 1 = c(v);
     * otherwise the first singleton's matching (i = 1) meets v at
-      k = x - (v-1) = (q-c+1)t - j + 1, which is at most (x-1)/2 because
-      v >= r + (x+1)/2, and colors that edge (t-k) mod t + 1 = j.
+      k = x - (v-1), which is at most (x-1)/2 because v >= r + (x+1)/2,
+      and colors that edge (t-k) mod t + 1 = (v-1-tq) mod t + 1 = c(v).
 
-    Singleton vertices lie in every class matching, so every row is at
-    least q.  The singletons in between take a cyclic filler, and
-    ``_certified`` checks the floor at every build.
+    So every row is at least q.  The singletons in between take a cyclic
+    filler, and ``_certified`` checks the floor at every build.
     """
     if t < 3:
         raise InvalidParameterError(f"need t >= 3, got {t}")
@@ -243,19 +194,10 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     if x % 2 == 0:
         raise InvalidParameterError(f"order tq+r={x} must be odd")
     check_order(x)
-    layout = near_regular_layout(t, q, r)
-    # the matchings of each class take colors 1..t in turn
-    color_of_center = [0] * x
-    for row in layout.classes:
-        for j, position in enumerate(row, 1):
-            color_of_center[position - 1] = j
-    # last singleton counts 1, 2, ..., t along its edge order; the first
-    # counts t, t-1, ..., 1; singletons in between get a cyclic filler
-    ks = range(1, (x - 1) // 2 + 1)
-    first, *middle, last = layout.singletons
-    by_k = {last: [(k - 1) % t + 1 for k in ks], first: [(t - k) % t + 1 for k in ks]}
-    for mid in middle:
-        by_k[mid] = [(k + mid - 1) % t + 1 for k in ks]
+    color_of_center = [0] * r + [(i - r - 1) % t + 1 for i in range(r + 1, x + 1)]
+    ks = range(1, (x + 1) // 2)
+    by_k = {i: [(k + i - 1) % t + 1 for k in ks] for i in range(2, r)}
+    by_k.update({1: [(t - k) % t + 1 for k in ks], r: [(k - 1) % t + 1 for k in ks]})
     coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, by_k))
     # t < x, so the floor is checked on all t colors
     return _certified(coloring, "near-regular", lambda palette: [q] * len(palette),
@@ -312,6 +254,7 @@ BUILDERS = {
 
 def build_recipe(recipe: WitnessRecipe) -> tuple[EdgeColoring, WitnessRecipe]:
     """Run a witness recipe; the returned recipe records what was executed."""
+    # a pair, because perfbench/tracing.py reads the coloring as result[0]
     builder = BUILDERS.get(recipe.tag)
     if builder is None:
         raise InvalidParameterError(f"unknown recipe tag {recipe.tag!r}")

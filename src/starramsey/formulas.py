@@ -5,11 +5,11 @@ contains an n-edge star using at most s distinct colors.  One closed
 form, ``star_upper``'s U_par (the pigeonhole bound with its parity cut),
 gives R for every budget 1 <= s < t, and ``_witness_recipe`` names the
 builder whose certificate shows R > U_par - 1.  ``classify`` serves the
-paper's budgets s = t-1 and s = t-2, whose case theorems now only name
-the case; for other s it refers to the general bounds.
+paper's budgets s = t-1 and s = t-2, whose case theorems only name the
+case; for other s it refers to ``general_bounds``, the paper's bracket.
 
-All bracket expressions are floors, and every threshold comparison is
-done in exact integer arithmetic (cross-multiplied), never in floats.
+All bracket expressions are floors, and every comparison is done in
+exact integer arithmetic, never in floats.
 """
 
 from __future__ import annotations
@@ -56,21 +56,6 @@ class BoundsInterval(NamedTuple):
     y: int
     epsilon: int
     t_prime: int
-
-
-def threshold_predicate(l: int, t: int, q: int, r: int) -> bool:
-    """Decide x - l - 2q < n for the decomposition x - 2 = tq + r.
-
-    Evaluates t > (2r+4)/l for even t and t > 1 + (2q+2r+4)/l for odd t,
-    cross-multiplied so the comparison is exact.
-    """
-    if l < 1:
-        raise InvalidParameterError(f"l must be >= 1, got {l}")
-    if r < 0 or r > t - 1:
-        raise InvalidParameterError(f"need 0 <= r <= t-1, got r={r}, t={t}")
-    if t % 2 == 0:
-        return t * l > 2 * r + 4
-    return (t - 1) * l > 2 * q + 2 * r + 4
 
 
 def general_bounds(n: int, t: int, l: int) -> BoundsInterval:
@@ -202,16 +187,6 @@ def _check_witness_colors(t: int) -> None:
             f"the limit is {MAX_WITNESS_COLORS} colors")
 
 
-def ramsey_star_t_minus_1(n: int, t: int) -> CaseVerdict:
-    """Exact value for budget s = t-1: ``classify(n, t, t-1)``.
-
-    With x = [(nt-1)/(t-1)] and q = [x/t], the paper's value is x exactly
-    when x = tq+1 with x and q both odd, and x+1 otherwise; ``star_upper``
-    gives the same value.
-    """
-    return classify(n, t, t - 1)
-
-
 def _t_minus_1_case(n: int, t: int) -> tuple[str, int, int, int, int]:
     """The paper's clause for budget t-1, as (tag, clause value, x, q, r)."""
     x = (n * t - 1) // (t - 1)
@@ -248,22 +223,13 @@ def _t_minus_2_clauses(x: int, t: int, q: int, r: int) -> list[tuple[str, int, b
     ]
 
 
-def ramsey_star_t_minus_2(n: int, t: int) -> CaseVerdict:
-    """Exact value for budget s = t-2: ``classify(n, t, t-2)``.
-
-    t = 3 gives 3n-1 directly.  For t >= 4, with t' = [t/2],
-    x = [(nt'-1)/(t'-1)] and x-2 = tq+r, at most one clause of the
-    paper's x+1 / x / x-1 case theorems fires, and x-2 holds when none
-    does.  The value is ``star_upper``'s; the case tag is ``pigeonhole``
-    where that clause value lies above it.  On t = 2..40, n <= 400 the
-    two differ only at odd t >= 5, where the x-2 default exceeds the
-    pigeonhole bound U.
-    """
-    return classify(n, t, t - 2)
-
-
 def _t_minus_2_case(n: int, t: int) -> tuple[str, int, int | None, int | None, int | None]:
-    """The paper's clause for budget t-2, as (tag, clause value, x, q, r)."""
+    """The paper's clause for budget t-2, as (tag, clause value, x, q, r).
+
+    On t = 2..40, n <= 400 the clause value and ``star_upper``'s differ
+    only at odd t >= 5, where the x-2 default exceeds the pigeonhole bound
+    U and ``classify`` tags the case ``pigeonhole``.
+    """
     if t == 3:
         return "t3", 3 * n - 1, None, None, None
     t_prime = t // 2
@@ -279,7 +245,9 @@ def _t_minus_2_case(n: int, t: int) -> tuple[str, int, int | None, int | None, i
 
 
 def classify(n: int, t: int, s: int) -> CaseVerdict:
-    """Dispatch on the color budget; only s = t-1 and s = t-2 have exact values."""
+    """``star_upper``'s value, the paper's clause that names it and the
+    witness recipe, for ``compute``'s budgets s = t-1 and s = t-2; other
+    budgets are referred to ``general_bounds``."""
     case = _case_value(n, t, s)
     return case._replace(witness=_witness_recipe(n, t, s, case.value))
 

@@ -33,9 +33,9 @@ a witness.  Where the root checks settle R itself, every node goes to
 the witness at K_{R-1}.
 
 The search is sequential and deterministic, so results and node counts
-depend on the instance alone.  ``threads`` is accepted (it must be
->= 1) and runs the same search: the search is pure Python, and a
-thread pool gave no speedup.
+depend on the instance alone.  ``ramsey_value`` accepts ``threads`` (it
+must be >= 1) and runs the same search: the search is pure Python, and
+a thread pool gave no speedup.
 """
 
 from __future__ import annotations
@@ -247,17 +247,10 @@ def _check_colors(t: int, max_colors: int) -> None:
         )
 
 
-def _check_threads(threads: int) -> None:
-    if threads < 1:
-        raise InvalidParameterError(f"need threads >= 1, got {threads}")
-
-
 def max_min_star_colors(p: int, n: int, t: int, *,
                         edge_budget: int = DEFAULT_EDGE_BUDGET,
-                        max_colors: int = DEFAULT_MAX_COLORS,
-                        threads: int = 1) -> OracleResult:
+                        max_colors: int = DEFAULT_MAX_COLORS) -> OracleResult:
     """Exact f(p, n, t) by exhaustive search; refuses oversized instances."""
-    _check_threads(threads)
     if p < 2 or n < 1 or t < 1:
         raise InvalidParameterError(f"need p >= 2, n >= 1, t >= 1; got {p}, {n}, {t}")
     if n > p - 1:
@@ -296,7 +289,8 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
         raise InvalidParameterError(
             f"need n, t, s >= 1 and p_max >= 2; got {n}, {t}, {s}, {p_max}"
         )
-    _check_threads(threads)
+    if threads < 1:
+        raise InvalidParameterError(f"need threads >= 1, got {threads}")
     _check_colors(t, max_colors)
     p0 = n + 1
     while p0 <= p_max and not _root_settles(p0, n, t, s):

@@ -123,11 +123,9 @@ class Certificate(NamedTuple):
     offending_vertex: int | None = None
     offending_colors: tuple[int, ...] = ()
     covered_edges: int = 0
-    recipe: object | None = None
 
 
-def check_certificate(coloring: EdgeColoring, n: int, s: int,
-                      recipe: object | None = None) -> Certificate:
+def check_certificate(coloring: EdgeColoring, n: int, s: int) -> Certificate:
     """Pass iff every n-star uses more than s colors (or no n-star exists)."""
     defects = validate(coloring)
     if defects:
@@ -138,18 +136,18 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int,
         raise InvalidParameterError(f"color budget must be >= 1, got {s}")
     profile = _profile_minima(coloring, n)
     if profile is None:
-        return Certificate(coloring, n, s, True, None, recipe=recipe)
+        return Certificate(coloring, n, s, True, None)
     rows, palette, minima = profile
     k = min(minima)
     if k > s:
-        return Certificate(coloring, n, s, True, k, recipe=recipe)
+        return Certificate(coloring, n, s, True, k)
     # first vertex with an n-star on <= s colors; ties go to the smaller color
     v = next(v for v, m in enumerate(minima) if m <= s)
     row = rows[v]
     chosen = sorted(range(len(row)), key=lambda i: -row[i])[:minima[v]]  # stable
     return Certificate(coloring, n, s, False, k, offending_vertex=v + 1,
                        offending_colors=tuple(palette[i] for i in chosen),
-                       covered_edges=sum(row[i] for i in chosen), recipe=recipe)
+                       covered_edges=sum(row[i] for i in chosen))
 
 
 class SampleCheckResult(NamedTuple):

@@ -150,6 +150,15 @@ def parity_pigeonhole_order(n, t, s):
     return pigeonhole_order(n, t, s) - (b == 0 and a % 2 == 1 and t % 2 == 0)
 
 
+def threshold_predicate(l, t, q, r):
+    """The paper's threshold x - l - 2q < n for the decomposition
+    x - 2 = tq + r: t > (2r+4)/l for even t and t > 1 + (2q+2r+4)/l for
+    odd t, cross-multiplied so the comparison is exact."""
+    if t % 2 == 0:
+        return t * l > 2 * r + 4
+    return (t - 1) * l > 2 * q + 2 * r + 4
+
+
 def brute_star_at(coloring: EdgeColoring, v: int, n: int):
     """Reference implementation at one vertex: enumerate every n-subset of
     its star; None when its degree is below n."""

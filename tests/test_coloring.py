@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -238,6 +240,27 @@ def test_fresh_arrays_are_adopted_without_a_copy():
         assert EdgeColoring.from_array(4, 6, array).array == fresh
     with pytest.raises(InvalidParameterError):
         EdgeColoring._adopt(5, 6, fresh)
+
+
+def test_from_array_reads_at_most_one_color_past_the_edges():
+    # an overlong input is refused once K_p's edges and one more are read
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match="K_3 needs 3 colors, got more"):
+            EdgeColoring.from_array(3, 2, range(1, 2_000_001))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_from_array_checks_the_order_before_reading():
+    def unread():
+        raise AssertionError("the colors were read before the order was checked")
+        yield
+
+    with pytest.raises(InvalidParameterError, match="K_100000 has"):
+        EdgeColoring.from_array(100_000, 2, unread())
 
 
 @pytest.mark.parametrize("values, kind", [

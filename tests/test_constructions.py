@@ -16,11 +16,9 @@ from starramsey import (
     cyclic_matching_coloring,
     min_star_colors,
     near_regular_coloring,
-    near_regular_layout,
     parse_coloring,
     partitioned_factorization_coloring,
     regular_coloring,
-    regular_layout,
     sample_upper_check,
     serialize_coloring,
     three_color_balanced_coloring,
@@ -46,26 +44,41 @@ from starramsey.formulas import (
 from .conftest import monochrome_build, near_one_factorization
 
 
+def _matching_colors(coloring):
+    """Center i -> the colors of M_i's edges of odd K_p, in edge order k."""
+    return {m.center: [coloring.color_of(*e) for e in m.edges]
+            for m in near_one_factorization(coloring.p)}
+
+
 @pytest.mark.parametrize("t", range(2, 7))
 @pytest.mark.parametrize("q", (2, 4, 6))
 def test_regular_layout_invariants(t, q):
-    layout = regular_layout(t, q)
-    x = layout.x
-    positions = list(layout.singletons) + [m for cls in layout.classes for m in cls]
-    assert sorted(positions) == list(range(1, x + 1))
-    assert len(layout.singletons) + t * len(layout.classes) == x
-    # paired classes mirror each other around the circle
-    for i in range(q):
-        for j in range(t):
-            assert (layout.classes[i][j] + layout.classes[q - 1 - i][j]) % x == 0
+    # M_i, i < x, is one color (min(i, x-i) - 1) % t + 1, so each color has
+    # q centers and the mirrored centers i and x-i share theirs; edge k of
+    # M_x, joining k and x-k, takes (k-1) % t + 1
+    x = t * q + 1
+    by_center = _matching_colors(regular_coloring(t, q))
+    centers = {c: [] for c in range(1, t + 1)}
+    for i in range(1, x):
+        color = (min(i, x - i) - 1) % t + 1
+        assert by_center[i] == [color] * ((x - 1) // 2)
+        centers[color].append(i)
+    assert all(len(cs) == q and {x - i for i in cs} == set(cs) for cs in centers.values())
+    assert by_center[x] == [(k - 1) % t + 1 for k in range(1, (x + 1) // 2)]
 
 
 def test_near_regular_layout_invariants():
+    # M_i of each class vertex i > r is one color (i-r-1) % t + 1, q centers
+    # per color; the singletons 1 and r count t, ..., 1 and 1, ..., t
     for t, q, r in ((3, 1, 2), (4, 2, 3), (5, 3, 2), (7, 2, 5)):
-        layout = near_regular_layout(t, q, r)
-        positions = list(layout.singletons) + [m for cls in layout.classes for m in cls]
-        assert sorted(positions) == list(range(1, layout.x + 1))
-        assert layout.singletons == tuple(range(1, r + 1))
+        x = t * q + r
+        by_center = _matching_colors(near_regular_coloring(t, q, r))
+        ks = range(1, (x + 1) // 2)
+        colors = [(i - r - 1) % t + 1 for i in range(r + 1, x + 1)]
+        assert [by_center[i] for i in range(r + 1, x + 1)] == [[c] * len(ks) for c in colors]
+        assert sorted(colors) == sorted(list(range(1, t + 1)) * q)
+        assert by_center[1] == [(t - k) % t + 1 for k in ks]
+        assert by_center[r] == [(k - 1) % t + 1 for k in ks]
 
 
 @pytest.mark.parametrize("t", range(2, 7))
@@ -383,8 +396,8 @@ def test_builders_refuse_oversized_orders_before_allocating():
 
 
 def test_rotation_builders_refuse_oversized_orders_before_their_layouts():
-    # K_100001 both: the order is checked before the circle layout, whose
-    # tuples take about 8 MB there
+    # K_100001 both: the order is checked before the per-center and per-k
+    # color lists, which peak at about 1.6 MB there
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameterError, match="K_100001 has"):

@@ -1,6 +1,6 @@
 import pytest
 
-from starramsey import classify, general_bounds, oracle, threshold_predicate
+from starramsey import classify, general_bounds, oracle
 from starramsey.errors import InvalidParameterError, UnsupportedParametersError
 from starramsey.formulas import (
     MAX_WITNESS_COLORS,
@@ -9,12 +9,10 @@ from starramsey.formulas import (
     _t_minus_2_case,
     _t_minus_2_clauses,
     pigeonhole_upper,
-    ramsey_star_t_minus_1,
-    ramsey_star_t_minus_2,
     star_upper,
 )
 
-from .conftest import pigeonhole_order
+from .conftest import pigeonhole_order, threshold_predicate
 
 GRID_N = range(2, 201)
 
@@ -23,13 +21,6 @@ def test_threshold_predicate_examples():
     assert threshold_predicate(2, 4, 0, 1) is True      # 4 > 6/2
     assert threshold_predicate(3, 5, 0, 4) is False     # 5 > 1 + 12/3 fails
     assert threshold_predicate(1, 2, 3, 1) is False     # 2 > 6 fails
-
-
-def test_threshold_predicate_rejects_bad_args():
-    with pytest.raises(InvalidParameterError):
-        threshold_predicate(0, 4, 1, 1)
-    with pytest.raises(InvalidParameterError):
-        threshold_predicate(1, 4, 1, 4)
 
 
 def test_general_bounds_examples():
@@ -47,30 +38,30 @@ def test_general_bounds_needs_two_classes():
 
 
 def test_value_examples_budget_t_minus_1():
-    assert ramsey_star_t_minus_1(4, 2).value == 7
-    v = ramsey_star_t_minus_1(3, 3)
+    assert classify(4, 2, 1).value == 7
+    v = classify(3, 3, 2)
     assert (v.value, v.x) == (5, 4)
-    assert ramsey_star_t_minus_1(2, 2).value == 3
-    assert ramsey_star_t_minus_1(1, 6).case_tag == "trivial"
+    assert classify(2, 2, 1).value == 3
+    assert classify(1, 6, 5).case_tag == "trivial"
     with pytest.raises(InvalidParameterError):
-        ramsey_star_t_minus_1(3, 1)
+        classify(3, 1, 0)
 
 
 def test_value_examples_budget_t_minus_2():
-    assert ramsey_star_t_minus_2(3, 3).value == 8
-    v = ramsey_star_t_minus_2(3, 4)
+    assert classify(3, 3, 1).value == 8
+    v = classify(3, 4, 2)
     assert (v.value, v.case_tag) == (5, "x.a")
-    v = ramsey_star_t_minus_2(3, 5)
+    v = classify(3, 5, 3)
     assert (v.value, v.case_tag) == (4, "xm1.d")
-    v = ramsey_star_t_minus_2(5, 4)
+    v = classify(5, 4, 2)
     assert (v.value, v.case_tag) == (10, "xp1.c")
-    v = ramsey_star_t_minus_2(2, 4)
+    v = classify(2, 4, 2)
     assert (v.value, v.case_tag) == (3, "x.b")
     v = classify(9, 5, 3)
     assert (v.value, v.case_tag, v.x) == (14, "pigeonhole", 17)
-    assert ramsey_star_t_minus_2(1, 5).value == 2
+    assert classify(1, 5, 3).value == 2
     with pytest.raises(InvalidParameterError):
-        ramsey_star_t_minus_2(3, 2)
+        classify(3, 2, 0)
 
 
 def test_classify_dispatch():
@@ -139,6 +130,21 @@ def test_bounds_bracket_exact_values():
             assert b.lower <= classify(n, t, t - 2).value <= b.upper
 
 
+def test_star_upper_lies_in_the_general_bracket_below_t_minus_2():
+    # budgets s <= t-3, which classify does not serve: U_par lies in the
+    # general-l bracket wherever it has one (floor(t/l) >= 2, l = t-s)
+    count = 0
+    for t in range(4, 25):
+        for s in range(1, t - 2):
+            if t // (t - s) < 2:
+                continue
+            for n in range(2, 301):
+                b = general_bounds(n, t, t - s)
+                assert b.lower <= star_upper(n, t, s)[0] <= b.upper, (n, t, s)
+                count += 1
+    assert count == 29_900
+
+
 def test_clauses_match_threshold_predicate():
     # the cliams-style inequalities inside the clauses are instances of
     # the threshold predicate with l = 1, 2, 3
@@ -174,12 +180,12 @@ def test_witness_color_limit():
     limit = MAX_WITNESS_COLORS
     v = classify(2, limit, limit - 1)
     assert v.value == 3 and len(v.witness.params["class_sizes"]) == limit
-    assert len(ramsey_star_t_minus_2(2, limit).witness.params["class_sizes"]) == limit
+    assert len(classify(2, limit, limit - 2).witness.params["class_sizes"]) == limit
     for t in (limit + 1, 10 ** 11, 2 ** 64):
         with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
             classify(2, t, t - 1)
         with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
-            ramsey_star_t_minus_2(2, t)
+            classify(2, t, t - 2)
     # n = 1 needs no witness coloring beyond K_1
     assert classify(1, 2 ** 64, 2 ** 64 - 1).value == 2
     for t in (limit + 1, 2 ** 64):
