@@ -16,6 +16,15 @@ join, patch, range-check and render stores through ``color_store``,
 ``join_store``, ``join_colors``, ``patch_store``, ``in_color_range`` and
 ``color_digit_columns``.  ``.color_degrees`` keeps the degree table once
 built, and ``.colors`` is a read-only mapping view for (u, v) -> color.
+
+The rule for a well-formed coloring (every edge of K_p once, colors in
+1..t) is written once, as the lazy generator ``defects``:
+``verify.validate`` lists what it yields, and ``check_well_formed``
+refuses with the first five, for the degree table and for
+``verify.check_certificate``.  Every path into a store checks the order
+once: ``from_array`` and the mapping constructor against
+``check_order``, ``_adopt`` (for stores the builders and parsers made)
+against the store's length.
 """
 
 from __future__ import annotations
@@ -184,25 +193,30 @@ class EdgeColoring:
     """Assignment of colors 1..t to the edges of K_p.
 
     ``EdgeColoring(p, t, colors)`` takes a mapping (u, v) -> color;
-    ``EdgeColoring.from_array`` takes the rank-ordered colors.  A mapping
-    may be malformed (edges missing, keys that are not edges of K_p,
-    colors outside 1..t); the defects are kept so that
-    ``verify.validate`` can name them.
+    ``EdgeColoring.from_array`` takes the rank-ordered colors.  Both
+    refuse an order past ``check_order``'s limit before they allocate.  A
+    mapping may be malformed (edges missing, keys that are not edges of
+    K_p, colors outside 1..t); the defects are kept so that ``defects``
+    can name them.
     """
 
     __slots__ = ("p", "t", "array", "missing", "unexpected", "_dict", "_degrees")
 
     def __init__(self, p: int, t: int, colors: Mapping[Edge, int]):
+        check_order(p)
         colors = dict(colors)
-        values, found, unexpected = [0] * edge_count(p), set(), {}
+        unset = object()
+        values, unexpected = [unset] * edge_count(p), {}
         for key, c in colors.items():
             r = _rank_of(p, key)
             if r is None:
                 unexpected[key] = c
             else:
                 values[r] = c
-                found.add(r)
-        missing = frozenset(range(len(values))).difference(found)
+        # valid keys have distinct ranks: the missing ones are left unset
+        missing = frozenset(r for r, c in enumerate(values) if c is unset)
+        if missing:
+            values = [0 if c is unset else c for c in values]
         self._set(p, t, color_store(values), missing, unexpected, colors)
 
     @classmethod
@@ -305,11 +319,11 @@ def degree_table(coloring: EdgeColoring) -> tuple[tuple[int, ...], tuple[tuple[i
 
     A vertex's row and column are counted with one ``bytes.count`` per
     color when the colors take one byte, else with one ``Counter`` pass.
-    Raises ``InvalidParameterError`` for a coloring built from a malformed
-    mapping or holding a color outside 1..t, or when the table would
-    exceed ``MAX_COLORING_BYTES``.
+    Raises ``InvalidParameterError`` for a coloring that ``defects``
+    faults, or when the table would exceed ``MAX_COLORING_BYTES``.
     """
-    colors, p = countable_colors(coloring), coloring.p
+    check_well_formed(coloring)
+    colors, p = coloring.array, coloring.p
     if coloring.t <= p - 1:
         palette = tuple(range(1, coloring.t + 1))
     else:
@@ -327,18 +341,34 @@ def degree_table(coloring: EdgeColoring) -> tuple[tuple[int, ...], tuple[tuple[i
     return palette, tuple(rows)
 
 
-def countable_colors(coloring: EdgeColoring) -> bytes | memoryview:
-    """The store of a complete coloring with colors in 1..t.
+def defects(coloring: EdgeColoring):
+    """The coloring's defects as messages, lazily and in order: an order
+    or color count below 1, then the edges a malformed mapping left out,
+    its keys that are not edges of K_p, and the edges whose color lies
+    outside 1..t.  Edges are named in a walk of ``edges(p)`` that starts
+    only when a defect is known to be there; the color check is one range
+    check over the store."""
+    p, t, colors, missing = coloring.p, coloring.t, coloring.array, coloring.missing
+    if p < 1:
+        yield f"graph order must be >= 1, got {p}"
+    if t < 1:
+        yield f"color count must be >= 1, got {t}"
+    if p < 1 or t < 1:
+        return
+    if missing:
+        yield from (f"missing edge {edge}" for r, edge in enumerate(edges(p)) if r in missing)
+    yield from (f"unexpected edge {edge}" for edge in sorted(coloring.unexpected))
+    if not in_color_range(colors, t):
+        yield from (f"color out of range on edge {edge}: {c}"
+                    for r, (edge, c) in enumerate(zip(edges(p), colors))
+                    if not 1 <= c <= t and r not in missing)
 
-    Raises ``InvalidParameterError`` for a coloring built from a malformed
-    mapping or holding a color outside 1..t.
-    """
-    if coloring.missing or coloring.unexpected:
-        raise InvalidParameterError(
-            f"color degrees need every edge of K_{coloring.p} exactly once")
-    if not in_color_range(coloring.array, coloring.t):
-        raise InvalidParameterError(f"color degrees need colors in 1..{coloring.t}")
-    return coloring.array
+
+def check_well_formed(coloring: EdgeColoring) -> None:
+    """Raise ``InvalidParameterError`` naming the first five ``defects``."""
+    first = list(islice(defects(coloring), 5))
+    if first:
+        raise InvalidParameterError("invalid coloring: " + "; ".join(first))
 
 
 def color_degree_profile(coloring: EdgeColoring) -> list[list[int]]:

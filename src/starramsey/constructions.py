@@ -33,16 +33,17 @@ from .formulas import CaseVerdict, WitnessRecipe, classify
 from .verify import min_star_colors
 
 
-def _certified(coloring: EdgeColoring, name: str, expected,
+def _certified(coloring: EdgeColoring, name: str, expected: list[int],
                at_least: bool = False) -> EdgeColoring:
     """``coloring`` once each row of its ``color_degrees`` equals
-    ``expected(palette)``, or reaches it when ``at_least``.  Once t > p-1
-    that table counts only the colors that occur; every exact row here is
-    nonnegative and sums to p-1, as every real row does, so rows that
-    agree there agree on all t colors.
+    ``expected``, the full row over colors 1..t, at the palette's colors,
+    or reaches it when ``at_least``.  Once t > p-1 that table counts only
+    the colors that occur; every exact row here is nonnegative and sums to
+    p-1, as every real row does, so rows that agree there agree on all t
+    colors.
     """
     palette, rows = coloring.color_degrees
-    want = tuple(expected(palette))
+    want = tuple(expected[c - 1] for c in palette)
     if at_least:
         bad = (v for v, row in enumerate(rows) if any(map(int.__lt__, row, want)))
     else:
@@ -54,7 +55,7 @@ def _certified(coloring: EdgeColoring, name: str, expected,
             row[c - 1] = d
         raise ConstructionFailedError(
             f"{name} row {row} {'below' if at_least else '!='} "
-            f"{list(expected(range(1, coloring.t + 1)))} at vertex {v + 1}"
+            f"{expected} at vertex {v + 1}"
         )
     return coloring
 
@@ -63,11 +64,6 @@ def _classes_in_order(sizes: list[int]) -> list[int]:
     """The class of each matching in order: class c takes sizes[c-1]
     consecutive matchings, and a class of size 0 takes no room."""
     return [c for c, size in enumerate(sizes, 1) if size for _ in range(size)]
-
-
-def _sizes_at(sizes: list[int], palette) -> list[int]:
-    """sizes[c-1] for each color c of ``palette``."""
-    return [sizes[c - 1] for c in palette]
 
 
 def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeColoring:
@@ -90,8 +86,7 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
     check_order(p)
     coloring = EdgeColoring._adopt(
         p, len(sizes), _rotation_colors(p, _classes_in_order(sizes), {}))
-    return _certified(coloring, "partitioned factorization",
-                      lambda palette: _sizes_at(sizes, palette))
+    return _certified(coloring, "partitioned factorization", sizes)
 
 
 def _center_table(x: int, size: int) -> list[int]:
@@ -117,8 +112,8 @@ def _rotation_colors(p: int, color_of_center: list[int], by_k: dict):
 
     Edge (u, v) lies in M_i for 2i = u + v (mod x), so its color is
     table[u + v], and row u is table[2u+1 : u+x+1], v = u+1..x; the edge
-    (u, p) of even p is table[2u], whose center is u."""
-    check_order(p)
+    (u, p) of even p is table[2u], whose center is u.  Its callers check
+    the order first."""
     x = p - 1 + p % 2
     table = color_store([color_of_center[i] for i in _center_table(x, p + x + 1)])
     rows = []
@@ -162,7 +157,7 @@ def regular_coloring(t: int, q: int) -> EdgeColoring:
     color_of_center = [(min(i, x - i) - 1) % t + 1 for i in range(1, x)] + [0]
     last = [(k - 1) % t + 1 for k in range(1, (x + 1) // 2)]
     coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, {x: last}))
-    return _certified(coloring, "regular coloring", lambda palette: [q] * len(palette))
+    return _certified(coloring, "regular coloring", [q] * t)
 
 
 def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
@@ -200,8 +195,7 @@ def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     by_k.update({1: [(t - k) % t + 1 for k in ks], r: [(k - 1) % t + 1 for k in ks]})
     coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, by_k))
     # t < x, so the floor is checked on all t colors
-    return _certified(coloring, "near-regular", lambda palette: [q] * len(palette),
-                      at_least=True)
+    return _certified(coloring, "near-regular", [q] * t, at_least=True)
 
 
 def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
@@ -238,8 +232,7 @@ def three_color_balanced_coloring(n: int) -> EdgeColoring:
     x = 3 * n - 2
     if x % 2 == 0:
         return partitioned_factorization_coloring(x, [n - 1] * 3)
-    return _certified(cyclic_matching_coloring(x, 3), "three-color balanced",
-                      lambda palette: [n - 1] * len(palette))
+    return _certified(cyclic_matching_coloring(x, 3), "three-color balanced", [n - 1] * 3)
 
 
 # recipe tag -> builder; a recipe's params are its builder's keyword arguments

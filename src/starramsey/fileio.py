@@ -18,15 +18,17 @@ result and compares it with the file.  A CRLF file reads as its LF
 twin, and a file that only adds lines starting with ``#`` and empty
 lines reads as the file without them.  Any other file (indented
 comments, another edge order, any error) goes through the line parser,
-which names the offending line.
+which names the offending line.  Both paths hand the coloring its
+rank-ordered store (``EdgeColoring._adopt``), with no size limit, so a
+file of any order reads.
 """
 
 from __future__ import annotations
 
 from operator import itemgetter
 
-from .coloring import (EdgeColoring, color_digit_columns, digit_columns, edge_count, edge_rank,
-                       in_color_range, join_colors)
+from .coloring import (EdgeColoring, color_digit_columns, color_store, digit_columns, edge_count,
+                       edge_rank, edges, in_color_range, join_colors)
 from .errors import ColoringFormatError, InvalidParameterError
 
 RENDER_LINES = 1 << 16  # a render block ends after the row that reaches this
@@ -248,7 +250,9 @@ def parse_coloring(text: str | bytes) -> EdgeColoring:
 
 def _parse_lines(text: str) -> EdgeColoring:
     """Line-by-line parser: accepts comments, blank lines and any edge
-    order, and reports the first defect with its line number."""
+    order, and reports the first defect with its line number.  Having
+    refused duplicates, gaps and colors outside 1..t, it keeps only the
+    store of the colors in rank order."""
     p = t = None
     colors: dict = {}
     # only '\n' ends a line: str.splitlines() also splits at form feeds,
@@ -293,12 +297,12 @@ def _parse_lines(text: str) -> EdgeColoring:
         colors[(u, v)] = c
     if p is None:
         raise ColoringFormatError("empty file: missing 'p t' header")
-    gap = p * (p - 1) // 2 - len(colors)
+    gap = edge_count(p) - len(colors)
     if gap:
-        first = next((u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)
-                     if (u, v) not in colors)
+        first = next(edge for edge in edges(p) if edge not in colors)
         raise ColoringFormatError(f"{gap} edge(s) missing, first is {first}")
-    return EdgeColoring(p, t, colors)
+    # every edge once, colors in 1..t: the store needs no further check
+    return EdgeColoring._adopt(p, t, color_store([colors[edge] for edge in edges(p)]))
 
 
 def write_coloring(path: str, coloring: EdgeColoring) -> None:

@@ -175,7 +175,7 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     """
     if _root_settles(p, n, t, floor):
         return OracleResult(floor, _ROOT_PRUNE)
-    # its own lexicographic edge list: the oracle does not import numpy
+    # its own lexicographic edge list, not coloring.edges: oracle loads only errors
     edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
     last = len(edges) - 1
     counts = [[0] * t for _ in range(p + 1)]

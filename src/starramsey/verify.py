@@ -5,12 +5,14 @@ every n-edge star in it shows at least s+1 distinct colors; every such
 check goes through one per-row kernel, ``star_minima``, over color
 degrees.
 
-The color degrees are ``EdgeColoring.color_degrees``, built once, and
-``validate`` is a range check on the coloring's store plus the missing
-and unexpected edges a malformed mapping left.  None of this imports
-numpy.  The sampler does, inside its own functions only: it draws any
-edge of any trial on demand (``sample_colors``), so it screens a batch
-of trials one vertex at a time and draws only the edges it reads.
+The color degrees are ``EdgeColoring.color_degrees``, built once.  The
+rule for a well-formed coloring is ``coloring.defects``, written once:
+``validate`` lists every defect, and ``check_certificate`` (like the
+degree table) refuses a coloring with the first five.  None of this
+imports numpy.  The sampler does, inside its own functions only: it
+draws any edge of any trial on demand (``sample_colors``), so it
+screens a batch of trials one vertex at a time and draws only the edges
+it reads.
 """
 
 from __future__ import annotations
@@ -23,11 +25,11 @@ from .coloring import (
     EdgeColoring,
     check_order,
     check_table,
+    check_well_formed,
     color_store,
+    defects,
     edge_count,
     edge_rank,
-    edges,
-    in_color_range,
 )
 from .errors import InvalidParameterError
 
@@ -42,34 +44,13 @@ SAMPLE_BATCH_EDGES = 1 << 14
 def validate(coloring: EdgeColoring) -> list[str]:
     """Return a list of defects; empty means the coloring is well formed.
 
-    Defects are data, not exceptions: missing edges, unexpected edges
-    (out of range or not in canonical (u < v) form), and colors outside
-    1..t are all enumerated.  Only a coloring built from a malformed
-    mapping can have the first two; the color check is one range check
-    over the store, and a scan for the offending edges only when it fails.
+    Defects are data, not exceptions: ``coloring.defects`` in order, every
+    one of them.  An order or color count below 1 comes alone; otherwise
+    missing edges, unexpected edges (out of range or not in canonical
+    (u < v) form) and colors outside 1..t are all enumerated.  Only a
+    coloring built from a malformed mapping can have the first two.
     """
-    defects: list[str] = []
-    if coloring.p < 1:
-        defects.append(f"graph order must be >= 1, got {coloring.p}")
-    if coloring.t < 1:
-        defects.append(f"color count must be >= 1, got {coloring.t}")
-    if defects:
-        return defects
-    colors, t = coloring.array, coloring.t
-    missing = sorted(coloring.missing)
-    out_of_range = []
-    if not in_color_range(colors, t):
-        out_of_range = [r for r, c in enumerate(colors)
-                        if not 1 <= c <= t and r not in coloring.missing]
-    if missing or out_of_range:
-        ends = list(edges(coloring.p))
-    for r in missing:
-        defects.append(f"missing edge {ends[r]}")
-    for edge in sorted(coloring.unexpected):
-        defects.append(f"unexpected edge {edge}")
-    for r in out_of_range:
-        defects.append(f"color out of range on edge {ends[r]}: {colors[r]}")
-    return defects
+    return list(defects(coloring))
 
 
 def star_minima(rows, n: int) -> list[int]:
@@ -127,11 +108,7 @@ class Certificate(NamedTuple):
 
 def check_certificate(coloring: EdgeColoring, n: int, s: int) -> Certificate:
     """Pass iff every n-star uses more than s colors (or no n-star exists)."""
-    defects = validate(coloring)
-    if defects:
-        raise InvalidParameterError(
-            "invalid coloring: " + "; ".join(defects[:5])
-        )
+    check_well_formed(coloring)
     if s < 1:
         raise InvalidParameterError(f"color budget must be >= 1, got {s}")
     profile = _profile_minima(coloring, n)

@@ -14,6 +14,7 @@ from starramsey import (
     color_degree_profile,
     constructions,
     cyclic_matching_coloring,
+    fileio,
     min_star_colors,
     near_regular_coloring,
     parse_coloring,
@@ -436,9 +437,10 @@ def test_size_limit_leaves_room_for_the_largest_certificates():
 
 def test_size_limit_applies_only_to_building_and_sampling(monkeypatch):
     # lower the limit to K_10: K_11 is refused by construct, by the
-    # library builders and by sample-check, but a K_11 file still parses
-    # and checks
+    # library builders, by the mapping constructor and by sample-check,
+    # but a K_11 file still parses on both paths and checks
     coloring = near_regular_coloring(3, 3, 2)
+    mapping = dict(coloring.colors)
     monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", edge_count(10) * BYTES_PER_EDGE)
     with pytest.raises(InvalidParameterError, match="K_11"):
         witness_coloring(8, 3, 2)
@@ -446,8 +448,12 @@ def test_size_limit_applies_only_to_building_and_sampling(monkeypatch):
         near_regular_coloring(3, 3, 2)
     with pytest.raises(InvalidParameterError, match="K_11"):
         sample_upper_check(11, 2, 3, 1, trials=1, seed=0)
+    with pytest.raises(InvalidParameterError, match="K_11"):
+        EdgeColoring(11, 3, mapping)
     text = serialize_coloring(coloring)
-    assert parse_coloring(text) == coloring                 # bulk path
-    assert parse_coloring("# K_11\n" + text) == coloring    # line parser
-    assert EdgeColoring(11, 3, dict(coloring.colors)) == coloring
+    assert fileio._parse_canonical(text.encode()) == coloring   # bulk path
+    assert parse_coloring(text) == coloring
+    # an indented comment is not dropped before the bulk path
+    assert fileio._parse_canonical(b"  # K_11\n" + text.encode()) is None
+    assert parse_coloring("  # K_11\n" + text) == coloring      # line parser
     assert check_certificate(coloring, 8, 2).passed

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from starramsey import (
     EdgeColoring,
     check_certificate,
+    cyclic_matching_coloring,
     fileio,
     parse_coloring,
     read_coloring,
@@ -172,6 +173,23 @@ def test_certificate_files_peak_bytes_per_edge(tmp_path):
         tracemalloc.stop()
     assert build / edge_count(405) < 32
     assert check / edge_count(405) < 45
+
+
+def test_line_parser_keeps_only_the_store():
+    # an indented comment sends K_299 to the line parser; its (u, v) -> color
+    # dict is dropped once the store is made (the coloring kept it, 124
+    # B/edge)
+    coloring = cyclic_matching_coloring(299, 3)
+    text = "  # K_299\n" + serialize_coloring(coloring)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        parsed = parse_coloring(text)
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    assert parsed == coloring
+    assert kept / edge_count(299) < 8
 
 
 def test_bulk_parser_keeps_one_color_array():

@@ -372,3 +372,34 @@ def test_validate_lists_defects_in_order():
         "unexpected edge (3, 1)",
         "color out of range on edge (1, 2): 3",
     ]
+
+
+def test_validate_names_one_bad_edge_in_small_memory():
+    # the defect scan walks the edges lazily; a list of K_1500's 1,124,250
+    # edges took 102 MiB
+    m = edge_count(1500)
+    coloring = EdgeColoring.from_array(1500, 2, b"\1" * (m - 1) + b"\3")
+    tracemalloc.start()
+    try:
+        defects = validate(coloring)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defects == ["color out of range on edge (1499, 1500): 3"]
+    assert peak < 8 << 20
+
+
+def test_certificate_refuses_a_bad_coloring_in_small_memory():
+    # the refusal names the first five defects and scans no further; listing
+    # every defect of an all-zero K_1500 took 247 MiB
+    coloring = EdgeColoring.from_array(1500, 2, bytes(edge_count(1500)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError) as refused:
+            check_certificate(coloring, 3, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(refused.value) == "invalid coloring: " + "; ".join(
+        f"color out of range on edge (1, {v}): 0" for v in range(2, 7))
+    assert peak < 8 << 20
