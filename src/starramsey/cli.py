@@ -1,9 +1,18 @@
 """Command-line surface.
 
-All commands print line-oriented ``key value`` pairs with stable keys.
-Exit codes: 0 on pass/success, 1 on fail/counterexample (including a
-failed construction), 2 on usage errors, 141 (128 + SIGPIPE) when the
-reader of stdout closes it early; nothing is printed then.
+Each command's handler returns ``(exit code, record)``, the record a
+dict of ``key -> value`` in print order, and ``main`` prints every
+record as ``key value`` lines: one place prints a command's result.
+``table`` (each row as it is computed) and ``construct`` to stdout (the
+certificate, through ``_write_all``) stream their output instead and
+return an empty record.
+
+Exit codes: 0 on pass/success, 1 on fail/counterexample; ``main`` maps
+errors by class, 1 for ``ConstructionFailedError`` and 2 for every other
+``StarRamseyError`` and every ``OSError`` (a missing file, say), so a
+new error class exits 2.  The error line goes to stderr; a closed or
+missing stderr loses the line, not the code.  Exit 141 (128 + SIGPIPE)
+means the reader of stdout closed it early; nothing is printed then.
 
 Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
 ``oracle``, so each command imports only the modules it runs:
@@ -59,33 +68,14 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, NoReturn
 
-from .errors import (
-    ColoringFormatError,
-    ConstructionFailedError,
-    InfeasibleInstanceError,
-    InvalidParameterError,
-    UnsupportedParametersError,
-)
+from .errors import ConstructionFailedError, InvalidParameterError, StarRamseyError
 
 if TYPE_CHECKING:
     import argparse
 
-    from .formulas import CaseVerdict
-
 # Exit status when stdout is closed under us, as for a process that
 # SIGPIPE ends (Python ignores the signal, so the write fails instead).
 EXIT_BROKEN_PIPE = 141
-
-USAGE_ERRORS = (
-    InvalidParameterError,
-    UnsupportedParametersError,
-    ColoringFormatError,
-    InfeasibleInstanceError,
-)
-
-
-def _emit(key: str, value) -> None:
-    print(f"{key} {value}")
 
 
 def _write_all(text: str) -> None:
@@ -107,93 +97,66 @@ def _write_all(text: str) -> None:
         data = data[raw.write(data) or 0:]
 
 
-def _emit_verdict_fields(verdict: CaseVerdict) -> None:
-    _emit("value", verdict.value)
-    _emit("case", verdict.case_tag)
-    if verdict.x is not None:
-        _emit("x", verdict.x)
-        _emit("q", verdict.q)
-        _emit("r", verdict.r)
-    _emit("witness", verdict.witness.describe())
-
-
-def _cmd_compute(args) -> int:
+def _cmd_compute(args) -> tuple[int, dict]:
     from . import formulas
 
     verdict = formulas.classify(args.n, args.t, args.s)
-    _emit_verdict_fields(verdict)
-    return 0
+    record = {"value": verdict.value, "case": verdict.case_tag}
+    if verdict.x is not None:
+        record.update(x=verdict.x, q=verdict.q, r=verdict.r)
+    record["witness"] = verdict.witness.describe()
+    return 0, record
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args) -> tuple[int, dict]:
     from . import formulas
 
-    interval = formulas.general_bounds(args.n, args.t, args.l)
-    _emit("lower", interval.lower)
-    _emit("upper", interval.upper)
-    _emit("y", interval.y)
-    _emit("epsilon", interval.epsilon)
-    _emit("t_prime", interval.t_prime)
-    return 0
+    return 0, formulas.general_bounds(args.n, args.t, args.l)._asdict()
 
 
-def _cmd_construct(args) -> int:
+def _cmd_construct(args) -> tuple[int, dict]:
     from . import constructions, fileio
 
     coloring, recipe = constructions.witness_coloring(args.n, args.t, args.s)
-    if args.out:
-        fileio.write_coloring(args.out, coloring)
-        _emit("order", coloring.p)
-        _emit("colors", coloring.t)
-        _emit("witness", recipe.describe())
-        _emit("out", args.out)
-    else:
+    if not args.out:
         _write_all(fileio.serialize_coloring(coloring))
-    return 0
+        return 0, {}
+    fileio.write_coloring(args.out, coloring)
+    return 0, {"order": coloring.p, "colors": coloring.t,
+               "witness": recipe.describe(), "out": args.out}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, dict]:
     from . import fileio, verify
 
     coloring = fileio.read_coloring(args.file)
     cert = verify.check_certificate(coloring, args.n, args.s)
-    _emit("verdict", "pass" if cert.passed else "fail")
-    _emit("min_star_colors",
-          "no-star" if cert.min_colors is None else cert.min_colors)
+    record = {"verdict": "pass" if cert.passed else "fail",
+              "min_star_colors": "no-star" if cert.min_colors is None else cert.min_colors}
     if not cert.passed:
-        _emit("offending_vertex", cert.offending_vertex)
-        _emit("offending_colors", ",".join(str(c) for c in cert.offending_colors))
-        _emit("covered_edges", cert.covered_edges)
-    return 0 if cert.passed else 1
+        record.update(offending_vertex=cert.offending_vertex,
+                      offending_colors=",".join(map(str, cert.offending_colors)),
+                      covered_edges=cert.covered_edges)
+    return int(not cert.passed), record
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> tuple[int, dict]:
     from . import oracle
 
     edge_budget = (oracle.DEFAULT_EDGE_BUDGET if args.edge_budget is None
                    else args.edge_budget)
-    result = oracle.ramsey_value(
-        args.n, args.t, args.s, args.max_p,
-        edge_budget=edge_budget, threads=args.threads,
-    )
-    if result.value is None:
-        _emit("value", f"exceeds_p_max={args.max_p}")
-    else:
-        _emit("value", result.value)
-    stats = result.stats
-    _emit("nodes", stats.nodes)
-    _emit("canonical_skips", stats.canonical_skips)
-    _emit("bound_prunes", stats.bound_prunes)
-    return 0
+    result = oracle.ramsey_value(args.n, args.t, args.s, args.max_p,
+                                 edge_budget=edge_budget, threads=args.threads)
+    value = f"exceeds_p_max={args.max_p}" if result.value is None else result.value
+    return 0, {"value": value, **result.stats._asdict()}
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[int, dict]:
     from . import formulas
 
     if args.n_from > args.n_to or args.n_from < 1:
         raise InvalidParameterError(
-            f"empty or invalid range: n-from={args.n_from}, n-to={args.n_to}"
-        )
+            f"empty or invalid range: n-from={args.n_from}, n-to={args.n_to}")
     # Rows need no witness recipe, whose class list may have t entries.
     # The last row sets the value column's width.  Computing it first also
     # raises any error before a line is printed: classify's errors depend
@@ -208,20 +171,19 @@ def _cmd_table(args) -> int:
     for n in range(args.n_from, args.n_to + 1):
         verdict = formulas._case_value(n, args.t, args.s)
         print(row(n, verdict.value, verdict.case_tag))
-    return 0
+    return 0, {}
 
 
-def _cmd_sample_check(args) -> int:
+def _cmd_sample_check(args) -> tuple[int, dict]:
     from . import verify
 
-    result = verify.sample_upper_check(
-        args.p, args.n, args.t, args.s, args.trials, args.seed
-    )
-    _emit("verdict", "pass" if result.passed else "counterexample")
-    _emit("trials", result.trials)
+    result = verify.sample_upper_check(args.p, args.n, args.t, args.s,
+                                       args.trials, args.seed)
+    record = {"verdict": "pass" if result.passed else "counterexample",
+              "trials": result.trials}
     if not result.passed:
-        _emit("trial", result.trial_index)
-    return 0 if result.passed else 1
+        record["trial"] = result.trial_index
+    return int(not result.passed), record
 
 
 class Flag:
@@ -371,6 +333,17 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
+def _report(line: str) -> None:
+    """Print ``line`` on stderr.  A missing stderr (fd 2 closed at launch)
+    or one that refuses the write (its reader gone) loses the line, and
+    the exit code stands."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -381,22 +354,21 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:
-        code = args.func(args)
+        code, record = args.func(args)
+        for key, value in record.items():
+            print(key, value)
         if sys.stdout is None:  # print dropped what the command printed
             return EXIT_BROKEN_PIPE
         sys.stdout.flush()  # a closed pipe may show only when the buffer is written
         return code
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught ahead of the next clause
         _drop_stdout()
         return EXIT_BROKEN_PIPE
     except ConstructionFailedError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
+        _report(f"construction failed: {exc}")
         return 1
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (StarRamseyError, OSError) as exc:
+        _report(f"error: {exc}")
         return 2
 
 
@@ -413,7 +385,10 @@ def run() -> NoReturn:
         except BrokenPipeError:
             code = EXIT_BROKEN_PIPE
     if sys.stderr is not None:
-        sys.stderr.flush()
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
     os._exit(code)
 
 

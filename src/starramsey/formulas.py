@@ -63,7 +63,9 @@ def general_bounds(n: int, t: int, l: int) -> BoundsInterval:
 
     upper is the smallest p with p > (t'n - 1)/(t' - 1) where t' = [t/l];
     lower is y - eps + 1 with y = [(t(n-l+1) - l)/(t-l)] and eps = 1 for
-    odd y.  Needs t' >= 2.
+    odd y.  Needs t' >= 2.  lower is the paper's formula, not clamped: it
+    falls below the trivial n + 1, and even below 0, when n is small next
+    to l (n = 2, t = 100, l = 50 gives lower = -95, while R(2, 100, 50) = 3).
     """
     if n < 2:
         raise InvalidParameterError(f"need n >= 2, got {n}")

@@ -21,7 +21,9 @@ from starramsey import (
     serialize_coloring,
     write_coloring,
 )
+from starramsey import cli
 from starramsey.cli import EXIT_BROKEN_PIPE, main
+from starramsey.errors import ConstructionFailedError, StarRamseyError
 
 from .conftest import all_edges, monochrome_build
 
@@ -549,10 +551,89 @@ def test_launcher_prints_the_pinned_help():
     assert [proc.returncode, proc.stdout.decode(), proc.stderr.decode()] == pins[version]["help"]
 
 
+# Each command's whole stdout, stderr and exit code, byte for byte and in
+# line order.  "{file}" stands for a K_7 certificate of (3, 3, 1), which
+# the construct --out case writes again in place.
+PINNED = [
+    (("compute", "--n", "1", "--t", "2", "--s", "1"), 0,
+     "value 2\ncase trivial\nwitness cyclic(p=1, t=2)\n", ""),
+    (("compute", "--n", "5", "--t", "4", "--s", "2"), 0,
+     "value 10\ncase xp1.c\nx 9\nq 1\nr 3\nwitness regular(q=2, t=4)\n", ""),
+    (("compute", "--n", "3", "--t", "4", "--s", "1"), 2, "",
+     "error: exact values cover s in {t-1, t-2} only, got s=1, t=4; "
+     "use general_bounds for other budgets\n"),
+    (("bounds", "--n", "5", "--t", "4", "--l", "2"), 0,
+     "lower 7\nupper 10\ny 7\nepsilon 1\nt_prime 2\n", ""),
+    (("bounds", "--n", "2", "--t", "100", "--l", "50"), 0,
+     "lower -95\nupper 4\ny -95\nepsilon 1\nt_prime 2\n", ""),
+    (("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"), 0,
+     "order 7\ncolors 3\nwitness three-color-balanced(n=3)\nout {file}\n", ""),
+    (("construct", "--n", "2", "--t", "2", "--s", "1"), 0, "2 2\n1 2 2\n", ""),
+    (("verify", "--file", "{file}", "--n", "3", "--s", "1"), 0,
+     "verdict pass\nmin_star_colors 2\n", ""),
+    (("verify", "--file", "{file}", "--n", "3", "--s", "2"), 1,
+     "verdict fail\nmin_star_colors 2\noffending_vertex 1\noffending_colors 1,2\n"
+     "covered_edges 4\n", ""),
+    (("verify", "--file", "{file}.missing", "--n", "3", "--s", "1"), 2, "",
+     "error: [Errno 2] No such file or directory: '{file}.missing'\n"),
+    (("oracle", "--n", "3", "--t", "2", "--s", "1", "--max-p", "4"), 0,
+     "value exceeds_p_max=4\nnodes 6\ncanonical_skips 1\nbound_prunes 0\n", ""),
+    (("oracle", "--n", "3", "--t", "4", "--s", "2", "--max-p", "6", "--threads", "2"), 0,
+     "value 5\nnodes 6\ncanonical_skips 6\nbound_prunes 1\n", ""),
+    (("table", "--t", "2", "--s", "1", "--n-from", "2", "--n-to", "4"), 0,
+     "   n value  case\n   2     3  x.odd-q\n   3     6  xp1.even-q\n   4     7  x.odd-q\n", ""),
+    (("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "5",
+      "--trials", "500", "--seed", "7"), 0, "verdict pass\ntrials 500\n", ""),
+    (("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "4",
+      "--trials", "10000", "--seed", "42"), 1,
+     "verdict counterexample\ntrials 10000\ntrial 192\n", ""),
+]
+
+
+def _pinned(path):
+    """PINNED with "{file}" read as ``path``."""
+    return [(tuple(arg.replace("{file}", path) for arg in argv), code,
+             out.replace("{file}", path), err.replace("{file}", path))
+            for argv, code, out, err in PINNED]
+
+
+@pytest.mark.parametrize("case", range(len(PINNED)),
+                         ids=["-".join(arg.lstrip("-") for arg in argv) for argv, *_ in PINNED])
+def test_command_output_is_pinned(capsys, tmp_path, case):
+    path = str(tmp_path / "k7.coloring")
+    write_coloring(path, constructions.witness_coloring(3, 3, 1)[0])
+    argv, code, out, err = _pinned(path)[case]
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("cls", [*StarRamseyError.__subclasses__(), OSError],
+                         ids=lambda cls: cls.__name__)
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, cls):
+    # a failed construction exits 1; every other package error and every
+    # OSError exits 2, so a new error class exits 2 too
+    def handler(args):
+        raise cls("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "compute", (handler, *cli.COMMANDS["compute"][1:]))
+    expected = ((1, "", "construction failed: boom\n") if cls is ConstructionFailedError
+                else (2, "", "error: boom\n"))
+    assert run(capsys, "compute", "--n", "4", "--t", "2", "--s", "1") == expected
+
+
+def test_other_errors_escape_main(monkeypatch):
+    def handler(args):
+        raise ValueError("boom")
+
+    monkeypatch.setitem(cli.COMMANDS, "compute", (handler, *cli.COMMANDS["compute"][1:]))
+    with pytest.raises(ValueError, match="boom"):
+        main(["compute", "--n", "4", "--t", "2", "--s", "1"])
+
+
 def test_launcher_exit_codes(capsys, tmp_path):
     # each launch prints what main prints in-process, and exits with its code
     path = str(tmp_path / "k7.coloring")
     for argv, code in [
+        *((argv, code) for argv, code, _, _ in _pinned(path)),
         (("construct", "--n", "3", "--t", "3", "--s", "1", "--out", path), 0),
         (("verify", "--file", path, "--n", "3", "--s", "1"), 0),
         (("verify", "--file", path, "--n", "3", "--s", "2"), 1),
@@ -615,6 +696,60 @@ def test_missing_stdout_counts_as_a_closed_pipe(argv, status, err):
                           text=True, timeout=60)
     assert proc.returncode == status
     assert proc.stderr.startswith(err) and bool(proc.stderr) == bool(err)
+
+
+# A launcher whose construction fails its certificate check
+_FAILED_CONSTRUCTION = ("from starramsey import cli, constructions\n"
+                        "from starramsey.errors import ConstructionFailedError\n"
+                        "def witness_coloring(n, t, s):\n"
+                        "    raise ConstructionFailedError('refused')\n"
+                        "constructions.witness_coloring = witness_coloring\n"
+                        "cli.run()\n")
+# fd 2 closed, then python started in its place on the same arguments:
+# sys.stderr is None
+_NO_STDERR = ("import os, sys\n"
+              "os.close(2)\n"
+              "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])\n")
+# (python arguments, exit code) of a launch that fails
+_FAILING_LAUNCHES = [
+    (("-m", "starramsey", "compute", "--n", "3", "--t", "4", "--s", "1"), 2),
+    (("-m", "starramsey", "verify", "--file", "missing.coloring", "--n", "3", "--s", "1"), 2),
+    (("-c", _FAILED_CONSTRUCTION, "construct", "--n", "3", "--t", "3", "--s", "1"), 1),
+]
+_FAILING_IDS = ("usage", "missing-file", "failed-construction")
+
+
+def _buffering_env(unbuffered):
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("args, status", _FAILING_LAUNCHES, ids=_FAILING_IDS)
+def test_closed_stderr_pipe_keeps_the_exit_code(args, status, unbuffered, tmp_path):
+    # the reader of stderr is gone, so the error line is lost; the exit
+    # code is not (it was 1 unbuffered and 120 buffered for exit 2)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, *args], env=_buffering_env(unbuffered),
+                              cwd=tmp_path, stdout=subprocess.PIPE, stderr=write, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (status, b"")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("args, status", _FAILING_LAUNCHES, ids=_FAILING_IDS)
+def test_missing_stderr_keeps_stdout_clean(args, status, unbuffered, tmp_path):
+    # the error line has nowhere to go: it must not land on stdout
+    proc = subprocess.run([sys.executable, "-c", _NO_STDERR, *args],
+                          env=_buffering_env(unbuffered), cwd=tmp_path,
+                          stdout=subprocess.PIPE, timeout=60)
+    assert (proc.returncode, proc.stdout) == (status, b"")
 
 
 def test_help_into_a_closed_pipe_ends_quietly():
