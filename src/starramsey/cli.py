@@ -253,10 +253,20 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of ``COMMANDS``: it parses every command line
-    the direct parser declines, and prints help and usage errors."""
+    the direct parser declines, and prints help and usage errors.  A
+    usage error prints argparse's usage and error lines through
+    ``_report``, so a missing or closed stderr loses them and the exit
+    code stays 2.  argparse's own ``error`` puts the usage on stdout when
+    stderr is missing, and some versions (3.10, 3.11.2) raise on a missing
+    or closed one."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # its subparsers take its class
+        def error(self, message):
+            _report(f"{self.format_usage()}{self.prog}: error: {message}")
+            self.exit(2)
+
+    parser = Parser(
         prog="starramsey",
         description="Star Ramsey numbers under color budgets: exact values, "
                     "bounds, certificates, and an exhaustive oracle.",

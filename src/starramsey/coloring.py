@@ -371,13 +371,16 @@ def check_well_formed(coloring: EdgeColoring) -> None:
         raise InvalidParameterError("invalid coloring: " + "; ".join(first))
 
 
+def palette_row(palette, row, t: int) -> list[int]:
+    """``row``, counted at ``palette``'s colors, spread over colors 1..t
+    (0 at every color it does not count)."""
+    full = [0] * t
+    for c, d in zip(palette, row):
+        full[c - 1] = d
+    return full
+
+
 def color_degree_profile(coloring: EdgeColoring) -> list[list[int]]:
     """Per-vertex color counts: rows[v-1][c-1] = edges of color c at vertex v."""
     palette, rows = degree_table(coloring)
-    profile = []
-    for row in rows:
-        full = [0] * coloring.t
-        for c, d in zip(palette, row):
-            full[c - 1] = d
-        profile.append(full)
-    return profile
+    return [palette_row(palette, row, coloring.t) for row in rows]

@@ -17,9 +17,10 @@ within its matching, which depends only on v - u.  The regular and
 near-regular colorings give each matching a color that is a closed form
 in its center i, and color the edges of the matchings they patch by a
 closed form in k.  One row check,
-``_certified``, builds the degree table that ``witness_coloring``'s star
-check reuses and raises "<name> row [...] != [...] at vertex v"
-(``below`` for a floor).  ``BUILDERS`` maps recipe tags to builders.
+``_certified``, builds the degree table and raises "<name> row [...] !=
+[...] at vertex v" (``below`` for a floor); ``witness_coloring`` then
+asks ``verify.check_certificate``, the verdict ``verify`` prints, which
+reuses that table.  ``BUILDERS`` maps recipe tags to builders.
 Every builder refuses an order past ``coloring.check_order``'s limit
 before it builds any per-vertex or per-edge list.
 """
@@ -27,10 +28,10 @@ before it builds any per-vertex or per-edge list.
 from __future__ import annotations
 
 from .coloring import (EdgeColoring, check_order, color_store, edge_rank, join_store,
-                       patch_store)
+                       palette_row, patch_store)
 from .errors import ConstructionFailedError, InvalidParameterError
 from .formulas import CaseVerdict, WitnessRecipe, classify
-from .verify import min_star_colors
+from .verify import check_certificate
 
 
 def _certified(coloring: EdgeColoring, name: str, expected: list[int],
@@ -50,11 +51,9 @@ def _certified(coloring: EdgeColoring, name: str, expected: list[int],
         bad = (v for v, row in enumerate(rows) if row != want)
     v = next(bad, None)
     if v is not None:
-        row = [0] * coloring.t
-        for c, d in zip(palette, rows[v]):
-            row[c - 1] = d
         raise ConstructionFailedError(
-            f"{name} row {row} {'below' if at_least else '!='} "
+            f"{name} row {palette_row(palette, rows[v], coloring.t)} "
+            f"{'below' if at_least else '!='} "
             f"{expected} at vertex {v + 1}"
         )
     return coloring
@@ -258,17 +257,18 @@ def witness_coloring(n: int, t: int, s: int) -> tuple[EdgeColoring, WitnessRecip
     """Certificate coloring of K_{R-1} for the instance (n, t, s).
 
     The coloring is checked against the claim (every n-star shows at
-    least s+1 colors) before it is returned; a failed check raises
-    rather than handing back a bad certificate.
+    least s+1 colors) by ``check_certificate`` before it is returned; a
+    failed check raises ``ConstructionFailedError`` rather than handing
+    back a bad certificate.  An order past ``check_order``'s limit is
+    refused by the builder, before it builds any list.
     """
     verdict: CaseVerdict = classify(n, t, s)
-    check_order(verdict.value - 1)
     coloring, recipe = build_recipe(verdict.witness)
-    k = min_star_colors(coloring, n)
-    if k is not None and k < s + 1:
+    cert = check_certificate(coloring, n, s)
+    if not cert.passed:
         raise ConstructionFailedError(
             f"recipe {recipe.describe()} for (n={n}, t={t}, s={s}) built K_{coloring.p} "
-            f"with an n-star on {k} <= {s} colors; "
+            f"with an n-star on {cert.min_colors} <= {s} colors; "
             f"the case value {verdict.value} ({verdict.case_tag}) has no certificate here"
         )
     return coloring, recipe

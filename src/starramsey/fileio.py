@@ -154,13 +154,10 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     any allocation: every data line takes at least six bytes.
     """
     head = data[:data.find(b"\n") + 1]
-    fields = head[:-1].split(b" ")
-    if len(fields) != 2 or not all(f.isdigit() for f in fields):
+    header = _integers(head[:-1].split(b" "))
+    if header is None or len(header) != 2:
         return None
-    try:
-        p, t = int(fields[0]), int(fields[1])
-    except ValueError:  # over the int-string digit limit
-        return None
+    p, t = header
     if p < 1 or t < 1 or len(data) - len(head) < 6 * edge_count(p):
         return None
     coloring = _line_colors(data, p, t)
@@ -197,10 +194,10 @@ def _drop_empty_lines(data: bytes) -> bytes:
     return data.removeprefix(b"\n")
 
 
-def _integers(fields: list[str]) -> list[int] | None:
-    """ASCII fields as integers; None unless each is digits only (int()
-    alone also reads signs and underscores) and within int()'s digit
-    limit."""
+def _integers(fields: list[str] | list[bytes]) -> list[int] | None:
+    """ASCII fields (str or bytes) as integers; None unless each is digits
+    only (int() alone also reads signs and underscores) and within int()'s
+    digit limit."""
     if not all(f.isdigit() for f in fields):
         return None
     try:

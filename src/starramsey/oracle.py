@@ -8,8 +8,13 @@ assigns edges in lexicographic order, tries each edge's colors
 least-loaded first, quotients out color relabeling by allowing a new
 color only after all smaller ones appear, and prunes a branch when a
 per-vertex optimistic bound cannot beat the incumbent; the bound of each
-color-degree row is computed once per search.  The incumbent starts at
-a floor and the search stops as soon as it reaches a ceiling:
+color-degree row is computed once per search.  The bound water-fills a
+row's remaining edges onto its smallest classes and reads the filled
+row's fewest star colors by the rule of ``verify.star_minima``, written
+again here: of the package the oracle imports only ``errors``, so that
+it checks the kernel and the formulas rather than sharing them.  The
+incumbent starts at a floor and the search stops as soon as it reaches
+a ceiling:
 
 * ``max_min_star_colors`` searches with floor 1 and ceiling t, so it
   finds f(p) exactly;
@@ -40,6 +45,8 @@ a thread pool gave no speedup.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InfeasibleInstanceError, InvalidParameterError
@@ -86,36 +93,26 @@ class RamseyResult(NamedTuple):
 
 def _reachable_k(row: list[int], extra: int, n: int) -> int:
     """Largest achievable 'least k with top-k >= n' after placing ``extra``
-    more edges at this vertex.
+    more edges at this vertex; n is at most the row's total plus ``extra``.
 
     Spreading the remaining edges one at a time onto the currently
     smallest color class (water filling) minimizes every top-k prefix
-    sum simultaneously, so the resulting k is an admissible optimistic
+    sum simultaneously, so the filled row's k is an admissible optimistic
     bound on what any completion can reach.  The filling is computed in
     closed form: the j+1 smallest classes rise together to height h, r of
-    them one higher, and the classes above stay as they are.
+    them one higher, and the classes above stay as they are.  Its k is
+    found by the rule of ``verify.star_minima``: bisection on the
+    descending prefix sums.
     """
     levels = sorted(row)
-    t = len(levels)
     j = 0
-    while j + 1 < t and extra >= (levels[j + 1] - levels[j]) * (j + 1):
+    while j + 1 < len(levels) and extra >= (levels[j + 1] - levels[j]) * (j + 1):
         extra -= (levels[j + 1] - levels[j]) * (j + 1)
         j += 1
     q, r = divmod(extra, j + 1)
     h = levels[j] + q
-    acc = 0
-    k = 0
-    for d in levels[:j:-1]:
-        k += 1
-        acc += d
-        if acc >= n:
-            return k
-    for i in range(j + 1):
-        k += 1
-        acc += h + 1 if i < r else h
-        if acc >= n:
-            return k
-    return t  # unreachable: totals always cover n when p-1 >= n
+    filled = [*levels[:j:-1], *[h + 1] * r, *[h] * (j + 1 - r)]  # descending
+    return bisect_left(list(accumulate(filled)), n) + 1
 
 
 def _profiles(total: int, t: int, most: int):

@@ -3,7 +3,10 @@
 A coloring of K_p certifies R > p for the instance (n, t, s) exactly when
 every n-edge star in it shows at least s+1 distinct colors; every such
 check goes through one per-row kernel, ``star_minima``, over color
-degrees.
+degrees.  ``check_certificate`` is the one verdict on a certificate:
+``verify`` prints it, and ``constructions.witness_coloring`` refuses any
+build it fails.  The oracle's bound applies the same rule to its
+water-filled rows without importing it.
 
 The color degrees are ``EdgeColoring.color_degrees``, built once.  The
 rule for a well-formed coloring is ``coloring.defects``, written once:

@@ -752,6 +752,44 @@ def test_missing_stderr_keeps_stdout_clean(args, status, unbuffered, tmp_path):
     assert (proc.returncode, proc.stdout) == (status, b"")
 
 
+_ARGPARSE_ERRORS = [("compute", "--n", "x", "--t", "2", "--s", "1"), ("compute", "--bogus"),
+                    ("nosuch",)]
+_ARGPARSE_ERROR_IDS = ("bad-value", "unknown-flag", "unknown-command")
+
+
+@pytest.mark.parametrize("argv, status", [
+    *((argv, 2) for argv in _ARGPARSE_ERRORS),
+    (("compute", "-h"), 0),
+], ids=(*_ARGPARSE_ERROR_IDS, "help"))
+def test_argparse_with_missing_stderr_keeps_usage_off_stdout(argv, status, tmp_path):
+    # argparse's print_usage takes a missing stderr for stdout, so a usage
+    # error printed its usage there (and exited 1 on 3.10 and 3.11.2);
+    # help still goes to stdout
+    proc = subprocess.run([sys.executable, "-c", _NO_STDERR, "-m", "starramsey", *argv],
+                          env=_child_env(), cwd=tmp_path, stdout=subprocess.PIPE, timeout=60)
+    assert proc.returncode == status
+    if status:
+        assert proc.stdout == b""
+    else:
+        assert proc.stdout.startswith(b"usage: starramsey compute")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=("buffered", "unbuffered"))
+@pytest.mark.parametrize("argv", _ARGPARSE_ERRORS, ids=_ARGPARSE_ERROR_IDS)
+def test_argparse_usage_error_into_a_closed_stderr_pipe_exits_two(argv, unbuffered):
+    # on 3.10 and 3.11.2, argparse's own write raised BrokenPipeError (exit
+    # 120 buffered, 1 unbuffered)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "starramsey", *argv],
+                              env=_buffering_env(unbuffered), stdout=subprocess.PIPE,
+                              stderr=write, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+
+
 def test_help_into_a_closed_pipe_ends_quietly():
     # argparse's help is still in stdout's buffer when main returns, so
     # the launcher's flush meets the closed pipe (teardown printed

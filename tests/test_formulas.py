@@ -82,6 +82,19 @@ def test_r2_identity():
         assert classify(n, 2, 1).value == want
 
 
+def test_star_upper_is_burr_roberts_at_one_color():
+    # Burr and Roberts (1973): R(K_{1,n_1}, ..., K_{1,n_t}) = N - t + theta,
+    # N the sum of the n_i, theta = 1 when the number of even n_i is even
+    # and positive, else 2.  A budget of s = 1 asks for a monochromatic
+    # n-star, so every n_i is n.
+    for t in range(2, 41):
+        for n in range(1, 401):
+            sizes = [n] * t
+            evens = sum(1 for m in sizes if m % 2 == 0)
+            theta = 1 if evens > 0 and evens % 2 == 0 else 2
+            assert star_upper(n, t, 1)[0] == sum(sizes) - t + theta, (n, t)
+
+
 def test_corollary_one_sandwich_and_quotient():
     for t in range(2, 13):
         for n in GRID_N:

@@ -1,6 +1,7 @@
 import itertools
 import time
 
+import numpy as np
 import pytest
 
 from starramsey import EdgeColoring, check_certificate, classify, witness_coloring
@@ -10,7 +11,8 @@ from starramsey import oracle
 from starramsey.oracle import (SearchStats, _parity_forbids, _reachable_k, _search,
                                max_min_star_colors, ramsey_value)
 
-from .conftest import all_edges, brute_max_min_star, brute_min_star, parity_pigeonhole_order
+from .conftest import (all_edges, brute_max_min_star, brute_min_star, parity_pigeonhole_order,
+                       star_minima_reference)
 
 
 def test_max_min_examples():
@@ -130,6 +132,23 @@ def test_parity_rule_is_sound():
     assert [(p, n, t, k) for p, n, t, k in fired
             if _reachable_k([0] * t, p - 1, n) > k] == [
         (3, 2, 2, 1), (5, 2, 4, 1), (5, 3, 4, 2), (5, 4, 4, 3)]
+
+
+def test_reachable_k_is_the_best_any_completion_reaches():
+    # every row of t <= 4 parts of at most 3, every way to add extra <= 5
+    # edges to it, and every n up to the completed total: 16,368 cases
+    cases = 0
+    for t in range(1, 5):
+        for extra in range(6):
+            placements = np.array([add for add in itertools.product(range(extra + 1), repeat=t)
+                                   if sum(add) == extra])
+            for row in itertools.product(range(4), repeat=t):
+                completed = placements + np.array(row)
+                for n in range(1, sum(row) + extra + 1):
+                    best = star_minima_reference(completed, n).max()
+                    assert _reachable_k(list(row), extra, n) == best, (row, extra, n)
+                    cases += 1
+    assert cases == 16_368
 
 
 def test_parity_orders_in_reach():
