@@ -5,8 +5,8 @@ verified lower-bound certificate colorings, and an exhaustive oracle
 for small instances.  ``__all__`` is the public surface; README lists it.
 
 Names are loaded from their modules on first use, so importing the
-package loads none of them.  No module imports numpy at its top; only
-the sampler (``sample_upper_check``) imports it when it runs.
+package loads none of them.  No module imports numpy, the sampler
+(``sample_upper_check``) included.
 """
 
 import importlib

@@ -24,8 +24,8 @@ Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
 * ``verify`` loads ``fileio`` and ``verify``; ``sample-check`` loads
   ``verify``.
 
-Only ``sample-check`` imports numpy, inside the sampler; the certificate
-layers work on ``bytes``.  Modules are called through their
+No command imports numpy: the certificate layers work on ``bytes``, and
+the sampler mixes its draws on Python ints.  Modules are called through their
 attributes (``formulas.classify``), never through names imported from
 them, so a wrapper installed on a module attribute sees every call.
 
@@ -43,8 +43,8 @@ argparse's.
 ``python -m starramsey`` and the installed ``starramsey`` command both
 call ``run``: it calls ``main``, flushes stdout and stderr, and ends the
 process through ``os._exit``, skipping the interpreter's teardown (on a
-2-vCPU VM about 10 ms after ``compute``, 30 ms once numpy is loaded,
-against 1-4 ms to leave through ``os._exit``).  That teardown
+2-vCPU VM about 10 ms after ``compute``, and 30 ms once numpy was
+loaded, against 1-4 ms to leave through ``os._exit``).  That teardown
 would also run ``atexit`` handlers, flush and close other open files and
 join non-daemon threads, so the skip is safe only while these hold:
 

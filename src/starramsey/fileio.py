@@ -19,16 +19,20 @@ twin, and a file that only adds lines starting with ``#`` and empty
 lines reads as the file without them.  Any other file (indented
 comments, another edge order, any error) goes through the line parser,
 which names the offending line.  Both paths hand the coloring its
-rank-ordered store (``EdgeColoring._adopt``), with no size limit, so a
-file of any order reads.
+rank-ordered store (``EdgeColoring._adopt``).  The bulk path has no size
+limit, so a canonical file of any order reads; the line parser, which
+keeps a dict entry per edge, refuses right after the header an order
+over ``MAX_COLORING_BYTES`` at ``LINE_PARSER_BYTES_PER_EDGE``.
 """
 
 from __future__ import annotations
 
+import io
 from operator import itemgetter
 
-from .coloring import (EdgeColoring, color_digit_columns, color_store, digit_columns, edge_count,
-                       edge_rank, edges, in_color_range, join_colors)
+from .coloring import (LINE_PARSER_BYTES_PER_EDGE, EdgeColoring, check_order, color_digit_columns,
+                       color_store, digit_columns, edge_count, edge_rank, edges, in_color_range,
+                       join_colors)
 from .errors import ColoringFormatError, InvalidParameterError
 
 RENDER_LINES = 1 << 16  # a render block ends after the row that reaches this
@@ -206,20 +210,22 @@ def _integers(fields: list[str] | list[bytes]) -> list[int] | None:
         return None
 
 
-def _data_lines(lines: list[str]):
+def _data_lines(text: str):
     """Yield (line number, line, fields) for each non-blank, non-comment
-    line.  Only spaces separate fields; a line loses its surrounding
-    spaces and one final '\\r', so CRLF files parse."""
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.removesuffix("\r").strip(" ")
+    line, reading one line at a time.  Only '\\n' ends a line (where
+    str.splitlines() also splits at form feeds, \\x1c-\\x1e and \\x85), and
+    only spaces separate fields; a line loses its surrounding spaces and
+    one final '\\r', so CRLF files parse."""
+    for lineno, raw in enumerate(io.StringIO(text, newline="\n"), start=1):
+        line = raw.removesuffix("\n").removesuffix("\r").strip(" ")
         if line and not line.startswith("#"):
             yield lineno, line, [field for field in line.split(" ") if field]
 
 
-def _first_line_of(lines: list[str], edge: tuple[int, int]) -> int:
+def _first_line_of(text: str, edge: tuple[int, int]) -> int:
     """Line number of the first data line holding ``edge``; every data line
     before a duplicate has already parsed cleanly."""
-    data = _data_lines(lines)
+    data = _data_lines(text)
     next(data)  # header
     return next(lineno for lineno, _, fields in data
                 if (int(fields[0]), int(fields[1])) == edge)
@@ -252,10 +258,7 @@ def _parse_lines(text: str) -> EdgeColoring:
     store of the colors in rank order."""
     p = t = None
     colors: dict = {}
-    # only '\n' ends a line: str.splitlines() also splits at form feeds,
-    # \x1c-\x1e and \x85
-    lines = text.split("\n")
-    for lineno, line, fields in _data_lines(lines):
+    for lineno, line, fields in _data_lines(text):
         if not line.isascii():
             # int() and split() would read other scripts' digits and spaces
             char = next(ch for ch in line if not ch.isascii())
@@ -273,6 +276,10 @@ def _parse_lines(text: str) -> EdgeColoring:
             p, t = numbers
             if p < 1 or t < 1:
                 raise ColoringFormatError(f"need p >= 1 and t >= 1, got p={p}, t={t}", lineno)
+            try:  # the bulk path reads a canonical file of any order
+                check_order(p, LINE_PARSER_BYTES_PER_EDGE)
+            except InvalidParameterError as exc:
+                raise ColoringFormatError(f"{exc} (a file not in canonical form)", lineno) from None
             continue
         if len(fields) != 3:
             raise ColoringFormatError(f"edge line must be 'u v c', got {line!r}", lineno)
@@ -288,7 +295,7 @@ def _parse_lines(text: str) -> EdgeColoring:
         if (u, v) in colors:
             raise ColoringFormatError(
                 f"duplicate edge ({u}, {v}); "
-                f"first seen on line {_first_line_of(lines, (u, v))}",
+                f"first seen on line {_first_line_of(text, (u, v))}",
                 lineno,
             )
         colors[(u, v)] = c

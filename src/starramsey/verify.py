@@ -11,37 +11,33 @@ water-filled rows without importing it.
 The color degrees are ``EdgeColoring.color_degrees``, built once.  The
 rule for a well-formed coloring is ``coloring.defects``, written once:
 ``validate`` lists every defect, and ``check_certificate`` (like the
-degree table) refuses a coloring with the first five.  None of this
-imports numpy.  The sampler does, inside its own functions only: it
-draws any edge of any trial on demand (``sample_colors``), so it
-screens a batch of trials one vertex at a time and draws only the edges
-it reads.
+degree table) refuses a coloring with the first five.  Nothing here
+imports numpy, the sampler included: it draws any edge of any trial on
+demand (``sample_colors``), mixing a batch's draws as 64-bit lanes of
+one Python int, and screens a batch of trials one vertex at a time, so
+it draws only the edges it reads.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate
 from typing import NamedTuple
 
-from .coloring import (
-    EdgeColoring,
-    check_order,
-    check_table,
-    check_well_formed,
-    color_store,
-    defects,
-    edge_count,
-    edge_rank,
-)
+from .coloring import (EdgeColoring, check_order, check_table, check_well_formed, color_store,
+                       defects, edge_count, edge_rank)
 from .errors import InvalidParameterError
 
 # The sampler screens max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1)) trials
 # at a time: at each vertex a surviving trial holds p - 1 drawn colors, then
-# a t-cell color-degree row and its star minimum, so a batch's arrays stay
-# near this many cells whatever p and t are.  K_14 at t <= 4 fits 1,260
-# trials.
-SAMPLE_BATCH_EDGES = 1 << 14
+# a color-degree row of at most t cells and its star minimum.  A draw peaks
+# at 85-92 bytes under tracemalloc (its 16-byte lane in the packed int, the
+# mask and two temporaries, the lanes' bytes and array, its list entry), so
+# a batch's draws stay near 370 KiB whatever p and t are, and its ints fit a
+# core's cache.  K_14 at t <= 4 fits 315 trials.
+SAMPLE_BATCH_EDGES = 1 << 12
 
 
 def validate(coloring: EdgeColoring) -> list[str]:
@@ -143,40 +139,41 @@ class SampleCheckResult(NamedTuple):
 _GAMMA = 0x9E3779B97F4A7C15
 _MUL1 = 0xBF58476D1CE4E5B9
 _MUL2 = 0x94D049BB133111EB
+_U64 = (1 << 64) - 1
+_LANE = _U64.to_bytes(16, "little")  # the low 64 of a lane's 128 bits
 
 
-def _mix(z):
-    """SplitMix64's finalizer, a bijection of uint64, applied in place to a
-    numpy uint64 array."""
-    import numpy as np
-
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MUL1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MUL2)
-    z ^= z >> np.uint64(31)
-    return z
+def _mix(z: int, mask: int = _U64) -> int:
+    """SplitMix64's finalizer, a bijection of uint64, on every 64-bit lane of
+    z at once: ``mask`` keeps the low 64 of each 128-bit lane, which a lane's
+    product (< 2^128) never carries past, and drops a shift's next-lane bits."""
+    z ^= z >> 30 & mask
+    z = z * _MUL1 & mask
+    z ^= z >> 27 & mask
+    z = z * _MUL2 & mask
+    return z ^ z >> 31 & mask
 
 
-def sample_colors(p: int, t: int, seed: int, trials, ranks):
-    """(len(trials), len(ranks)) int64 numpy array of the colors the
-    sampler draws for these edge ranks (an integer array) of these trials
-    of K_p.
+def sample_colors(p: int, t: int, seed: int, trials, ranks) -> list[int]:
+    """The colors the sampler draws for these edge ranks (a sequence of
+    ints) of these trials of K_p: a flat list, trial-major.
 
     Counter-based (Salmon et al., SC 2011), so any edge of any trial can be
     drawn alone: rank r of trial i gets ``z % t + 1``, z = _mix(_mix(seed) +
     (i*m + r + 1)*gamma), m = p(p-1)/2.  Each color's probability is within
     2^-64 of 1/t.  With seed < 2^64 and trials * m < 2^64 no two draws
-    share a counter.
+    share a counter.  Each draw is a 128-bit lane of one int: its rank,
+    plus its trial's i*m + 1 + _mix(seed)/gamma (mod 2^64), times gamma.
     """
-    import numpy as np
-
-    key = _mix(np.array([seed], np.uint64))
-    z = (np.asarray(trials).astype(np.uint64)[:, None] * np.uint64(edge_count(p))
-         + (np.asarray(ranks).astype(np.uint64) + np.uint64(1)))
-    z *= np.uint64(_GAMMA)
-    z += key
-    return (_mix(z) % np.uint64(t)).astype(np.int64) + 1
+    m, width, lanes = edge_count(p), len(ranks), len(trials) * len(ranks)
+    offset = 1 + _mix(seed) * pow(_GAMMA, -1, 1 << 64)
+    counters = array("Q", bytes(16 * width))
+    counters[::2] = array("Q", ranks)
+    z = int.from_bytes(b"".join((i * m + offset & _U64).to_bytes(16, "little") * width
+                                for i in trials), "little")
+    mask = int.from_bytes(_LANE * lanes, "little")
+    z = (z + int.from_bytes(bytes(counters) * len(trials), "little") & mask) * _GAMMA & mask
+    return [x % t + 1 for x in array("Q", _mix(z, mask).to_bytes(16 * lanes, "little"))[::2]]
 
 
 def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
@@ -209,30 +206,33 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     first = 0 if p - 1 < n else _first_beating_trial(p, n, t, s, trials, seed)
     if first is None:
         return SampleCheckResult(True, trials)
-    colors = sample_colors(p, t, seed, [first], range(m))[0]
-    return SampleCheckResult(False, trials, first,
-                             EdgeColoring._adopt(p, t, color_store(colors.tolist())))
+    colors = [c for lo in range(0, m, SAMPLE_BATCH_EDGES)  # a batch of ranks at a time
+              for c in sample_colors(p, t, seed, [first], range(lo, m)[:SAMPLE_BATCH_EDGES])]
+    return SampleCheckResult(False, trials, first, EdgeColoring._adopt(p, t, color_store(colors)))
 
 
 def _first_beating_trial(p: int, n: int, t: int, s: int, trials: int,
                          seed: int) -> int | None:
     """The vertex-by-vertex screen: the first trial that survives all p
-    vertices, or None."""
-    import numpy as np
-
-    batch = max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1))
+    vertices, or None.  A row counts each color in a trial's p - 1 cells
+    (``bytes.count``) while the colors fit a byte and are no more than the
+    cells, else only the colors that occur: every row sums to p - 1 >= n."""
+    batch, d = max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1)), p - 1
     for start in range(0, trials, batch):
-        alive = np.arange(start, min(start + batch, trials), dtype=np.uint64)
+        alive = range(start, min(start + batch, trials))
         for v in range(1, p + 1):
             ranks = [edge_rank(p, u, v) for u in range(1, v)]
             ranks += range(edge_rank(p, v, v + 1), edge_rank(p, v, p) + 1)
             cells = sample_colors(p, t, seed, alive, ranks)
-            cells += (np.arange(alive.size) * t - 1)[:, None]
-            counts = np.bincount(cells.ravel(), minlength=alive.size * t)
-            minima = star_minima(counts.reshape(-1, t).tolist(), n)
-            alive = alive[np.array(minima) > s]
-            if not alive.size:
+            starts = range(0, len(cells), d)
+            if t <= min(d, 255):
+                cells = bytes(cells)
+                rows = [[cells.count(c, lo, lo + d) for c in range(1, t + 1)] for lo in starts]
+            else:
+                rows = [Counter(cells[lo:lo + d]).values() for lo in starts]
+            alive = [i for i, k in zip(alive, star_minima(rows, n)) if k > s]
+            if not alive:
                 break
         else:
-            return int(alive[0])
+            return alive[0]
     return None

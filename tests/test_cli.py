@@ -130,6 +130,17 @@ def test_verify_malformed_file_exits_two(capsys, tmp_path):
     assert "line 3" in err
 
 
+def test_verify_refuses_a_line_parser_order_over_the_limit(capsys, tmp_path):
+    # a header-only K_5000 file is not canonical, and the line parser would
+    # need 256 bytes for each of its 12,497,500 edges
+    path = tmp_path / "k5000.coloring"
+    path.write_text("# K_5000\n5000 3\n")
+    rc, out, err = run(capsys, "verify", "--file", str(path), "--n", "2", "--s", "1")
+    assert (rc, out) == (2, "")
+    assert err == ("error: line 2: K_5000 has 12497500 edges, about 3051 MiB of arrays; "
+                   "the limit is 2048 MiB (a file not in canonical form)\n")
+
+
 def test_verify_non_ascii_file_exits_two(capsys, tmp_path):
     path = tmp_path / "accent.coloring"
     path.write_bytes(b"3 2\n1 2 1\n1 3 2\n2 3 1 \xc3\xa9\n")
@@ -352,12 +363,12 @@ NOT_LOADED = {
     "table": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas"),
     "verify": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
-    "sample-check": ("argparse", "starramsey.formulas", "starramsey.oracle", "numpy.random"),
+    "sample-check": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
     "construct": ("argparse", "numpy", "starramsey.oracle"),
 }
-# Per command, the modules that must be loaded after it runs: only the
-# sampler's draws import numpy.
-LOADED = {"sample-check": ("numpy",)}
+# Per command, the modules that must be loaded after it runs, so that the
+# probe is seen to find what a command loads: the sampler's module.
+LOADED = {"sample-check": ("starramsey.verify",)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -373,9 +384,10 @@ LOADED = {"sample-check": ("numpy",)}
 ])
 def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # Each command loads only the modules it runs, on the same start-up
-    # path as `python -m starramsey`: package, then cli.  compute, bounds,
-    # table and oracle load neither numpy nor dataclasses, and construct
-    # (to a file or to stdout) and verify work on bytes without numpy.
+    # path as `python -m starramsey`: package, then cli.  No command loads
+    # numpy: compute, bounds, table and oracle load no dataclasses either,
+    # construct (to a file or to stdout) and verify work on bytes, and
+    # sample-check mixes its draws in Python ints.
     path = tmp_path / "k7.coloring"
     write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
     watched = sorted({name for names in (*NOT_LOADED.values(), *LOADED.values())

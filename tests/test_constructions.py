@@ -33,7 +33,7 @@ from starramsey.coloring import (
     edge_count,
     edge_rank,
 )
-from starramsey.errors import ConstructionFailedError, InvalidParameterError
+from starramsey.errors import ColoringFormatError, ConstructionFailedError, InvalidParameterError
 from starramsey.formulas import (
     CaseVerdict,
     WitnessRecipe,
@@ -435,10 +435,11 @@ def test_size_limit_leaves_room_for_the_largest_certificates():
         check_order(5794)
 
 
-def test_size_limit_applies_only_to_building_and_sampling(monkeypatch):
+def test_size_limit_spares_only_the_bulk_parser(monkeypatch):
     # lower the limit to K_10: K_11 is refused by construct, by the
-    # library builders, by the mapping constructor and by sample-check,
-    # but a K_11 file still parses on both paths and checks
+    # library builders, by the mapping constructor, by sample-check and by
+    # the line parser (at its own bytes per edge), but a canonical K_11
+    # file still parses on the bulk path and checks
     coloring = near_regular_coloring(3, 3, 2)
     mapping = dict(coloring.colors)
     monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", edge_count(10) * BYTES_PER_EDGE)
@@ -455,5 +456,6 @@ def test_size_limit_applies_only_to_building_and_sampling(monkeypatch):
     assert parse_coloring(text) == coloring
     # an indented comment is not dropped before the bulk path
     assert fileio._parse_canonical(b"  # K_11\n" + text.encode()) is None
-    assert parse_coloring("  # K_11\n" + text) == coloring      # line parser
+    with pytest.raises(ColoringFormatError, match="^line 2: K_11 has 55 edges"):
+        parse_coloring("  # K_11\n" + text)                    # line parser
     assert check_certificate(coloring, 8, 2).passed

@@ -16,7 +16,8 @@ from starramsey import (
     witness_coloring,
     write_coloring,
 )
-from starramsey.coloring import edge_count
+from starramsey import coloring as coloring_module
+from starramsey.coloring import LINE_PARSER_BYTES_PER_EDGE, edge_count
 from starramsey.errors import ColoringFormatError, InvalidParameterError
 
 from .conftest import colorings
@@ -190,6 +191,41 @@ def test_line_parser_keeps_only_the_store():
         tracemalloc.stop()
     assert parsed == coloring
     assert kept / edge_count(299) < 8
+
+
+def test_line_parser_peak_fits_its_bytes_per_edge(tmp_path):
+    # an indented comment sends K_299 to the line parser, which holds the
+    # file, its text and a (u, v) -> color dict: 196-218 B/edge measured
+    path = tmp_path / "k299.coloring"
+    coloring = cyclic_matching_coloring(299, 3)
+    path.write_text("  # K_299\n" + serialize_coloring(coloring))
+    del coloring
+    tracemalloc.start()
+    try:
+        read_coloring(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / edge_count(299) < LINE_PARSER_BYTES_PER_EDGE
+
+
+def test_line_parser_refuses_orders_over_the_limit(monkeypatch, tmp_path):
+    # the limit admits K_9's 36 edges on the line parser but not K_11's 55,
+    # which are refused at the header (line 2, after the comment); the bulk
+    # parser reads the canonical file of either order
+    monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", 36 * LINE_PARSER_BYTES_PER_EDGE)
+    for p in (9, 11):
+        coloring = cyclic_matching_coloring(p, 3)
+        path = tmp_path / f"k{p}.coloring"
+        write_coloring(str(path), coloring)
+        assert read_coloring(str(path)) == coloring
+        path.write_text("  # indented\n" + serialize_coloring(coloring))
+        if p == 9:
+            assert read_coloring(str(path)) == coloring
+            continue
+        with pytest.raises(ColoringFormatError, match=r"^line 2: K_11 has 55 edges, about .*"
+                           r"the limit is 0 MiB \(a file not in canonical form\)$"):
+            read_coloring(str(path))
 
 
 def test_bulk_parser_keeps_one_color_array():

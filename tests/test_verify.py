@@ -229,27 +229,44 @@ def _splitmix64_color(p, t, seed, i, r):
     (100, 1000, 7, 2**40, 4949), (5793, 3, 1, (2**64 - 1) // edge_count(5793) - 1, 0),
 ))
 def test_sample_colors_follow_splitmix64(p, t, seed, trial, rank):
-    got = verify.sample_colors(p, t, seed, np.array([trial], np.uint64), np.array([rank]))
-    assert got.tolist() == [[_splitmix64_color(p, t, seed, trial, rank)]]
+    got = verify.sample_colors(p, t, seed, [trial], [rank])
+    assert got == [_splitmix64_color(p, t, seed, trial, rank)]
+
+
+_LAST_TRIAL = (2**64 - 1) // edge_count(5793) - 1  # (trial + 1) * m just below 2^64
+
+
+@pytest.mark.parametrize("p, t, seed, trials, ranks", (
+    # t = 1000: colors past one byte, in lanes of several trials at once
+    (5, 1000, 0, range(40), range(10)), (100, 1000, 2**64 - 1, [0, 7, 2**40], [0, 4949, 17, 3]),
+    # the counter limit: the last trial's last rank has counter (trial + 1) * m
+    (5793, 3, 2**64 - 1, [0, _LAST_TRIAL - 1, _LAST_TRIAL], [0, 1, edge_count(5793) - 1]),
+    (5793, 1000, 2**64 - 1, [_LAST_TRIAL], range(edge_count(5793) - 300, edge_count(5793))),
+))
+def test_sample_colors_lanes_follow_splitmix64(p, t, seed, trials, ranks):
+    # every lane of a packed draw, trial-major, against the scalar reference
+    assert verify.sample_colors(p, t, seed, trials, ranks) == [
+        _splitmix64_color(p, t, seed, i, r) for i in trials for r in ranks]
 
 
 def test_trial_drawn_alone_equals_trial_in_batch():
     p, t, seed = 7, 3, 5
-    ranks = np.arange(edge_count(p))
-    batch = verify.sample_colors(p, t, seed, np.arange(50), ranks)
+    m = edge_count(p)
+    ranks = range(m)
+    batch = verify.sample_colors(p, t, seed, range(50), ranks)
     for i in (0, 1, 31, 49):
-        alone = verify.sample_colors(p, t, seed, np.array([i]), ranks)
-        assert np.array_equal(alone[0], batch[i])
-        odd = verify.sample_colors(p, t, seed, np.array([i]), ranks[1::2])
-        assert np.array_equal(odd[0], batch[i, 1::2])
+        alone = verify.sample_colors(p, t, seed, [i], ranks)
+        assert alone == batch[i * m:(i + 1) * m]
+        odd = verify.sample_colors(p, t, seed, [i], ranks[1::2])
+        assert odd == batch[i * m + 1:(i + 1) * m:2]
 
 
 def _per_trial_sample(p, n, t, s, trials, seed):
     """Unscreened reference: every trial's full coloring from the draw
     function, judged by numpy star minima over all p vertices at once, in
     one stack: (passed, first beating trial, its colors)."""
-    ranks = np.arange(edge_count(p))
-    cols = verify.sample_colors(p, t, seed, np.arange(trials), ranks)
+    ranks = range(edge_count(p))
+    cols = np.array(verify.sample_colors(p, t, seed, range(trials), ranks)).reshape(trials, -1)
     beats = star_minima_reference(degree_counts(p, t, cols), n).min(axis=-1) > s
     if not beats.any():
         return True, None, None
@@ -287,13 +304,13 @@ def test_batched_sampler_matches_per_trial_loop_at_batch_edges(monkeypatch, batc
 ))
 def test_batched_sampler_matches_per_trial_loop(monkeypatch, p, n, t, s):
     # counterexamples at varied trials, and orders where 1000 trials find
-    # none.  One cell gives one trial per batch, and the default puts all
-    # 1000 trials in one.  At 2^12 cells 1000 trials end inside a batch,
-    # and (7, 6, 4, 3) seeds 0 and 2 first fail past the first one, at
-    # trials 794 and 730 (batches of 682)
+    # none.  One cell gives one trial per batch, and 2^14 cells put all
+    # 1000 trials in one.  At 2^12 cells (the default) 1000 trials end
+    # inside a batch, and (7, 6, 4, 3) seeds 0 and 2 first fail past the
+    # first one, at trials 794 and 730 (batches of 682)
     for seed in range(4):
         _assert_sampler_matches_reference(
-            monkeypatch, p, n, t, s, 1000, seed, (1, 1 << 12, verify.SAMPLE_BATCH_EDGES))
+            monkeypatch, p, n, t, s, 1000, seed, (1, 1 << 12, 1 << 14))
 
 
 def test_screened_sampler_matches_reference_on_grid(monkeypatch):
@@ -316,7 +333,7 @@ def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
 
     def counting(*args):
         colors = sample_colors(*args)
-        drawn.append(colors.size)
+        drawn.append(len(colors))
         return colors
 
     monkeypatch.setattr(verify, "sample_colors", counting)
@@ -327,13 +344,12 @@ def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
 def test_sample_upper_check_no_star_order():
     res = sample_upper_check(3, 5, 2, 1, trials=10, seed=0)
     assert not res.passed and res.trial_index == 0
-    assert list(res.counterexample.array) == (
-        verify.sample_colors(3, 2, 0, np.array([0]), np.arange(3))[0].tolist())
+    assert list(res.counterexample.array) == verify.sample_colors(3, 2, 0, [0], range(3))
 
 
 def test_sampler_batch_memory_does_not_grow_with_t():
-    # at t = 1000 one K_5 trial has 5,000 color-degree cells, so a batch is
-    # one trial; a batch sized by edges alone took 409 trials, 46.8 MiB.
+    # at t = 1000 a K_5 trial counts as t + 1 cells, so a batch holds 4
+    # trials, and each trial's row holds only the colors that occur.
     # Every 2-star shows at most 2 colors, so all 409 trials are drawn.
     sample_upper_check(5, 2, 3, 1, trials=1, seed=0)
     tracemalloc.start()
