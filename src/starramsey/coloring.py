@@ -40,20 +40,17 @@ from .errors import InvalidParameterError
 
 Edge = tuple[int, int]
 
-# witness_coloring and sample_upper_check refuse K_p when its per-edge
-# buffers would need more than this, and so does the line parser; the bulk
-# parser reads a canonical file of any order.  Building and writing a
-# coloring and reading and checking one peak well under 45 bytes per edge
-# under tracemalloc (one-byte colors, a p x p degree matrix, the padded
-# file render), so BYTES_PER_EDGE leaves room for the int64 store and
+# witness_coloring, sample_upper_check, the mapping constructor and the
+# line parser (fileio, for a file not in canonical form) refuse K_p when
+# its per-edge buffers would need more than this; the bulk parser reads a
+# canonical file of any order.  Building and writing a coloring and
+# reading and checking one peak well under 45 bytes per edge under
+# tracemalloc (one-byte colors, a p x p degree matrix, the padded file
+# render), and the line parser, which holds the file and one list entry
+# per edge, about 20; BYTES_PER_EDGE leaves room for the int64 store and
 # allocator overhead.  The limit admits orders up to K_5793.
 MAX_COLORING_BYTES = 2 << 30
 BYTES_PER_EDGE = 128
-# The line parser (fileio) reads every file not in canonical form into a
-# dict, one (u, v) key per edge: read_coloring of such a file peaks at
-# 196-218 bytes per edge under tracemalloc (K_299..K_1501), so it refuses
-# orders past K_4096 right after the header.
-LINE_PARSER_BYTES_PER_EDGE = 256
 
 _BYTE_VALUES = bytes(range(256))
 
@@ -80,10 +77,10 @@ def edges(p: int):
     return ((u, v) for u in range(1, p) for v in range(u + 1, p + 1))
 
 
-def check_order(p: int, bytes_per_edge: int = BYTES_PER_EDGE) -> None:
-    """Refuse K_p before allocating when its buffers, at ``bytes_per_edge``,
+def check_order(p: int) -> None:
+    """Refuse K_p before allocating when its buffers, at ``BYTES_PER_EDGE``,
     would exceed ``MAX_COLORING_BYTES``."""
-    need = edge_count(p) * bytes_per_edge
+    need = edge_count(p) * BYTES_PER_EDGE
     if need > MAX_COLORING_BYTES:
         raise InvalidParameterError(
             f"K_{p} has {edge_count(p)} edges, about {need >> 20} MiB of arrays; "

@@ -18,21 +18,21 @@ result and compares it with the file.  A CRLF file reads as its LF
 twin, and a file that only adds lines starting with ``#`` and empty
 lines reads as the file without them.  Any other file (indented
 comments, another edge order, any error) goes through the line parser,
-which names the offending line.  Both paths hand the coloring its
-rank-ordered store (``EdgeColoring._adopt``).  The bulk path has no size
-limit, so a canonical file of any order reads; the line parser, which
-keeps a dict entry per edge, refuses right after the header an order
-over ``MAX_COLORING_BYTES`` at ``LINE_PARSER_BYTES_PER_EDGE``.
+which reads the same bytes as given, one line at a time, and names the
+offending line.  Text is read as its UTF-8 bytes.  Both paths hand the
+coloring its rank-ordered store (``EdgeColoring._adopt``).  The bulk
+path has no size limit, so a canonical file of any order reads; the line
+parser keeps one list entry per edge and refuses right after the header
+an order past ``check_order``'s limit, the package's one order limit.
 """
 
 from __future__ import annotations
 
-import io
+from itertools import islice
 from operator import itemgetter
 
-from .coloring import (LINE_PARSER_BYTES_PER_EDGE, EdgeColoring, check_order, color_digit_columns,
-                       color_store, digit_columns, edge_count, edge_rank, edges, in_color_range,
-                       join_colors)
+from .coloring import (EdgeColoring, check_order, color_digit_columns, color_store, digit_columns,
+                       edge_count, edge_rank, edges, in_color_range, join_colors)
 from .errors import ColoringFormatError, InvalidParameterError
 
 RENDER_LINES = 1 << 16  # a render block ends after the row that reaches this
@@ -40,6 +40,7 @@ RENDER_LINES = 1 << 16  # a render block ends after the row that reaches this
 _DIGIT_VALUES = bytes(c - 48 if 48 <= c <= 57 else 0 for c in range(256))
 # characters of the widest 64-bit color, 2**63 - 1
 _COLOR_DIGITS = 19
+_ASCII = bytes(range(128))
 
 
 def _row_blocks(p: int):
@@ -198,47 +199,44 @@ def _drop_empty_lines(data: bytes) -> bytes:
     return data.removeprefix(b"\n")
 
 
-def _integers(fields: list[str] | list[bytes]) -> list[int] | None:
-    """ASCII fields (str or bytes) as integers; None unless each is digits
-    only (int() alone also reads signs and underscores) and within int()'s
-    digit limit."""
-    if not all(f.isdigit() for f in fields):
+def _integers(fields: list[bytes]) -> list[int] | None:
+    """Byte fields as integers; None unless each is ASCII digits only
+    (int() alone also reads signs, underscores and surrounding
+    whitespace) and within int()'s digit limit."""
+    if not all(map(bytes.isdigit, fields)):
         return None
     try:
-        return [int(f) for f in fields]
+        return list(map(int, fields))
     except ValueError:  # over the int-string digit limit
         return None
 
 
-def _data_lines(text: str):
+def _data_lines(data: bytes):
     """Yield (line number, line, fields) for each non-blank, non-comment
-    line, reading one line at a time.  Only '\\n' ends a line (where
-    str.splitlines() also splits at form feeds, \\x1c-\\x1e and \\x85), and
-    only spaces separate fields; a line loses its surrounding spaces and
-    one final '\\r', so CRLF files parse."""
-    for lineno, raw in enumerate(io.StringIO(text, newline="\n"), start=1):
-        line = raw.removesuffix("\n").removesuffix("\r").strip(" ")
-        if line and not line.startswith("#"):
-            yield lineno, line, [field for field in line.split(" ") if field]
-
-
-def _first_line_of(text: str, edge: tuple[int, int]) -> int:
-    """Line number of the first data line holding ``edge``; every data line
-    before a duplicate has already parsed cleanly."""
-    data = _data_lines(text)
-    next(data)  # header
-    return next(lineno for lineno, _, fields in data
-                if (int(fields[0]), int(fields[1])) == edge)
+    line, found one at a time with ``bytes.find``.  Only '\\n' ends a
+    line, and only spaces separate fields; a line loses its surrounding
+    spaces and one final '\\r', so CRLF files parse."""
+    start, lineno = 0, 0
+    while start < len(data):
+        end = data.find(b"\n", start)
+        if end < 0:
+            end = len(data)
+        lineno += 1
+        line = data[start:end].removesuffix(b"\r").strip(b" ")
+        start = end + 1
+        if line and not line.startswith(b"#"):
+            fields = line.split(b" ")
+            yield lineno, line, [f for f in fields if f] if b"" in fields else fields
 
 
 def parse_coloring(text: str | bytes) -> EdgeColoring:
-    """Parse a coloring file (text, or ASCII bytes), rejecting duplicates,
+    """Parse a coloring file (its text or its bytes), rejecting duplicates,
     gaps, and range errors with the offending line number."""
-    # a non-ASCII character turns into '?', which no canonical file holds;
-    # the line parser drops a final '\r', so CRLF files may read as LF ones
-    data = text if isinstance(text, bytes) else text.encode("ascii", "replace")
-    if b"\r" in data:  # a scan, where the fold would copy the whole file
-        data = data.replace(b"\r\n", b"\n")
+    # text is read as its UTF-8 bytes, so that the line parser can name a
+    # non-ASCII character; the line parser drops a final '\r', so CRLF
+    # files may read as LF ones
+    raw = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
+    data = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
     # a file that only adds comment lines or empty lines also takes the
     # bulk path; the scan for empty lines runs only when one is left to try
     coloring = _parse_canonical(data)
@@ -247,66 +245,67 @@ def parse_coloring(text: str | bytes) -> EdgeColoring:
         coloring = _parse_canonical(data)
     if coloring is None and (data.startswith(b"\n") or b"\n\n" in data):
         coloring = _parse_canonical(_drop_empty_lines(data))
-    return coloring or _parse_lines(
-        text if isinstance(text, str) else text.decode("ascii", "surrogateescape"))
+    return coloring or _parse_lines(raw)
 
 
-def _parse_lines(text: str) -> EdgeColoring:
+def _parse_lines(data: bytes) -> EdgeColoring:
     """Line-by-line parser: accepts comments, blank lines and any edge
-    order, and reports the first defect with its line number.  Having
-    refused duplicates, gaps and colors outside 1..t, it keeps only the
-    store of the colors in rank order."""
-    p = t = None
-    colors: dict = {}
-    for lineno, line, fields in _data_lines(text):
+    order, and reports the first defect with its line number.  The colors
+    go into one list by edge rank, made at the first edge line; an unset
+    rank holds 0, which no valid color is, so it finds duplicates and
+    gaps."""
+    p = t = colors = None
+    for lineno, line, fields in _data_lines(data):
         if not line.isascii():
-            # int() and split() would read other scripts' digits and spaces
-            char = next(ch for ch in line if not ch.isascii())
+            char = next(ch for ch in line.decode("utf-8", "surrogateescape") if not ch.isascii())
             raise ColoringFormatError(f"non-ASCII character {char!r}; files are ASCII", lineno)
         numbers = _integers(fields)
         if p is None:
             if len(fields) != 2:
                 raise ColoringFormatError(
-                    f"header must be 'p t', got {line!r}", lineno
+                    f"header must be 'p t', got {line.decode()!r}", lineno
                 )
             if numbers is None:
                 raise ColoringFormatError(
-                    f"header must hold two integers, got {line!r}", lineno
+                    f"header must hold two integers, got {line.decode()!r}", lineno
                 )
             p, t = numbers
             if p < 1 or t < 1:
                 raise ColoringFormatError(f"need p >= 1 and t >= 1, got p={p}, t={t}", lineno)
             try:  # the bulk path reads a canonical file of any order
-                check_order(p, LINE_PARSER_BYTES_PER_EDGE)
+                check_order(p)
             except InvalidParameterError as exc:
                 raise ColoringFormatError(f"{exc} (a file not in canonical form)", lineno) from None
             continue
         if len(fields) != 3:
-            raise ColoringFormatError(f"edge line must be 'u v c', got {line!r}", lineno)
+            raise ColoringFormatError(f"edge line must be 'u v c', got {line.decode()!r}", lineno)
         if numbers is None:
             raise ColoringFormatError(
-                f"edge line must hold three integers, got {line!r}", lineno
+                f"edge line must hold three integers, got {line.decode()!r}", lineno
             )
         u, v, c = numbers
         if not (1 <= u < v <= p):
             raise ColoringFormatError(f"need 1 <= u < v <= {p}, got u={u}, v={v}", lineno)
         if not (1 <= c <= t):
             raise ColoringFormatError(f"color {c} out of range 1..{t}", lineno)
-        if (u, v) in colors:
+        if colors is None:
+            colors = [0] * edge_count(p)
+        r = edge_rank(p, u, v)
+        if colors[r]:
+            # every data line before this one parsed cleanly
+            first = next(n for n, _, f in islice(_data_lines(data), 1, None)
+                         if _integers(f[:2]) == [u, v])
             raise ColoringFormatError(
-                f"duplicate edge ({u}, {v}); "
-                f"first seen on line {_first_line_of(text, (u, v))}",
-                lineno,
-            )
-        colors[(u, v)] = c
+                f"duplicate edge ({u}, {v}); first seen on line {first}", lineno)
+        colors[r] = c
     if p is None:
         raise ColoringFormatError("empty file: missing 'p t' header")
-    gap = edge_count(p) - len(colors)
+    gap = edge_count(p) if colors is None else colors.count(0)
     if gap:
-        first = next(edge for edge in edges(p) if edge not in colors)
+        first = next(islice(edges(p), 0 if colors is None else colors.index(0), None))
         raise ColoringFormatError(f"{gap} edge(s) missing, first is {first}")
     # every edge once, colors in 1..t: the store needs no further check
-    return EdgeColoring._adopt(p, t, color_store([colors[edge] for edge in edges(p)]))
+    return EdgeColoring._adopt(p, t, color_store(colors or []))
 
 
 def write_coloring(path: str, coloring: EdgeColoring) -> None:
@@ -321,8 +320,9 @@ def read_coloring(path: str) -> EdgeColoring:
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.isascii():
-        lineno, line = next((i, line) for i, line in enumerate(data.split(b"\n"), 1)
-                            if not line.isascii())
-        byte = next(b for b in line if b >= 0x80)
-        raise ColoringFormatError(f"non-ASCII byte {byte:#04x}; files are ASCII", lineno)
+        # the first byte left once the ASCII ones are deleted is the
+        # first non-ASCII byte, and no earlier byte has its value
+        byte = data.translate(None, _ASCII)[0]
+        raise ColoringFormatError(f"non-ASCII byte {byte:#04x}; files are ASCII",
+                                  data.count(b"\n", 0, data.find(byte)) + 1)
     return parse_coloring(data)

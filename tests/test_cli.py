@@ -131,13 +131,13 @@ def test_verify_malformed_file_exits_two(capsys, tmp_path):
 
 
 def test_verify_refuses_a_line_parser_order_over_the_limit(capsys, tmp_path):
-    # a header-only K_5000 file is not canonical, and the line parser would
-    # need 256 bytes for each of its 12,497,500 edges
-    path = tmp_path / "k5000.coloring"
-    path.write_text("# K_5000\n5000 3\n")
+    # a header-only K_6000 file is not canonical, and the line parser
+    # refuses its 17,997,000 edges at the package's 128 bytes per edge
+    path = tmp_path / "k6000.coloring"
+    path.write_text("# K_6000\n6000 3\n")
     rc, out, err = run(capsys, "verify", "--file", str(path), "--n", "2", "--s", "1")
     assert (rc, out) == (2, "")
-    assert err == ("error: line 2: K_5000 has 12497500 edges, about 3051 MiB of arrays; "
+    assert err == ("error: line 2: K_6000 has 17997000 edges, about 2196 MiB of arrays; "
                    "the limit is 2048 MiB (a file not in canonical form)\n")
 
 

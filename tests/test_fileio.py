@@ -2,7 +2,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from starramsey import (
@@ -17,10 +17,11 @@ from starramsey import (
     write_coloring,
 )
 from starramsey import coloring as coloring_module
-from starramsey.coloring import LINE_PARSER_BYTES_PER_EDGE, edge_count
+from starramsey.coloring import BYTES_PER_EDGE, edge_count
 from starramsey.errors import ColoringFormatError, InvalidParameterError
 
 from .conftest import colorings
+from .line_parser import parse_lines as reference_parse_lines
 
 
 @given(colorings())
@@ -96,6 +97,9 @@ def test_parse_rejects_non_ascii_digits():
     # int() reads any script's digits: ARABIC-INDIC DIGIT ONE would be color 1
     _expect_error("3 2\n1 2 \u0661\n1 3 2\n2 3 1\n",
                   "non-ASCII character '\u0661'; files are ASCII", line=2)
+    # UTF-8 bytes name the same character
+    _expect_error("3 2\n1 2 \u0661\n1 3 2\n2 3 1\n".encode(),
+                  "non-ASCII character '\u0661'; files are ASCII", line=2)
     _expect_error("\u0663 2\n1 2 1\n1 3 2\n2 3 1\n", "non-ASCII character", line=1)
     # an EM SPACE is whitespace to split(), not a field separator here
     _expect_error("2 2\n1\u20032 1\n", "non-ASCII character", line=2)
@@ -154,6 +158,25 @@ def test_read_coloring_ends_lines_at_newlines_only(tmp_path, monkeypatch):
     assert read_coloring(str(tmp_path / "crlf.txt")) == parse_coloring(text)
 
 
+def test_read_coloring_names_a_non_ascii_line_in_small_memory(tmp_path):
+    # the 3.0 MiB K_798 certificate with one trailing 'e' with an acute
+    # accent: the line is found by counting newlines before the byte, so
+    # the refusal peaks at the file and its read buffer, twice the file
+    data = serialize_coloring(witness_coloring(600, 8, 6)[0]).encode() + "\u00e9".encode()
+    path = tmp_path / "accent.coloring"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ColoringFormatError) as exc:
+            read_coloring(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (str(exc.value), exc.value.line) == (
+        "line 318005: non-ASCII byte 0xc3; files are ASCII", 318005)
+    assert peak < 2.5 * len(data)
+
+
 def test_certificate_files_peak_bytes_per_edge(tmp_path):
     # K_405 (near-regular) peaks at 13.7 and 22.6 bytes per edge under
     # tracemalloc with one-byte colors, a p x p degree matrix and the
@@ -177,9 +200,9 @@ def test_certificate_files_peak_bytes_per_edge(tmp_path):
 
 
 def test_line_parser_keeps_only_the_store():
-    # an indented comment sends K_299 to the line parser; its (u, v) -> color
-    # dict is dropped once the store is made (the coloring kept it, 124
-    # B/edge)
+    # an indented comment sends K_299 to the line parser; its per-rank list
+    # is dropped once the store is made (a coloring that kept a (u, v) ->
+    # color dict held 124 B/edge)
     coloring = cyclic_matching_coloring(299, 3)
     text = "  # K_299\n" + serialize_coloring(coloring)
     tracemalloc.start()
@@ -195,7 +218,7 @@ def test_line_parser_keeps_only_the_store():
 
 def test_line_parser_peak_fits_its_bytes_per_edge(tmp_path):
     # an indented comment sends K_299 to the line parser, which holds the
-    # file, its text and a (u, v) -> color dict: 196-218 B/edge measured
+    # file and one list entry per edge: about 18 B/edge measured
     path = tmp_path / "k299.coloring"
     coloring = cyclic_matching_coloring(299, 3)
     path.write_text("  # K_299\n" + serialize_coloring(coloring))
@@ -206,16 +229,17 @@ def test_line_parser_peak_fits_its_bytes_per_edge(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / edge_count(299) < LINE_PARSER_BYTES_PER_EDGE
+    assert peak / edge_count(299) < 32
 
 
 def test_line_parser_refuses_orders_over_the_limit(monkeypatch, tmp_path):
     # the limit admits K_9's 36 edges on the line parser but not K_11's 55,
     # which are refused at the header (line 2, after the comment); the bulk
-    # parser reads the canonical file of either order
-    monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", 36 * LINE_PARSER_BYTES_PER_EDGE)
-    for p in (9, 11):
-        coloring = cyclic_matching_coloring(p, 3)
+    # parser reads the canonical file of either order.  The builders share
+    # the limit, so both colorings are built before it is lowered
+    colorings_by_order = {p: cyclic_matching_coloring(p, 3) for p in (9, 11)}
+    monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", 36 * BYTES_PER_EDGE)
+    for p, coloring in colorings_by_order.items():
         path = tmp_path / f"k{p}.coloring"
         write_coloring(str(path), coloring)
         assert read_coloring(str(path)) == coloring
@@ -226,6 +250,13 @@ def test_line_parser_refuses_orders_over_the_limit(monkeypatch, tmp_path):
         with pytest.raises(ColoringFormatError, match=r"^line 2: K_11 has 55 edges, about .*"
                            r"the limit is 0 MiB \(a file not in canonical form\)$"):
             read_coloring(str(path))
+
+
+def test_line_parser_shares_the_package_order_limit():
+    # check_order's limit, K_5793: a header-only file of that order passes
+    # the header and is refused for its gap, K_5794 at the header
+    _expect_error("# c\n5793 3\n", "16776528 edge(s) missing, first is (1, 2)")
+    _expect_error("# c\n5794 3\n", "K_5794 has 16782321 edges", line=2)
 
 
 def test_bulk_parser_keeps_one_color_array():
@@ -277,13 +308,19 @@ _LINE_MUTATIONS = {
 }
 
 
+_WHOLE_FILE_MUTATIONS = ("crlf", "no trailing newline")
+_MUTATIONS = st.tuples(st.sampled_from(sorted(_LINE_MUTATIONS) + list(_WHOLE_FILE_MUTATIONS)),
+                       st.integers(0, 100), st.integers(0, 100))
+
+
 def _mutate(text, kind, i, j):
     if kind == "crlf":
         return text.replace("\n", "\r\n")
     if kind == "no trailing newline":
         return text[:-1]
     lines = text.splitlines()
-    _LINE_MUTATIONS[kind](lines, i % len(lines), j % len(lines))
+    if lines:
+        _LINE_MUTATIONS[kind](lines, i % len(lines), j % len(lines))
     return "\n".join(lines) + "\n"
 
 
@@ -294,22 +331,40 @@ def _outcome(parse, text):
         return (str(exc), exc.line)
 
 
-@given(colorings(min_p=2),
-       st.sampled_from(sorted(_LINE_MUTATIONS) + ["crlf", "no trailing newline"]),
-       st.integers(0, 100), st.integers(0, 100))
-@settings(max_examples=300)
-def test_parse_agrees_with_line_parser_on_mutated_files(coloring, kind, i, j):
-    text = _mutate(serialize_coloring(coloring), kind, i, j)
-    expected = _outcome(fileio._parse_lines, text)
+def _assert_parsers_agree(text):
+    # the reference reads text; the package reads text and bytes alike
+    expected = _outcome(reference_parse_lines, text)
+    assert _outcome(fileio._parse_lines, text.encode()) == expected
     assert _outcome(parse_coloring, text) == expected
     assert _outcome(parse_coloring, text.encode()) == expected
+
+
+@given(colorings(min_p=2), _MUTATIONS)
+@settings(max_examples=300)
+def test_parse_agrees_with_line_parser_on_mutated_files(coloring, mutation):
+    _assert_parsers_agree(_mutate(serialize_coloring(coloring), *mutation))
+
+
+@given(colorings(min_p=2), st.lists(_MUTATIONS, min_size=1, max_size=3))
+@example(cyclic_matching_coloring(5, 3), [("comment", 2, 0), ("plus sign", 4, 0)])
+@example(cyclic_matching_coloring(5, 3), [("crlf", 0, 0), ("no trailing newline", 0, 0)])
+@example(cyclic_matching_coloring(5, 3), [("blank line", 3, 0), ("duplicate", 5, 0)])
+@settings(max_examples=200)
+def test_parse_agrees_with_line_parser_on_stacked_mutations(coloring, mutations):
+    # line edits first: a whole-file edit would not survive a later one's
+    # split into lines and join with '\n'
+    text = serialize_coloring(coloring)
+    for mutation in sorted(mutations, key=lambda m: m[0] in _WHOLE_FILE_MUTATIONS):
+        text = _mutate(text, *mutation)
+    _assert_parsers_agree(text)
 
 
 @given(colorings())
 def test_serialized_files_take_the_bulk_path(coloring):
     text = serialize_coloring(coloring)
     assert fileio._parse_canonical(text.encode()) == coloring
-    assert fileio._parse_lines(text) == coloring
+    assert reference_parse_lines(text) == coloring
+    assert fileio._parse_lines(text.encode()) == coloring
 
 
 def test_bulk_path_refuses_near_canonical_files():
