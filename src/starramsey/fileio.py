@@ -288,6 +288,9 @@ def _parse_lines(data: bytes) -> EdgeColoring:
             raise ColoringFormatError(f"need 1 <= u < v <= {p}, got u={u}, v={v}", lineno)
         if not (1 <= c <= t):
             raise ColoringFormatError(f"color {c} out of range 1..{t}", lineno)
+        if c >= 1 << 63:
+            raise ColoringFormatError(f"color {c} past 2^63-1: colors must be 64-bit integers",
+                                      lineno)
         if colors is None:
             colors = [0] * edge_count(p)
         r = edge_rank(p, u, v)

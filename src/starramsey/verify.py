@@ -15,7 +15,8 @@ degree table) refuses a coloring with the first five.  Nothing here
 imports numpy, the sampler included: it draws any edge of any trial on
 demand (``sample_colors``), mixing a batch's draws as 64-bit lanes of
 one Python int, and screens a batch of trials one vertex at a time, so
-it draws only the edges it reads.
+it draws only the edges it reads.  No step of a batch runs Python per
+draw: big-int operations mix and reduce all lanes, ``bytes.count`` tallies.
 """
 
 from __future__ import annotations
@@ -23,20 +24,20 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .coloring import (EdgeColoring, check_order, check_table, check_well_formed, color_store,
-                       defects, edge_count, edge_rank)
+from .coloring import (EdgeColoring, check_order, check_well_formed, color_store, defects,
+                       edge_count, edge_rank)
 from .errors import InvalidParameterError
 
 # The sampler screens max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1)) trials
 # at a time: at each vertex a surviving trial holds p - 1 drawn colors, then
 # a color-degree row of at most t cells and its star minimum.  A draw peaks
-# at 85-92 bytes under tracemalloc (its 16-byte lane in the packed int, the
-# mask and two temporaries, the lanes' bytes and array, its list entry), so
-# a batch's draws stay near 370 KiB whatever p and t are, and its ints fit a
-# core's cache.  K_14 at t <= 4 fits 315 trials.
+# at 104-109 bytes under tracemalloc (six 17-byte lanes: vertex 1's kept
+# lanes and their mask, the mixed lanes, three temporaries of ``_residues``),
+# so a batch's draws stay near 430 KiB whatever p and t are, and its ints fit
+# a core's cache.  K_14 at t <= 4 fits 315 trials.
 SAMPLE_BATCH_EDGES = 1 << 12
 
 
@@ -154,6 +155,29 @@ def _mix(z: int, mask: int = _U64) -> int:
     return z ^ z >> 31 & mask
 
 
+def _counters(p: int, seed: int, trials, ranks) -> tuple[int, int]:
+    """(lanes, mask): each draw's counter times gamma, premixed, in a 128-bit
+    lane of one int, trial-major, and the mask of the lanes' low 64 bits."""
+    m, width, lanes = edge_count(p), len(ranks), len(trials) * len(ranks)
+    offset = 1 + _mix(seed) * pow(_GAMMA, -1, 1 << 64)
+    counters = array("Q", bytes(16 * width))
+    counters[::2] = array("Q", ranks)
+    z = int.from_bytes(b"".join((i * m + offset & _U64).to_bytes(16, "little") * width
+                                for i in trials), "little")
+    mask = int.from_bytes(_LANE * lanes, "little")
+    z += int.from_bytes(bytes(counters) * len(trials), "little")
+    return (z & mask) * _GAMMA & mask, mask
+
+
+def _residues(z: int, t: int, mask: int, lanes: int) -> bytes:
+    """Each 64-bit lane of z mod t (1 <= t <= 255), one byte a lane, with no
+    Python step per lane: y = hi * (2^32 mod t) + lo < 2^40 keeps z's residue,
+    and y * (2^48 // t + 1) >> 48 is y // t exactly for y < 2^40, t < 2^8."""
+    y = z - (z >> 32 & mask) * ((1 << 32) - pow(2, 32, t))  # a lane's hi * 2^32 <= it
+    y -= (y * ((1 << 48) // t + 1) >> 48 & mask) * t
+    return y.to_bytes(16 * lanes, "little")[::16]
+
+
 def sample_colors(p: int, t: int, seed: int, trials, ranks) -> list[int]:
     """The colors the sampler draws for these edge ranks (a sequence of
     ints) of these trials of K_p: a flat list, trial-major.
@@ -165,15 +189,8 @@ def sample_colors(p: int, t: int, seed: int, trials, ranks) -> list[int]:
     share a counter.  Each draw is a 128-bit lane of one int: its rank,
     plus its trial's i*m + 1 + _mix(seed)/gamma (mod 2^64), times gamma.
     """
-    m, width, lanes = edge_count(p), len(ranks), len(trials) * len(ranks)
-    offset = 1 + _mix(seed) * pow(_GAMMA, -1, 1 << 64)
-    counters = array("Q", bytes(16 * width))
-    counters[::2] = array("Q", ranks)
-    z = int.from_bytes(b"".join((i * m + offset & _U64).to_bytes(16, "little") * width
-                                for i in trials), "little")
-    mask = int.from_bytes(_LANE * lanes, "little")
-    z = (z + int.from_bytes(bytes(counters) * len(trials), "little") & mask) * _GAMMA & mask
-    return [x % t + 1 for x in array("Q", _mix(z, mask).to_bytes(16 * lanes, "little"))[::2]]
+    z = _mix(*_counters(p, seed, trials, ranks)).to_bytes(16 * len(trials) * len(ranks), "little")
+    return [x % t + 1 for x in array("Q", z)[::2]]
 
 
 def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
@@ -188,16 +205,19 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     of trials draws vertex 1's edges and keeps the trials whose
     ``star_minima`` there exceeds s; the survivors draw vertex 2's, and so
     on, so when vertex 1 settles the trials the work is O(trials * p).
-    Refused before anything is drawn: per-edge arrays or a p x t
-    color-degree table over ``MAX_COLORING_BYTES``, a seed outside
-    0..2^64-1, and trials * p(p-1)/2 >= 2^64, where the counter would wrap.
+    Refused before anything is drawn: t > 2^63-1, whose colors a
+    counterexample's int64 store cannot hold (no p x t table is built),
+    per-edge arrays over ``MAX_COLORING_BYTES``, a seed outside 0..2^64-1,
+    and trials * p(p-1)/2 >= 2^64, where the counter would wrap.
     """
     if p < 1 or n < 1 or t < 1 or s < 1 or trials < 1:
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
     if not 0 <= seed < 1 << 64:
         raise InvalidParameterError(f"seed must be in 0..2^64-1, got {seed}")
+    if t >= 1 << 63:
+        raise InvalidParameterError(
+            f"a counterexample's colors are 64-bit integers: t must be <= 2^63-1, got {t}")
     check_order(p)
-    check_table(p, t)
     m = edge_count(p)
     if trials * m >= 1 << 64:
         raise InvalidParameterError(
@@ -214,21 +234,35 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
 def _first_beating_trial(p: int, n: int, t: int, s: int, trials: int,
                          seed: int) -> int | None:
     """The vertex-by-vertex screen: the first trial that survives all p
-    vertices, or None.  A row counts each color in a trial's p - 1 cells
-    (``bytes.count``) while the colors fit a byte and are no more than the
+    vertices, or None.  Vertex 1 reads ranks 0..p-2 in every batch, so its
+    lanes are built once and then advance by batch * m * gamma a batch.  A
+    row counts each color in a trial's p - 1 cells (``bytes.count`` on the
+    lanes' residues) while the colors fit a byte and are no more than the
     cells, else only the colors that occur: every row sums to p - 1 >= n."""
     batch, d = max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1)), p - 1
+    first, full = _counters(p, seed, range(min(batch, trials)), range(d))
+    step = (batch * edge_count(p) * _GAMMA & _U64).to_bytes(16, "little") * d  # one trial
     for start in range(0, trials, batch):
         alive = range(start, min(start + batch, trials))
+        if start:
+            first = first + int.from_bytes(step * batch, "little") & full
+            if len(alive) < batch:  # a short last batch keeps its low lanes
+                full &= (1 << 128 * d * len(alive)) - 1
+                first &= full
+        z, mask = first, full
         for v in range(1, p + 1):
-            ranks = [edge_rank(p, u, v) for u in range(1, v)]
-            ranks += range(edge_rank(p, v, v + 1), edge_rank(p, v, p) + 1)
-            cells = sample_colors(p, t, seed, alive, ranks)
-            starts = range(0, len(cells), d)
+            if v > 1:
+                ranks = [edge_rank(p, u, v) for u in range(1, v)]
+                ranks += range(edge_rank(p, v, v + 1), edge_rank(p, v, p) + 1)
+                z, mask = _counters(p, seed, alive, ranks)
+            z, lanes = _mix(z, mask), len(alive) * d
+            starts = range(0, lanes, d)
             if t <= min(d, 255):
-                cells = bytes(cells)
-                rows = [[cells.count(c, lo, lo + d) for c in range(1, t + 1)] for lo in starts]
+                cells = _residues(z, t, mask, lanes)
+                rows = zip(*[map(cells.count, repeat(c), starts, range(d, lanes + 1, d))
+                             for c in range(t)])
             else:
+                cells = [x % t for x in array("Q", z.to_bytes(16 * lanes, "little"))[::2]]
                 rows = [Counter(cells[lo:lo + d]).values() for lo in starts]
             alive = [i for i, k in zip(alive, star_minima(rows, n)) if k > s]
             if not alive:

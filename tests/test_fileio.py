@@ -68,6 +68,17 @@ def test_parse_rejects_color_out_of_range():
     _expect_error("2 2\n1 2 3\n", "color 3 out of range", line=2)
 
 
+def test_parse_rejects_color_past_int64_at_its_line():
+    # within the header's 1..t, but past the int64 store; the bulk path
+    # falls through to the line parser, which names the line
+    for text in ("2 99999999999999999999\n1 2 9999999999999999999\n",
+                 "2 99999999999999999999\n  1 2 9223372036854775808\n"):
+        for data in (text, text.encode()):
+            _expect_error(data, "colors must be 64-bit integers", line=2)
+    assert parse_coloring("2 99999999999999999999\n1 2 9223372036854775807\n").colors == {
+        (1, 2): 2**63 - 1}
+
+
 def test_parse_rejects_bad_vertex_order():
     _expect_error("3 2\n2 1 1\n1 3 1\n2 3 1\n", "1 <= u < v", line=2)
 

@@ -1,4 +1,6 @@
+import random
 import tracemalloc
+from array import array
 from collections import Counter
 
 import numpy as np
@@ -327,18 +329,56 @@ def test_screened_sampler_matches_reference_on_grid(monkeypatch):
 def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
     # at (200, 67, 3, 2) vertex 1 settles every trial: its two largest of
     # three color classes hold at least 133 >= 67 of its 199 edges.  An
-    # unscreened sampler draws all 19,900 edges of each trial
+    # unscreened sampler draws all 19,900 edges of each trial.  Every draw,
+    # streamed or built, goes through the finalizer as a 64-bit lane of the
+    # mask; _mix(seed) counts as one lane
     drawn = []
-    sample_colors = verify.sample_colors
+    mix = verify._mix
 
-    def counting(*args):
-        colors = sample_colors(*args)
-        drawn.append(len(colors))
-        return colors
+    def counting(z, mask=verify._U64):
+        drawn.append((mask.bit_length() + 64) // 128)
+        return mix(z, mask)
 
-    monkeypatch.setattr(verify, "sample_colors", counting)
+    monkeypatch.setattr(verify, "_mix", counting)
     assert sample_upper_check(200, 67, 3, 2, trials=1000, seed=0).passed
-    assert sum(drawn) <= 1.2 * 1000 * 199
+    assert 1000 * 199 <= sum(drawn) <= 1.2 * 1000 * 199
+
+
+def test_residues_are_lane_wise_mod_t():
+    rng = random.Random(0)
+    noise = [rng.getrandbits(64) for _ in range(1000)]
+    for t in range(1, 256):
+        lanes = [0, 1, t - 1, t, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + noise
+        z = int.from_bytes(b"".join(x.to_bytes(16, "little") for x in lanes), "little")
+        mask = int.from_bytes(verify._LANE * len(lanes), "little")
+        assert list(verify._residues(z, t, mask, len(lanes))) == [x % t for x in lanes], t
+
+
+@pytest.mark.parametrize("seed", (0, 2**64 - 1))
+def test_streamed_vertex_one_lanes_equal_sample_colors(monkeypatch, seed):
+    # at s = t every star shows at most s colors, so vertex 1 settles every
+    # trial and each batch mixes vertex 1's lanes alone.  A K_6 trial at
+    # t = 3 counts as 5 cells: batches of 4 trials, three full and then 2
+    p, t, trials = 6, 3, 14
+    monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", 20)
+    mixed = []
+    mix = verify._mix
+
+    def recording(z, mask=verify._U64):
+        out = mix(z, mask)
+        if mask != verify._U64:
+            lanes = (mask.bit_length() + 64) // 128
+            mixed.append(list(array("Q", out.to_bytes(16 * lanes, "little"))[::2]))
+        return out
+
+    monkeypatch.setattr(verify, "_mix", recording)
+    assert sample_upper_check(p, 2, t, t, trials, seed).passed
+    monkeypatch.setattr(verify, "_mix", mix)
+    batches = [range(start, min(start + 4, trials)) for start in range(0, trials, 4)]
+    assert len(mixed) == len(batches) == 4
+    for lanes, batch in zip(mixed, batches):
+        # t = 2^64 keeps each raw lane, plus one
+        assert [x + 1 for x in lanes] == verify.sample_colors(p, 1 << 64, seed, batch, range(p - 1))
 
 
 def test_sample_upper_check_no_star_order():
@@ -363,11 +403,16 @@ def test_sampler_batch_memory_does_not_grow_with_t():
 
 
 def test_sampler_color_table_limit_boundary(monkeypatch):
-    # 32 bytes per cell of one trial's 5 x t table, with the limit at t = 1000
+    # the screen builds no p x t table (a row holds only the colors that
+    # occur), so a t whose 5 x t table passes the limit is sampled; only a t
+    # past 2^63-1, whose colors the counterexample's int64 store cannot hold,
+    # is refused
     monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", 32 * 5 * 1000)
-    assert sample_upper_check(5, 2, 1000, 1, trials=1, seed=0).trials == 1
-    with pytest.raises(InvalidParameterError, match="color-degree table"):
-        sample_upper_check(5, 2, 1001, 1, trials=1, seed=0)
+    res = sample_upper_check(5, 2, 2**63 - 1, 1, trials=1, seed=0)
+    assert (res.passed, res.trial_index) == (False, 0)
+    assert list(res.counterexample.array) == verify.sample_colors(5, 2**63 - 1, 0, [0], range(10))
+    with pytest.raises(InvalidParameterError, match=r"t must be <= 2\^63-1"):
+        sample_upper_check(5, 2, 2**63, 1, trials=1, seed=0)
 
 
 def test_validate_reads_zero_color_as_out_of_range_not_missing():
