@@ -31,15 +31,14 @@ from __future__ import annotations
 from itertools import islice
 from operator import itemgetter
 
-from .coloring import (EdgeColoring, check_order, color_digit_columns, color_store, digit_columns,
-                       edge_count, edge_rank, edges, in_color_range, join_colors)
+from .coloring import (MAX_COLOR, EdgeColoring, check_order, color_digit_columns, color_store,
+                       digit_columns, edge_count, edge_rank, edges, in_color_range, join_colors)
 from .errors import ColoringFormatError, InvalidParameterError
 
 RENDER_LINES = 1 << 16  # a render block ends after the row that reaches this
 # ASCII digit -> its value; any other byte -> 0, which no valid color is
 _DIGIT_VALUES = bytes(c - 48 if 48 <= c <= 57 else 0 for c in range(256))
-# characters of the widest 64-bit color, 2**63 - 1
-_COLOR_DIGITS = 19
+_COLOR_DIGITS = len(str(MAX_COLOR))
 _ASCII = bytes(range(128))
 
 
@@ -288,7 +287,7 @@ def _parse_lines(data: bytes) -> EdgeColoring:
             raise ColoringFormatError(f"need 1 <= u < v <= {p}, got u={u}, v={v}", lineno)
         if not (1 <= c <= t):
             raise ColoringFormatError(f"color {c} out of range 1..{t}", lineno)
-        if c >= 1 << 63:
+        if c > MAX_COLOR:
             raise ColoringFormatError(f"color {c} past 2^63-1: colors must be 64-bit integers",
                                       lineno)
         if colors is None:

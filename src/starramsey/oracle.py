@@ -1,36 +1,31 @@
 """Independent ground truth by exhaustive search over small edge colorings.
 
-f(p, n, t) is the maximum over all t-colorings of K_p of the fewest
-colors any n-star shows; R(n, t, s) <= p exactly when f(p, n, t) <= s.
+Call a t-coloring of K_p whose every n-star shows more than s colors a
+*witness*.  R(n, t, s) is the least p with no witness on K_p, and the
+oracle asks only that question, order by order: its one entry is
+``ramsey_value``.
 
-Both questions go through one depth-first search, ``_search``.  It
-assigns edges in lexicographic order, tries each edge's colors
-least-loaded first, quotients out color relabeling by allowing a new
-color only after all smaller ones appear, and prunes a branch when a
-per-vertex optimistic bound cannot beat the incumbent; the bound of each
-color-degree row is computed once per search.  The bound water-fills a
-row's remaining edges onto its smallest classes and reads the filled
-row's fewest star colors by the rule of ``verify.star_minima``, written
-again here: of the package the oracle imports only ``errors``, so that
-it checks the kernel and the formulas rather than sharing them.  The
-incumbent starts at a floor and the search stops as soon as it reaches
-a ceiling:
-
-* ``max_min_star_colors`` searches with floor 1 and ceiling t, so it
-  finds f(p) exactly;
-* ``ramsey_value`` asks only whether f(p) > s, so it searches with
-  floor s and ceiling s+1 and stops at the first coloring whose every
-  n-star shows more than s colors (a witness).
+The question goes to one depth-first search, ``_search``.  It assigns
+edges in lexicographic order, tries each edge's colors least-loaded
+first, quotients out color relabeling by allowing a new color only after
+all smaller ones appear, and prunes a branch when a per-vertex
+optimistic bound cannot beat s; the bound of each color-degree row is
+computed once per search.  The bound water-fills a row's remaining edges
+onto its smallest classes and reads the filled row's fewest star colors
+by the rule of ``verify.star_minima``, written again here: of the
+package the oracle imports only ``errors``, so that it checks the kernel
+and the formulas rather than sharing them.  The incumbent starts at s,
+and the search stops at the first witness.
 
 Two root checks can settle an order before the first edge
 (``_root_settles``): the bound at the empty coloring, and a parity
-rule.  A vertex whose n-stars all show more than ``floor`` colors has
-an *admissible* color-degree row: its top-``floor`` sum is at most n-1.
-When p is odd and every admissible row has all parts odd, each vertex
-would have odd degree in color 1, and p odd degrees cannot sum to the
-even 2|E_1|; so no coloring beats the floor.  The rule enumerates the
-rows itself, since the oracle is the check on ``formulas`` and imports
-nothing from it.
+rule.  A vertex whose n-stars all show more than s colors has an
+*admissible* color-degree row: its top-s sum is at most n-1.  When p is
+odd and every admissible row has all parts odd, each vertex would have
+odd degree in color 1, and p odd degrees cannot sum to the even
+2|E_1|; so K_p has no witness.  The rule enumerates the rows itself,
+since the oracle is the check on ``formulas`` and imports nothing from
+it.
 
 ``ramsey_value`` scans upward with the root checks alone to the first
 order they settle, then searches downward from the order below it for
@@ -42,7 +37,6 @@ depend on the instance alone.  ``ramsey_value`` accepts ``threads`` (it
 must be >= 1) and runs the same search: the search is pure Python, and
 a thread pool gave no speedup.
 """
-
 from __future__ import annotations
 
 from bisect import bisect_left
@@ -67,16 +61,15 @@ class OracleResult(NamedTuple):
 
 
 class RamseyResult(NamedTuple):
-    """Smallest p <= p_max with f(p, n, t) <= s, or None if none qualifies.
+    """Smallest p <= p_max with no witness on K_p, or None if none qualifies.
 
     ``checked`` lists the order the root checks settled (if it is at most
     p_max), then one decision search per order below it, downward, up to
-    and including the first order with a witness.  Its value is not
-    f(p): ``value > s`` means some coloring of K_p has every n-star on
-    more than s colors (the value is that coloring's fewest star colors),
-    and ``value == s`` means f(p) <= s.  The order settled at the root
-    counts zero nodes and one bound prune.  Orders the upward root scan
-    passed without settling are not listed.
+    and including the first order with a witness.  A search's value is s
+    when it refuted its order, and otherwise the witness's fewest star
+    colors, so ``value > s`` marks a witness.  The order settled at the
+    root counts zero nodes and one bound prune.  Orders the upward root
+    scan passed without settling are not listed.
     """
 
     value: int | None
@@ -128,36 +121,35 @@ def _profiles(total: int, t: int, most: int):
             yield (d, *rest)
 
 
-def _parity_forbids(p: int, n: int, t: int, floor: int) -> bool:
+def _parity_forbids(p: int, n: int, t: int, s: int) -> bool:
     """True when no t-coloring of K_p has every n-star on more than
-    ``floor`` colors, by parity.
+    s colors, by parity.
 
-    A vertex's n-stars all show more than ``floor`` colors exactly when
-    its top-``floor`` color degrees sum to at most n-1; call such a row
+    A vertex's n-stars all show more than s colors exactly when its
+    top-s color degrees sum to at most n-1; call such a row
     admissible.  If p is odd and every admissible row has all parts odd,
     every vertex has odd degree in color 1, and p odd degrees cannot sum
     to the even 2|E_1|.
     """
     return p % 2 == 1 and all(
         all(d % 2 for d in row)
-        for row in _profiles(p - 1, t, p - 1) if sum(row[:floor]) <= n - 1
+        for row in _profiles(p - 1, t, p - 1) if sum(row[:s]) <= n - 1
     )
 
 
-def _root_settles(p: int, n: int, t: int, floor: int) -> bool:
-    """True when no t-coloring of K_p beats ``floor``, by the checks made
-    before the first edge: the bound at the empty coloring, then parity."""
-    return (_reachable_k([0] * t, p - 1, n) <= floor
-            or _parity_forbids(p, n, t, floor))
+def _root_settles(p: int, n: int, t: int, s: int) -> bool:
+    """True when no t-coloring of K_p beats s, by the checks made before
+    the first edge: the bound at the empty coloring, then parity."""
+    return _reachable_k([0] * t, p - 1, n) <= s or _parity_forbids(p, n, t, s)
 
 
 # an order settled at the root: no node, one bound prune
 _ROOT_PRUNE = SearchStats(0, 0, 1)
 
 
-def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
-    """Best fewest-star-colors value above ``floor`` over t-colorings of
-    K_p, or ``floor`` when none beats it; stops once it reaches ``ceiling``.
+def _search(p: int, n: int, t: int, s: int) -> OracleResult:
+    """The fewest star colors of the first witness on K_p, or s when K_p
+    has none; the search stops at the first leaf that beats s.
 
     A branch is pruned when the least per-vertex bound is ``<=`` the
     incumbent.  At a leaf no edge remains, so the bound is the coloring's
@@ -166,12 +158,12 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     Each edge tries its colors least-loaded first: by the edge's two
     endpoints' current degrees in that color, then by color.  This
     changes only the order of the children, so a refutation visits the
-    same nodes; a coloring beating the floor turns up sooner.
+    same nodes; a witness turns up sooner.
     Bounds are memoized per search by row: n is fixed, and a row fixes
     its remaining edges (p-1 minus its sum).
     """
-    if _root_settles(p, n, t, floor):
-        return OracleResult(floor, _ROOT_PRUNE)
+    if _root_settles(p, n, t, s):
+        return OracleResult(s, _ROOT_PRUNE)
     # its own lexicographic edge list, not coloring.edges: oracle loads only errors
     edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
     last = len(edges) - 1
@@ -184,7 +176,7 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
     nodes = 0
     skips = 0
     prunes = 0
-    incumbent = floor
+    incumbent = s
 
     def dfs(i, maxc):
         nonlocal nodes, skips, prunes, incumbent
@@ -222,40 +214,11 @@ def _search(p: int, n: int, t: int, floor: int, ceiling: int) -> OracleResult:
             cv[c] -= 1
             rem[u] += 1
             rem[v] += 1
-            if incumbent >= ceiling:
+            if incumbent > s:
                 break
 
     dfs(0, 0)
     return OracleResult(incumbent, SearchStats(nodes, skips, prunes))
-
-
-def _check_edges(p: int, edge_budget: int) -> None:
-    num_edges = p * (p - 1) // 2
-    if num_edges > edge_budget:
-        raise InfeasibleInstanceError(
-            f"K_{p} has {num_edges} edges, over the budget of {edge_budget}"
-        )
-
-
-def _check_colors(t: int, max_colors: int) -> None:
-    if t > max_colors:
-        raise InfeasibleInstanceError(
-            f"t={t} is over the color budget of {max_colors}"
-        )
-
-
-def max_min_star_colors(p: int, n: int, t: int, *,
-                        edge_budget: int = DEFAULT_EDGE_BUDGET,
-                        max_colors: int = DEFAULT_MAX_COLORS) -> OracleResult:
-    """Exact f(p, n, t) by exhaustive search; refuses oversized instances."""
-    if p < 2 or n < 1 or t < 1:
-        raise InvalidParameterError(f"need p >= 2, n >= 1, t >= 1; got {p}, {n}, {t}")
-    if n > p - 1:
-        raise InvalidParameterError(f"K_{p} has no {n}-star (degree {p - 1})")
-    _check_edges(p, edge_budget)
-    _check_colors(t, max_colors)
-    # every n-star shows at least one color and at most t
-    return _search(p, n, t, 1, t)
 
 
 def ramsey_value(n: int, t: int, s: int, p_max: int, *,
@@ -265,11 +228,10 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
     """Smallest p <= p_max where every t-coloring of K_p has an n-star on
     at most s colors.
 
-    Call a coloring of K_p whose every n-star shows more than s colors a
-    witness.  Deleting a vertex from a witness leaves a witness on K_{p-1}
-    (each n-star left was an n-star before), and K_n has no n-star, so R
-    is one above the largest order with a witness, and at least n+1.  The
-    scan runs two ways:
+    Deleting a vertex from a witness leaves a witness on K_{p-1} (each
+    n-star left was an n-star before), and K_n has no n-star, so R is one
+    above the largest order with a witness, and at least n+1.  The scan
+    runs two ways:
 
     * upward from n+1 with the root checks alone (``_root_settles``, no
       node), to the first order P0 they settle, or P0 = p_max + 1;
@@ -288,14 +250,17 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
         )
     if threads < 1:
         raise InvalidParameterError(f"need threads >= 1, got {threads}")
-    _check_colors(t, max_colors)
+    if t > max_colors:
+        raise InfeasibleInstanceError(f"t={t} is over the color budget of {max_colors}")
     p0 = n + 1
     while p0 <= p_max and not _root_settles(p0, n, t, s):
-        _check_edges(p0, edge_budget)
+        if (num_edges := p0 * (p0 - 1) // 2) > edge_budget:
+            raise InfeasibleInstanceError(
+                f"K_{p0} has {num_edges} edges, over the budget of {edge_budget}")
         p0 += 1
     checked = [(p0, OracleResult(s, _ROOT_PRUNE))] if p0 <= p_max else []
     for p in range(p0 - 1, n, -1):
-        result = _search(p, n, t, s, s + 1)
+        result = _search(p, n, t, s)
         checked.append((p, result))
         if result.value > s:
             break

@@ -27,8 +27,8 @@ from collections import Counter
 from itertools import accumulate, repeat
 from typing import NamedTuple
 
-from .coloring import (EdgeColoring, check_order, check_well_formed, color_store, defects,
-                       edge_count, edge_rank)
+from .coloring import (MAX_COLOR, EdgeColoring, check_order, check_well_formed, color_store,
+                       defects, edge_count, edge_rank)
 from .errors import InvalidParameterError
 
 # The sampler screens max(1, SAMPLE_BATCH_EDGES // max(p - 1, t + 1)) trials
@@ -214,7 +214,7 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
     if not 0 <= seed < 1 << 64:
         raise InvalidParameterError(f"seed must be in 0..2^64-1, got {seed}")
-    if t >= 1 << 63:
+    if t > MAX_COLOR:
         raise InvalidParameterError(
             f"a counterexample's colors are 64-bit integers: t must be <= 2^63-1, got {t}")
     check_order(p)

@@ -367,7 +367,8 @@ NOT_LOADED = {
     "compute": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "bounds": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "table": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
-    "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas"),
+    "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas", "starramsey.coloring",
+               "starramsey.verify", "starramsey.constructions", "starramsey.fileio"),
     "verify": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
     "sample-check": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
     "construct": ("argparse", "numpy", "starramsey.oracle"),

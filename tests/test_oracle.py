@@ -8,29 +8,39 @@ from starramsey import EdgeColoring, check_certificate, classify, witness_colori
 from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
 from starramsey.formulas import pigeonhole_upper
 from starramsey import oracle
-from starramsey.oracle import (SearchStats, _parity_forbids, _reachable_k, _search,
-                               max_min_star_colors, ramsey_value)
+from starramsey.oracle import SearchStats, _parity_forbids, _reachable_k, _search, ramsey_value
 
 from .conftest import (all_edges, brute_max_min_star, brute_min_star, parity_pigeonhole_order,
                        star_minima_reference)
 
 
 def test_max_min_examples():
-    assert max_min_star_colors(3, 2, 2).value == 1
-    # a proper 3-edge-coloring of K_4 maximizes both of these
-    assert max_min_star_colors(4, 3, 3).value == 3
-    assert max_min_star_colors(4, 3, 4).value == 3
-    # a 2-star holds two edges, so two colors is the ceiling
-    assert max_min_star_colors(4, 2, 3).value == 2
+    # f = f(p, n, t), the most colors every n-star can be made to show:
+    # K_p has a witness beating s exactly when s < f, and no witness shows
+    # more than f, so the one beating f-1 shows f
+    examples = {
+        (3, 2, 2): 1,
+        # a proper 3-edge-coloring of K_4 maximizes both of these
+        (4, 3, 3): 3,
+        (4, 3, 4): 3,
+        # a 2-star holds two edges, so two colors is the ceiling
+        (4, 2, 3): 2,
+    }
+    for (p, n, t), f in examples.items():
+        for s in range(1, t):
+            value = _search(p, n, t, s).value
+            assert (s < value <= f) if s < f else (value == s), (p, n, t, s)
 
 
 @pytest.mark.parametrize("p", (3, 4, 5))
 @pytest.mark.parametrize("t", (2, 3))
 def test_pruned_search_equals_plain_enumeration(p, t):
-    # instances up to 10 edges: the bound and the canonical color rule
-    # must not change any value
+    # instances up to 10 edges, every n and every budget s < t, at every
+    # order (ramsey_value searches only some): the bound and the canonical
+    # color rule must not change any decision
     for n in range(1, p):
-        assert max_min_star_colors(p, n, t).value == brute_max_min_star(p, n, t)
+        for s in range(1, t):
+            assert (_search(p, n, t, s).value > s) == (brute_max_min_star(p, n, t) > s), (n, s)
 
 
 @pytest.mark.parametrize("t, p_max", ((2, 5), (3, 5), (4, 4)))
@@ -54,7 +64,7 @@ def test_search_refutes_without_root_rules(monkeypatch, t, p_max):
     # with the root bound and the parity rule switched off, every order
     # from p_max down to R is refuted by exhaustive search alone, and R is
     # still the first order whose plain maximum is within the budget
-    monkeypatch.setattr(oracle, "_root_settles", lambda p, n, t, floor: False)
+    monkeypatch.setattr(oracle, "_root_settles", lambda p, n, t, s: False)
     for n in range(1, p_max):
         for s in range(1, t):
             want = next((p for p in range(n + 1, p_max + 1)
@@ -69,7 +79,7 @@ def test_search_refutes_without_root_rules(monkeypatch, t, p_max):
 def test_search_refutes_parity_order_without_root_rules(monkeypatch):
     # parity settles K_7 for (4, 2, 1) at the root; with the root rules off
     # the search must refute K_7 itself (no 3-regular graph on 7 vertices)
-    monkeypatch.setattr(oracle, "_root_settles", lambda p, n, t, floor: False)
+    monkeypatch.setattr(oracle, "_root_settles", lambda p, n, t, s: False)
     res = ramsey_value(4, 2, 1, 7)
     assert res.value == 7
     (p, refuted), (q, witness) = res.checked
@@ -125,7 +135,7 @@ def test_parity_rule_is_sound():
              for n in range(1, p) for k in range(1, t) if _parity_forbids(p, n, t, k)]
     for p, n, t, k in fired:
         assert brute_max_min_star(p, n, t) <= k, (p, n, t, k)
-        assert _search(p, n, t, k, k + 1) == (k, SearchStats(0, 0, 1))
+        assert _search(p, n, t, k) == (k, SearchStats(0, 0, 1))
     # where no row is admissible the root bound prunes already; parity
     # alone settles that K_3 has no proper 2-edge-coloring and K_5 no
     # proper 4-edge-coloring
@@ -184,21 +194,24 @@ def test_ramsey_exceeds_p_max():
 def test_threshold_monotone_in_p():
     # once every coloring of K_p forces a cheap star, larger orders do too
     s = 1
-    values = {p: max_min_star_colors(p, 3, 2).value for p in range(4, 7)}
-    first = min((p for p, v in values.items() if v <= s), default=None)
+    witness = {p: _search(p, 3, 2, s).value > s for p in range(4, 7)}
+    first = min((p for p, w in witness.items() if not w), default=None)
     assert first is not None
-    assert all(values[p] <= s for p in values if p >= first)
+    assert all(not witness[p] for p in witness if p >= first)
+    # f(p) <= s exactly when ramsey_value finds R within p_max = p
+    assert all((ramsey_value(3, 2, s, p).value is not None) == (not w)
+               for p, w in witness.items())
 
 
 def test_budget_errors_are_explicit():
     with pytest.raises(InfeasibleInstanceError):
-        max_min_star_colors(8, 3, 2)             # 28 edges over default budget
+        ramsey_value(6, 2, 1, 8)                 # K_8: 28 edges over default budget
     with pytest.raises(InfeasibleInstanceError):
-        max_min_star_colors(4, 2, 5)             # t over default color budget
+        ramsey_value(2, 5, 1, 4)                 # t over default color budget
     with pytest.raises(InvalidParameterError):
-        max_min_star_colors(4, 4, 2)             # no 4-star in K_4
-    # a raised budget admits the same instance
-    assert max_min_star_colors(8, 3, 2, edge_budget=28).value >= 1
+        ramsey_value(2, 2, 0, 4)                 # no budget below one color
+    # a raised budget admits the same instance; R(6, 2, 1) = 11
+    assert ramsey_value(6, 2, 1, 8, edge_budget=28).value is None
 
 
 def test_deterministic_across_workers():
@@ -210,7 +223,7 @@ def test_deterministic_across_workers():
 
 
 def test_stats_are_populated():
-    res = max_min_star_colors(5, 3, 3)
+    res = ramsey_value(3, 3, 1, 5)
     assert res.stats.nodes > 0
     assert res.stats.canonical_skips > 0
 

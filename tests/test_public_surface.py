@@ -41,8 +41,7 @@ def test_deleted_names_are_gone(name):
 
 def test_dropped_arguments_are_refused():
     assert "recipe" not in Certificate._fields
-    with pytest.raises(TypeError):
-        oracle.max_min_star_colors(4, 2, 2, threads=1)
+    assert not hasattr(oracle, "max_min_star_colors")
 
 
 def test_readme_states_the_public_surface():

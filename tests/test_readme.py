@@ -4,7 +4,8 @@ Each ``$ starramsey ...`` line of the command-line block runs through
 ``cli.main`` in one temporary directory, in order, so a file written by one
 command is there for the next.  The lines shown under a command must be
 its stdout; a closing ``...`` line means more output follows.  The
-Library block is executed as is.
+Library block is executed as is, and the oracle's node table is checked
+against the search.
 """
 
 import re
@@ -12,6 +13,7 @@ import shlex
 from pathlib import Path
 
 from starramsey.cli import main
+from starramsey.oracle import ramsey_value
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -48,3 +50,19 @@ def test_readme_commands_print_what_readme_shows(capsys, monkeypatch, tmp_path):
 def test_readme_library_block_runs(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     exec(compile(_block_after("## Library", "python"), "README.md", "exec"), {})
+
+
+def test_readme_oracle_node_table_matches_the_search():
+    # each row's R and top-down node count, from a scan whose edge budget
+    # admits only K_{R-1}, the one order searched
+    section = README[README.index("| Instance | `R` |"):]
+    header, _, *rows = section[:section.index("\n\n")].splitlines()
+    column = [c.strip() for c in header.split("|")].index("Nodes (top-down, least-loaded)")
+    assert len(rows) == 7
+    for row in rows:
+        cells = [c.strip() for c in row.split("|")]
+        n, t, s = map(int, cells[1].strip("()").split(","))
+        r = int(cells[2])
+        nodes = int(re.match(r"[\d,]+", cells[column]).group().replace(",", ""))
+        res = ramsey_value(n, t, s, r, edge_budget=(r - 1) * (r - 2) // 2)
+        assert (res.value, res.stats.nodes) == (r, nodes), cells[1]
