@@ -17,6 +17,8 @@ demand (``sample_colors``), mixing a batch's draws as 64-bit lanes of
 one Python int, and screens a batch of trials one vertex at a time, so
 it draws only the edges it reads.  No step of a batch runs Python per
 draw: big-int operations mix and reduce all lanes, ``bytes.count`` tallies.
+First, when even the most even row of p-1 edges has an n-star on <= s
+colors, vertex 1 would settle every trial, so the sampler draws nothing.
 """
 
 from __future__ import annotations
@@ -205,10 +207,13 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     of trials draws vertex 1's edges and keeps the trials whose
     ``star_minima`` there exceeds s; the survivors draw vertex 2's, and so
     on, so when vertex 1 settles the trials the work is O(trials * p).
-    Refused before anything is drawn: t > 2^63-1, whose colors a
-    counterexample's int64 store cannot hold (no p x t table is built),
-    per-edge arrays over ``MAX_COLORING_BYTES``, a seed outside 0..2^64-1,
-    and trials * p(p-1)/2 >= 2^64, where the counter would wrap.
+    Every row of p-1 edges majorizes the most even one (at most p-1
+    cells), so when that row has an n-star on <= s colors, vertex 1 settles
+    every trial: the check passes for every seed with nothing drawn.
+    Refused before that: t > 2^63-1, whose colors a counterexample's int64
+    store cannot hold (no p x t table is built), per-edge arrays over
+    ``MAX_COLORING_BYTES``, a seed outside 0..2^64-1, and trials *
+    p(p-1)/2 >= 2^64, where the counter would wrap.
     """
     if p < 1 or n < 1 or t < 1 or s < 1 or trials < 1:
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
@@ -222,6 +227,9 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     if trials * m >= 1 << 64:
         raise InvalidParameterError(
             f"{trials} trials of K_{p} need {trials * m} draws; the limit is 2^64-1")
+    q, r = divmod(p - 1, t)  # the most even row: vertex 1 settles all if it does
+    if p - 1 >= n and star_minima([[q + 1] * r + [q] * (min(t, p - 1) - r)], n)[0] <= s:
+        return SampleCheckResult(True, trials)
     # with no n-star at all, trial 0 already beats the budget
     first = 0 if p - 1 < n else _first_beating_trial(p, n, t, s, trials, seed)
     if first is None:

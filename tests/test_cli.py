@@ -287,6 +287,25 @@ def test_sample_check_counter_range(capsys, seed, trials, refused):
         assert err.startswith("error: ") and refused in err
 
 
+@pytest.mark.parametrize("t, trials, seed, refused", [
+    ("9223372036854775807", "3074457345618258602", "18446744073709551615", None),
+    ("9223372036854775808", "1", "0", "t must be <= 2^63-1"),
+    ("3", "3074457345618258603", "42", "the limit is 2^64-1"),
+    ("3", "1", "18446744073709551616", "seed must be in 0..2^64-1"),
+    ("3", "1", "-1", "seed must be in 0..2^64-1"),
+])
+def test_sample_check_refuses_before_the_row_bound(capsys, t, trials, seed, refused):
+    # K_4's most even row, [1, 1, 1], has a 2-star on 2 colors, so an
+    # accepted run passes without drawing; the refusals still come first
+    rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "2",
+                       "--p", "4", "--trials", trials, "--seed", seed)
+    if refused is None:
+        assert (rc, kv(out), err) == (0, {"verdict": "pass", "trials": trials}, "")
+    else:
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and refused in err
+
+
 @pytest.mark.parametrize("argv", [
     ("compute", "--n", "2", "--t", "10000000", "--s", "9999999"),
     ("compute", "--n", "2", "--t", "100000000000", "--s", "99999999999"),

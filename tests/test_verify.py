@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from array import array
 from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -316,9 +317,11 @@ def test_batched_sampler_matches_per_trial_loop(monkeypatch, p, n, t, s):
 
 
 def test_screened_sampler_matches_reference_on_grid(monkeypatch):
-    # 1,050 points, 368 of them with a counterexample; n = p leaves no n-star
+    # 2,985 points, 976 of them with a counterexample; n = p leaves no
+    # n-star, and t = p and p + 1 give rows of p - 1 cells over more
+    # colors than cells
     for p in range(2, 9):
-        for t in range(1, 5):
+        for t in range(1, max(4, p + 1) + 1):
             for s in range(1, t + 1):
                 for n in range(1, p + 1):
                     for seed in range(3):
@@ -326,12 +329,8 @@ def test_screened_sampler_matches_reference_on_grid(monkeypatch):
                             monkeypatch, p, n, t, s, 300, seed, (verify.SAMPLE_BATCH_EDGES,))
 
 
-def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
-    # at (200, 67, 3, 2) vertex 1 settles every trial: its two largest of
-    # three color classes hold at least 133 >= 67 of its 199 edges.  An
-    # unscreened sampler draws all 19,900 edges of each trial.  Every draw,
-    # streamed or built, goes through the finalizer as a 64-bit lane of the
-    # mask; _mix(seed) counts as one lane
+def _counting_draws(monkeypatch):
+    """Count every lane the finalizer mixes, _mix(seed) as one lane."""
     drawn = []
     mix = verify._mix
 
@@ -340,8 +339,49 @@ def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
         return mix(z, mask)
 
     monkeypatch.setattr(verify, "_mix", counting)
-    assert sample_upper_check(200, 67, 3, 2, trials=1000, seed=0).passed
+    return drawn
+
+
+def test_screen_draws_about_one_vertex_per_trial(monkeypatch):
+    # at (200, 134, 3, 2) the most even row of 199 edges, [67, 66, 66],
+    # covers only 133 edges with two colors, so the row bound leaves the
+    # order open; vertex 1 settles a trial unless its smallest color class
+    # holds 66 edges.  An unscreened sampler draws all 19,900 edges of each
+    # trial.  Every draw, streamed or built, goes through the finalizer
+    drawn = _counting_draws(monkeypatch)
+    assert sample_upper_check(200, 134, 3, 2, trials=1000, seed=0).passed
     assert 1000 * 199 <= sum(drawn) <= 1.2 * 1000 * 199
+
+
+def test_most_even_row_has_the_largest_star_minimum():
+    # every composition of d into t parts majorizes the most even one, so
+    # its k largest parts cover at least as many edges for every k
+    for d in range(15):
+        for t in range(1, 6):
+            rows = [[b - a - 1 for a, b in zip((-1,) + cuts, cuts + (d + t - 1,))]
+                    for cuts in combinations(range(d + t - 1), t - 1)]
+            assert all(sum(row) == d for row in rows)
+            even = [d // t + (i < d % t) for i in range(t)]
+            for n in range(1, d + 1):
+                assert max(star_minima(rows, n)) == star_minima([even], n)[0], (d, t, n)
+
+
+@pytest.mark.parametrize("p, n, t, s", (
+    (400, 300, 4, 3), (5, 2, 2**63 - 1, 2), (1000, 3, 2**63 - 1, 3)))
+def test_row_bound_draws_nothing(monkeypatch, p, n, t, s):
+    # the most even row of p - 1 edges has an n-star on s colors, so vertex
+    # 1 would settle every trial; a huge t builds no t-long row
+    drawn = _counting_draws(monkeypatch)
+    assert sample_upper_check(p, n, t, s, trials=8000, seed=1) == (True, 8000, None, None)
+    assert drawn == []
+
+
+def test_open_order_draws_the_screen(monkeypatch):
+    # at (13, 10, 4, 3) the most even row, [3, 3, 3, 3], covers 9 < 10
+    # edges with three colors, so the row bound decides nothing
+    drawn = _counting_draws(monkeypatch)
+    assert sample_upper_check(13, 10, 4, 3, trials=8000, seed=1) == (True, 8000, None, None)
+    assert sum(drawn) >= 8000 * 12
 
 
 def test_residues_are_lane_wise_mod_t():
@@ -356,9 +396,9 @@ def test_residues_are_lane_wise_mod_t():
 
 @pytest.mark.parametrize("seed", (0, 2**64 - 1))
 def test_streamed_vertex_one_lanes_equal_sample_colors(monkeypatch, seed):
-    # at s = t every star shows at most s colors, so vertex 1 settles every
-    # trial and each batch mixes vertex 1's lanes alone.  A K_6 trial at
-    # t = 3 counts as 5 cells: batches of 4 trials, three full and then 2
+    # (6, 3, 3, 1) is open: the most even row, [2, 2, 1], needs two colors
+    # for a 3-star.  A K_6 trial at t = 3 counts as 5 cells: batches of 4
+    # trials, three full and then 2, and no trial of either seed beats it
     p, t, trials = 6, 3, 14
     monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", 20)
     mixed = []
@@ -366,17 +406,26 @@ def test_streamed_vertex_one_lanes_equal_sample_colors(monkeypatch, seed):
 
     def recording(z, mask=verify._U64):
         out = mix(z, mask)
-        if mask != verify._U64:
-            lanes = (mask.bit_length() + 64) // 128
-            mixed.append(list(array("Q", out.to_bytes(16 * lanes, "little"))[::2]))
+        lanes = (mask.bit_length() + 64) // 128
+        mixed.append(None if mask == verify._U64 else
+                     list(array("Q", out.to_bytes(16 * lanes, "little"))[::2]))
         return out
 
     monkeypatch.setattr(verify, "_mix", recording)
-    assert sample_upper_check(p, 2, t, t, trials, seed).passed
+    assert sample_upper_check(p, 3, t, 1, trials, seed).passed
     monkeypatch.setattr(verify, "_mix", mix)
+    # _counters mixes the seed (None) before it builds lanes: vertex 1's
+    # once, ahead of batch 0, and every later vertex's each time.  A later
+    # batch's vertex 1 lanes are streamed, so they follow a lane mix
+    assert mixed[0] is None
+    calls = mixed[1:]
+    first = calls[:1] + [lanes for before, lanes in zip(calls, calls[1:])
+                         if before is not None and lanes is not None]
     batches = [range(start, min(start + 4, trials)) for start in range(0, trials, 4)]
-    assert len(mixed) == len(batches) == 4
-    for lanes, batch in zip(mixed, batches):
+    assert len(first) == len(batches) == 4
+    assert len(calls) > 4  # some trial reached vertex 2
+    for lanes, batch in zip(first, batches):
+        assert len(lanes) == len(batch) * (p - 1)
         # t = 2^64 keeps each raw lane, plus one
         assert [x + 1 for x in lanes] == verify.sample_colors(p, 1 << 64, seed, batch, range(p - 1))
 
@@ -387,18 +436,22 @@ def test_sample_upper_check_no_star_order():
     assert list(res.counterexample.array) == verify.sample_colors(3, 2, 0, [0], range(3))
 
 
-def test_sampler_batch_memory_does_not_grow_with_t():
-    # at t = 1000 a K_5 trial counts as t + 1 cells, so a batch holds 4
-    # trials, and each trial's row holds only the colors that occur.
-    # Every 2-star shows at most 2 colors, so all 409 trials are drawn.
-    sample_upper_check(5, 2, 3, 1, trials=1, seed=0)
+def test_sampler_batch_memory_does_not_grow_with_t(monkeypatch):
+    # at t = 1000 a K_40 trial counts as t + 1 cells, so a batch holds 4
+    # trials, and each trial's row holds only the colors that occur.  The
+    # most even row, 39 ones, needs two colors for a 2-star, so the row
+    # bound leaves the order open; a vertex whose 39 edges repeat a color
+    # settles a trial, and all 409 trials are drawn
+    sample_upper_check(5, 2, 1000, 1, trials=1, seed=0)
+    drawn = _counting_draws(monkeypatch)
     tracemalloc.start()
     try:
-        result = sample_upper_check(5, 2, 1000, 2, trials=409, seed=0)
+        result = sample_upper_check(40, 2, 1000, 1, trials=409, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert result.passed and result.trials == 409
+    assert sum(drawn) >= 409 * 39
     assert peak < 2 << 20
 
 
