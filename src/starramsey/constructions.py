@@ -16,11 +16,11 @@ table's entry at 2u.  The cyclic colors use the index k of the edge
 within its matching, which depends only on v - u.  The regular and
 near-regular colorings give each matching a color that is a closed form
 in its center i, and color the edges of the matchings they patch by a
-closed form in k.  One row check,
-``_certified``, builds the degree table and raises "<name> row [...] !=
-[...] at vertex v" (``below`` for a floor); ``witness_coloring`` then
-asks ``verify.check_certificate``, the verdict ``verify`` prints, which
-reuses that table.  ``BUILDERS`` maps recipe tags to builders.
+closed form in k.  One row check, ``_certified``, builds the degree table
+and raises "<name> row [...] != [...] at vertex v" (``below`` for a
+floor); ``witness_coloring`` then asks ``verify.check_certificate``, the
+verdict ``verify`` prints, which reuses that table.  ``BUILDERS`` maps
+recipe tags to builders.
 Every builder refuses an order past ``coloring.check_order``'s limit
 before it builds any per-vertex or per-edge list.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 from .coloring import (EdgeColoring, check_order, color_store, edge_rank, join_store,
                        palette_row, patch_store)
 from .errors import ConstructionFailedError, InvalidParameterError
-from .formulas import CaseVerdict, WitnessRecipe, classify
+from .formulas import WitnessRecipe, _check_budget, _witness_recipe, star_upper
 from .verify import check_certificate
 
 
@@ -254,21 +254,21 @@ def build_recipe(recipe: WitnessRecipe) -> tuple[EdgeColoring, WitnessRecipe]:
 
 
 def witness_coloring(n: int, t: int, s: int) -> tuple[EdgeColoring, WitnessRecipe]:
-    """Certificate coloring of K_{R-1} for the instance (n, t, s).
-
-    The coloring is checked against the claim (every n-star shows at
-    least s+1 colors) by ``check_certificate`` before it is returned; a
-    failed check raises ``ConstructionFailedError`` rather than handing
-    back a bad certificate.  An order past ``check_order``'s limit is
-    refused by the builder, before it builds any list.
+    """Certificate coloring of K_{R-1} for (n, t, s), any budget 1 <= s < t:
+    R is ``star_upper``'s value and the builder ``_witness_recipe``'s,
+    after ``_check_budget``.  ``check_certificate`` checks the claim (every
+    n-star shows at least s+1 colors) before the coloring is returned; a
+    failed check raises ``ConstructionFailedError``, naming ``star_upper``'s
+    argument.  The builder refuses an order past ``check_order``'s limit.
     """
-    verdict: CaseVerdict = classify(n, t, s)
-    coloring, recipe = build_recipe(verdict.witness)
+    _check_budget(n, t, s)
+    value, argument = star_upper(n, t, s)
+    coloring, recipe = build_recipe(_witness_recipe(n, t, s, value))
     cert = check_certificate(coloring, n, s)
     if not cert.passed:
         raise ConstructionFailedError(
             f"recipe {recipe.describe()} for (n={n}, t={t}, s={s}) built K_{coloring.p} "
             f"with an n-star on {cert.min_colors} <= {s} colors; "
-            f"the case value {verdict.value} ({verdict.case_tag}) has no certificate here"
+            f"the {argument} value {value} has no certificate here"
         )
     return coloring, recipe

@@ -4,9 +4,10 @@ R(n, t, s) is the smallest p such that every t-coloring of E(K_p)
 contains an n-edge star using at most s distinct colors.  One closed
 form, ``star_upper``'s U_par (the pigeonhole bound with its parity cut),
 gives R for every budget 1 <= s < t, and ``_witness_recipe`` names the
-builder whose certificate shows R > U_par - 1.  ``classify`` serves the
-paper's budgets s = t-1 and s = t-2, whose case theorems only name the
-case; for other s it refers to ``general_bounds``, the paper's bracket.
+builder whose certificate shows R > U_par - 1; ``witness_coloring`` reads
+both.  ``classify`` gives ``compute`` and ``table`` the paper's budgets
+s = t-1 and s = t-2, whose case theorems only name the case; for other
+s it refers to ``general_bounds``, the paper's bracket.
 
 All bracket expressions are floors, and every comparison is done in
 exact integer arithmetic, never in floats.
@@ -154,7 +155,7 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
       so the top-s sum is at most (p-1) - (t-s)a = sa + b.
 
     Before them n = 1 takes K_1, and (t, s) = (3, 1) the balanced
-    three-coloring of K_{3n-2}.  The case analysis has already refused
+    three-coloring of K_{3n-2}.  ``_check_budget`` has already refused
     more than ``MAX_WITNESS_COLORS`` colors.
     """
     p = value - 1
@@ -178,12 +179,17 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
 _TRIVIAL = CaseVerdict(value=2, case_tag="trivial", witness=None)
 
 
-def _check_witness_colors(t: int) -> None:
-    """Refuse more than ``MAX_WITNESS_COLORS`` colors for n >= 2, where a
-    witness recipe may list t class sizes.  The case analysis refuses them
-    before any list is built, with or without a recipe to follow, so
-    ``table`` refuses what ``compute`` refuses."""
-    if t > MAX_WITNESS_COLORS:
+def _check_budget(n: int, t: int, s: int) -> None:
+    """The check ``witness_coloring`` and ``_case_value`` share: t >= 2,
+    1 <= s < t, n >= 1, and for n >= 2 at most ``MAX_WITNESS_COLORS``
+    colors, since a recipe may list t class sizes.  It builds no list."""
+    if t < 2:
+        raise InvalidParameterError(f"need t >= 2, got {t}")
+    if not 1 <= s < t:
+        raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
+    if n < 1:
+        raise InvalidParameterError(f"need n >= 1, got {n}")
+    if n > 1 and t > MAX_WITNESS_COLORS:
         raise InvalidParameterError(
             f"a witness for t = {t} colors may list t color classes; "
             f"the limit is {MAX_WITNESS_COLORS} colors")
@@ -249,7 +255,7 @@ def _t_minus_2_case(n: int, t: int) -> tuple[str, int, int | None, int | None, i
 def classify(n: int, t: int, s: int) -> CaseVerdict:
     """``star_upper``'s value, the paper's clause that names it and the
     witness recipe, for ``compute``'s budgets s = t-1 and s = t-2; other
-    budgets are referred to ``general_bounds``."""
+    budgets are referred to ``general_bounds``.  No builder reads it."""
     case = _case_value(n, t, s)
     return case._replace(witness=_witness_recipe(n, t, s, case.value))
 
@@ -258,20 +264,14 @@ def _case_value(n: int, t: int, s: int) -> CaseVerdict:
     """``classify`` without the witness recipe (``witness`` is None): the
     same value, case tag, x, q, r and errors, and no t-sized class list.
     The value is ``star_upper``'s; the paper's clause names the case."""
-    if t < 2:
-        raise InvalidParameterError(f"need t >= 2, got {t}")
-    if not 1 <= s < t:
-        raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
-    if s < t - 2:
+    if 1 <= s < t - 2:  # false for a t or s the check refuses, so its errors come first
         raise UnsupportedParametersError(
             f"exact values cover s in {{t-1, t-2}} only, got s={s}, t={t}; "
             "use general_bounds for other budgets"
         )
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
+    _check_budget(n, t, s)
     if n == 1:
         return _TRIVIAL
-    _check_witness_colors(t)
     value, _ = star_upper(n, t, s)
     tag, clause_value, x, q, r = (_t_minus_1_case if s == t - 1 else _t_minus_2_case)(n, t)
     if clause_value > value:

@@ -104,10 +104,51 @@ def test_construct_trivial_order_one(capsys, tmp_path):
 
 
 def test_construct_failure_exits_one(capsys, monkeypatch):
+    # the refusal names star_upper's argument, not a paper clause, at a
+    # budget compute serves and at one it refuses
     monkeypatch.setattr(constructions, "build_recipe", monochrome_build)
-    rc, _, err = run(capsys, "construct", "--n", "9", "--t", "5", "--s", "3")
-    assert rc == 1
-    assert "construction failed" in err
+    for (n, t, s), recipe, argument in [
+        ((9, 5, 3), "near-regular(q=2, r=3, t=5)", "pigeonhole value 14"),
+        ((10, 8, 3), "partitioned-factorization(class_sizes=[2, 3, 3, 3, 3, 3, 3, 3], p=24)",
+         "parity value 25"),
+    ]:
+        assert run(capsys, "construct", "--n", str(n), "--t", str(t), "--s", str(s)) == (1, "", (
+            f"construction failed: recipe {recipe} for (n={n}, t={t}, s={s}) built K_16 "
+            f"with an n-star on 1 <= {s} colors; the {argument} has no certificate here\n"))
+
+
+def test_construct_checks_parameters_before_any_budget_rule(capsys):
+    # construct serves every 1 <= s < t, so at n = 0 its error is n's;
+    # compute refuses the budget first, as before.  t and s come first in both.
+    budget = ("error: exact values cover s in {t-1, t-2} only, got s=1, t=5; "
+              "use general_bounds for other budgets\n")
+    t_error = "error: need t >= 2, got 1\n"
+    s_error = "error: need 1 <= s < t, got s=5, t=5\n"
+    for argv, construct_err, compute_err in [
+        (("--n", "0", "--t", "5", "--s", "1"), "error: need n >= 1, got 0\n", budget),
+        (("--n", "0", "--t", "1", "--s", "1"), t_error, t_error),
+        (("--n", "0", "--t", "5", "--s", "5"), s_error, s_error),
+    ]:
+        assert run(capsys, "construct", *argv) == (2, "", construct_err), argv
+        assert run(capsys, "compute", *argv) == (2, "", compute_err), argv
+
+
+def test_construct_then_verify_passes_every_budget_compute_refuses(capsys, tmp_path):
+    # the 1,120 points s <= t-3, t = 4..10, n = 1..40: each certificate is
+    # of K_{U_par - 1}, U_par = star_upper's value, and verify passes it
+    path = str(tmp_path / "cert.coloring")
+    count = 0
+    for t in range(4, 11):
+        for s in range(1, t - 2):
+            for n in range(1, 41):
+                params = ("--n", str(n), "--s", str(s))
+                rc, out, err = run(capsys, "construct", *params, "--t", str(t), "--out", path)
+                assert (rc, err, kv(out)["order"]) == (
+                    0, "", str(formulas.star_upper(n, t, s)[0] - 1)), (n, t, s)
+                rc, out, err = run(capsys, "verify", "--file", path, *params)
+                assert (rc, err, out.splitlines()[0]) == (0, "", "verdict pass"), (n, t, s)
+                count += 1
+    assert count == 1120
 
 
 def test_verify_fail_reports_offender(capsys, tmp_path):
@@ -607,6 +648,10 @@ PINNED = [
     (("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"), 0,
      "order 7\ncolors 3\nwitness three-color-balanced(n=3)\nout {file}\n", ""),
     (("construct", "--n", "2", "--t", "2", "--s", "1"), 0, "2 2\n1 2 2\n", ""),
+    # s = t-4: a budget compute refuses, K_6 of 15 edges
+    (("construct", "--n", "2", "--t", "5", "--s", "1"), 0,
+     "6 5\n1 2 4\n1 3 2\n1 4 5\n1 5 3\n1 6 1\n2 3 5\n2 4 3\n2 5 1\n2 6 2\n3 4 1\n"
+     "3 5 4\n3 6 3\n4 5 2\n4 6 4\n5 6 5\n", ""),
     (("verify", "--file", "{file}", "--n", "3", "--s", "1"), 0,
      "verdict pass\nmin_star_colors 2\n", ""),
     (("verify", "--file", "{file}", "--n", "3", "--s", "2"), 1,

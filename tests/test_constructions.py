@@ -35,9 +35,7 @@ from starramsey.coloring import (
 )
 from starramsey.errors import ColoringFormatError, ConstructionFailedError, InvalidParameterError
 from starramsey.formulas import (
-    CaseVerdict,
     WitnessRecipe,
-    _witness_recipe,
     classify,
     star_upper,
 )
@@ -268,7 +266,7 @@ def _sha256(text):
 
 def test_certificate_bytes_are_pinned_over_grid():
     # 507 certificates, t = 2..8, s in {t-1, t-2}, n = 2..40: every recipe
-    # tag classify picks there; the digest pins the file bytes
+    # tag _witness_recipe picks there; the digest pins the file bytes
     digest = hashlib.sha256()
     count = 0
     for t in range(2, 9):
@@ -302,14 +300,14 @@ def test_special_matching_ranks_are_the_center_scan(x):
 
 
 _ONE_TABLE_CASES = [
-    # (n, t, s, tag, params): params None takes classify's recipe, which has an
-    # n-star here
+    # (n, t, s, tag, params): params None takes _witness_recipe's recipe, which
+    # has an n-star here
     (4, 2, 1, "partitioned-factorization", None),       # K_6
     (3, 2, 1, "regular", None),                         # K_5
     (4, 3, 2, "near-regular", None),                    # K_5
     (2, 3, 1, "three-color-balanced", None),            # even K_4
     (3, 3, 1, "three-color-balanced", None),            # odd K_7
-    # classify picks this one only where no n-star exists
+    # _witness_recipe picks this one only where no n-star exists
     (3, 3, 1, "cyclic", {"p": 7, "t": 3}),
 ]
 
@@ -347,9 +345,8 @@ def test_benchmark_counts_every_builder_tag():
 def test_witness_coloring_builds_one_degree_table(monkeypatch, n, t, s, tag, params):
     # the builder's row check and the star check share one color-degree table
     if params is not None:
-        verdict = CaseVerdict(value=params["p"] + 1, case_tag="test",
-                              witness=WitnessRecipe(tag, params))
-        monkeypatch.setattr(constructions, "classify", lambda *args: verdict)
+        monkeypatch.setattr(constructions, "_witness_recipe",
+                            lambda *args: WitnessRecipe(tag, params))
     calls = []
     degree_table = coloring_module.degree_table
     monkeypatch.setattr(coloring_module, "degree_table",
@@ -412,14 +409,14 @@ def test_rotation_builders_refuse_oversized_orders_before_their_layouts():
 
 
 def test_four_builder_cases_certify_every_budget():
-    # budgets classify does not serve: the recipe for star_upper's value
-    # certifies K_{U_par - 1} with one of the four cases
+    # budgets compute does not serve: witness_coloring, the path construct
+    # runs, certifies K_{U_par - 1} with one of the four cases
     count = 0
     for t in range(4, 11):
         for s in range(1, t - 2):
             for n in range(2, 61):
                 value, _ = star_upper(n, t, s)
-                coloring, recipe = constructions.build_recipe(_witness_recipe(n, t, s, value))
+                coloring, recipe = witness_coloring(n, t, s)
                 assert recipe.tag in ("partitioned-factorization", "cyclic", "regular",
                                       "near-regular"), (n, t, s)
                 assert coloring.p == value - 1
