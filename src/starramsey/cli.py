@@ -22,7 +22,8 @@ Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
 * ``construct`` loads ``constructions`` (with ``formulas``, ``coloring``
   and ``verify``) and ``fileio``;
 * ``verify`` loads ``fileio`` and ``verify``; ``sample-check`` loads
-  ``verify``.
+  ``verify``, and ``oracle`` for its parity rule only at an odd order
+  the row bound leaves open.
 
 No command imports numpy: the certificate layers work on ``bytes``, and
 the sampler mixes its draws on Python ints.  Modules are called through their

@@ -23,9 +23,9 @@ rule.  A vertex whose n-stars all show more than s colors has an
 *admissible* color-degree row: its top-s sum is at most n-1.  When p is
 odd and every admissible row has all parts odd, each vertex would have
 odd degree in color 1, and p odd degrees cannot sum to the even
-2|E_1|; so K_p has no witness.  The rule enumerates the rows itself,
-since the oracle is the check on ``formulas`` and imports nothing from
-it.
+2|E_1|; so K_p has no witness.  The rule walks the admissible rows
+itself, to the first with an even part, since the oracle is the check on
+``formulas`` and imports nothing from it; the sampler borrows it.
 
 ``ramsey_value`` scans upward with the root checks alone to the first
 order they settle, then searches downward from the order below it for
@@ -108,17 +108,32 @@ def _reachable_k(row: list[int], extra: int, n: int) -> int:
     return bisect_left(list(accumulate(filled)), n) + 1
 
 
-def _profiles(total: int, t: int, most: int):
-    """Non-increasing t-tuples of nonnegative ints summing to ``total``,
-    each part at most ``most``."""
-    if t == 1:
-        if total <= most:
-            yield (total,)
-        return
-    # the largest part is at least the mean
-    for d in range(min(total, most), -(-total // t) - 1, -1):
-        for rest in _profiles(total - d, t - 1, d):
-            yield (d, *rest)
+def _admissible_rows(total: int, t: int, s: int, room: int):
+    """Non-increasing t-tuples of nonnegative ints summing to ``total`` whose
+    s largest sum to at most ``room``, largest first, on one stack (t may
+    be in the thousands).  A head part x fits when h more head parts within the room
+    r left, then tail parts at most min(x, r // h), can hold the edges left;
+    that exact bound is not monotone in x (r grows as x falls), so a misfit
+    is skipped."""
+    heads, row, left, x = min(s, t), [], total, min(total, room)
+    while True:
+        i, h = len(row), max(heads - len(row) - 1, 0)  # h: head parts after this one
+        while i < t and x * (t - i) >= left:  # else the parts left, all <= x, are too few
+            r = room - (total - left) - x if i < heads else 0
+            if left - x <= min(r, h * x) + (t - i - 1 - h) * (min(x, r // h) if h else x):
+                break
+            x -= 1
+        else:  # a full row, or no part fits here: back up one part
+            if i == t:
+                yield tuple(row)
+            elif not row:
+                return
+            x = row.pop()
+            left, x = left + x, x - 1
+            continue
+        row.append(x)
+        left -= x
+        x = min(x, left, room - (total - left) if i + 1 < heads else left)
 
 
 def _parity_forbids(p: int, n: int, t: int, s: int) -> bool:
@@ -129,12 +144,11 @@ def _parity_forbids(p: int, n: int, t: int, s: int) -> bool:
     top-s color degrees sum to at most n-1; call such a row
     admissible.  If p is odd and every admissible row has all parts odd,
     every vertex has odd degree in color 1, and p odd degrees cannot sum
-    to the even 2|E_1|.
+    to the even 2|E_1|.  The walk stops at the first admissible row
+    with an even part.
     """
     return p % 2 == 1 and all(
-        all(d % 2 for d in row)
-        for row in _profiles(p - 1, t, p - 1) if sum(row[:s]) <= n - 1
-    )
+        all(d % 2 for d in row) for row in _admissible_rows(p - 1, t, s, n - 1))
 
 
 def _root_settles(p: int, n: int, t: int, s: int) -> bool:

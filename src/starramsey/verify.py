@@ -18,7 +18,8 @@ one Python int, and screens a batch of trials one vertex at a time, so
 it draws only the edges it reads.  No step of a batch runs Python per
 draw: big-int operations mix and reduce all lanes, ``bytes.count`` tallies.
 First, when even the most even row of p-1 edges has an n-star on <= s
-colors, vertex 1 would settle every trial, so the sampler draws nothing.
+colors, vertex 1 would settle every trial, so the sampler draws nothing;
+nor does it where the oracle's parity rule refutes every coloring.
 """
 
 from __future__ import annotations
@@ -209,7 +210,10 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     on, so when vertex 1 settles the trials the work is O(trials * p).
     Every row of p-1 edges majorizes the most even one (at most p-1
     cells), so when that row has an n-star on <= s colors, vertex 1 settles
-    every trial: the check passes for every seed with nothing drawn.
+    every trial: the check passes for every seed with nothing drawn.  So
+    it does where the oracle's parity rule refutes every coloring; it is
+    loaded only at odd orders left open with t <= p-1, since at t > p-1
+    the most even row has a 0 part and is admissible there.
     Refused before that: t > 2^63-1, whose colors a counterexample's int64
     store cannot hold (no p x t table is built), per-edge arrays over
     ``MAX_COLORING_BYTES``, a seed outside 0..2^64-1, and trials *
@@ -228,7 +232,11 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
         raise InvalidParameterError(
             f"{trials} trials of K_{p} need {trials * m} draws; the limit is 2^64-1")
     q, r = divmod(p - 1, t)  # the most even row: vertex 1 settles all if it does
-    if p - 1 >= n and star_minima([[q + 1] * r + [q] * (min(t, p - 1) - r)], n)[0] <= s:
+    settled = p - 1 >= n and star_minima([[q + 1] * r + [q] * (min(t, p - 1) - r)], n)[0] <= s
+    if not settled and p % 2 and n <= p - 1 and t <= p - 1:  # else parity cannot fire
+        from .oracle import _parity_forbids
+        settled = _parity_forbids(p, n, t, s)
+    if settled:
         return SampleCheckResult(True, trials)
     # with no n-star at all, trial 0 already beats the budget
     first = 0 if p - 1 < n else _first_beating_trial(p, n, t, s, trials, seed)

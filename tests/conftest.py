@@ -150,6 +150,30 @@ def parity_pigeonhole_order(n, t, s):
     return pigeonhole_order(n, t, s) - (b == 0 and a % 2 == 1 and t % 2 == 0)
 
 
+def profiles(total, t, most):
+    """Non-increasing t-tuples of nonnegative ints summing to ``total``,
+    each part at most ``most``: every color-degree row, unfiltered.
+
+    The largest part rises from the mean, so the most even rows come
+    first and a filter for admissible rows (top-s sum at most n-1) meets
+    them early.
+    """
+    if t == 1:
+        if total <= most:
+            yield (total,)
+        return
+    for d in range(-(-total // t), min(total, most) + 1):
+        for rest in profiles(total - d, t - 1, d):
+            yield (d, *rest)
+
+
+def parity_forbids_reference(p, n, t, s):
+    """The parity rule over every row: p odd, and every admissible row
+    (top-s sum at most n-1) of p-1 edges in t parts has all parts odd."""
+    return p % 2 == 1 and all(all(d % 2 for d in row)
+                              for row in profiles(p - 1, t, p - 1) if sum(row[:s]) <= n - 1)
+
+
 def threshold_predicate(l, t, q, r):
     """The paper's threshold x - l - 2q < n for the decomposition
     x - 2 = tq + r: t > (2r+4)/l for even t and t > 1 + (2q+2r+4)/l for

@@ -436,6 +436,11 @@ NOT_LOADED = {
 # Per command, the modules that must be loaded after it runs, so that the
 # probe is seen to find what a command loads: the sampler's module.
 LOADED = {"sample-check": ("starramsey.verify",)}
+# sample-check loads the oracle's parity rule only at an odd order the row
+# bound leaves open, such as K_13 at (10, 4, 3), which parity settles; the
+# K_5 probe is settled by the row bound and must not load it
+PARITY_PROBE = ("sample-check", "--n", "10", "--t", "4", "--s", "3", "--p", "13",
+                "--trials", "8000", "--seed", "1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -448,6 +453,7 @@ LOADED = {"sample-check": ("starramsey.verify",)}
      "--trials", "500", "--seed", "7"),
     ("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"),
     ("construct", "--n", "3", "--t", "3", "--s", "1"),
+    PARITY_PROBE,
 ])
 def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # Each command loads only the modules it runs, on the same start-up
@@ -468,8 +474,12 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
                           capture_output=True, text=True, timeout=60)
     rc, *loaded = proc.stdout.splitlines()[-1].split()
     assert rc == "0", proc.stderr
-    assert not set(loaded) & set(NOT_LOADED[argv[0]]), loaded
-    assert set(LOADED.get(argv[0], ())) <= set(loaded), loaded
+    not_loaded, must_load = set(NOT_LOADED[argv[0]]), set(LOADED.get(argv[0], ()))
+    if tuple(argv) == PARITY_PROBE:
+        not_loaded.remove("starramsey.oracle")
+        must_load.add("starramsey.oracle")
+    assert not set(loaded) & not_loaded, loaded
+    assert must_load <= set(loaded), loaded
 
 
 def test_oracle_default_edge_budget(capsys):

@@ -214,24 +214,41 @@ def test_case_value_is_classify_without_the_recipe():
                 assert _case_value(n, t, s) == classify(n, t, s)._replace(witness=None)
 
 
+def _rows_or_parity_refute(p, n, t, s):
+    """True when K_p has no admissible color-degree row (top-s sum <= n-1)
+    or the oracle's parity rule refutes every coloring, from the oracle's
+    own row walk."""
+    return (next(oracle._admissible_rows(p - 1, t, s, n - 1), None) is None
+            or oracle._parity_forbids(p, n, t, s))
+
+
 def _first_forced_order(n, t, s):
-    """Smallest p >= n+1 where no color-degree row of K_p is admissible
-    (top-s sum <= n-1) or the oracle's parity rule refutes every
-    coloring, from the oracle's own row enumeration."""
+    """Smallest p >= n+1 that the rows or parity refute."""
     p = n + 1
-    while (any(sum(row[:s]) <= n - 1 for row in oracle._profiles(p - 1, t, p - 1))
-           and not oracle._parity_forbids(p, n, t, s)):
+    while not _rows_or_parity_refute(p, n, t, s):
         p += 1
     return p
 
 
 def test_star_upper_is_the_first_order_rows_or_parity_refute():
-    points = [(n, t, s) for t in range(2, 6) for s in range(1, t) for n in range(2, 15)]
-    points += [(n, 6, s) for s in range(1, 6) for n in range(2, 9)]
-    assert len(points) == 165
+    # the full upward scan on t <= 10, n <= 20 (855 points)
+    points = [(n, t, s) for t in range(2, 11) for s in range(1, t) for n in range(2, 21)]
+    assert len(points) == 855
     for n, t, s in points:
         value, kind = star_upper(n, t, s)
         assert value == _first_forced_order(n, t, s), (n, t, s)
+        assert kind == ("parity" if value < pigeonhole_upper(n, t, s) else "pigeonhole")
+    # t <= 40, n <= 30 (22,620 points): the rules refute K_value and leave
+    # K_{value-1} open.  A row admissible at K_{p+1} loses an edge and stays
+    # admissible at K_p, so the rows leave every lower order open too; and
+    # the certificate of K_{value-1} restricts to a witness at every lower
+    # order, so the sound parity rule refutes none of them
+    points = [(n, t, s) for t in range(2, 41) for s in range(1, t) for n in range(2, 31)]
+    assert len(points) == 22_620
+    for n, t, s in points:
+        value, kind = star_upper(n, t, s)
+        assert _rows_or_parity_refute(value, n, t, s), (n, t, s)
+        assert not _rows_or_parity_refute(value - 1, n, t, s), (n, t, s)
         assert kind == ("parity" if value < pigeonhole_upper(n, t, s) else "pigeonhole")
 
 

@@ -376,12 +376,28 @@ def test_row_bound_draws_nothing(monkeypatch, p, n, t, s):
     assert drawn == []
 
 
-def test_open_order_draws_the_screen(monkeypatch):
-    # at (13, 10, 4, 3) the most even row, [3, 3, 3, 3], covers 9 < 10
-    # edges with three colors, so the row bound decides nothing
+@pytest.mark.parametrize("p, n, t, s", ((13, 10, 4, 3), (13, 7, 4, 2), (11, 6, 2, 1)))
+def test_parity_order_draws_nothing(monkeypatch, p, n, t, s):
+    # the row bound leaves these odd orders open ([3, 3, 3, 3] covers 9 < 10
+    # edges with three colors and 6 < 7 with two, [5, 5] 5 < 6 with one),
+    # but every admissible row is all odd, so the oracle's parity rule
+    # refutes every coloring: the check passes with nothing drawn
     drawn = _counting_draws(monkeypatch)
-    assert sample_upper_check(13, 10, 4, 3, trials=8000, seed=1) == (True, 8000, None, None)
-    assert sum(drawn) >= 8000 * 12
+    assert sample_upper_check(p, n, t, s, trials=8000, seed=1) == (True, 8000, None, None)
+    assert drawn == []
+    # the refusals still come first
+    with pytest.raises(InvalidParameterError, match="seed must be"):
+        sample_upper_check(p, n, t, s, trials=8000, seed=1 << 64)
+
+
+def test_open_order_draws_the_screen(monkeypatch):
+    # at (11, 9, 4, 3) the most even row, [3, 3, 2, 2], covers 8 < 9 edges
+    # with three colors, and it is admissible with an even part, so neither
+    # the row bound nor parity decides; K_11 lies below R = 12, but no trial
+    # of seed 1 is a witness
+    drawn = _counting_draws(monkeypatch)
+    assert sample_upper_check(11, 9, 4, 3, trials=8000, seed=1) == (True, 8000, None, None)
+    assert sum(drawn) >= 8000 * 10
 
 
 def test_residues_are_lane_wise_mod_t():
