@@ -17,14 +17,16 @@ join, patch, range-check and render stores through ``color_store``,
 ``color_digit_columns``.  ``.color_degrees`` keeps the degree table once
 built, and ``.colors`` is a read-only mapping view for (u, v) -> color.
 
-The rule for a well-formed coloring (every edge of K_p once, colors in
+Every coloring holds every edge of K_p exactly once.  Each path into a
+store checks the order once, ``from_array`` and the mapping constructor
+against ``check_order``, ``_adopt`` (for stores the builders and parsers
+made) against the store's length; the mapping constructor refuses any
+key set that is not exactly the edges of K_p.  The rest of the rule for
+a well-formed coloring (order and color count at least 1, colors in
 1..t) is written once, as the lazy generator ``defects``:
 ``verify.validate`` lists what it yields, and ``check_well_formed``
 refuses with the first five, for the degree table and for
-``verify.check_certificate``.  Every path into a store checks the order
-once: ``from_array`` and the mapping constructor against
-``check_order``, ``_adopt`` (for stores the builders and parsers made)
-against the store's length.
+``verify.check_certificate``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import operator
 from array import array
 from collections import Counter
 from collections.abc import Mapping
-from itertools import islice
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 
 from .errors import InvalidParameterError
@@ -199,30 +201,34 @@ class EdgeColoring:
 
     ``EdgeColoring(p, t, colors)`` takes a mapping (u, v) -> color;
     ``EdgeColoring.from_array`` takes the rank-ordered colors.  Both
-    refuse an order past ``check_order``'s limit before they allocate.  A
-    mapping may be malformed (edges missing, keys that are not edges of
-    K_p, colors outside 1..t); the defects are kept so that ``defects``
-    can name them.
+    refuse an order past ``check_order``'s limit before they allocate,
+    and colors that do not cover every edge of K_p exactly once: a mapping
+    is refused naming its first five defects, the edges it leaves out (in
+    edge order), then its keys that are not edges of K_p (in mapping
+    order).  Colors outside 1..t are kept, so that ``defects`` can name
+    them.
     """
 
-    __slots__ = ("p", "t", "array", "missing", "unexpected", "_dict", "_degrees")
+    __slots__ = ("p", "t", "array", "_dict", "_degrees")
 
     def __init__(self, p: int, t: int, colors: Mapping[Edge, int]):
         check_order(p)
         colors = dict(colors)
         unset = object()
-        values, unexpected = [unset] * edge_count(p), {}
+        values, unexpected = [unset] * edge_count(p), []
         for key, c in colors.items():
             r = _rank_of(p, key)
             if r is None:
-                unexpected[key] = c
+                unexpected.append(key)
             else:
                 values[r] = c
-        # valid keys have distinct ranks: the missing ones are left unset
-        missing = frozenset(r for r, c in enumerate(values) if c is unset)
-        if missing:
-            values = [0 if c is unset else c for c in values]
-        self._set(p, t, color_store(values), missing, unexpected, colors)
+        # an identity scan: no color's own == is called
+        if unexpected or any(map(operator.is_, values, repeat(unset))):
+            named = chain((f"missing edge {edge}"
+                           for edge, c in zip(edges(p), values) if c is unset),
+                          (f"unexpected edge {key!r}" for key in unexpected))
+            raise InvalidParameterError("invalid coloring: " + "; ".join(islice(named, 5)))
+        self._set(p, t, color_store(values), colors)
 
     @classmethod
     def from_array(cls, p: int, t: int, array) -> "EdgeColoring":
@@ -247,17 +253,15 @@ class EdgeColoring:
             raise InvalidParameterError(
                 f"K_{p} needs {edge_count(p)} colors, got {len(store)}")
         coloring = cls.__new__(cls)
-        coloring._set(p, t, store, frozenset(), {}, None)
+        coloring._set(p, t, store)
         return coloring
 
-    def _set(self, p, t, store, missing, unexpected, as_dict):
+    def _set(self, p, t, store, as_dict=None):
         self.p = int(p)
         self.t = int(t)
-        self.array = store            # colors by edge rank; 0 where missing
-        self.missing = missing        # ranks the mapping left out
-        self.unexpected = unexpected  # mapping keys that are not edges of K_p
-        self._dict = as_dict          # the (u, v) -> color dict, built on demand
-        self._degrees = None          # (palette, color-degree rows), built on demand
+        self.array = store    # colors by edge rank
+        self._dict = as_dict  # the (u, v) -> color dict, built on demand
+        self._degrees = None  # (palette, color-degree rows), built on demand
 
     @property
     def colors(self) -> Mapping[Edge, int]:
@@ -286,11 +290,7 @@ class EdgeColoring:
     def __eq__(self, other):
         if not isinstance(other, EdgeColoring):
             return NotImplemented
-        if (self.p, self.t) != (other.p, other.t):
-            return False
-        if self.missing or self.unexpected or other.missing or other.unexpected:
-            return self.colors == other.colors
-        return self.array == other.array
+        return (self.p, self.t) == (other.p, other.t) and self.array == other.array
 
     __hash__ = None
 
@@ -348,25 +348,20 @@ def degree_table(coloring: EdgeColoring) -> tuple[tuple[int, ...], tuple[tuple[i
 
 def defects(coloring: EdgeColoring):
     """The coloring's defects as messages, lazily and in order: an order
-    or color count below 1, then the edges a malformed mapping left out,
-    its keys that are not edges of K_p, and the edges whose color lies
-    outside 1..t.  Edges are named in a walk of ``edges(p)`` that starts
-    only when a defect is known to be there; the color check is one range
-    check over the store."""
-    p, t, colors, missing = coloring.p, coloring.t, coloring.array, coloring.missing
+    or color count below 1, then the edges whose color lies outside 1..t.
+    Edges are named in a walk of ``edges(p)`` that starts only when a
+    defect is known to be there; the color check is one range check over
+    the store."""
+    p, t, colors = coloring.p, coloring.t, coloring.array
     if p < 1:
         yield f"graph order must be >= 1, got {p}"
     if t < 1:
         yield f"color count must be >= 1, got {t}"
     if p < 1 or t < 1:
         return
-    if missing:
-        yield from (f"missing edge {edge}" for r, edge in enumerate(edges(p)) if r in missing)
-    yield from (f"unexpected edge {edge}" for edge in sorted(coloring.unexpected))
     if not in_color_range(colors, t):
         yield from (f"color out of range on edge {edge}: {c}"
-                    for r, (edge, c) in enumerate(zip(edges(p), colors))
-                    if not 1 <= c <= t and r not in missing)
+                    for edge, c in zip(edges(p), colors) if not 1 <= c <= t)
 
 
 def check_well_formed(coloring: EdgeColoring) -> None:

@@ -54,24 +54,16 @@ def _row_blocks(p: int):
 
 
 def _render(coloring: EdgeColoring):
-    """The file bytes as an iterator of blocks: the header, then the data
-    lines in blocks of rows.  A coloring with missing edges is refused
-    here, before any block is made."""
-    if coloring.missing:
-        raise InvalidParameterError(
-            f"cannot serialize K_{coloring.p}: {len(coloring.missing)} edge(s) missing")
-    return _blocks(coloring.p, coloring.t, coloring.array)
-
-
-def _blocks(p: int, t: int, colors):
-    """The blocks of ``_render``, made one at a time.
+    """The file bytes as blocks made one at a time: the header, then the
+    data lines in blocks of rows.
 
     A block first lays every line out at the full width of "u v c\n",
     with v and c right-aligned behind NUL bytes; each digit column of u,
     v and c is one strided assignment (u is constant along a row, and v
     runs over a suffix of 1..p).  Deleting the NULs, where a block has
     any, leaves the lines."""
-    yield f"{p} {t}\n".encode()
+    p, colors = coloring.p, coloring.array
+    yield f"{p} {coloring.t}\n".encode()
     if not colors:
         return
     color_columns = color_digit_columns(colors)
@@ -311,9 +303,8 @@ def _parse_lines(data: bytes) -> EdgeColoring:
 
 
 def write_coloring(path: str, coloring: EdgeColoring) -> None:
-    blocks = _render(coloring)
     with open(path, "wb") as fh:
-        fh.writelines(blocks)
+        fh.writelines(_render(coloring))
 
 
 def read_coloring(path: str) -> EdgeColoring:

@@ -237,7 +237,6 @@ def _search(p: int, n: int, t: int, s: int) -> OracleResult:
 
 def ramsey_value(n: int, t: int, s: int, p_max: int, *,
                  edge_budget: int = DEFAULT_EDGE_BUDGET,
-                 max_colors: int = DEFAULT_MAX_COLORS,
                  threads: int = 1) -> RamseyResult:
     """Smallest p <= p_max where every t-coloring of K_p has an n-star on
     at most s colors.
@@ -253,10 +252,10 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
       order with a witness.
 
     Witnesses are cheap to find near R, and every order at or above P0 is
-    refuted without a search.  ``max_colors`` is checked first, since the
-    root checks build t-part rows too; ``edge_budget`` is checked at each
-    order the upward pass leaves open, since a search runs at that order
-    or above it.
+    refuted without a search.  ``DEFAULT_MAX_COLORS``, read at the call,
+    is checked first, since the root checks build t-part rows too;
+    ``edge_budget`` is checked at each order the upward pass leaves open,
+    since a search runs at that order or above it.
     """
     if n < 1 or t < 1 or s < 1 or p_max < 2:
         raise InvalidParameterError(
@@ -264,8 +263,8 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
         )
     if threads < 1:
         raise InvalidParameterError(f"need threads >= 1, got {threads}")
-    if t > max_colors:
-        raise InfeasibleInstanceError(f"t={t} is over the color budget of {max_colors}")
+    if t > DEFAULT_MAX_COLORS:
+        raise InfeasibleInstanceError(f"t={t} is over the color budget of {DEFAULT_MAX_COLORS}")
     p0 = n + 1
     while p0 <= p_max and not _root_settles(p0, n, t, s):
         if (num_edges := p0 * (p0 - 1) // 2) > edge_budget:

@@ -49,9 +49,9 @@ def validate(coloring: EdgeColoring) -> list[str]:
 
     Defects are data, not exceptions: ``coloring.defects`` in order, every
     one of them.  An order or color count below 1 comes alone; otherwise
-    missing edges, unexpected edges (out of range or not in canonical
-    (u < v) form) and colors outside 1..t are all enumerated.  Only a
-    coloring built from a malformed mapping can have the first two.
+    every color outside 1..t is named with its edge.  Missing and
+    unexpected edges are not defects here: no coloring has them, since
+    every constructor refuses them.
     """
     return list(defects(coloring))
 

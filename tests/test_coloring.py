@@ -133,6 +133,11 @@ def test_profile_regular_coloring_k5():
     {(1, 2): 1, (1, 3): 2, (2, 3): 1, (3, 4): 1},   # unexpected edge
 ])
 def test_profile_refuses_malformed_colorings(colors):
+    if set(colors) != set(all_edges(3)):
+        # a malformed edge set is refused where the coloring is built
+        with pytest.raises(InvalidParameterError, match="^invalid coloring: (missing|unexpected)"):
+            EdgeColoring(3, 2, colors)
+        return
     coloring = EdgeColoring(3, 2, colors)
     with pytest.raises(InvalidParameterError):
         color_degree_profile(coloring)

@@ -274,11 +274,12 @@ def test_certificate_pass_implies_oracle_exceeds_order():
         assert res.value is None or res.value > coloring.p
 
 
-def test_oracle_matches_classifier_where_feasible():
+def test_oracle_matches_classifier_where_feasible(monkeypatch):
     # every t <= 5, 1 <= s < t and n whose parity-refined pigeonhole order
     # (computed independently in conftest) is at most K_27, so that the
     # witness search runs up to K_26.  For s >= t-2 the oracle must equal
     # the paper's value, and below that the parity-refined order
+    monkeypatch.setattr(oracle, "DEFAULT_MAX_COLORS", 5)
     t0 = time.perf_counter()
     points = 0
     for t in (2, 3, 4, 5):
@@ -287,8 +288,7 @@ def test_oracle_matches_classifier_where_feasible():
                 if parity_pigeonhole_order(n, t, s) > 27:
                     break
                 upper = pigeonhole_upper(n, t, s)
-                res = ramsey_value(n, t, s, upper, edge_budget=upper * (upper - 1) // 2,
-                                   max_colors=5)
+                res = ramsey_value(n, t, s, upper, edge_budget=upper * (upper - 1) // 2)
                 if s >= t - 2:
                     assert res.value == classify(n, t, s).value, (n, t, s)
                 else:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import starramsey
-from starramsey import Certificate, oracle
+from starramsey import Certificate, EdgeColoring, oracle
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -42,6 +42,10 @@ def test_deleted_names_are_gone(name):
 def test_dropped_arguments_are_refused():
     assert "recipe" not in Certificate._fields
     assert not hasattr(oracle, "max_min_star_colors")
+    with pytest.raises(TypeError, match="max_colors"):
+        oracle.ramsey_value(2, 2, 1, 5, max_colors=5)
+    coloring = EdgeColoring(2, 1, {(1, 2): 1})
+    assert not hasattr(coloring, "missing") and not hasattr(coloring, "unexpected")
 
 
 def test_readme_states_the_public_surface():
