@@ -55,8 +55,8 @@ _EXPORTS = {
         "validate",
     ),
 }
-_SUBMODULES = ("cli", "coloring", "constructions", "errors", "fileio", "formulas",
-               "oracle", "verify")
+_SUBMODULES = ("cli", "coloring", "constructions", "errors", "exact", "fileio", "formulas",
+               "lineparser", "oracle", "sampler", "verify")
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [*_MODULE_OF, "oracle"]

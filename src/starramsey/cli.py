@@ -17,13 +17,14 @@ means the reader of stdout closed it early; nothing is printed then.
 Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
 ``oracle``, so each command imports only the modules it runs:
 
-* ``compute``, ``bounds`` and ``table`` load ``formulas``;
+* ``compute``, ``bounds`` and ``table`` load ``formulas`` and ``exact``;
 * ``oracle`` loads ``oracle``;
-* ``construct`` loads ``constructions`` (with ``formulas``, ``coloring``
+* ``construct`` loads ``constructions`` (with ``exact``, ``coloring``
   and ``verify``) and ``fileio``;
-* ``verify`` loads ``fileio`` and ``verify``; ``sample-check`` loads
-  ``verify``, and ``oracle`` for its parity rule only at an odd order
-  the row bound leaves open.
+* ``verify`` loads ``fileio`` and ``verify``, and ``lineparser`` only for
+  a file the bulk path declines;
+* ``sample-check`` loads ``verify`` and ``sampler``, and ``oracle`` for
+  its parity rule only at an odd order the row bound leaves open.
 
 No command imports numpy: the certificate layers work on ``bytes``, and
 the sampler mixes its draws on Python ints.  Modules are called through their

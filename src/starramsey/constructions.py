@@ -2,7 +2,7 @@
 
 Every builder checks its own postcondition before returning, so a
 coloring handed back from this module is always a valid certificate for
-the property its recipe promises.  ``formulas._witness_recipe`` picks one
+the property its recipe promises.  ``exact._witness_recipe`` picks one
 of four builders (partitioned factorization, cyclic, regular,
 near-regular), or the balanced three-coloring at (t, s) = (3, 1), and
 its docstring proves the pick a certificate.
@@ -30,7 +30,7 @@ from __future__ import annotations
 from .coloring import (EdgeColoring, check_order, color_store, edge_rank, join_store,
                        palette_row, patch_store)
 from .errors import ConstructionFailedError, InvalidParameterError
-from .formulas import WitnessRecipe, _check_budget, _witness_recipe, star_upper
+from .exact import WitnessRecipe, _check_budget, _witness_recipe, star_upper
 from .verify import check_certificate
 
 

@@ -17,11 +17,10 @@ from starramsey import (
     constructions,
     formulas,
     read_coloring,
-    verify,
     serialize_coloring,
     write_coloring,
 )
-from starramsey import cli
+from starramsey import cli, sampler
 from starramsey.cli import EXIT_BROKEN_PIPE, main
 from starramsey.errors import ConstructionFailedError, StarRamseyError
 
@@ -287,8 +286,8 @@ def test_sample_check_output_does_not_depend_on_batch_size(capsys, monkeypatch, 
     # 1 and 6 cells are below one trial's size, so each batch is one trial;
     # then the default, and 2^16 cells (over 2,000 trials per batch)
     outputs = set()
-    for cells in (1, 6, verify.SAMPLE_BATCH_EDGES, 1 << 16):
-        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", cells)
+    for cells in (1, 6, sampler.SAMPLE_BATCH_EDGES, 1 << 16):
+        monkeypatch.setattr(sampler, "SAMPLE_BATCH_EDGES", cells)
         outputs.add(run(capsys, "sample-check", *argv)[:2])
     assert len(outputs) == 1
 
@@ -429,18 +428,23 @@ NOT_LOADED = {
     "table": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
     "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas", "starramsey.coloring",
                "starramsey.verify", "starramsey.constructions", "starramsey.fileio"),
-    "verify": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
+    "verify": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle",
+               "starramsey.sampler", "starramsey.lineparser"),
     "sample-check": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
-    "construct": ("argparse", "numpy", "starramsey.oracle"),
+    "construct": ("argparse", "numpy", "starramsey.oracle", "starramsey.formulas",
+                  "starramsey.sampler", "starramsey.lineparser"),
 }
 # Per command, the modules that must be loaded after it runs, so that the
 # probe is seen to find what a command loads: the sampler's module.
-LOADED = {"sample-check": ("starramsey.verify",)}
+LOADED = {"sample-check": ("starramsey.verify", "starramsey.sampler")}
 # sample-check loads the oracle's parity rule only at an odd order the row
 # bound leaves open, such as K_13 at (10, 4, 3), which parity settles; the
 # K_5 probe is settled by the row bound and must not load it
 PARITY_PROBE = ("sample-check", "--n", "10", "--t", "4", "--s", "3", "--p", "13",
                 "--trials", "8000", "--seed", "1")
+# verify loads the line parser only for a file the bulk path declines, such
+# as the K_7 file behind an indented comment
+LINES_PROBE = ("verify", "--file", "{indented}", "--n", "3", "--s", "1")
 
 
 @pytest.mark.parametrize("argv", [
@@ -454,6 +458,7 @@ PARITY_PROBE = ("sample-check", "--n", "10", "--t", "4", "--s", "3", "--p", "13"
     ("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"),
     ("construct", "--n", "3", "--t", "3", "--s", "1"),
     PARITY_PROBE,
+    LINES_PROBE,
 ])
 def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # Each command loads only the modules it runs, on the same start-up
@@ -461,23 +466,29 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # numpy: compute, bounds, table and oracle load no dataclasses either,
     # construct (to a file or to stdout) and verify work on bytes, and
     # sample-check mixes its draws in Python ints.
-    path = tmp_path / "k7.coloring"
+    path, indented = tmp_path / "k7.coloring", tmp_path / "k7-indented.coloring"
     write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
+    indented.write_text("  # K_7, indented\n" + path.read_text())
     watched = sorted({name for names in (*NOT_LOADED.values(), *LOADED.values())
                       for name in names})
     code = ("import sys\n"
             "from starramsey.cli import main\n"
             "rc = main(sys.argv[1:])\n"
             f"print(rc, *[m for m in {watched!r} if m in sys.modules])\n")
-    argv = [arg.replace("{file}", str(path)) for arg in argv]
+    probe = tuple(argv)
+    argv = [arg.replace("{file}", str(path)).replace("{indented}", str(indented))
+            for arg in argv]
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     rc, *loaded = proc.stdout.splitlines()[-1].split()
     assert rc == "0", proc.stderr
     not_loaded, must_load = set(NOT_LOADED[argv[0]]), set(LOADED.get(argv[0], ()))
-    if tuple(argv) == PARITY_PROBE:
+    if probe == PARITY_PROBE:
         not_loaded.remove("starramsey.oracle")
         must_load.add("starramsey.oracle")
+    if probe == LINES_PROBE:
+        not_loaded.remove("starramsey.lineparser")
+        must_load.add("starramsey.lineparser")
     assert not set(loaded) & not_loaded, loaded
     assert must_load <= set(loaded), loaded
 

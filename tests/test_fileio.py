@@ -10,6 +10,7 @@ from starramsey import (
     check_certificate,
     cyclic_matching_coloring,
     fileio,
+    lineparser,
     parse_coloring,
     read_coloring,
     serialize_coloring,
@@ -165,7 +166,7 @@ def test_read_coloring_ends_lines_at_newlines_only(tmp_path, monkeypatch):
     with pytest.raises(ColoringFormatError, match="line 1: header must be 'p t'"):
         read_coloring(str(tmp_path / "cr.txt"))
     # a CRLF file reads as its LF twin, on the bulk path
-    monkeypatch.setattr(fileio, "_parse_lines", None)
+    monkeypatch.setattr(lineparser, "_parse_lines", None)
     assert read_coloring(str(tmp_path / "crlf.txt")) == parse_coloring(text)
 
 
@@ -345,7 +346,7 @@ def _outcome(parse, text):
 def _assert_parsers_agree(text):
     # the reference reads text; the package reads text and bytes alike
     expected = _outcome(reference_parse_lines, text)
-    assert _outcome(fileio._parse_lines, text.encode()) == expected
+    assert _outcome(lineparser._parse_lines, text.encode()) == expected
     assert _outcome(parse_coloring, text) == expected
     assert _outcome(parse_coloring, text.encode()) == expected
 
@@ -375,7 +376,7 @@ def test_serialized_files_take_the_bulk_path(coloring):
     text = serialize_coloring(coloring)
     assert fileio._parse_canonical(text.encode()) == coloring
     assert reference_parse_lines(text) == coloring
-    assert fileio._parse_lines(text.encode()) == coloring
+    assert lineparser._parse_lines(text.encode()) == coloring
 
 
 def test_bulk_path_refuses_near_canonical_files():
@@ -393,7 +394,7 @@ def test_commented_files_take_the_bulk_path(monkeypatch):
     coloring, _ = witness_coloring(600, 8, 6)
     data = serialize_coloring(coloring).encode()
     commented = b"# c\n" + data
-    monkeypatch.setattr(fileio, "_parse_lines", None)
+    monkeypatch.setattr(lineparser, "_parse_lines", None)
     for variant in (commented, b"\n\n# a\n#\n" + data.replace(b"\n", b"\n\n", 5),
                     data.replace(b"\n1 3 ", b"\n# 1 3\n1 3 ", 1) + b"# end"):
         assert parse_coloring(variant) == coloring
@@ -414,7 +415,7 @@ def test_commented_files_take_the_bulk_path(monkeypatch):
 def test_multi_digit_colors_take_the_bulk_path(monkeypatch):
     # K_801 with colors 1..12, and a K_6 whose colors past 255 make an
     # int64 store: the runs of lines with wider colors are split
-    monkeypatch.setattr(fileio, "_parse_lines", None)
+    monkeypatch.setattr(lineparser, "_parse_lines", None)
     near_regular, _ = witness_coloring(669, 12, 10)
     wide = EdgeColoring.from_array(6, 300, [7, 300, 12, 255, 256, 1, 99, 100, 5, 5, 5, 5, 5,
                                             5, 5])
@@ -427,7 +428,7 @@ def test_huge_color_bound_does_not_widen_the_parse(monkeypatch):
     # a header t of thousands of digits over two-digit colors: each run of
     # lines is sliced at the width of the widest 64-bit color, not of t, so
     # the parse peaks as with t = 99 (1.4x that when runs took str(t) digits)
-    monkeypatch.setattr(fileio, "_parse_lines", None)
+    monkeypatch.setattr(lineparser, "_parse_lines", None)
     p = 400
     colors = [10 + r % 90 for r in range(edge_count(p))]
     peaks = []

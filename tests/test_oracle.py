@@ -6,7 +6,7 @@ import pytest
 
 from starramsey import EdgeColoring, check_certificate, classify, witness_coloring
 from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
-from starramsey.formulas import pigeonhole_upper
+from starramsey.formulas import pigeonhole_upper, star_upper
 from starramsey import oracle
 from starramsey.oracle import (SearchStats, _admissible_rows, _parity_forbids, _reachable_k, _search,
                                ramsey_value)
@@ -86,6 +86,28 @@ def test_search_refutes_parity_order_without_root_rules(monkeypatch):
     (p, refuted), (q, witness) = res.checked
     assert (p, refuted.value, q) == (7, 1, 6) and witness.value > 1
     assert refuted.stats.nodes > 1000
+
+
+# every parity cut (star_upper's argument "parity") whose K_{U_par} fits the
+# default edge budget, with the nodes the search spends refuting K_{U_par}
+PARITY_CUTS = {(2, 2, 1): (3, 5), (4, 2, 1): (7, 11_177), (2, 4, 1): (5, 50),
+               (3, 4, 2): (5, 50), (4, 4, 3): (5, 50)}
+
+
+def test_search_alone_refutes_parity_cuts(monkeypatch):
+    # with the parity rule off and the root bound on, the search itself
+    # refutes K_{U_par}: the one check of a parity value whose argument
+    # differs from star_upper's (the row rule is the same argument again);
+    # K_{U_par} has more than n vertices, so n <= 6 covers 21 edges
+    values = {(n, t, s): star_upper(n, t, s) for t in range(2, oracle.DEFAULT_MAX_COLORS + 1)
+              for s in range(1, t) for n in range(1, 7)}
+    assert set(PARITY_CUTS) == {key for key, (p, how) in values.items() if how == "parity"
+                                and p * (p - 1) // 2 <= oracle.DEFAULT_EDGE_BUDGET}
+    monkeypatch.setattr(oracle, "_parity_forbids", lambda p, n, t, s: False)
+    for (n, t, s), (p, nodes) in PARITY_CUTS.items():
+        assert star_upper(n, t, s)[0] == p and not oracle._root_settles(p, n, t, s)
+        result = _search(p, n, t, s)
+        assert (result.value, result.stats.nodes) == (s, nodes), (n, t, s)
 
 
 # the small-exact benchmark instances, the README example, and the first

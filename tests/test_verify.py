@@ -19,7 +19,7 @@ from starramsey import (
     validate,
 )
 from starramsey import coloring as coloring_module
-from starramsey import verify
+from starramsey import sampler, verify
 from starramsey.coloring import edge_count
 from starramsey.errors import InvalidParameterError
 from starramsey.verify import star_minima
@@ -245,7 +245,7 @@ def _splitmix64_color(p, t, seed, i, r):
     (100, 1000, 7, 2**40, 4949), (5793, 3, 1, (2**64 - 1) // edge_count(5793) - 1, 0),
 ))
 def test_sample_colors_follow_splitmix64(p, t, seed, trial, rank):
-    got = verify.sample_colors(p, t, seed, [trial], [rank])
+    got = sampler.sample_colors(p, t, seed, [trial], [rank])
     assert got == [_splitmix64_color(p, t, seed, trial, rank)]
 
 
@@ -261,7 +261,7 @@ _LAST_TRIAL = (2**64 - 1) // edge_count(5793) - 1  # (trial + 1) * m just below 
 ))
 def test_sample_colors_lanes_follow_splitmix64(p, t, seed, trials, ranks):
     # every lane of a packed draw, trial-major, against the scalar reference
-    assert verify.sample_colors(p, t, seed, trials, ranks) == [
+    assert sampler.sample_colors(p, t, seed, trials, ranks) == [
         _splitmix64_color(p, t, seed, i, r) for i in trials for r in ranks]
 
 
@@ -269,11 +269,11 @@ def test_trial_drawn_alone_equals_trial_in_batch():
     p, t, seed = 7, 3, 5
     m = edge_count(p)
     ranks = range(m)
-    batch = verify.sample_colors(p, t, seed, range(50), ranks)
+    batch = sampler.sample_colors(p, t, seed, range(50), ranks)
     for i in (0, 1, 31, 49):
-        alone = verify.sample_colors(p, t, seed, [i], ranks)
+        alone = sampler.sample_colors(p, t, seed, [i], ranks)
         assert alone == batch[i * m:(i + 1) * m]
-        odd = verify.sample_colors(p, t, seed, [i], ranks[1::2])
+        odd = sampler.sample_colors(p, t, seed, [i], ranks[1::2])
         assert odd == batch[i * m + 1:(i + 1) * m:2]
 
 
@@ -282,7 +282,7 @@ def _per_trial_sample(p, n, t, s, trials, seed):
     function, judged by numpy star minima over all p vertices at once, in
     one stack: (passed, first beating trial, its colors)."""
     ranks = range(edge_count(p))
-    cols = np.array(verify.sample_colors(p, t, seed, range(trials), ranks)).reshape(trials, -1)
+    cols = np.array(sampler.sample_colors(p, t, seed, range(trials), ranks)).reshape(trials, -1)
     beats = star_minima_reference(degree_counts(p, t, cols), n).min(axis=-1) > s
     if not beats.any():
         return True, None, None
@@ -290,10 +290,18 @@ def _per_trial_sample(p, n, t, s, trials, seed):
     return False, i, cols[i]
 
 
+def test_verify_names_the_sampler_on_first_use():
+    # sample-check calls verify.sample_upper_check; any other name verify
+    # lacks is an AttributeError, so getattr(verify, name, None) is None
+    assert verify.sample_upper_check is sampler.sample_upper_check
+    assert verify.SampleCheckResult is sampler.SampleCheckResult
+    assert getattr(verify, "SAMPLE_BATCH_EDGES", None) is None
+
+
 def _assert_sampler_matches_reference(monkeypatch, p, n, t, s, trials, seed, cells):
     passed, index, cols = _per_trial_sample(p, n, t, s, trials, seed)
     for batch_cells in cells:
-        monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", batch_cells)
+        monkeypatch.setattr(sampler, "SAMPLE_BATCH_EDGES", batch_cells)
         res = sample_upper_check(p, n, t, s, trials, seed)
         assert (res.passed, res.trial_index) == (passed, index), batch_cells
         if passed:
@@ -309,7 +317,7 @@ def _assert_sampler_matches_reference(monkeypatch, p, n, t, s, trials, seed, cel
 # t = 3 counts as max(p - 1, t + 1) = 4 cells.
 @pytest.mark.parametrize("batch", (None, 193, 192, 10, 1))
 def test_batched_sampler_matches_per_trial_loop_at_batch_edges(monkeypatch, batch):
-    cells = verify.SAMPLE_BATCH_EDGES if batch is None else batch * 4
+    cells = sampler.SAMPLE_BATCH_EDGES if batch is None else batch * 4
     for trials in (192, 193, 10_000):
         _assert_sampler_matches_reference(monkeypatch, 4, 2, 3, 1, trials, 42, (cells,))
 
@@ -339,19 +347,19 @@ def test_screened_sampler_matches_reference_on_grid(monkeypatch):
                 for n in range(1, p + 1):
                     for seed in range(3):
                         _assert_sampler_matches_reference(
-                            monkeypatch, p, n, t, s, 300, seed, (verify.SAMPLE_BATCH_EDGES,))
+                            monkeypatch, p, n, t, s, 300, seed, (sampler.SAMPLE_BATCH_EDGES,))
 
 
 def _counting_draws(monkeypatch):
     """Count every lane the finalizer mixes, _mix(seed) as one lane."""
     drawn = []
-    mix = verify._mix
+    mix = sampler._mix
 
-    def counting(z, mask=verify._U64):
+    def counting(z, mask=sampler._U64):
         drawn.append((mask.bit_length() + 64) // 128)
         return mix(z, mask)
 
-    monkeypatch.setattr(verify, "_mix", counting)
+    monkeypatch.setattr(sampler, "_mix", counting)
     return drawn
 
 
@@ -419,8 +427,8 @@ def test_residues_are_lane_wise_mod_t():
     for t in range(1, 256):
         lanes = [0, 1, t - 1, t, 2**32 - 1, 2**32, 2**63, 2**64 - 1] + noise
         z = int.from_bytes(b"".join(x.to_bytes(16, "little") for x in lanes), "little")
-        mask = int.from_bytes(verify._LANE * len(lanes), "little")
-        assert list(verify._residues(z, t, mask, len(lanes))) == [x % t for x in lanes], t
+        mask = int.from_bytes(sampler._LANE * len(lanes), "little")
+        assert list(sampler._residues(z, t, mask, len(lanes))) == [x % t for x in lanes], t
 
 
 @pytest.mark.parametrize("seed", (0, 2**64 - 1))
@@ -429,20 +437,20 @@ def test_streamed_vertex_one_lanes_equal_sample_colors(monkeypatch, seed):
     # for a 3-star.  A K_6 trial at t = 3 counts as 5 cells: batches of 4
     # trials, three full and then 2, and no trial of either seed beats it
     p, t, trials = 6, 3, 14
-    monkeypatch.setattr(verify, "SAMPLE_BATCH_EDGES", 20)
+    monkeypatch.setattr(sampler, "SAMPLE_BATCH_EDGES", 20)
     mixed = []
-    mix = verify._mix
+    mix = sampler._mix
 
-    def recording(z, mask=verify._U64):
+    def recording(z, mask=sampler._U64):
         out = mix(z, mask)
         lanes = (mask.bit_length() + 64) // 128
-        mixed.append(None if mask == verify._U64 else
+        mixed.append(None if mask == sampler._U64 else
                      list(array("Q", out.to_bytes(16 * lanes, "little"))[::2]))
         return out
 
-    monkeypatch.setattr(verify, "_mix", recording)
+    monkeypatch.setattr(sampler, "_mix", recording)
     assert sample_upper_check(p, 3, t, 1, trials, seed).passed
-    monkeypatch.setattr(verify, "_mix", mix)
+    monkeypatch.setattr(sampler, "_mix", mix)
     # _counters mixes the seed (None) before it builds lanes: vertex 1's
     # once, ahead of batch 0, and every later vertex's each time.  A later
     # batch's vertex 1 lanes are streamed, so they follow a lane mix
@@ -456,13 +464,14 @@ def test_streamed_vertex_one_lanes_equal_sample_colors(monkeypatch, seed):
     for lanes, batch in zip(first, batches):
         assert len(lanes) == len(batch) * (p - 1)
         # t = 2^64 keeps each raw lane, plus one
-        assert [x + 1 for x in lanes] == verify.sample_colors(p, 1 << 64, seed, batch, range(p - 1))
+        assert [x + 1 for x in lanes] == sampler.sample_colors(p, 1 << 64, seed, batch,
+                                                               range(p - 1))
 
 
 def test_sample_upper_check_no_star_order():
     res = sample_upper_check(3, 5, 2, 1, trials=10, seed=0)
     assert not res.passed and res.trial_index == 0
-    assert list(res.counterexample.array) == verify.sample_colors(3, 2, 0, [0], range(3))
+    assert list(res.counterexample.array) == sampler.sample_colors(3, 2, 0, [0], range(3))
 
 
 def test_sampler_batch_memory_does_not_grow_with_t(monkeypatch):
@@ -492,7 +501,7 @@ def test_sampler_color_table_limit_boundary(monkeypatch):
     monkeypatch.setattr(coloring_module, "MAX_COLORING_BYTES", 32 * 5 * 1000)
     res = sample_upper_check(5, 2, 2**63 - 1, 1, trials=1, seed=0)
     assert (res.passed, res.trial_index) == (False, 0)
-    assert list(res.counterexample.array) == verify.sample_colors(5, 2**63 - 1, 0, [0], range(10))
+    assert list(res.counterexample.array) == sampler.sample_colors(5, 2**63 - 1, 0, [0], range(10))
     with pytest.raises(InvalidParameterError, match=r"t must be <= 2\^63-1"):
         sample_upper_check(5, 2, 2**63, 1, trials=1, seed=0)
 
