@@ -5,8 +5,7 @@ verified lower-bound certificate colorings, and an exhaustive oracle
 for small instances.  ``__all__`` is the public surface; README lists it.
 
 Names are loaded from their modules on first use, so importing the
-package loads none of them.  No module imports numpy, the sampler
-(``sample_upper_check``) included.
+package loads none of them.  No module imports numpy.
 """
 
 import importlib
@@ -56,7 +55,7 @@ _EXPORTS = {
     ),
 }
 _SUBMODULES = ("cli", "coloring", "constructions", "errors", "exact", "fileio", "formulas",
-               "lineparser", "oracle", "sampler", "verify")
+               "lineparser", "oracle", "verify")
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [*_MODULE_OF, "oracle"]

@@ -23,13 +23,14 @@ Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
   and ``verify``) and ``fileio``;
 * ``verify`` loads ``fileio`` and ``verify``, and ``lineparser`` only for
   a file the bulk path declines;
-* ``sample-check`` loads ``verify`` and ``sampler``, and ``oracle`` for
-  its parity rule only at an odd order the row bound leaves open.
+* ``sample-check`` loads ``verify``, ``oracle`` for its parity rule
+  only at an odd order the row bound leaves open, and ``constructions``
+  only for a counterexample.
 
-No command imports numpy: the certificate layers work on ``bytes``, and
-the sampler mixes its draws on Python ints.  Modules are called through their
-attributes (``formulas.classify``), never through names imported from
-them, so a wrapper installed on a module attribute sees every call.
+No command imports numpy: the certificate layers work on ``bytes``.
+Modules are called through their attributes (``formulas.classify``),
+never through names imported from them, so a wrapper installed on a
+module attribute sees every call.
 
 Every command and flag is declared once, in ``COMMANDS``.  ``main`` reads
 the plain form that scripts and the benchmark use (a command name, then
@@ -181,11 +182,8 @@ def _cmd_sample_check(args) -> tuple[int, dict]:
 
     result = verify.sample_upper_check(args.p, args.n, args.t, args.s,
                                        args.trials, args.seed)
-    record = {"verdict": "pass" if result.passed else "counterexample",
-              "trials": result.trials}
-    if not result.passed:
-        record["trial"] = result.trial_index
-    return int(not result.passed), record
+    return int(not result.passed), {
+        "verdict": "pass" if result.passed else "counterexample", "trials": result.trials}
 
 
 class Flag:
@@ -244,7 +242,7 @@ COMMANDS = {
         Flag("--format", ("text", "csv"), required=False, default="text"),
     )),
     "sample-check": (
-        _cmd_sample_check, "seeded random sampling of the upper-bound property", (
+        _cmd_sample_check, "check R <= p: pass, or a counterexample of K_p", (
             *_NTS,
             Flag("--p", int),
             Flag("--trials", int),

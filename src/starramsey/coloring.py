@@ -53,7 +53,7 @@ Edge = tuple[int, int]
 # allocator overhead.  The limit admits orders up to K_5793.
 MAX_COLORING_BYTES = 2 << 30
 BYTES_PER_EDGE = 128
-# the widest color an int64 store holds; the parsers and the sampler
+# the widest color an int64 store holds; the parsers and sample_upper_check
 # refuse colors past it
 MAX_COLOR = (1 << 63) - 1
 

@@ -11,9 +11,9 @@ water-filled rows without importing it.
 The color degrees are ``EdgeColoring.color_degrees``, built once.  The
 rule for a well-formed coloring is ``coloring.defects``, written once:
 ``validate`` lists every defect, and ``check_certificate`` (like the
-degree table) refuses a coloring with the first five.  The sampler's
-names (``sample_upper_check``, ``SampleCheckResult``) load ``sampler``
-on first use (PEP 562), so ``construct`` and ``verify`` compile none of it.
+degree table) refuses a coloring with the first five.
+``sample_upper_check`` answers R <= p from the proof, and imports
+``oracle``'s parity rule and ``constructions`` only when it needs them.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple
 
-from .coloring import EdgeColoring, check_well_formed, defects
-from .errors import InvalidParameterError
+from .coloring import (MAX_COLOR, EdgeColoring, check_order, check_well_formed, defects,
+                       edge_rank, join_store)
+from .errors import ConstructionFailedError, InvalidParameterError
 
 
 def validate(coloring: EdgeColoring) -> list[str]:
@@ -45,8 +46,8 @@ def star_minima(rows, n: int) -> list[int]:
     colors can, so this is the fewest colors an n-star centered there can
     show: the first of the descending prefix sums to reach n, found by
     bisection.  A row whose total stays below n gets len(row) + 1.  Rows
-    repeat (every row of a regular certificate, most of a sampler batch),
-    so each distinct row is computed once.
+    repeat (every row of a regular certificate), so each distinct row is
+    computed once.
     """
     rows = list(map(tuple, rows))
     minimum = {row: bisect_left(list(accumulate(sorted(row, reverse=True))), n) + 1
@@ -112,8 +113,47 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int) -> Certificate:
                        covered_edges=sum(row[i] for i in chosen))
 
 
-def __getattr__(name):
-    if name not in ("SampleCheckResult", "sample_upper_check"):
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .sampler import SampleCheckResult, sample_upper_check  # sampler imports star_minima
-    return SampleCheckResult if name == "SampleCheckResult" else sample_upper_check
+class SampleCheckResult(NamedTuple):
+    """Outcome of the upper-bound check of R <= p."""
+
+    passed: bool
+    trials: int
+    counterexample: EdgeColoring | None = None
+
+
+def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
+                       seed: int) -> SampleCheckResult:
+    """Pass iff every t-coloring of K_p has an n-star on at most s colors,
+    from the proof of R(n, t, s): ``trials`` is echoed, ``seed`` unused.
+
+    Pass when the most even row of p-1 edges (at most p-1 cells) has an
+    n-star on <= s colors, as every row majorizes it, or, at an odd order
+    it leaves open with t <= p-1 (else its 0 part is admissible), when
+    the oracle's parity rule refutes every coloring: exactly when p >=
+    ``star_upper``'s U_par.  Else return ``witness_coloring``'s K_{U_par-1}
+    cut to its first p vertices, a witness since each n-star of K_p is
+    one of K_{U_par-1}; its refusals stand, and an order past it raises
+    ``ConstructionFailedError``.  Refused first: an argument below 1,
+    t > 2^63-1 (no int64 color) and an order past ``check_order``.
+    """
+    if p < 1 or n < 1 or t < 1 or s < 1 or trials < 1:
+        raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
+    if t > MAX_COLOR:
+        raise InvalidParameterError(
+            f"a counterexample's colors are 64-bit integers: t must be <= 2^63-1, got {t}")
+    check_order(p)
+    q, r = divmod(p - 1, t)  # the most even row
+    settled = p - 1 >= n and star_minima([[q + 1] * r + [q] * (min(t, p - 1) - r)], n)[0] <= s
+    if not settled and p % 2 and n <= p - 1 and t <= p - 1:  # else parity cannot fire
+        from .oracle import _parity_forbids
+        settled = _parity_forbids(p, n, t, s)
+    if settled:
+        return SampleCheckResult(True, trials)
+    from .constructions import witness_coloring
+    witness = witness_coloring(n, t, s)[0]
+    w, store = witness.p, witness.array
+    if p > w:
+        raise ConstructionFailedError(
+            f"no rule settles K_{p} for (n={n}, t={t}, s={s}), above its witness K_{w}")
+    rows = [store[edge_rank(w, u, u + 1):edge_rank(w, u, u + 1) + p - u] for u in range(1, p)]
+    return SampleCheckResult(False, trials, EdgeColoring._adopt(p, t, join_store(rows, store)))

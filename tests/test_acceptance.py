@@ -9,6 +9,7 @@ points are printed in full.
 import time
 
 from starramsey import (
+    check_certificate,
     classify,
     general_bounds,
     min_star_colors,
@@ -215,15 +216,20 @@ def test_criterion_7_upper_bound_sampling(capsys):
         value = classify(n, t, s).value
         res = sample_upper_check(value, n, t, s, trials=10_000, seed=2024)
         if not res.passed:
-            bad.append(("sample", n, t, s, res.trial_index))
+            bad.append(("sample", n, t, s))
+        # one order below, the check must return a counterexample that is
+        # a certificate
+        below = sample_upper_check(value - 1, n, t, s, trials=10_000, seed=2024)
+        if below.passed or not check_certificate(below.counterexample, n, s).passed:
+            bad.append(("no-counterexample-below", n, t, s))
         # the construction at K_{R-1} must read as a counterexample to
-        # the same per-sample predicate
+        # the same predicate
         coloring, _ = witness_coloring(n, t, s)
         k = min_star_colors(coloring, n)
         if k is not None and k <= s:
             bad.append(("certificate-not-counterexample", n, t, s))
     with capsys.disabled():
-        _report(7, not bad, "10 instances x 1e4 seeded samples")
+        _report(7, not bad, "10 instances, pass at R and a certified counterexample at R-1")
     assert not bad, bad
 
 

@@ -20,7 +20,7 @@ from starramsey import (
     serialize_coloring,
     write_coloring,
 )
-from starramsey import cli, sampler
+from starramsey import cli
 from starramsey.cli import EXIT_BROKEN_PIPE, main
 from starramsey.errors import ConstructionFailedError, StarRamseyError
 
@@ -272,71 +272,32 @@ def test_sample_check_command(capsys):
     rc, out, _ = run(capsys, "sample-check", "--n", "2", "--t", "3", "--s", "1",
                      "--p", "4", "--trials", "10000", "--seed", "42")
     assert rc == 1
-    fields = kv(out)
-    assert fields["verdict"] == "counterexample"
-    assert fields["trial"] == "192"
-
-
-@pytest.mark.parametrize("argv", [
-    ("--n", "2", "--t", "3", "--s", "1", "--p", "4", "--trials", "10000", "--seed", "42"),
-    ("--n", "2", "--t", "3", "--s", "1", "--p", "5", "--trials", "500", "--seed", "7"),
-    ("--n", "6", "--t", "4", "--s", "3", "--p", "7", "--trials", "1000", "--seed", "2"),
-])
-def test_sample_check_output_does_not_depend_on_batch_size(capsys, monkeypatch, argv):
-    # 1 and 6 cells are below one trial's size, so each batch is one trial;
-    # then the default, and 2^16 cells (over 2,000 trials per batch)
-    outputs = set()
-    for cells in (1, 6, sampler.SAMPLE_BATCH_EDGES, 1 << 16):
-        monkeypatch.setattr(sampler, "SAMPLE_BATCH_EDGES", cells)
-        outputs.add(run(capsys, "sample-check", *argv)[:2])
-    assert len(outputs) == 1
+    assert kv(out) == {"verdict": "counterexample", "trials": "10000"}
 
 
 @pytest.mark.parametrize("t", ("9223372036854775807", "18446744073709551616"))
 def test_sample_check_huge_t_exits_two(capsys, t):
-    # no p x t table is built, so 2^63-1 colors are sampled (three distinct
-    # colors at trial 0 beat the budget); past it a counterexample's colors
-    # would not fit its int64 store
+    # K_3 lies below R(2, t, 1), and its counterexample is cut from the
+    # witness, which is refused past 2^20 colors; past 2^63-1 a
+    # counterexample's colors would not fit its int64 store
     rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "1",
                        "--p", "3", "--trials", "1", "--seed", "0")
+    assert (rc, out) == (2, "")
     if int(t) < 2**63:
-        assert (rc, kv(out), err) == (1, {"verdict": "counterexample", "trials": "1",
-                                          "trial": "0"}, "")
+        assert err == "error: a witness for t = 9223372036854775807 colors may list t color " \
+                      "classes; the limit is 1048576 colors\n"
     else:
-        assert (rc, out) == (2, "")
         assert err.startswith("error: ") and "t must be <= 2^63-1" in err
-
-
-@pytest.mark.parametrize("seed, trials, refused", [
-    ("18446744073709551615", "10000", None),
-    ("18446744073709551616", "10000", "seed must be in 0..2^64-1"),
-    ("-1", "10000", "seed must be in 0..2^64-1"),
-    # K_4 has 6 edges: 6 * 3074457345618258602 < 2^64 <= 6 * 3074457345618258603
-    ("42", "3074457345618258602", None),
-    ("42", "3074457345618258603", "the limit is 2^64-1"),
-])
-def test_sample_check_counter_range(capsys, seed, trials, refused):
-    # accepted runs stop at their first counterexample, long before the
-    # last trial
-    rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", "3", "--s", "1",
-                       "--p", "4", "--trials", trials, "--seed", seed)
-    if refused is None:
-        assert (rc, kv(out)["verdict"], err) == (1, "counterexample", "")
-    else:
-        assert (rc, out) == (2, "")
-        assert err.startswith("error: ") and refused in err
 
 
 @pytest.mark.parametrize("t, trials, seed, refused", [
     ("9223372036854775807", "3074457345618258602", "18446744073709551615", None),
     ("9223372036854775808", "1", "0", "t must be <= 2^63-1"),
-    ("3", "3074457345618258603", "42", "the limit is 2^64-1"),
-    ("3", "1", "18446744073709551616", "seed must be in 0..2^64-1"),
-    ("3", "1", "-1", "seed must be in 0..2^64-1"),
 ])
 def test_sample_check_refuses_before_the_row_bound(capsys, t, trials, seed, refused):
     # K_4's most even row, [1, 1, 1], has a 2-star on 2 colors, so an
-    # accepted run passes without drawing; the refusals still come first
+    # accepted run passes at any trials and seed; the refusal of t still
+    # comes first
     rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "2",
                        "--p", "4", "--trials", trials, "--seed", seed)
     if refused is None:
@@ -429,14 +390,12 @@ NOT_LOADED = {
     "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas", "starramsey.coloring",
                "starramsey.verify", "starramsey.constructions", "starramsey.fileio"),
     "verify": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle",
-               "starramsey.sampler", "starramsey.lineparser"),
-    "sample-check": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle"),
+               "starramsey.lineparser"),
+    "sample-check": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle",
+                     "starramsey.constructions"),
     "construct": ("argparse", "numpy", "starramsey.oracle", "starramsey.formulas",
-                  "starramsey.sampler", "starramsey.lineparser"),
+                  "starramsey.lineparser"),
 }
-# Per command, the modules that must be loaded after it runs, so that the
-# probe is seen to find what a command loads: the sampler's module.
-LOADED = {"sample-check": ("starramsey.verify", "starramsey.sampler")}
 # sample-check loads the oracle's parity rule only at an odd order the row
 # bound leaves open, such as K_13 at (10, 4, 3), which parity settles; the
 # K_5 probe is settled by the row bound and must not load it
@@ -445,6 +404,14 @@ PARITY_PROBE = ("sample-check", "--n", "10", "--t", "4", "--s", "3", "--p", "13"
 # verify loads the line parser only for a file the bulk path declines, such
 # as the K_7 file behind an indented comment
 LINES_PROBE = ("verify", "--file", "{indented}", "--n", "3", "--s", "1")
+# sample-check builds the witness only below R, as README's K_4 at (2, 3, 1),
+# which exits 1 with a counterexample
+COUNTEREXAMPLE_PROBE = ("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "4",
+                        "--trials", "10000", "--seed", "42")
+# The probes that must load a module their command otherwise leaves alone,
+# so that each check is seen to find what a command loads.
+LOADED = {PARITY_PROBE: ("starramsey.oracle",), LINES_PROBE: ("starramsey.lineparser",),
+          COUNTEREXAMPLE_PROBE: ("starramsey.constructions",)}
 
 
 @pytest.mark.parametrize("argv", [
@@ -459,13 +426,14 @@ LINES_PROBE = ("verify", "--file", "{indented}", "--n", "3", "--s", "1")
     ("construct", "--n", "3", "--t", "3", "--s", "1"),
     PARITY_PROBE,
     LINES_PROBE,
+    COUNTEREXAMPLE_PROBE,
 ])
 def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # Each command loads only the modules it runs, on the same start-up
     # path as `python -m starramsey`: package, then cli.  No command loads
     # numpy: compute, bounds, table and oracle load no dataclasses either,
-    # construct (to a file or to stdout) and verify work on bytes, and
-    # sample-check mixes its draws in Python ints.
+    # and construct (to a file or to stdout), verify and sample-check work
+    # on bytes.
     path, indented = tmp_path / "k7.coloring", tmp_path / "k7-indented.coloring"
     write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
     indented.write_text("  # K_7, indented\n" + path.read_text())
@@ -481,14 +449,9 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     rc, *loaded = proc.stdout.splitlines()[-1].split()
-    assert rc == "0", proc.stderr
-    not_loaded, must_load = set(NOT_LOADED[argv[0]]), set(LOADED.get(argv[0], ()))
-    if probe == PARITY_PROBE:
-        not_loaded.remove("starramsey.oracle")
-        must_load.add("starramsey.oracle")
-    if probe == LINES_PROBE:
-        not_loaded.remove("starramsey.lineparser")
-        must_load.add("starramsey.lineparser")
+    assert rc == ("1" if probe == COUNTEREXAMPLE_PROBE else "0"), proc.stderr
+    must_load = set(LOADED.get(probe, ()))
+    not_loaded = set(NOT_LOADED[argv[0]]) - must_load
     assert not set(loaded) & not_loaded, loaded
     assert must_load <= set(loaded), loaded
 
@@ -690,7 +653,7 @@ PINNED = [
       "--trials", "500", "--seed", "7"), 0, "verdict pass\ntrials 500\n", ""),
     (("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "4",
       "--trials", "10000", "--seed", "42"), 1,
-     "verdict counterexample\ntrials 10000\ntrial 192\n", ""),
+     "verdict counterexample\ntrials 10000\n", ""),
 ]
 
 

@@ -232,7 +232,7 @@ def test_array_and_mapping_forms_agree(coloring):
 
 
 def test_fresh_arrays_are_adopted_without_a_copy():
-    # the builders, the bulk parser and the sampler hand over stores they
+    # the builders, the bulk parser and sample_upper_check hand over stores they
     # made; from_array still copies whatever it is given
     fresh = bytes(range(1, 7))
     coloring = EdgeColoring._adopt(4, 6, fresh)
