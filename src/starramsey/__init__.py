@@ -1,8 +1,10 @@
 """Star Ramsey numbers under color budgets.
 
 Exact values of R(n, t, s) for s = t-1 and s = t-2, general-l bounds,
-verified lower-bound certificate colorings, and an exhaustive oracle
-for small instances.  ``__all__`` is the public surface; README lists it.
+lower-bound certificate colorings for every budget from three builders
+(partitioned factorization, cyclic, near-regular), each checked before
+it is returned, and an exhaustive oracle for small instances.
+``__all__`` is the public surface; README lists it.
 
 Names are loaded from their modules on first use, so importing the
 package loads none of them.  No module imports numpy.
@@ -24,8 +26,6 @@ _EXPORTS = {
         "cyclic_matching_coloring",
         "near_regular_coloring",
         "partitioned_factorization_coloring",
-        "regular_coloring",
-        "three_color_balanced_coloring",
         "witness_coloring",
     ),
     "errors": (

@@ -3,8 +3,7 @@
 Every builder checks its own postcondition before returning, so a
 coloring handed back from this module is always a valid certificate for
 the property its recipe promises.  ``exact._witness_recipe`` picks one
-of four builders (partitioned factorization, cyclic, regular,
-near-regular), or the balanced three-coloring at (t, s) = (3, 1), and
+of three builders (partitioned factorization, cyclic, near-regular), and
 its docstring proves the pick a certificate.
 
 Each builder joins row slices of one table per order.  Edge {a, b} of
@@ -13,14 +12,14 @@ so in the rotation colorings an edge's color depends only on u + v: row
 u of K_p is a slice of one table indexed by u + v (``_rotation_colors``),
 and on even p the edge (u, p) completing M_u of K_{p-1} takes the
 table's entry at 2u.  The cyclic colors use the index k of the edge
-within its matching, which depends only on v - u.  The regular and
-near-regular colorings give each matching a color that is a closed form
-in its center i, and color the edges of the matchings they patch by a
-closed form in k.  One row check, ``_certified``, builds the degree table
-and raises "<name> row [...] != [...] at vertex v" (``below`` for a
-floor); ``witness_coloring`` then asks ``verify.check_certificate``, the
-verdict ``verify`` prints, which reuses that table.  ``BUILDERS`` maps
-recipe tags to builders.
+within its matching, which depends only on v - u.  The near-regular
+coloring gives each matching a color that is a closed form in its center
+i, and colors the edges of the matchings it patches by a closed form in
+k.  One row check, ``_certified``, builds the degree table and raises
+"<name> row [...] != [...] at vertex v" (``below`` for a floor);
+``witness_coloring`` then asks ``verify.check_certificate``, the verdict
+``verify`` prints, which reuses that table.  ``BUILDERS`` maps recipe
+tags to builders.
 Every builder refuses an order past ``coloring.check_order``'s limit
 before it builds any per-vertex or per-edge list.
 """
@@ -37,11 +36,11 @@ from .verify import check_certificate
 def _certified(coloring: EdgeColoring, name: str, expected: list[int],
                at_least: bool = False) -> EdgeColoring:
     """``coloring`` once each row of its ``color_degrees`` equals
-    ``expected``, the full row over colors 1..t, at the palette's colors,
-    or reaches it when ``at_least``.  Once t > p-1 that table counts only
-    the colors that occur; every exact row here is nonnegative and sums to
-    p-1, as every real row does, so rows that agree there agree on all t
-    colors.
+    ``expected``, the row over colors 1..len(expected) (every color the
+    coloring uses, and 0 past them), at the palette's colors, or reaches
+    it when ``at_least``.  Once t > p-1 that table counts only the colors
+    that occur; every exact row here is nonnegative and sums to p-1, as
+    every real row does, so rows that agree there agree on all t colors.
     """
     palette, rows = coloring.color_degrees
     want = tuple(expected[c - 1] for c in palette)
@@ -52,7 +51,7 @@ def _certified(coloring: EdgeColoring, name: str, expected: list[int],
     v = next(bad, None)
     if v is not None:
         raise ConstructionFailedError(
-            f"{name} row {palette_row(palette, rows[v], coloring.t)} "
+            f"{name} row {palette_row(palette, rows[v], len(expected))} "
             f"{'below' if at_least else '!='} "
             f"{expected} at vertex {v + 1}"
         )
@@ -136,29 +135,6 @@ def _matching_ranks(x: int, i: int) -> list[int]:
     return ranks
 
 
-def regular_coloring(t: int, q: int) -> EdgeColoring:
-    """t-coloring of K_x, x = tq+1, q even, with every color class q-regular.
-
-    The matching M_i, i < x, is colored wholly with c(i) = (min(i, x-i) -
-    1) mod t + 1, so every color colors q of them, paired as M_i and
-    M_{x-i}.  Edge k of M_x joins k and x-k and is colored ((k-1) mod t)
-    + 1.  The vertex x lies in every M_i, i < x, so it meets q edges of
-    each color.  A vertex v < x lies in all of them but its own M_v, so
-    it meets q-1 of c(v) there, and M_x meets it at k = min(v, x-v), on
-    an edge of color c(v).
-    """
-    if t < 2:
-        raise InvalidParameterError(f"need t >= 2, got {t}")
-    if q < 2 or q % 2:
-        raise InvalidParameterError(f"need even q >= 2, got {q}")
-    x = t * q + 1
-    check_order(x)
-    color_of_center = [(min(i, x - i) - 1) % t + 1 for i in range(1, x)] + [0]
-    last = [(k - 1) % t + 1 for k in range(1, (x + 1) // 2)]
-    coloring = EdgeColoring._adopt(x, t, _rotation_colors(x, color_of_center, {x: last}))
-    return _certified(coloring, "regular coloring", [q] * t)
-
-
 def near_regular_coloring(t: int, q: int, r: int) -> EdgeColoring:
     """t-coloring of odd K_x, x = tq+r, 2 <= r <= t-1, with >= q of every
     color at every vertex.
@@ -202,8 +178,12 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
 
     Edge k of M_i joins i+k and i-k, so an edge (u, v) has k = +-(u-v)/2
     (mod p), a function of v - u: row u is table[1 : p-u+1] of one table
-    indexed by v - u.  Used both as the three-color balanced coloring for
-    odd orders and as the filler certificate when no n-star exists at all.
+    indexed by v - u.  A vertex v meets each k = 1..(p-1)/2 exactly twice,
+    in M_{v-k} and M_{v+k}, so it has 2 #{k <= (p-1)/2 : k = c mod
+    min(t, p)} edges of color c, which ``_certified`` checks over those
+    min(t, p) colors.  When t divides (p-1)/2 every color class is
+    (p-1)/t-regular; that is the certificate at b = 0, and at a = 0 the
+    filler when no n-star exists at all.
     """
     if t < 1:
         raise InvalidParameterError(f"need t >= 1, got {t}")
@@ -212,35 +192,18 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
     check_order(p)
     period = min(t, p)  # k <= (p-1)/2, so any t >= p acts as p
     table = color_store([(k - 1) % period + 1 if k else 0 for k in _index_table(p)])
-    return EdgeColoring._adopt(p, t, join_store(
+    coloring = EdgeColoring._adopt(p, t, join_store(
         [table[1:p - u + 1] for u in range(1, p)], table))
+    q, r = divmod((p - 1) // 2, period)
+    return _certified(coloring, "cyclic", [2 * (q + (c <= r)) for c in range(1, period + 1)])
 
 
-def three_color_balanced_coloring(n: int) -> EdgeColoring:
-    """3-coloring of K_{3n-2} with exactly n-1 edges of each color at
-    every vertex.
-
-    Even orders group a 1-factorization into three classes of n-1; odd
-    orders color the near-matchings cyclically, which is balanced
-    because the edge index within a matching depends only on the
-    circular distance of its endpoints, and each color then collects
-    (n-1)/2 distance classes contributing two edges per vertex.
-    """
-    if n < 2:
-        raise InvalidParameterError(f"need n >= 2, got {n}")
-    x = 3 * n - 2
-    if x % 2 == 0:
-        return partitioned_factorization_coloring(x, [n - 1] * 3)
-    return _certified(cyclic_matching_coloring(x, 3), "three-color balanced", [n - 1] * 3)
-
-
-# recipe tag -> builder; a recipe's params are its builder's keyword arguments
+# recipe tag -> builder, in the order ``_witness_recipe`` tries them; a
+# recipe's params are its builder's keyword arguments
 BUILDERS = {
-    "cyclic": cyclic_matching_coloring,
     "partitioned-factorization": partitioned_factorization_coloring,
-    "regular": regular_coloring,
+    "cyclic": cyclic_matching_coloring,
     "near-regular": near_regular_coloring,
-    "three-color-balanced": three_color_balanced_coloring,
 }
 
 
@@ -259,10 +222,12 @@ def witness_coloring(n: int, t: int, s: int) -> tuple[EdgeColoring, WitnessRecip
     after ``_check_budget``.  ``check_certificate`` checks the claim (every
     n-star shows at least s+1 colors) before the coloring is returned; a
     failed check raises ``ConstructionFailedError``, naming ``star_upper``'s
-    argument.  The builder refuses an order past ``check_order``'s limit.
+    argument.  An order past ``check_order``'s limit is refused before the
+    recipe lists its t class sizes.
     """
     _check_budget(n, t, s)
     value, argument = star_upper(n, t, s)
+    check_order(value - 1)
     coloring, recipe = build_recipe(_witness_recipe(n, t, s, value))
     cert = check_certificate(coloring, n, s)
     if not cert.passed:

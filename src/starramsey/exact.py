@@ -84,36 +84,32 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
     With a, b = divmod(n-1, s), p = ta + b + 1, or p = ta at a parity cut
     (b = 0, a odd, t even).  The coloring certifies R > p once the s
     largest color degrees of every vertex sum to at most n-1 = sa + b,
-    and every p falls in one of four cases:
+    and every p falls in one of three cases:
 
     * p even: the balanced partitioned factorization of the p-1 = ta + b
       (or ta - 1) matchings into t classes gives rows of a and a+1 with
       at most b parts a+1 (of a-1 and a at a cut), so the top-s sum is at
       most sa + b.
-    * a = 0 (n <= s, p = n odd): K_n has no n-star at all; ``cyclic``.
-    * b = 0 (p = ta + 1 odd, so a is even: a odd would make t even, the
-      cut): ``regular(t, a)``, every row a, top-s sum sa.
+    * a = 0 or b = 0: ``cyclic(p, t)``.  At a = 0 (n <= s, p = n odd, n = 1
+      among them) K_n has no n-star at all.  At b = 0, p = ta + 1 is odd,
+      so a is even (a odd would make t even, the cut).  Each vertex meets
+      every matching index k = 1..(p-1)/2 exactly twice, and t divides
+      (p-1)/2 = t(a/2), so every color has exactly a edges at every
+      vertex: top-s sum sa.
     * otherwise p = ta + r with 2 <= r = b+1 <= s <= t-1:
       ``near-regular(t, a, r)``, every color at least a at every vertex,
       so the top-s sum is at most (p-1) - (t-s)a = sa + b.
 
-    Before them n = 1 takes K_1, and (t, s) = (3, 1) the balanced
-    three-coloring of K_{3n-2}.  ``_check_budget`` has already refused
-    more than ``MAX_WITNESS_COLORS`` colors.
+    ``_check_budget`` has already refused more than ``MAX_WITNESS_COLORS``
+    colors.
     """
     p = value - 1
-    if n == 1:
-        return WitnessRecipe("cyclic", {"p": p, "t": t})
-    if s == 1 and t == 3:
-        return WitnessRecipe("three-color-balanced", {"n": n})
     a, b = divmod(n - 1, s)
     if p % 2 == 0:
         return WitnessRecipe("partitioned-factorization",
                              {"p": p, "class_sizes": balanced_class_sizes(p - 1, t)})
-    if a == 0:
+    if a == 0 or b == 0:
         return WitnessRecipe("cyclic", {"p": p, "t": t})
-    if b == 0:
-        return WitnessRecipe("regular", {"t": t, "q": a})
     return WitnessRecipe("near-regular", {"t": t, "q": a, "r": b + 1})
 
 

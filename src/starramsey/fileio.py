@@ -167,9 +167,9 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     return coloring if end == len(data) else None
 
 
-def _drop_comment_lines(data: bytes) -> bytes:
+def _drop_comment_and_empty_lines(data: bytes) -> bytes:
     """``data`` without the lines that start with '#', found by one scan
-    for '#'."""
+    for '#', and then without its empty lines."""
     kept, start = [], 0
     at = data.find(b"#")
     while at >= 0:
@@ -180,11 +180,8 @@ def _drop_comment_lines(data: bytes) -> bytes:
         end = data.find(b"\n", at)
         start = len(data) if end < 0 else end + 1
         at = data.find(b"#", start)
-    return b"".join(kept) + data[start:] if kept else data
-
-
-def _drop_empty_lines(data: bytes) -> bytes:
-    """``data`` without its empty lines."""
+    if kept:
+        data = b"".join(kept) + data[start:]
     while b"\n\n" in data:
         data = data.replace(b"\n\n", b"\n")
     return data.removeprefix(b"\n")
@@ -211,13 +208,12 @@ def parse_coloring(text: str | bytes) -> EdgeColoring:
     raw = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
     data = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
     # a file that only adds comment lines or empty lines also takes the
-    # bulk path; the scan for empty lines runs only when one is left to try
+    # bulk path, retried once when dropping them shortened the file
     coloring = _parse_canonical(data)
-    if coloring is None and b"#" in data:
-        data = _drop_comment_lines(data)
-        coloring = _parse_canonical(data)
-    if coloring is None and (data.startswith(b"\n") or b"\n\n" in data):
-        coloring = _parse_canonical(_drop_empty_lines(data))
+    if coloring is None:
+        dropped = _drop_comment_and_empty_lines(data)
+        if len(dropped) < len(data):
+            coloring = _parse_canonical(dropped)
     if coloring is not None:
         return coloring
     from .lineparser import _parse_lines

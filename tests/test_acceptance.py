@@ -11,13 +11,12 @@ import time
 from starramsey import (
     check_certificate,
     classify,
+    cyclic_matching_coloring,
     general_bounds,
     min_star_colors,
     partitioned_factorization_coloring,
     near_regular_coloring,
-    regular_coloring,
     color_degree_profile,
-    three_color_balanced_coloring,
     witness_coloring,
 )
 from starramsey.cli import main
@@ -170,9 +169,9 @@ def test_criterion_6_construction_postconditions(capsys):
     bad = []
     for t in range(2, 7):
         for q in (2, 4):
-            rows = color_degree_profile(regular_coloring(t, q))
+            rows = color_degree_profile(cyclic_matching_coloring(t * q + 1, t))
             if rows != [[q] * t] * (t * q + 1):
-                bad.append(("regular", t, q))
+                bad.append(("cyclic", t, q))
     for t in range(3, 41):
         for q in range(1, 41):
             for r in range(2, t):
@@ -196,9 +195,9 @@ def test_criterion_6_construction_postconditions(capsys):
         if rows != [sizes] * p:
             bad.append(("partition", p, sizes))
     for n in range(2, 16):
-        rows = color_degree_profile(three_color_balanced_coloring(n))
+        rows = color_degree_profile(witness_coloring(n, 3, 1)[0])
         if rows != [[n - 1] * 3] * (3 * n - 2):
-            bad.append(("three-color", n))
+            bad.append(("(3, 1) witness", n))
     elapsed = time.time() - t0
     ok = not bad and elapsed < 5
     with capsys.disabled():

@@ -518,7 +518,7 @@ def test_compute_output_is_pinned_over_grid():
                     runs += 1
     assert runs == 30_800
     assert writer.digest.hexdigest() == (
-        "555077848d7f4c3445273987af2496599bb9ff4d0e1117525b8fa5ba8a571148")
+        "999206f72d38048eaa1c86bd29c45282d880322a41988f41235947d5e2331a4a")
 
 
 def test_table_builds_no_witness_recipe():
@@ -621,7 +621,7 @@ PINNED = [
     (("compute", "--n", "1", "--t", "2", "--s", "1"), 0,
      "value 2\ncase trivial\nwitness cyclic(p=1, t=2)\n", ""),
     (("compute", "--n", "5", "--t", "4", "--s", "2"), 0,
-     "value 10\ncase xp1.c\nx 9\nq 1\nr 3\nwitness regular(q=2, t=4)\n", ""),
+     "value 10\ncase xp1.c\nx 9\nq 1\nr 3\nwitness cyclic(p=9, t=4)\n", ""),
     (("compute", "--n", "3", "--t", "4", "--s", "1"), 2, "",
      "error: exact values cover s in {t-1, t-2} only, got s=1, t=4; "
      "use general_bounds for other budgets\n"),
@@ -630,7 +630,7 @@ PINNED = [
     (("bounds", "--n", "2", "--t", "100", "--l", "50"), 0,
      "lower -95\nupper 4\ny -95\nepsilon 1\nt_prime 2\n", ""),
     (("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"), 0,
-     "order 7\ncolors 3\nwitness three-color-balanced(n=3)\nout {file}\n", ""),
+     "order 7\ncolors 3\nwitness cyclic(p=7, t=3)\nout {file}\n", ""),
     (("construct", "--n", "2", "--t", "2", "--s", "1"), 0, "2 2\n1 2 2\n", ""),
     # s = t-4: a budget compute refuses, K_6 of 15 edges
     (("construct", "--n", "2", "--t", "5", "--s", "1"), 0,

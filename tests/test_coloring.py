@@ -11,7 +11,6 @@ from starramsey import (
     constructions,
     cyclic_matching_coloring,
     min_star_colors,
-    regular_coloring,
 )
 from starramsey.coloring import (
     color_store,
@@ -120,7 +119,7 @@ def test_profile_proper_k4():
 
 
 def test_profile_regular_coloring_k5():
-    rows = color_degree_profile(regular_coloring(2, 2))
+    rows = color_degree_profile(cyclic_matching_coloring(5, 2))
     assert rows == [[2, 2]] * 5
 
 

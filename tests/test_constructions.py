@@ -19,10 +19,8 @@ from starramsey import (
     near_regular_coloring,
     parse_coloring,
     partitioned_factorization_coloring,
-    regular_coloring,
     sample_upper_check,
     serialize_coloring,
-    three_color_balanced_coloring,
     witness_coloring,
 )
 from starramsey import coloring as coloring_module
@@ -52,18 +50,13 @@ def _matching_colors(coloring):
 @pytest.mark.parametrize("t", range(2, 7))
 @pytest.mark.parametrize("q", (2, 4, 6))
 def test_regular_layout_invariants(t, q):
-    # M_i, i < x, is one color (min(i, x-i) - 1) % t + 1, so each color has
-    # q centers and the mirrored centers i and x-i share theirs; edge k of
-    # M_x, joining k and x-k, takes (k-1) % t + 1
+    # the b = 0 certificate of K_x, x = tq+1, is cyclic: edge k of every
+    # M_i takes (k-1) % t + 1, so each color holds q/2 of the indices k
     x = t * q + 1
-    by_center = _matching_colors(regular_coloring(t, q))
-    centers = {c: [] for c in range(1, t + 1)}
-    for i in range(1, x):
-        color = (min(i, x - i) - 1) % t + 1
-        assert by_center[i] == [color] * ((x - 1) // 2)
-        centers[color].append(i)
-    assert all(len(cs) == q and {x - i for i in cs} == set(cs) for cs in centers.values())
-    assert by_center[x] == [(k - 1) % t + 1 for k in range(1, (x + 1) // 2)]
+    by_center = _matching_colors(cyclic_matching_coloring(x, t))
+    by_k = [(k - 1) % t + 1 for k in range(1, (x + 1) // 2)]
+    assert by_center == {i: by_k for i in range(1, x + 1)}
+    assert sorted(by_k) == sorted(list(range(1, t + 1)) * (q // 2))
 
 
 def test_near_regular_layout_invariants():
@@ -83,16 +76,18 @@ def test_near_regular_layout_invariants():
 @pytest.mark.parametrize("t", range(2, 7))
 @pytest.mark.parametrize("q", (2, 4))
 def test_regular_coloring_exact_rows(t, q):
-    coloring = regular_coloring(t, q)
+    coloring = cyclic_matching_coloring(t * q + 1, t)
     assert coloring.p == t * q + 1
     assert color_degree_profile(coloring) == [[q] * t] * coloring.p
 
 
 def test_regular_coloring_rejects_odd_q():
-    with pytest.raises(InvalidParameterError):
-        regular_coloring(2, 3)
-    with pytest.raises(InvalidParameterError):
-        regular_coloring(2, 0)
+    # odd q: at odd t the order tq+1 is even, which the cyclic coloring
+    # refuses, and at even t no q-regular class on tq+1 vertices exists,
+    # so the cyclic rows are uneven there
+    with pytest.raises(InvalidParameterError, match="need odd p"):
+        cyclic_matching_coloring(3 * 3 + 1, 3)
+    assert color_degree_profile(cyclic_matching_coloring(2 * 3 + 1, 2)) == [[4, 2]] * 7
 
 
 def _valid_floor_triples(max_order):
@@ -159,14 +154,19 @@ def test_partitioned_factorization_random_sizes():
 
 @pytest.mark.parametrize("n", range(2, 16))
 def test_three_color_balanced(n):
-    coloring = three_color_balanced_coloring(n)
+    # (t, s) = (3, 1) takes the general cases: every row is [n-1] * 3
+    coloring, recipe = witness_coloring(n, 3, 1)
     assert coloring.p == 3 * n - 2
+    assert recipe.tag == ("partitioned-factorization" if n % 2 == 0 else "cyclic")
     assert color_degree_profile(coloring) == [[n - 1] * 3] * coloring.p
 
 
 def test_three_color_balanced_rejects_small_n():
-    with pytest.raises(InvalidParameterError):
-        three_color_balanced_coloring(1)
+    # the (3, 1) witness takes n = 1 (K_1, no color class) and refuses n = 0
+    coloring, recipe = witness_coloring(1, 3, 1)
+    assert (coloring.p, recipe.tag) == (1, "cyclic")
+    with pytest.raises(InvalidParameterError, match="need n >= 1"):
+        witness_coloring(0, 3, 1)
 
 
 def test_cyclic_matching_coloring():
@@ -205,26 +205,26 @@ def test_builder_row_checks_still_fire(monkeypatch, unused):
     with pytest.raises(ConstructionFailedError,
                        match=r"^partitioned factorization row \[5, 0"):
         partitioned_factorization_coloring(6, [2, 3] + [0] * unused)
-    # an even three-color order is the partitioned factorization, whose
-    # row check is exactly the balanced one
+    # an even (3, 1) witness is the partitioned factorization, whose row
+    # check is exactly the balanced one
     with pytest.raises(ConstructionFailedError, match=(
             r"^partitioned factorization row \[3, 0, 0\] != \[1, 1, 1\] at vertex 1$")):
-        three_color_balanced_coloring(2)
-    # one color on every edge: the rotation colorings and the odd
-    # three-color coloring miss their rows at the first vertex
+        witness_coloring(2, 3, 1)
+    # one color on every edge: the rotation and cyclic colorings miss
+    # their rows at the first vertex
     monkeypatch.setattr(constructions, "_rotation_colors",
                         lambda p, color_of_center, by_k: b"\x01" * edge_count(p))
     with pytest.raises(ConstructionFailedError,
-                       match=r"^regular coloring row \[4, 0\] != \[2, 2\] at vertex 1$"):
-        regular_coloring(2, 2)
-    with pytest.raises(ConstructionFailedError,
                        match=r"^near-regular row \[4, 0, 0\] below \[1, 1, 1\] at vertex 1$"):
         near_regular_coloring(3, 1, 2)
-    monkeypatch.setattr(constructions, "cyclic_matching_coloring", lambda p, t: (
-        EdgeColoring.from_array(p, t, [1] * edge_count(p))))
+    monkeypatch.setattr(constructions, "_index_table", lambda x: [0] + [1] * (x - 1))
     with pytest.raises(ConstructionFailedError, match=(
-            r"^three-color balanced row \[6, 0, 0\] != \[2, 2, 2\] at vertex 1$")):
-        three_color_balanced_coloring(3)
+            r"^cyclic row \[6, 0, 0\] != \[2, 2, 2\] at vertex 1$")):
+        witness_coloring(3, 3, 1)
+    # past p colors the row is checked over the p it can use, and so named
+    with pytest.raises(ConstructionFailedError, match=(
+            r"^cyclic row \[6, 0, 0, 0, 0, 0, 0\] != \[2, 2, 2, 0, 0, 0, 0\] at vertex 1$")):
+        cyclic_matching_coloring(7, 2**40)
 
 
 def test_balanced_class_sizes():
@@ -237,11 +237,11 @@ def test_witness_examples():
     coloring, recipe = witness_coloring(3, 3, 1)
     assert coloring.p == 7
     assert min_star_colors(coloring, 3) >= 2
-    assert recipe.tag == "three-color-balanced"
+    assert recipe == WitnessRecipe("cyclic", {"p": 7, "t": 3})
 
     coloring, recipe = witness_coloring(5, 4, 2)
     assert coloring.p == 9
-    assert recipe.tag == "regular"
+    assert recipe == WitnessRecipe("cyclic", {"p": 9, "t": 4})
     assert min_star_colors(coloring, 5) >= 3
 
     coloring, recipe = witness_coloring(4, 2, 1)
@@ -276,14 +276,14 @@ def test_certificate_bytes_are_pinned_over_grid():
                 count += 1
     assert count == 507
     assert digest.hexdigest() == (
-        "80e5e24e1e2a7c9f3a83489f1702efdc0972ab28255e4e8640d1edb800deee58")
+        "5e570e7cfcbfdef0a7af409cb6087969432050a93bc79ed30f61f09b140fea45")
 
 
 @pytest.mark.parametrize("n, t, s, order, tag, prefix", [
     (600, 8, 6, 798, "partitioned-factorization", "f42f0988"),
-    (571, 7, 5, 799, "regular", "2202923e"),
+    (571, 7, 5, 799, "cyclic", "5661b6b7"),
     (669, 12, 10, 801, "near-regular", "9791b949"),
-    (269, 3, 1, 805, "three-color-balanced", "5c28b78f"),
+    (269, 3, 1, 805, "cyclic", "5c28b78f"),
 ])
 def test_large_certificate_bytes_are_pinned(n, t, s, order, tag, prefix):
     coloring, recipe = witness_coloring(n, t, s)
@@ -300,22 +300,20 @@ def test_special_matching_ranks_are_the_center_scan(x):
 
 
 _ONE_TABLE_CASES = [
-    # (n, t, s, tag, params): params None takes _witness_recipe's recipe, which
-    # has an n-star here
+    # (n, t, s, tag, params): params None takes _witness_recipe's recipe
     (4, 2, 1, "partitioned-factorization", None),       # K_6
-    (3, 2, 1, "regular", None),                         # K_5
+    (3, 2, 1, "cyclic", None),                          # K_5, b = 0
     (4, 3, 2, "near-regular", None),                    # K_5
-    (2, 3, 1, "three-color-balanced", None),            # even K_4
-    (3, 3, 1, "three-color-balanced", None),            # odd K_7
-    # _witness_recipe picks this one only where no n-star exists
+    (2, 3, 1, "partitioned-factorization", None),       # even K_4 at (t, s) = (3, 1)
+    (5, 4, 2, "cyclic", None),                          # K_9, b = 0
+    # odd K_7 at (3, 1), with its recipe stated here instead of picked
     (3, 3, 1, "cyclic", {"p": 7, "t": 3}),
 ]
 
 
 def test_builder_table_covers_every_recipe():
-    # every tag classify picks on the 507-point grid, and the one it picks
-    # only where no n-star exists, names a builder whose keyword arguments
-    # are the params
+    # every tag classify picks on the 507-point grid names a builder whose
+    # keyword arguments are the params
     recipes = [classify(n, t, s).witness
                for t in range(2, 9) for s in (t - 1, t - 2) if s >= 1 for n in range(2, 41)]
     recipes += [WitnessRecipe(tag, params) for *_, tag, params in _ONE_TABLE_CASES if params]
@@ -336,9 +334,11 @@ def test_benchmark_counts_every_builder_tag():
             if isinstance(node, ast.Assign)
             and [getattr(t, "id", None) for t in node.targets] == ["RECIPE_TAGS"]]
     assert len(tags) == 1
-    # the benchmark still lists the retired "matching-classes" tag, whose
-    # counter reads 0; it goes at the benchmark's next change
-    assert sorted(tags[0]) == sorted([*constructions.BUILDERS, "matching-classes"])
+    # the benchmark still lists the retired "matching-classes", "regular"
+    # and "three-color-balanced" tags, whose counters read 0; they go at
+    # the benchmark's next change
+    assert sorted(tags[0]) == sorted([*constructions.BUILDERS, "matching-classes", "regular",
+                                      "three-color-balanced"])
 
 
 @pytest.mark.parametrize("n, t, s, tag, params", _ONE_TABLE_CASES)
@@ -376,6 +376,23 @@ def test_oversized_order_is_refused_before_allocating():
     assert peak < 1 << 20
 
 
+def test_wide_palette_order_is_refused_before_its_recipe():
+    # (2, 2^20, 1) asks for K_1048576, refused before the recipe lists
+    # 2^20 class sizes (the list made a 16 MiB peak when it came first)
+    message = ("^K_1048576 has 549755289600 edges, about 67108800 MiB of arrays; "
+               "the limit is 2048 MiB$")
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidParameterError, match=message):
+            witness_coloring(2, 2**20, 1)
+        with pytest.raises(InvalidParameterError, match=message):
+            sample_upper_check(5, 2, 2**20, 1, trials=1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_builders_refuse_oversized_orders_before_allocating():
     # the library builders and build_recipe check the order themselves,
     # before any per-vertex or per-edge list
@@ -394,12 +411,12 @@ def test_builders_refuse_oversized_orders_before_allocating():
 
 
 def test_rotation_builders_refuse_oversized_orders_before_their_layouts():
-    # K_100001 both: the order is checked before the per-center and per-k
-    # color lists, which peak at about 1.6 MB there
+    # K_100002 and K_100001: the order is checked before the per-center
+    # and per-k color lists, which peak at about 1.6 MB there
     tracemalloc.start()
     try:
-        with pytest.raises(InvalidParameterError, match="K_100001 has"):
-            regular_coloring(2, 50_000)
+        with pytest.raises(InvalidParameterError, match="K_100002 has"):
+            partitioned_factorization_coloring(100_002, [50_000, 50_001])
         with pytest.raises(InvalidParameterError, match="K_100001 has"):
             near_regular_coloring(3, 33_333, 2)
         _, peak = tracemalloc.get_traced_memory()
@@ -408,21 +425,26 @@ def test_rotation_builders_refuse_oversized_orders_before_their_layouts():
     assert peak < 1 << 20
 
 
-def test_four_builder_cases_certify_every_budget():
-    # budgets compute does not serve: witness_coloring, the path construct
-    # runs, certifies K_{U_par - 1} with one of the four cases
-    count = 0
-    for t in range(4, 11):
-        for s in range(1, t - 2):
-            for n in range(2, 61):
+def test_three_builder_cases_certify_every_budget():
+    # witness_coloring, the path construct runs, certifies K_{U_par - 1}
+    # at every budget with one of the three cases, and at b = 0 (p odd)
+    # every color class is a-regular
+    tags, count = set(), 0
+    for t in range(2, 13):
+        for s in range(1, t):
+            for n in range(1, 61):
                 value, _ = star_upper(n, t, s)
                 coloring, recipe = witness_coloring(n, t, s)
-                assert recipe.tag in ("partitioned-factorization", "cyclic", "regular",
-                                      "near-regular"), (n, t, s)
+                tags.add(recipe.tag)
+                count += 1
                 assert coloring.p == value - 1
                 assert check_certificate(coloring, n, s).passed, (n, t, s, recipe)
-                count += 1
-    assert count == 1652
+                a, b = divmod(n - 1, s)
+                if b == 0 and coloring.p % 2:
+                    assert recipe.tag == "cyclic", (n, t, s)
+                    assert color_degree_profile(coloring) == [[a] * t] * coloring.p, (n, t, s)
+    assert tags == {"partitioned-factorization", "cyclic", "near-regular"}
+    assert count == 3960
 
 
 def test_size_limit_leaves_room_for_the_largest_certificates():

@@ -4,6 +4,7 @@ from starramsey import classify, general_bounds, oracle
 from starramsey.errors import InvalidParameterError, UnsupportedParametersError
 from starramsey.formulas import (
     MAX_WITNESS_COLORS,
+    WitnessRecipe,
     _case_value,
     _t_minus_1_case,
     _t_minus_2_case,
@@ -177,14 +178,17 @@ def test_clauses_match_threshold_predicate():
 
 def test_witness_recipe_matches_case():
     v = classify(5, 4, 2)
-    assert v.witness.tag == "regular"
-    assert v.witness.params == {"t": 4, "q": 2}
+    assert v.witness.tag == "cyclic"
+    assert v.witness.params == {"p": 9, "t": 4}
     v = classify(4, 2, 1)
     assert v.witness.tag == "partitioned-factorization"
     assert v.witness.params["class_sizes"] == [2, 3]
     v = classify(3, 5, 3)
     assert v.witness.tag == "cyclic"
-    assert classify(7, 3, 1).witness.tag == "three-color-balanced"
+    # (t, s) = (3, 1) takes the general cases
+    assert classify(7, 3, 1).witness == WitnessRecipe("cyclic", {"p": 19, "t": 3})
+    assert classify(6, 3, 1).witness == WitnessRecipe(
+        "partitioned-factorization", {"p": 16, "class_sizes": [5, 5, 5]})
 
 
 def test_witness_color_limit():

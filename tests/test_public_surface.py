@@ -14,7 +14,8 @@ README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding=
 
 # names the package exported once and no longer has
 DELETED = ("ClassLayout", "regular_layout", "near_regular_layout", "ramsey_star_t_minus_1",
-           "ramsey_star_t_minus_2", "threshold_predicate")
+           "ramsey_star_t_minus_2", "threshold_predicate", "regular_coloring",
+           "three_color_balanced_coloring")
 
 
 def test_every_exported_name_resolves():

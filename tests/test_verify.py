@@ -12,11 +12,10 @@ from starramsey import (
     SampleCheckResult,
     check_certificate,
     constructions,
+    cyclic_matching_coloring,
     min_star_colors,
     oracle,
-    regular_coloring,
     sample_upper_check,
-    three_color_balanced_coloring,
     validate,
     verify,
     witness_coloring,
@@ -86,7 +85,7 @@ def test_mapping_names_keys_of_any_type_in_mapping_order():
 def test_min_star_examples():
     assert min_star_colors(_mono(5), 3) == 1
     assert min_star_colors(_proper_k4(), 3) == 3
-    assert min_star_colors(regular_coloring(2, 2), 3) == 2
+    assert min_star_colors(cyclic_matching_coloring(5, 2), 3) == 2
     assert min_star_colors(_mono(3), 3) is None
 
 
@@ -139,7 +138,7 @@ def test_min_star_monotone_in_n(coloring):
 
 
 def test_check_certificate_examples():
-    cert = check_certificate(three_color_balanced_coloring(3), 3, 1)
+    cert = check_certificate(cyclic_matching_coloring(7, 3), 3, 1)
     assert cert.passed and cert.min_colors == 2
 
     cert = check_certificate(_mono(7), 3, 1)
@@ -148,7 +147,7 @@ def test_check_certificate_examples():
     assert cert.offending_colors == (1,)
     assert cert.covered_edges >= 3
 
-    cert = check_certificate(regular_coloring(4, 2), 5, 2)
+    cert = check_certificate(cyclic_matching_coloring(9, 4), 5, 2)
     assert cert.passed and cert.min_colors == 3
 
 
