@@ -146,10 +146,7 @@ def _cmd_verify(args) -> tuple[int, dict]:
 def _cmd_oracle(args) -> tuple[int, dict]:
     from . import oracle
 
-    edge_budget = (oracle.DEFAULT_EDGE_BUDGET if args.edge_budget is None
-                   else args.edge_budget)
-    result = oracle.ramsey_value(args.n, args.t, args.s, args.max_p,
-                                 edge_budget=edge_budget, threads=args.threads)
+    result = oracle.ramsey_value(args.n, args.t, args.s, args.max_p, threads=args.threads)
     value = f"exceeds_p_max={args.max_p}" if result.value is None else result.value
     return 0, {"value": value, **result.stats._asdict()}
 
@@ -230,8 +227,7 @@ COMMANDS = {
     "oracle": (_cmd_oracle, "exhaustive small-instance value", (
         *_NTS,
         Flag("--max-p", int),
-        # default: oracle.DEFAULT_EDGE_BUDGET, read when the command runs
-        Flag("--edge-budget", int, required=False),
+        Flag("--edge-budget", int, required=False, help="ignored: a node budget bounds the search"),
         Flag("--threads", int, required=False, default=1),
     )),
     "table": (_cmd_table, "value table over a range of n", (

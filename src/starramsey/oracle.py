@@ -9,13 +9,11 @@ The question goes to one depth-first search, ``_search``.  It assigns
 edges in lexicographic order, tries each edge's colors least-loaded
 first, quotients out color relabeling by allowing a new color only after
 all smaller ones appear, and prunes a branch when a per-vertex
-optimistic bound cannot beat s; the bound of each color-degree row is
-computed once per search.  The bound water-fills a row's remaining edges
-onto its smallest classes and reads the filled row's fewest star colors
-by the rule of ``verify.star_minima``, written again here: of the
+optimistic bound cannot beat s.  The bound water-fills a row's remaining
+edges onto its smallest classes and reads the filled row's fewest star
+colors by the rule of ``verify.star_minima``, written again here: of the
 package the oracle imports only ``errors``, so that it checks the kernel
-and the formulas rather than sharing them.  The incumbent starts at s,
-and the search stops at the first witness.
+and the formulas rather than sharing them.
 
 Two root checks can settle an order before the first edge
 (``_root_settles``): the bound at the empty coloring, and a parity
@@ -31,12 +29,11 @@ borrows it.
 ``ramsey_value`` scans upward with the root checks alone to the first
 order they settle, then searches downward from the order below it for
 a witness.  Where the root checks settle R itself, every node goes to
-the witness at K_{R-1}.
-
-The search is sequential and deterministic, so results and node counts
-depend on the instance alone.  ``ramsey_value`` accepts ``threads`` (it
-must be >= 1) and runs the same search: the search is pure Python, and
-a thread pool gave no speedup.
+the witness at K_{R-1}.  One bound limits the work, at any t and any
+order: ``NODE_BUDGET`` nodes per call.  The search is sequential and
+deterministic, so results and node counts depend on the instance alone;
+``threads`` (>= 1) runs the same search, since a thread pool gave no
+speedup.
 """
 from __future__ import annotations
 
@@ -46,8 +43,11 @@ from typing import NamedTuple
 
 from .errors import InfeasibleInstanceError, InvalidParameterError
 
-DEFAULT_EDGE_BUDGET = 21
-DEFAULT_MAX_COLORS = 4
+# The most nodes one ramsey_value call may search: a refusal comes in
+# about 1-1.5 s at small orders (2-vCPU VM, Python 3.11.7).
+NODE_BUDGET = 500_000
+# Row cells the bound memo holds (about 70 MB) before it starts over; never at t <= 8.
+_MEMO_CELLS = 2**23
 
 
 class SearchStats(NamedTuple):
@@ -138,107 +138,112 @@ def _admissible_rows(total: int, t: int, s: int, room: int):
 
 
 def _parity_forbids(p: int, n: int, t: int, s: int) -> bool:
-    """True when no t-coloring of K_p has every n-star on more than
-    s colors, by parity.
-
-    A vertex's n-stars all show more than s colors exactly when its
-    top-s color degrees sum to at most n-1; call such a row
-    admissible.  If p is odd and every admissible row has all parts odd,
-    every vertex has odd degree in color 1, and p odd degrees cannot sum
-    to the even 2|E_1|.  The walk stops at the first admissible row
-    with an even part.
-    """
+    """True when no t-coloring of K_p has every n-star on more than s
+    colors, by the parity rule of the module docstring: p is odd and
+    every admissible row, walked to the first with an even part, has all
+    parts odd."""
     return p % 2 == 1 and all(
         all(d % 2 for d in row) for row in _admissible_rows(p - 1, t, s, n - 1))
 
 
 def _root_settles(p: int, n: int, t: int, s: int) -> bool:
     """True when no t-coloring of K_p beats s, by the checks made before
-    the first edge: the bound at the empty coloring, then parity."""
-    return _reachable_k([0] * t, p - 1, n) <= s or _parity_forbids(p, n, t, s)
+    the first edge: the bound at the empty row, whose p-1 edges fill at
+    most ``min(t, p-1)`` classes, then parity, which needs t <= p-1 (past
+    it every admissible row has a 0 part)."""
+    return (_reachable_k([0] * min(t, p - 1), p - 1, n) <= s
+            or t <= p - 1 and _parity_forbids(p, n, t, s))
 
 
 # an order settled at the root: no node, one bound prune
 _ROOT_PRUNE = SearchStats(0, 0, 1)
 
 
-def _search(p: int, n: int, t: int, s: int) -> OracleResult:
+def _search(p: int, n: int, t: int, s: int, spent: int = 0) -> OracleResult:
     """The fewest star colors of the first witness on K_p, or s when K_p
-    has none; the search stops at the first leaf that beats s.
+    has none; the search stops at the first leaf that beats s, and
+    refuses once ``spent`` plus its own nodes pass ``NODE_BUDGET``.
 
-    A branch is pruned when the least per-vertex bound is ``<=`` the
-    incumbent.  At a leaf no edge remains, so the bound is the coloring's
-    exact value.  The root alone is also pruned by parity
-    (``_root_settles``); either root prune is one ``bound_prunes``.
-    Each edge tries its colors least-loaded first: by the edge's two
-    endpoints' current degrees in that color, then by color.  This
-    changes only the order of the children, so a refutation visits the
-    same nodes; a witness turns up sooner.
-    Bounds are memoized per search by row: n is fixed, and a row fixes
-    its remaining edges (p-1 minus its sum).
+    A branch is pruned when the least per-vertex bound is ``<= s``; at a
+    leaf it is the coloring's exact value.  A root prune, by the bound or
+    by parity, is one ``bound_prunes``.  Each edge tries its colors
+    least-loaded first (by its ends' degrees in the color, then by color),
+    which reorders only the children: a refutation visits the same nodes.
+    Bounds are memoized by row, since a row fixes its remaining edges.
+    The open edges sit on one stack, not one Python frame each.  Rows
+    start at ``min(t, p-1)`` classes and grow as canonical colors open: a
+    row of p-1 classes or more has a 0 class for each edge it still takes,
+    so the extra classes move no bound.
     """
     if _root_settles(p, n, t, s):
         return OracleResult(s, _ROOT_PRUNE)
     # its own lexicographic edge list, not coloring.edges: oracle loads only errors
     edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
     last = len(edges) - 1
-    counts = [[0] * t for _ in range(p + 1)]
-    rem = [p - 1] * (p + 1)
-    vb = [_reachable_k([0] * t, p - 1, n)] * (p + 1)
-    vb[0] = t + 1  # no vertex 0; never the least bound
-
+    width = min(t, p - 1)
+    counts = [[0] * width for _ in range(p + 1)]
+    vb = [n + 1, *[_reachable_k([0] * width, p - 1, n)] * p]  # vertex 0: never the least
     bounds: dict[tuple[int, ...], int] = {}
-    nodes = 0
-    skips = 0
-    prunes = 0
-    incumbent = s
-
-    def dfs(i, maxc):
-        nonlocal nodes, skips, prunes, incumbent
+    nodes = skips = prunes = 0
+    left = NODE_BUDGET - spent
+    stack = [(0, 0, 0, None)]  # per open edge: index, maxc, colors tried, their order
+    path = []  # per stack entry under the top: its edge's color, its ends' old bounds
+    while stack:
+        i, maxc, tried, order = stack[-1]
         u, v = edges[i]
         cu, cv = counts[u], counts[v]
         allowed = maxc + 1 if maxc < t else t
-        skips += t - allowed
-        # least-loaded color first; the sort is stable, so ties go by color
-        for c in sorted(range(allowed), key=lambda c: cu[c] + cv[c]):
+        if tried:  # back from a child: take back its color
+            c, vb[u], vb[v] = path.pop()
+            cu[c] -= 1
+            cv[c] -= 1
+        else:
+            skips += t - allowed
+            if allowed > len(cu):  # a color no row holds yet
+                for row in counts:
+                    row.append(0)
+            if len(bounds) * len(cu) > _MEMO_CELLS:
+                bounds.clear()
+        if order is None:
+            # least-loaded color first; the sort is stable, so ties go by color
+            order = sorted(range(allowed), key=lambda c: cu[c] + cv[c])
+        for c in order[tried:]:
             nodes += 1
+            if nodes > left:
+                raise InfeasibleInstanceError(
+                    f"the search spent the budget of {NODE_BUDGET} nodes and left K_{p} open")
             cu[c] += 1
             cv[c] += 1
-            rem[u] -= 1
-            rem[v] -= 1
             old_u, old_v = vb[u], vb[v]
             key = tuple(cu)
             b = bounds.get(key)
             if b is None:
-                b = bounds[key] = _reachable_k(cu, rem[u], n)
+                b = bounds[key] = _reachable_k(cu, p - 1 - sum(cu), n)
             vb[u] = b
             key = tuple(cv)
             b = bounds.get(key)
             if b is None:
-                b = bounds[key] = _reachable_k(cv, rem[v], n)
+                b = bounds[key] = _reachable_k(cv, p - 1 - sum(cv), n)
             vb[v] = b
             bound = min(vb)
-            if bound <= incumbent:
-                prunes += 1
-            elif i == last:
-                incumbent = bound
-            else:
-                dfs(i + 1, maxc if c < maxc else c + 1)
+            if bound > s:
+                if i == last:
+                    return OracleResult(bound, SearchStats(nodes, skips, prunes))
+                # a long order is sorted again on the way back, not kept
+                stack[-1] = i, maxc, order.index(c) + 1, order if allowed <= 8 else None
+                path.append((c, old_u, old_v))
+                stack.append((i + 1, maxc if c < maxc else c + 1, 0, None))
+                break
+            prunes += 1
             vb[u], vb[v] = old_u, old_v
             cu[c] -= 1
             cv[c] -= 1
-            rem[u] += 1
-            rem[v] += 1
-            if incumbent > s:
-                break
-
-    dfs(0, 0)
-    return OracleResult(incumbent, SearchStats(nodes, skips, prunes))
+        else:
+            stack.pop()
+    return OracleResult(s, SearchStats(nodes, skips, prunes))
 
 
-def ramsey_value(n: int, t: int, s: int, p_max: int, *,
-                 edge_budget: int = DEFAULT_EDGE_BUDGET,
-                 threads: int = 1) -> RamseyResult:
+def ramsey_value(n: int, t: int, s: int, p_max: int, *, threads: int = 1) -> RamseyResult:
     """Smallest p <= p_max where every t-coloring of K_p has an n-star on
     at most s colors.
 
@@ -252,11 +257,10 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
     * downward from P0-1, one decision search per order, to the first
       order with a witness.
 
-    Witnesses are cheap to find near R, and every order at or above P0 is
-    refuted without a search.  ``DEFAULT_MAX_COLORS``, read at the call,
-    is checked first, since the root checks build t-part rows too;
-    ``edge_budget`` is checked at each order the upward pass leaves open,
-    since a search runs at that order or above it.
+    Every order at or above P0 is refuted without a search.
+    ``NODE_BUDGET``, read at the call, bounds the nodes of all the
+    searches together; the upward pass refuses an open order with more
+    edges than that, since a witness there takes one node per edge.
     """
     if n < 1 or t < 1 or s < 1 or p_max < 2:
         raise InvalidParameterError(
@@ -264,18 +268,18 @@ def ramsey_value(n: int, t: int, s: int, p_max: int, *,
         )
     if threads < 1:
         raise InvalidParameterError(f"need threads >= 1, got {threads}")
-    if t > DEFAULT_MAX_COLORS:
-        raise InfeasibleInstanceError(f"t={t} is over the color budget of {DEFAULT_MAX_COLORS}")
     p0 = n + 1
     while p0 <= p_max and not _root_settles(p0, n, t, s):
-        if (num_edges := p0 * (p0 - 1) // 2) > edge_budget:
+        if (num_edges := p0 * (p0 - 1) // 2) > NODE_BUDGET:
             raise InfeasibleInstanceError(
-                f"K_{p0} has {num_edges} edges, over the budget of {edge_budget}")
+                f"K_{p0} has {num_edges} edges, over the budget of {NODE_BUDGET} nodes")
         p0 += 1
     checked = [(p0, OracleResult(s, _ROOT_PRUNE))] if p0 <= p_max else []
+    spent = 0
     for p in range(p0 - 1, n, -1):
-        result = _search(p, n, t, s)
+        result = _search(p, n, t, s, spent)
         checked.append((p, result))
+        spent += result.stats.nodes
         if result.value > s:
             break
     else:

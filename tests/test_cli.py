@@ -20,7 +20,7 @@ from starramsey import (
     serialize_coloring,
     write_coloring,
 )
-from starramsey import cli
+from starramsey import cli, oracle
 from starramsey.cli import EXIT_BROKEN_PIPE, main
 from starramsey.errors import ConstructionFailedError, StarRamseyError
 
@@ -250,17 +250,15 @@ def test_oracle_command(capsys):
     assert int(fields["nodes"]) > 0
 
 
-def test_oracle_budget_exit(capsys):
-    # R(3, 2, 1) = 6: the root settles K_6, so only K_5 (10 edges), where
-    # the search runs, has to fit the edge budget
-    rc, out, _ = run(capsys, "oracle", "--n", "3", "--t", "2", "--s", "1",
-                     "--max-p", "9", "--edge-budget", "10")
-    assert rc == 0
-    assert kv(out)["value"] == "6"
-    rc, _, err = run(capsys, "oracle", "--n", "3", "--t", "2", "--s", "1",
-                     "--max-p", "9", "--edge-budget", "9")
-    assert rc == 2
-    assert "budget" in err
+def test_oracle_budget_exit(capsys, monkeypatch):
+    # R(3, 2, 1) = 6, found in 14 nodes at K_5: a node budget below that
+    # refuses with exit 2 and one error line, and --edge-budget is ignored
+    argv = ("oracle", "--n", "3", "--t", "2", "--s", "1", "--max-p", "9")
+    rc, out, _ = run(capsys, *argv, "--edge-budget", "9")
+    assert (rc, kv(out)["value"], kv(out)["nodes"]) == (0, "6", "14")
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 13)
+    assert run(capsys, *argv, "--edge-budget", "1000000000") == (
+        2, "", "error: the search spent the budget of 13 nodes and left K_5 open\n")
 
 
 def test_sample_check_command(capsys):
@@ -457,10 +455,17 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
 
 
 def test_oracle_default_edge_budget(capsys):
-    # K_7 (21 edges) is searched and does not qualify; K_8 is over the budget
-    rc, out, err = run(capsys, "oracle", "--n", "6", "--t", "2", "--s", "1",
-                       "--max-p", "9")
-    assert (rc, out, err) == (2, "", "error: K_8 has 28 edges, over the budget of 21\n")
+    # no edge or color cap: the node budget alone bounds the search, so
+    # the K_13 witness of (5, 3, 1) and the K_58 one of (30, 2, 1), past
+    # any recursion limit, are in reach with the default flags
+    assert run(capsys, "oracle", "--n", "5", "--t", "3", "--s", "1", "--max-p", "20") == (
+        0, "value 14\nnodes 114\ncanonical_skips 3\nbound_prunes 30\n", "")
+    assert run(capsys, "oracle", "--n", "30", "--t", "2", "--s", "1", "--max-p", "60",
+               "--edge-budget", "5000") == (
+        0, "value 59\nnodes 1653\ncanonical_skips 1\nbound_prunes 1\n", "")
+    # K_9 has a witness for (6, 2, 1), whose R is 11
+    assert run(capsys, "oracle", "--n", "6", "--t", "2", "--s", "1", "--max-p", "9")[:2] == (
+        0, "value exceeds_p_max=9\nnodes 36\ncanonical_skips 1\nbound_prunes 0\n")
 
 
 class _DigestWriter:

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,8 +89,8 @@ def test_search_refutes_parity_order_without_root_rules(monkeypatch):
     assert refuted.stats.nodes > 1000
 
 
-# every parity cut (star_upper's argument "parity") whose K_{U_par} fits the
-# default edge budget, with the nodes the search spends refuting K_{U_par}
+# every parity cut (star_upper's argument "parity") at t <= 4 whose K_{U_par}
+# has at most 21 edges, with the nodes the search spends refuting K_{U_par}
 PARITY_CUTS = {(2, 2, 1): (3, 5), (4, 2, 1): (7, 11_177), (2, 4, 1): (5, 50),
                (3, 4, 2): (5, 50), (4, 4, 3): (5, 50)}
 
@@ -99,10 +100,10 @@ def test_search_alone_refutes_parity_cuts(monkeypatch):
     # refutes K_{U_par}: the one check of a parity value whose argument
     # differs from star_upper's (the row rule is the same argument again);
     # K_{U_par} has more than n vertices, so n <= 6 covers 21 edges
-    values = {(n, t, s): star_upper(n, t, s) for t in range(2, oracle.DEFAULT_MAX_COLORS + 1)
+    values = {(n, t, s): star_upper(n, t, s) for t in range(2, 5)
               for s in range(1, t) for n in range(1, 7)}
     assert set(PARITY_CUTS) == {key for key, (p, how) in values.items() if how == "parity"
-                                and p * (p - 1) // 2 <= oracle.DEFAULT_EDGE_BUDGET}
+                                and p * (p - 1) // 2 <= 21}
     monkeypatch.setattr(oracle, "_parity_forbids", lambda p, n, t, s: False)
     for (n, t, s), (p, nodes) in PARITY_CUTS.items():
         assert star_upper(n, t, s)[0] == p and not oracle._root_settles(p, n, t, s)
@@ -126,16 +127,21 @@ DECISION_INSTANCES = {
 }
 
 
-def test_ramsey_value_matches_classify_on_pinned_instances():
+def test_ramsey_value_matches_classify_on_pinned_instances(monkeypatch):
     t0 = time.perf_counter()
     for (n, t, s), (want, stats) in DECISION_INSTANCES.items():
-        # the root settles K_R, so only K_{R-1} must fit the edge budget
-        res = ramsey_value(n, t, s, want, edge_budget=(want - 1) * (want - 2) // 2)
+        res = ramsey_value(n, t, s, want)
         assert res.value == want == classify(n, t, s).value
         assert (res.stats.nodes, res.stats.canonical_skips, res.stats.bound_prunes) == stats
         (p, root), (q, witness) = res.checked
         assert (p, root) == (want, (s, (0, 0, 1)))
         assert q == want - 1 and witness.value > s
+    # the bound memo only saves time: emptied at every open edge, it
+    # leaves every value and count as it was
+    monkeypatch.setattr(oracle, "_MEMO_CELLS", 0)
+    for (n, t, s), (want, stats) in DECISION_INSTANCES.items():
+        res = ramsey_value(n, t, s, want)
+        assert (res.value, res.stats) == (want, stats)
     # about 0.01 s on a 2-vCPU VM
     assert time.perf_counter() - t0 < 10
 
@@ -217,6 +223,8 @@ def test_reachable_k_is_the_best_any_completion_reaches():
                 for n in range(1, sum(row) + extra + 1):
                     best = star_minima_reference(completed, n).max()
                     assert _reachable_k(list(row), extra, n) == best, (row, extra, n)
+                    if row.count(0) >= extra:  # one more 0 class, as a row grows, moves nothing
+                        assert _reachable_k([*row, 0], extra, n) == best, (row, extra, n)
                     cases += 1
     assert cases == 16_368
 
@@ -226,12 +234,12 @@ def test_parity_orders_in_reach():
     # ends at once instead of a full refutation
     t0 = time.perf_counter()
     for n, want in ((6, 11), (8, 15)):
-        res = ramsey_value(n, 2, 1, want, edge_budget=want * (want - 1) // 2)
+        res = ramsey_value(n, 2, 1, want)
         assert res.value == want == classify(n, 2, 1).value
     # s = t-3, outside classify: 2 and 10 are the pigeonhole order, 5 and
     # 13 one below it (parity)
     for n, want, parity in ((1, 2, False), (2, 5, True), (3, 10, False), (4, 13, True)):
-        res = ramsey_value(n, 4, 1, want, edge_budget=want * (want - 1) // 2)
+        res = ramsey_value(n, 4, 1, want)
         assert res.value == want == pigeonhole_upper(n, 4, 1) - parity
     # about 0.02 s on a 2-vCPU VM
     assert time.perf_counter() - t0 < 5
@@ -263,15 +271,59 @@ def test_threshold_monotone_in_p():
                for p, w in witness.items())
 
 
-def test_budget_errors_are_explicit():
-    with pytest.raises(InfeasibleInstanceError):
-        ramsey_value(6, 2, 1, 8)                 # K_8: 28 edges over default budget
-    with pytest.raises(InfeasibleInstanceError):
-        ramsey_value(2, 5, 1, 4)                 # t over default color budget
+def test_budget_errors_are_explicit(monkeypatch):
     with pytest.raises(InvalidParameterError):
         ramsey_value(2, 2, 0, 4)                 # no budget below one color
-    # a raised budget admits the same instance; R(6, 2, 1) = 11
-    assert ramsey_value(6, 2, 1, 8, edge_budget=28).value is None
+    # no cap on edges or colors: R(6, 2, 1) = 11 and R(2, 5, 1) = 7
+    assert ramsey_value(6, 2, 1, 8).value is None
+    assert ramsey_value(2, 5, 1, 7).value == 7
+    # NODE_BUDGET, read at the call, bounds the nodes of every search in
+    # it: (5, 3, 1) spends 114 on the witness at K_13, whose 78 edges the
+    # upward scan also weighs against it
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 114)
+    assert ramsey_value(5, 3, 1, 20).value == 14
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 113)
+    with pytest.raises(InfeasibleInstanceError,
+                       match="^the search spent the budget of 113 nodes and left K_13 open$"):
+        ramsey_value(5, 3, 1, 20)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 77)
+    with pytest.raises(InfeasibleInstanceError,
+                       match="^K_13 has 78 edges, over the budget of 77 nodes$"):
+        ramsey_value(5, 3, 1, 20)
+    # with the root rules off, (4, 2, 1) spends 11,177 nodes refuting K_7
+    # and 15 on the witness at K_6: the budget counts both searches
+    monkeypatch.setattr(oracle, "_root_settles", lambda p, n, t, s: False)
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 11_192)
+    assert ramsey_value(4, 2, 1, 7).stats.nodes == 11_192
+    monkeypatch.setattr(oracle, "NODE_BUDGET", 11_191)
+    with pytest.raises(InfeasibleInstanceError,
+                       match="^the search spent the budget of 11191 nodes and left K_6 open$"):
+        ramsey_value(4, 2, 1, 7)
+
+
+def test_search_keeps_its_own_stack():
+    # the root settles K_59, and the search colors all 1,653 edges of K_58
+    # straight down to the witness: each an open edge on its own stack, more
+    # than the interpreter's default recursion limit of 1,000 frames
+    res = ramsey_value(30, 2, 1, 60)
+    assert (res.value, res.stats) == (59, (1653, 1, 1))
+
+
+def test_any_t_in_memory_bounded_by_the_order():
+    # rows hold min(t, p-1) colors and grow only with the colors in use,
+    # so t = 10**18 costs what a few colors cost; every color past the
+    # ones allowed counts as a canonical skip
+    tracemalloc.start()
+    try:
+        witness = ramsey_value(3, 10**18, 1, 6)
+        settled = ramsey_value(2, 10**18, 2, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert witness.value is None and witness.stats.nodes == 15
+    assert witness.stats.canonical_skips == 15 * 10**18 - 82
+    assert settled.value == 3 and settled.stats == (0, 0, 1)
+    assert peak < 2**20
 
 
 def test_deterministic_across_workers():
@@ -296,26 +348,25 @@ def test_certificate_pass_implies_oracle_exceeds_order():
         assert res.value is None or res.value > coloring.p
 
 
-def test_oracle_matches_classifier_where_feasible(monkeypatch):
-    # every t <= 5, 1 <= s < t and n whose parity-refined pigeonhole order
-    # (computed independently in conftest) is at most K_27, so that the
-    # witness search runs up to K_26.  For s >= t-2 the oracle must equal
-    # the paper's value, and below that the parity-refined order
-    monkeypatch.setattr(oracle, "DEFAULT_MAX_COLORS", 5)
+def test_oracle_matches_classifier_where_feasible():
+    # every t <= 7, 1 <= s < t and n whose parity-refined pigeonhole order
+    # (computed independently in conftest) is at most K_29, so that the
+    # witness search runs up to K_28 within the default node budget.  For
+    # s >= t-2 the oracle must equal the paper's value, and below that the
+    # parity-refined order
     t0 = time.perf_counter()
     points = 0
-    for t in (2, 3, 4, 5):
+    for t in range(2, 8):
         for s in range(1, t):
             for n in itertools.count(1):
-                if parity_pigeonhole_order(n, t, s) > 27:
+                if parity_pigeonhole_order(n, t, s) > 29:
                     break
-                upper = pigeonhole_upper(n, t, s)
-                res = ramsey_value(n, t, s, upper, edge_budget=upper * (upper - 1) // 2)
+                res = ramsey_value(n, t, s, pigeonhole_upper(n, t, s))
                 if s >= t - 2:
                     assert res.value == classify(n, t, s).value, (n, t, s)
                 else:
                     assert res.value == parity_pigeonhole_order(n, t, s), (n, t, s)
                 points += 1
-    assert points == 136
-    # about 0.8 s on a 2-vCPU VM
+    assert points == 305
+    # about 0.8 s on a 2-vCPU VM; K_30 at t = 7 would add about 1.8 s
     assert time.perf_counter() - t0 < 5

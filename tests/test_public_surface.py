@@ -45,6 +45,10 @@ def test_dropped_arguments_are_refused():
     assert not hasattr(oracle, "max_min_star_colors")
     with pytest.raises(TypeError, match="max_colors"):
         oracle.ramsey_value(2, 2, 1, 5, max_colors=5)
+    # one work bound, NODE_BUDGET, replaced the edge and color budgets
+    assert not hasattr(oracle, "DEFAULT_EDGE_BUDGET") and not hasattr(oracle, "DEFAULT_MAX_COLORS")
+    with pytest.raises(TypeError, match="edge_budget"):
+        oracle.ramsey_value(2, 2, 1, 5, edge_budget=21)
     coloring = EdgeColoring(2, 1, {(1, 2): 1})
     assert not hasattr(coloring, "missing") and not hasattr(coloring, "unexpected")
 

@@ -53,8 +53,8 @@ def test_readme_library_block_runs(monkeypatch, tmp_path):
 
 
 def test_readme_oracle_node_table_matches_the_search():
-    # each row's R and top-down node count, from a scan whose edge budget
-    # admits only K_{R-1}, the one order searched
+    # each row's R and top-down node count: the root settles K_R, so the
+    # one order searched is K_{R-1}
     section = README[README.index("| Instance | `R` |"):]
     header, _, *rows = section[:section.index("\n\n")].splitlines()
     column = [c.strip() for c in header.split("|")].index("Nodes (top-down, least-loaded)")
@@ -64,5 +64,5 @@ def test_readme_oracle_node_table_matches_the_search():
         n, t, s = map(int, cells[1].strip("()").split(","))
         r = int(cells[2])
         nodes = int(re.match(r"[\d,]+", cells[column]).group().replace(",", ""))
-        res = ramsey_value(n, t, s, r, edge_budget=(r - 1) * (r - 2) // 2)
+        res = ramsey_value(n, t, s, r)
         assert (res.value, res.stats.nodes) == (r, nodes), cells[1]
