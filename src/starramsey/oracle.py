@@ -32,8 +32,7 @@ a witness.  Where the root checks settle R itself, every node goes to
 the witness at K_{R-1}.  One bound limits the work, at any t and any
 order: ``NODE_BUDGET`` nodes per call.  The search is sequential and
 deterministic, so results and node counts depend on the instance alone;
-``threads`` (>= 1) runs the same search, since a thread pool gave no
-speedup.
+``threads`` (>= 1) runs the same search (a pool gave no speedup).
 """
 from __future__ import annotations
 
@@ -44,7 +43,7 @@ from typing import NamedTuple
 from .errors import InfeasibleInstanceError, InvalidParameterError
 
 # The most nodes one ramsey_value call may search: a refusal comes in
-# about 1-1.5 s at small orders (2-vCPU VM, Python 3.11.7).
+# about 0.6-1.2 s at small orders (2-vCPU VM, Python 3.11.7).
 NODE_BUDGET = 500_000
 # Row cells the bound memo holds (about 70 MB) before it starts over; never at t <= 8.
 _MEMO_CELLS = 2**23
@@ -169,11 +168,12 @@ def _search(p: int, n: int, t: int, s: int, spent: int = 0) -> OracleResult:
     by parity, is one ``bound_prunes``.  Each edge tries its colors
     least-loaded first (by its ends' degrees in the color, then by color),
     which reorders only the children: a refutation visits the same nodes.
-    Bounds are memoized by row, since a row fixes its remaining edges.
-    The open edges sit on one stack, not one Python frame each.  Rows
-    start at ``min(t, p-1)`` classes and grow as canonical colors open: a
-    row of p-1 classes or more has a 0 class for each edge it still takes,
-    so the extra classes move no bound.
+    Bounds are memoized by row, since a row fixes its remaining edges; an
+    edge only lowers its ends' bounds, so the least rides down the path.
+    The open edges sit on one stack, not one Python frame each, and a
+    resumed edge sorts its colors again.  Rows start at ``min(t, p-1)``
+    classes and grow as canonical colors open: a row of p-1 classes or
+    more has a 0 class per edge it still takes, so extras move no bound.
     """
     if _root_settles(p, n, t, s):
         return OracleResult(s, _ROOT_PRUNE)
@@ -182,19 +182,20 @@ def _search(p: int, n: int, t: int, s: int, spent: int = 0) -> OracleResult:
     last = len(edges) - 1
     width = min(t, p - 1)
     counts = [[0] * width for _ in range(p + 1)]
-    vb = [n + 1, *[_reachable_k([0] * width, p - 1, n)] * p]  # vertex 0: never the least
+    low = _reachable_k([0] * width, p - 1, n)
+    vb = [low] * (p + 1)  # by vertex; 0 unused
     bounds: dict[tuple[int, ...], int] = {}
     nodes = skips = prunes = 0
     left = NODE_BUDGET - spent
-    stack = [(0, 0, 0, None)]  # per open edge: index, maxc, colors tried, their order
-    path = []  # per stack entry under the top: its edge's color, its ends' old bounds
+    stack = [(0, 0, 0)]  # per open edge: index, maxc, colors tried
+    path = []  # per stack entry under the top: its color, its ends' old bounds, old low
     while stack:
-        i, maxc, tried, order = stack[-1]
+        i, maxc, tried = stack[-1]
         u, v = edges[i]
         cu, cv = counts[u], counts[v]
         allowed = maxc + 1 if maxc < t else t
         if tried:  # back from a child: take back its color
-            c, vb[u], vb[v] = path.pop()
+            c, vb[u], vb[v], low = path.pop()
             cu[c] -= 1
             cv[c] -= 1
         else:
@@ -204,10 +205,9 @@ def _search(p: int, n: int, t: int, s: int, spent: int = 0) -> OracleResult:
                     row.append(0)
             if len(bounds) * len(cu) > _MEMO_CELLS:
                 bounds.clear()
-        if order is None:
-            # least-loaded color first; the sort is stable, so ties go by color
-            order = sorted(range(allowed), key=lambda c: cu[c] + cv[c])
-        for c in order[tried:]:
+        # least-loaded first, ties by color; a resumed edge's rows are as on entry
+        order = sorted(range(allowed), key=lambda c: cu[c] + cv[c])
+        for tried, c in enumerate(order[tried:], tried + 1):
             nodes += 1
             if nodes > left:
                 raise InfeasibleInstanceError(
@@ -225,14 +225,14 @@ def _search(p: int, n: int, t: int, s: int, spent: int = 0) -> OracleResult:
             if b is None:
                 b = bounds[key] = _reachable_k(cv, p - 1 - sum(cv), n)
             vb[v] = b
-            bound = min(vb)
+            bound = min(low, vb[u], vb[v])
             if bound > s:
                 if i == last:
                     return OracleResult(bound, SearchStats(nodes, skips, prunes))
-                # a long order is sorted again on the way back, not kept
-                stack[-1] = i, maxc, order.index(c) + 1, order if allowed <= 8 else None
-                path.append((c, old_u, old_v))
-                stack.append((i + 1, maxc if c < maxc else c + 1, 0, None))
+                stack[-1] = i, maxc, tried
+                path.append((c, old_u, old_v, low))
+                low = bound
+                stack.append((i + 1, maxc if c < maxc else c + 1, 0))
                 break
             prunes += 1
             vb[u], vb[v] = old_u, old_v

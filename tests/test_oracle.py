@@ -309,6 +309,22 @@ def test_search_keeps_its_own_stack():
     assert (res.value, res.stats) == (59, (1653, 1, 1))
 
 
+@pytest.mark.parametrize("n, t, s, value, stats", (
+    (8, 9, 7, 11, (1130, 36, 967)),
+    (9, 10, 8, 11, (5588, 45, 4991)),
+    (11, 12, 10, 13, (16632, 66, 15188)),
+))
+def test_search_backtracks_with_many_colors_open(n, t, s, value, stats):
+    # s = t-2, so the paper's value holds; the witness on K_{value-1} takes
+    # up to t colors, and its search returns from many children (more
+    # unpruned nodes than edges), each resumed edge sorting its colors again
+    res = ramsey_value(n, t, s, value + 1)
+    assert res.value == value == classify(n, t, s).value
+    assert res.stats == stats
+    nodes, _, prunes = res.checked[-1][1].stats
+    assert nodes - prunes > (value - 1) * (value - 2) // 2
+
+
 def test_any_t_in_memory_bounded_by_the_order():
     # rows hold min(t, p-1) colors and grow only with the colors in use,
     # so t = 10**18 costs what a few colors cost; every color past the
