@@ -23,8 +23,7 @@ Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
   and ``verify``) and ``fileio``;
 * ``verify`` loads ``fileio`` and ``verify``, and ``lineparser`` only for
   a file the bulk path declines;
-* ``sample-check`` loads ``verify``, ``oracle`` for its parity rule
-  only at an odd order the row bound leaves open, and ``constructions``
+* ``sample-check`` loads ``verify`` and ``exact``, and ``constructions``
   only for a counterexample.
 
 No command imports numpy: the certificate layers work on ``bytes``.

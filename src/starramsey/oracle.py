@@ -23,8 +23,9 @@ odd and every admissible row has all parts odd, each vertex would have
 odd degree in color 1, and p odd degrees cannot sum to the even
 2|E_1|; so K_p has no witness.  The rule walks the admissible rows
 itself, to the first with an even part, since the oracle is the check on
-``formulas`` and imports nothing from it; ``verify.sample_upper_check``
-borrows it.
+``exact.star_upper`` and shares nothing with it: no module of the
+package imports the oracle, and of the commands only ``oracle`` loads
+it.
 
 ``ramsey_value`` scans upward with the root checks alone to the first
 order they settle, then searches downward from the order below it for

@@ -5,15 +5,16 @@ every n-edge star in it shows at least s+1 distinct colors; every such
 check goes through one per-row kernel, ``star_minima``, over color
 degrees.  ``check_certificate`` is the one verdict on a certificate:
 ``verify`` prints it, and ``constructions.witness_coloring`` refuses any
-build it fails.  The oracle's bound applies the same rule to its
-water-filled rows without importing it.
+build it fails.  The exhaustive search re-derives the same rule for
+its water-filled rows without importing it.
 
 The color degrees are ``EdgeColoring.color_degrees``, built once.  The
 rule for a well-formed coloring is ``coloring.defects``, written once:
 ``validate`` lists every defect, and ``check_certificate`` (like the
 degree table) refuses a coloring with the first five.
-``sample_upper_check`` answers R <= p from the proof, and imports
-``oracle``'s parity rule and ``constructions`` only when it needs them.
+``sample_upper_check`` answers R <= p from the proof: ``exact``'s
+``star_upper`` for the pass, and ``constructions`` only for a
+counterexample.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 from .coloring import (MAX_COLOR, EdgeColoring, check_order, check_well_formed, defects,
                        edge_rank, join_store)
-from .errors import ConstructionFailedError, InvalidParameterError
+from .errors import InvalidParameterError
 
 
 def validate(coloring: EdgeColoring) -> list[str]:
@@ -126,34 +127,26 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
     """Pass iff every t-coloring of K_p has an n-star on at most s colors,
     from the proof of R(n, t, s): ``trials`` is echoed, ``seed`` unused.
 
-    Pass when the most even row of p-1 edges (at most p-1 cells) has an
-    n-star on <= s colors, as every row majorizes it, or, at an odd order
-    it leaves open with t <= p-1 (else its 0 part is admissible), when
-    the oracle's parity rule refutes every coloring: exactly when p >=
-    ``star_upper``'s U_par.  Else return ``witness_coloring``'s K_{U_par-1}
-    cut to its first p vertices, a witness since each n-star of K_p is
-    one of K_{U_par-1}; its refusals stand, and an order past it raises
-    ``ConstructionFailedError``.  Refused first: an argument below 1,
-    t > 2^63-1 (no int64 color) and an order past ``check_order``.
+    Pass exactly when p >= ``star_upper``'s U_par.  Else return
+    ``witness_coloring``'s K_{U_par-1} cut to its first p vertices, a
+    witness since each n-star of K_p is one of K_{U_par-1}; its refusals
+    stand.  Refused first: an argument below 1, s >= t (``star_upper``
+    holds for s < t only), t > 2^63-1 (no int64 color) and an order past
+    ``check_order``.
     """
     if p < 1 or n < 1 or t < 1 or s < 1 or trials < 1:
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
+    if s >= t:
+        raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
     if t > MAX_COLOR:
         raise InvalidParameterError(
             f"a counterexample's colors are 64-bit integers: t must be <= 2^63-1, got {t}")
     check_order(p)
-    q, r = divmod(p - 1, t)  # the most even row
-    settled = p - 1 >= n and star_minima([[q + 1] * r + [q] * (min(t, p - 1) - r)], n)[0] <= s
-    if not settled and p % 2 and n <= p - 1 and t <= p - 1:  # else parity cannot fire
-        from .oracle import _parity_forbids
-        settled = _parity_forbids(p, n, t, s)
-    if settled:
+    from .exact import star_upper
+    if p >= star_upper(n, t, s)[0]:
         return SampleCheckResult(True, trials)
     from .constructions import witness_coloring
     witness = witness_coloring(n, t, s)[0]
     w, store = witness.p, witness.array
-    if p > w:
-        raise ConstructionFailedError(
-            f"no rule settles K_{p} for (n={n}, t={t}, s={s}), above its witness K_{w}")
     rows = [store[edge_rank(w, u, u + 1):edge_rank(w, u, u + 1) + p - u] for u in range(1, p)]
     return SampleCheckResult(False, trials, EdgeColoring._adopt(p, t, join_store(rows, store)))

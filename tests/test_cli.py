@@ -291,11 +291,12 @@ def test_sample_check_huge_t_exits_two(capsys, t):
 @pytest.mark.parametrize("t, trials, seed, refused", [
     ("9223372036854775807", "3074457345618258602", "18446744073709551615", None),
     ("9223372036854775808", "1", "0", "t must be <= 2^63-1"),
+    ("2", "1", "0", "need 1 <= s < t, got s=2, t=2"),
 ])
 def test_sample_check_refuses_before_the_row_bound(capsys, t, trials, seed, refused):
-    # K_4's most even row, [1, 1, 1], has a 2-star on 2 colors, so an
-    # accepted run passes at any trials and seed; the refusal of t still
-    # comes first
+    # K_4 lies past R(2, t, 2) = 3, so an accepted run passes at any
+    # trials and seed; the refusals of t and of s >= t (star_upper holds
+    # for s < t only) still come first
     rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "2",
                        "--p", "4", "--trials", trials, "--seed", seed)
     if refused is None:
@@ -394,9 +395,8 @@ NOT_LOADED = {
     "construct": ("argparse", "numpy", "starramsey.oracle", "starramsey.formulas",
                   "starramsey.lineparser"),
 }
-# sample-check loads the oracle's parity rule only at an odd order the row
-# bound leaves open, such as K_13 at (10, 4, 3), which parity settles; the
-# K_5 probe is settled by the row bound and must not load it
+# sample-check passes by star_upper and never loads the oracle, also at
+# K_13 for (10, 4, 3), which the parity cut settles
 PARITY_PROBE = ("sample-check", "--n", "10", "--t", "4", "--s", "3", "--p", "13",
                 "--trials", "8000", "--seed", "1")
 # verify loads the line parser only for a file the bulk path declines, such
@@ -408,7 +408,7 @@ COUNTEREXAMPLE_PROBE = ("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p
                         "--trials", "10000", "--seed", "42")
 # The probes that must load a module their command otherwise leaves alone,
 # so that each check is seen to find what a command loads.
-LOADED = {PARITY_PROBE: ("starramsey.oracle",), LINES_PROBE: ("starramsey.lineparser",),
+LOADED = {LINES_PROBE: ("starramsey.lineparser",),
           COUNTEREXAMPLE_PROBE: ("starramsey.constructions",)}
 
 

@@ -17,11 +17,10 @@ from starramsey import (
     oracle,
     sample_upper_check,
     validate,
-    verify,
     witness_coloring,
 )
 from starramsey.coloring import edge_count
-from starramsey.errors import ConstructionFailedError, InvalidParameterError
+from starramsey.errors import InvalidParameterError
 from starramsey.exact import star_upper
 from starramsey.verify import star_minima
 
@@ -235,7 +234,9 @@ def _cut(coloring, p):
 
 def test_sample_check_answers_from_the_proof_on_grid():
     # the check passes exactly at p >= U_par, and below it returns a
-    # coloring of K_p in which every n-star shows more than s colors
+    # coloring of K_p in which every n-star shows more than s colors; past
+    # p = n the oracle's root checks, which re-derive the rows and parity
+    # without star_upper, settle the same orders
     for t in range(2, 9):
         for s in range(1, t):
             for n in range(1, 21):
@@ -243,6 +244,8 @@ def test_sample_check_answers_from_the_proof_on_grid():
                 for p in range(1, value + 4):
                     res = sample_upper_check(p, n, t, s, trials=1, seed=0)
                     assert res.passed == (p >= value), (p, n, t, s)
+                    if p > n:
+                        assert res.passed == oracle._root_settles(p, n, t, s), (p, n, t, s)
                     if not res.passed:
                         assert res.counterexample.p == p, (p, n, t, s)
                         assert check_certificate(res.counterexample, n, s).passed, (p, n, t, s)
@@ -250,10 +253,9 @@ def test_sample_check_answers_from_the_proof_on_grid():
 
 @pytest.mark.parametrize("p, n, t, s", ((11, 9, 4, 3), (3, 2, 300, 1), (1, 1, 2, 1)))
 def test_counterexample_is_the_witness_cut_down(p, n, t, s):
-    # (11, 9, 4, 3): the most even row, [3, 3, 2, 2], covers 8 < 9 edges
-    # with three colors, and it is admissible with an even part, so neither
-    # the row bound nor parity decides; K_11 lies below R = 12.  t = 300
-    # keeps the K_300 witness in an int64 store; K_1 has no edge
+    # (11, 9, 4, 3): K_11 lies below R = 12, one under the pigeonhole
+    # bound with no parity cut.  t = 300 keeps the K_300 witness in an
+    # int64 store; K_1 has no edge
     witness = witness_coloring(n, t, s)[0]
     res = sample_upper_check(p, n, t, s, trials=8000, seed=1)
     assert (res.passed, res.trials) == (False, 8000)
@@ -268,12 +270,13 @@ def test_sample_upper_check_no_star_order():
     assert res.counterexample == _cut(witness_coloring(5, 2, 1)[0], 3)
 
 
-def test_an_order_no_rule_settles_past_the_witness_is_refused(monkeypatch):
-    # R(2, 3, 1) = 5, so the witness is K_4; the row bound settles the even
-    # K_6, and with it silenced the check refuses rather than cut K_6
-    monkeypatch.setattr(verify, "star_minima", lambda rows, n: [n + 1])
-    with pytest.raises(ConstructionFailedError, match="K_6 .* K_4"):
-        sample_upper_check(6, 2, 3, 1, trials=1, seed=0)
+@pytest.mark.parametrize("p, n, t, s", ((9, 5, 3, 4), (3, 5, 3, 4), (4, 2, 2, 2)))
+def test_a_budget_of_t_or_more_colors_is_refused_at_every_order(p, n, t, s):
+    # star_upper holds for s < t only, so s >= t is refused with
+    # construct's wording at every order: K_9 and K_4 have n-stars, K_3
+    # has no 5-star
+    with pytest.raises(InvalidParameterError, match=f"^need 1 <= s < t, got s={s}, t={t}$"):
+        sample_upper_check(p, n, t, s, trials=1, seed=0)
 
 
 def test_sample_check_result_fields():
@@ -294,25 +297,16 @@ def test_most_even_row_has_the_largest_star_minimum():
 
 
 @pytest.mark.parametrize("p, n, t, s", (
-    (400, 300, 4, 3), (5, 2, 2**63 - 1, 2), (1000, 3, 2**63 - 1, 3)))
+    (400, 300, 4, 3), (5, 2, 2**63 - 1, 2), (1000, 3, 2**63 - 1, 3),
+    (13, 10, 4, 3), (13, 7, 4, 2), (11, 6, 2, 1)))
 def test_row_bound_draws_nothing(monkeypatch, p, n, t, s):
-    # the most even row of p - 1 edges has an n-star on s colors, so every
-    # coloring fails at vertex 1; a huge t builds no t-long row, and
-    # neither the oracle nor a witness is asked
+    # a pass builds nothing: each order is at least star_upper's U_par, the
+    # pigeonhole bound (the first three, two with a huge t) or its parity
+    # cut one below it (the last three, odd orders), and neither the
+    # oracle's parity rule nor a witness is asked
     monkeypatch.setattr(oracle, "_parity_forbids", None)
     monkeypatch.setattr(constructions, "witness_coloring", None)
     assert sample_upper_check(p, n, t, s, trials=8000, seed=1) == (True, 8000, None)
-
-
-@pytest.mark.parametrize("p, n, t, s", ((13, 10, 4, 3), (13, 7, 4, 2), (11, 6, 2, 1)))
-def test_parity_order_draws_nothing(monkeypatch, p, n, t, s):
-    # the row bound leaves these odd orders open ([3, 3, 3, 3] covers 9 < 10
-    # edges with three colors and 6 < 7 with two, [5, 5] 5 < 6 with one),
-    # but every admissible row is all odd, so the oracle's parity rule
-    # refutes every coloring: the check passes with no witness built
-    monkeypatch.setattr(constructions, "witness_coloring", None)
-    assert sample_upper_check(p, n, t, s, trials=8000, seed=1) == (True, 8000, None)
-
 
 
 def test_validate_reads_zero_color_as_out_of_range_not_missing():
