@@ -36,15 +36,9 @@ _EXPORTS = {
         "StarRamseyError",
         "UnsupportedParametersError",
     ),
+    "exact": ("WitnessRecipe", "balanced_class_sizes"),
     "fileio": ("parse_coloring", "read_coloring", "serialize_coloring", "write_coloring"),
-    "formulas": (
-        "BoundsInterval",
-        "CaseVerdict",
-        "WitnessRecipe",
-        "balanced_class_sizes",
-        "classify",
-        "general_bounds",
-    ),
+    "formulas": ("BoundsInterval", "CaseVerdict", "classify", "general_bounds"),
     "verify": (
         "Certificate",
         "SampleCheckResult",
@@ -54,8 +48,8 @@ _EXPORTS = {
         "validate",
     ),
 }
-_SUBMODULES = ("cli", "coloring", "constructions", "errors", "exact", "fileio", "formulas",
-               "lineparser", "oracle", "verify")
+_SUBMODULES = ("bulkparser", "cli", "cliparser", "coloring", "constructions", "errors", "exact",
+               "fileio", "formulas", "lineparser", "oracle", "verify")
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = [*_MODULE_OF, "oracle"]

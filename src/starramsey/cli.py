@@ -17,12 +17,13 @@ means the reader of stdout closed it early; nothing is printed then.
 Start-up is most of the time of ``compute``, ``bounds``, ``table`` and
 ``oracle``, so each command imports only the modules it runs:
 
-* ``compute``, ``bounds`` and ``table`` load ``formulas`` and ``exact``;
+* ``compute`` and ``table`` load ``formulas`` and ``exact``, ``bounds``
+  ``formulas`` alone;
 * ``oracle`` loads ``oracle``;
 * ``construct`` loads ``constructions`` (with ``exact``, ``coloring``
   and ``verify``) and ``fileio``;
-* ``verify`` loads ``fileio`` and ``verify``, and ``lineparser`` only for
-  a file the bulk path declines;
+* ``verify`` loads ``fileio``, ``bulkparser`` and ``verify``, and
+  ``lineparser`` only for a file the bulk path declines;
 * ``sample-check`` loads ``verify`` and ``exact``, and ``constructions``
   only for a counterexample.
 
@@ -35,12 +36,13 @@ Every command and flag is declared once, in ``COMMANDS``.  ``main`` reads
 the plain form that scripts and the benchmark use (a command name, then
 ``--flag value`` pairs, each flag spelled in full and given once) with
 ``parse_direct``, which does not import argparse: importing it, with
-``gettext`` and ``locale``, and building its parser cost about 8 ms of
-a 90 ms launch.  Every other argv (``-h``, abbreviations,
-``--flag=value``, signs or underscores in integers, repeated or unknown
-flags, ``--``) goes to the argparse parser that ``build_parser`` makes
-from the same table, so help text, usage errors and exit codes are
-argparse's.
+``gettext`` and ``locale``, and building its parser cost about 4.5 ms
+of a 35 ms ``compute`` launch with no bytecode cache.  Every other argv
+(``-h``, abbreviations, ``--flag=value``, signs or underscores in
+integers, repeated or unknown flags, ``--``) goes to the argparse parser
+that ``cliparser.build_parser`` makes from the same table, so help
+text, usage errors and exit codes are argparse's; ``main`` imports
+``cliparser`` only then.
 
 ``python -m starramsey`` and the installed ``starramsey`` command both
 call ``run``: it calls ``main``, flushes stdout and stderr, and ends the
@@ -63,17 +65,12 @@ counts as a closed pipe once a command has run: exit 141, nothing on
 stderr.
 """
 
-from __future__ import annotations
-
 import os
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, NoReturn
+from typing import NoReturn
 
 from .errors import ConstructionFailedError, InvalidParameterError, StarRamseyError
-
-if TYPE_CHECKING:
-    import argparse
 
 # Exit status when stdout is closed under us, as for a process that
 # SIGPIPE ends (Python ignores the signal, so the write fails instead).
@@ -205,8 +202,8 @@ _NTS = (
     Flag("--s", int, help="color budget for the star"),
 )
 
-# Every command, in help order, as (handler, help, flags); build_parser
-# and the direct parser both read this table.
+# Every command, in help order, as (handler, help, flags); the direct
+# parser and ``cliparser.build_parser`` both read this table.
 COMMANDS = {
     "compute": (_cmd_compute, "exact value for s in {t-1, t-2}", _NTS),
     "bounds": (_cmd_bounds, "general lower/upper bounds for l = t-s", (
@@ -246,38 +243,6 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The argparse parser of ``COMMANDS``: it parses every command line
-    the direct parser declines, and prints help and usage errors.  A
-    usage error prints argparse's usage and error lines through
-    ``_report``, so a missing or closed stderr loses them and the exit
-    code stays 2.  argparse's own ``error`` puts the usage on stdout when
-    stderr is missing, and some versions (3.10, 3.11.2) raise on a missing
-    or closed one."""
-    import argparse
-
-    class Parser(argparse.ArgumentParser):  # its subparsers take its class
-        def error(self, message):
-            _report(f"{self.format_usage()}{self.prog}: error: {message}")
-            self.exit(2)
-
-    parser = Parser(
-        prog="starramsey",
-        description="Star Ramsey numbers under color budgets: exact values, "
-                    "bounds, certificates, and an exhaustive oracle.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (func, summary, flags) in COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        for flag in flags:
-            choices = flag.kind if isinstance(flag.kind, tuple) else None
-            p.add_argument(flag.option, dest=flag.dest,
-                           type=int if flag.kind is int else None, choices=choices,
-                           required=flag.required, default=flag.default, help=flag.help)
-        p.set_defaults(func=func)
-    return parser
-
-
 def _value(kind, text: str):
     """``text`` read as a value of ``kind`` exactly as argparse reads it,
     or None where argparse might read it otherwise or refuse it."""
@@ -296,10 +261,10 @@ def _value(kind, text: str):
 
 
 def parse_direct(argv: list[str]) -> SimpleNamespace | None:
-    """The namespace ``build_parser().parse_args(argv)`` returns, when
-    ``argv`` is a command name followed by ``--flag value`` pairs with
-    each flag spelled in full, given at most once, and every required
-    flag present; otherwise None.
+    """The namespace ``cliparser.build_parser().parse_args(argv)``
+    returns, when ``argv`` is a command name followed by ``--flag value``
+    pairs with each flag spelled in full, given at most once, and every
+    required flag present; otherwise None.
 
     Values: an int is ASCII digits, a str does not start with '-', a
     choice is one of its choices.  Every other form (help, abbreviations,
@@ -354,6 +319,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = parse_direct(argv)
     if args is None:
+        from .cliparser import build_parser
         try:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:

@@ -29,10 +29,7 @@ refuses with the first five, for the degree table and for
 ``verify.check_certificate``.
 """
 
-from __future__ import annotations
-
 import operator
-from array import array
 from collections import Counter
 from collections.abc import Mapping
 from itertools import chain, islice, repeat
@@ -114,6 +111,7 @@ def color_store(values: list[int]) -> bytes | memoryview:
         pass
     except TypeError:
         raise InvalidParameterError("colors must be 64-bit integers") from None
+    from array import array
     try:
         return memoryview(array("q", values)).toreadonly()
     except (TypeError, OverflowError):

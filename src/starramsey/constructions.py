@@ -24,8 +24,6 @@ Every builder refuses an order past ``coloring.check_order``'s limit
 before it builds any per-vertex or per-edge list.
 """
 
-from __future__ import annotations
-
 from .coloring import (EdgeColoring, check_order, color_store, edge_rank, join_store,
                        palette_row, patch_store)
 from .errors import ConstructionFailedError, InvalidParameterError

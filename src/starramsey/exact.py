@@ -1,9 +1,8 @@
 """R(n, t, s) for every budget 1 <= s < t: ``star_upper``'s U_par, and
 ``_witness_recipe``, the builder of its certificate of K_{U_par - 1}.
-``witness_coloring`` reads both; ``formulas`` re-exports them.
+``witness_coloring`` reads both, and ``formulas.classify`` and
+``_case_value`` import them when called.
 """
-
-from __future__ import annotations
 
 from typing import NamedTuple
 

@@ -5,22 +5,31 @@ contains an n-edge star using at most s distinct colors.  One closed
 form, ``star_upper``'s U_par (the pigeonhole bound with its parity cut),
 gives R for every budget 1 <= s < t, and ``_witness_recipe`` names the
 builder whose certificate shows R > U_par - 1; both are ``exact``'s,
-re-exported here, and ``construct`` loads only that.  ``classify`` gives
+which ``construct`` loads without this module.  ``classify`` gives
 ``compute`` and ``table`` the paper's budgets s = t-1 and s = t-2, whose
 case theorems only name the case; for other s it refers to
-``general_bounds``, the paper's bracket.
+``general_bounds``, the paper's bracket.  ``classify`` and
+``_case_value`` import ``exact`` on their first call (``_exact``), so
+``bounds`` compiles none of it.
 
 All bracket expressions are floors, and every comparison is done in
 exact integer arithmetic, never in floats.
 """
 
-from __future__ import annotations
-
+import functools
 from typing import NamedTuple
 
 from .errors import InvalidParameterError, UnsupportedParametersError
-from .exact import (MAX_WITNESS_COLORS, WitnessRecipe, _check_budget, _witness_recipe,
-                    balanced_class_sizes, pigeonhole_upper, star_upper)
+
+
+@functools.cache
+def _exact():
+    """The ``exact`` module, imported on the first call, so that
+    ``bounds``, which never calls for it, compiles none of it; later calls
+    cost a cache hit, not an import (``table`` calls once per row)."""
+    from . import exact
+
+    return exact
 
 
 class CaseVerdict(NamedTuple):
@@ -29,7 +38,7 @@ class CaseVerdict(NamedTuple):
 
     value: int
     case_tag: str
-    witness: WitnessRecipe | None
+    witness: "WitnessRecipe | None"
     x: int | None = None
     q: int | None = None
     r: int | None = None
@@ -137,22 +146,23 @@ def classify(n: int, t: int, s: int) -> CaseVerdict:
     witness recipe, for ``compute``'s budgets s = t-1 and s = t-2; other
     budgets are referred to ``general_bounds``.  No builder reads it."""
     case = _case_value(n, t, s)
-    return case._replace(witness=_witness_recipe(n, t, s, case.value))
+    return case._replace(witness=_exact()._witness_recipe(n, t, s, case.value))
 
 
 def _case_value(n: int, t: int, s: int) -> CaseVerdict:
     """``classify`` without the witness recipe (``witness`` is None): the
     same value, case tag, x, q, r and errors, and no t-sized class list.
     The value is ``star_upper``'s; the paper's clause names the case."""
+    exact = _exact()
     if 1 <= s < t - 2:  # false for a t or s the check refuses, so its errors come first
         raise UnsupportedParametersError(
             f"exact values cover s in {{t-1, t-2}} only, got s={s}, t={t}; "
             "use general_bounds for other budgets"
         )
-    _check_budget(n, t, s)
+    exact._check_budget(n, t, s)
     if n == 1:
         return _TRIVIAL
-    value, _ = star_upper(n, t, s)
+    value, _ = exact.star_upper(n, t, s)
     tag, clause_value, x, q, r = (_t_minus_1_case if s == t - 1 else _t_minus_2_case)(n, t)
     if clause_value > value:
         tag = "pigeonhole"

@@ -2,14 +2,12 @@
 that the bulk path declines, so a canonical file's launch compiles none of it.
 """
 
-from __future__ import annotations
-
 from itertools import islice
 
+from .bulkparser import _integers
 from .coloring import (MAX_COLOR, EdgeColoring, check_order, color_store, edge_count, edge_rank,
                        edges)
 from .errors import ColoringFormatError, InvalidParameterError
-from .fileio import _integers
 
 
 def _data_lines(data: bytes):

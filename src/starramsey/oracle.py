@@ -35,8 +35,6 @@ order: ``NODE_BUDGET`` nodes per call.  The search is sequential and
 deterministic, so results and node counts depend on the instance alone;
 ``threads`` (>= 1) runs the same search (a pool gave no speedup).
 """
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple

@@ -17,8 +17,6 @@ degree table) refuses a coloring with the first five.
 counterexample.
 """
 
-from __future__ import annotations
-
 from bisect import bisect_left
 from itertools import accumulate
 from typing import NamedTuple

@@ -15,6 +15,7 @@ import pytest
 from starramsey import (
     check_certificate,
     constructions,
+    exact,
     formulas,
     read_coloring,
     serialize_coloring,
@@ -143,7 +144,7 @@ def test_construct_then_verify_passes_every_budget_compute_refuses(capsys, tmp_p
                 params = ("--n", str(n), "--s", str(s))
                 rc, out, err = run(capsys, "construct", *params, "--t", str(t), "--out", path)
                 assert (rc, err, kv(out)["order"]) == (
-                    0, "", str(formulas.star_upper(n, t, s)[0] - 1)), (n, t, s)
+                    0, "", str(exact.star_upper(n, t, s)[0] - 1)), (n, t, s)
                 rc, out, err = run(capsys, "verify", "--file", path, *params)
                 assert (rc, err, out.splitlines()[0]) == (0, "", "verdict pass"), (n, t, s)
                 count += 1
@@ -320,7 +321,7 @@ def test_huge_t_witness_exits_two(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2
     assert out == ""
-    assert err.startswith("error: ") and f"limit is {formulas.MAX_WITNESS_COLORS}" in err
+    assert err.startswith("error: ") and f"limit is {exact.MAX_WITNESS_COLORS}" in err
 
 
 def test_usage_error_from_argparse(capsys):
@@ -381,24 +382,30 @@ def _child_env():
         [str(src), *filter(None, [os.environ.get("PYTHONPATH")])]))
 
 
-# Per command, the modules that must stay unloaded after it runs.
+# Per command, the modules that must stay unloaded after it runs.  No
+# command in the plain form imports __future__, argparse or cliparser (the
+# argparse fallback), nor array, which only an int64 store needs.
+_NEVER = ("__future__", "argparse", "starramsey.cliparser", "array", "numpy")
 NOT_LOADED = {
-    "compute": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
-    "bounds": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
-    "table": ("argparse", "numpy", "dataclasses", "starramsey.oracle"),
-    "oracle": ("argparse", "numpy", "dataclasses", "starramsey.formulas", "starramsey.coloring",
-               "starramsey.verify", "starramsey.constructions", "starramsey.fileio"),
-    "verify": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle",
-               "starramsey.lineparser"),
-    "sample-check": ("argparse", "numpy", "starramsey.formulas", "starramsey.oracle",
+    "compute": (*_NEVER, "dataclasses", "starramsey.oracle"),
+    "bounds": (*_NEVER, "dataclasses", "starramsey.oracle", "starramsey.exact"),
+    "table": (*_NEVER, "dataclasses", "starramsey.oracle"),
+    "oracle": (*_NEVER, "dataclasses", "starramsey.formulas", "starramsey.coloring",
+               "starramsey.verify", "starramsey.constructions", "starramsey.fileio",
+               "starramsey.exact"),
+    "verify": (*_NEVER, "starramsey.formulas", "starramsey.oracle", "starramsey.lineparser",
+               "starramsey.exact"),
+    "sample-check": (*_NEVER, "starramsey.formulas", "starramsey.oracle",
                      "starramsey.constructions"),
-    "construct": ("argparse", "numpy", "starramsey.oracle", "starramsey.formulas",
-                  "starramsey.lineparser"),
+    "construct": (*_NEVER, "starramsey.oracle", "starramsey.formulas",
+                  "starramsey.lineparser", "starramsey.bulkparser"),
 }
 # sample-check passes by star_upper and never loads the oracle, also at
 # K_13 for (10, 4, 3), which the parity cut settles
 PARITY_PROBE = ("sample-check", "--n", "10", "--t", "4", "--s", "3", "--p", "13",
                 "--trials", "8000", "--seed", "1")
+# verify reads a canonical file with the bulk parser
+CANONICAL_PROBE = ("verify", "--file", "{file}", "--n", "3", "--s", "1")
 # verify loads the line parser only for a file the bulk path declines, such
 # as the K_7 file behind an indented comment
 LINES_PROBE = ("verify", "--file", "{indented}", "--n", "3", "--s", "1")
@@ -406,10 +413,17 @@ LINES_PROBE = ("verify", "--file", "{indented}", "--n", "3", "--s", "1")
 # which exits 1 with a counterexample
 COUNTEREXAMPLE_PROBE = ("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "4",
                         "--trials", "10000", "--seed", "42")
+# the K_300 witness of (2, 300, 1) has colors past 255, an int64 store
+WIDE_PROBE = ("construct", "--n", "2", "--t", "300", "--s", "1")
+# help is not the plain form, so argparse prints it
+HELP_PROBE = ("--help",)
 # The probes that must load a module their command otherwise leaves alone,
 # so that each check is seen to find what a command loads.
-LOADED = {LINES_PROBE: ("starramsey.lineparser",),
-          COUNTEREXAMPLE_PROBE: ("starramsey.constructions",)}
+LOADED = {CANONICAL_PROBE: ("starramsey.bulkparser",),
+          LINES_PROBE: ("starramsey.lineparser",),
+          COUNTEREXAMPLE_PROBE: ("starramsey.constructions",),
+          WIDE_PROBE: ("array",),
+          HELP_PROBE: ("argparse", "starramsey.cliparser")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -417,7 +431,7 @@ LOADED = {LINES_PROBE: ("starramsey.lineparser",),
     ("oracle", "--n", "2", "--t", "3", "--s", "1", "--max-p", "6"),
     ("bounds", "--n", "5", "--t", "4", "--l", "2"),
     ("table", "--t", "3", "--s", "1", "--n-from", "2", "--n-to", "40"),
-    ("verify", "--file", "{file}", "--n", "3", "--s", "1"),
+    CANONICAL_PROBE,
     ("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "5",
      "--trials", "500", "--seed", "7"),
     ("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"),
@@ -425,22 +439,27 @@ LOADED = {LINES_PROBE: ("starramsey.lineparser",),
     PARITY_PROBE,
     LINES_PROBE,
     COUNTEREXAMPLE_PROBE,
+    WIDE_PROBE,
+    HELP_PROBE,
 ])
 def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # Each command loads only the modules it runs, on the same start-up
     # path as `python -m starramsey`: package, then cli.  No command loads
     # numpy: compute, bounds, table and oracle load no dataclasses either,
     # and construct (to a file or to stdout), verify and sample-check work
-    # on bytes.
+    # on bytes.  A module counts as loaded when importing the package and
+    # running the command added it to sys.modules, so a module that site
+    # preloads on some interpreter fails no check and stays on the lists.
     path, indented = tmp_path / "k7.coloring", tmp_path / "k7-indented.coloring"
     write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
     indented.write_text("  # K_7, indented\n" + path.read_text())
     watched = sorted({name for names in (*NOT_LOADED.values(), *LOADED.values())
                       for name in names})
     code = ("import sys\n"
+            "preloaded = set(sys.modules)\n"
             "from starramsey.cli import main\n"
             "rc = main(sys.argv[1:])\n"
-            f"print(rc, *[m for m in {watched!r} if m in sys.modules])\n")
+            f"print(rc, *[m for m in {watched!r} if m in sys.modules.keys() - preloaded])\n")
     probe = tuple(argv)
     argv = [arg.replace("{file}", str(path)).replace("{indented}", str(indented))
             for arg in argv]
@@ -449,7 +468,7 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     rc, *loaded = proc.stdout.splitlines()[-1].split()
     assert rc == ("1" if probe == COUNTEREXAMPLE_PROBE else "0"), proc.stderr
     must_load = set(LOADED.get(probe, ()))
-    not_loaded = set(NOT_LOADED[argv[0]]) - must_load
+    not_loaded = set(NOT_LOADED.get(argv[0], ())) - must_load
     assert not set(loaded) & not_loaded, loaded
     assert must_load <= set(loaded), loaded
 
@@ -529,7 +548,7 @@ def test_compute_output_is_pinned_over_grid():
 def test_table_builds_no_witness_recipe():
     # at t = 2^20 each row's recipe would list 2^20 class sizes, a
     # transient 16 MiB; the rows need only value and case tag
-    t = formulas.MAX_WITNESS_COLORS
+    t = exact.MAX_WITNESS_COLORS
     argv = ["table", "--t", str(t), "--s", str(t - 1), "--n-from", "2", "--n-to", "41"]
     with contextlib.redirect_stdout(_DigestWriter()):
         main(argv)  # first-use imports and caches

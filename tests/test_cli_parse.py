@@ -7,9 +7,10 @@ argparse, whose output for help, usage errors and the other accepted forms
 is pinned byte for byte in ``cli_pins.json``.  The pins were recorded, per
 Python version, from the argparse-only parser of commit 518777d.
 
-Of the package this module imports only ``starramsey.cli``, and the
-commands it runs need no numpy, so its test functions can also be called
-directly on an interpreter that has neither numpy nor pytest.
+Of the package this module imports only ``starramsey.cli`` and
+``starramsey.cliparser``, and the commands it runs need no numpy, so its
+test functions can also be called directly on an interpreter that has
+neither numpy nor pytest.
 """
 
 import contextlib
@@ -25,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from starramsey import cli
+from starramsey import cli, cliparser
 
 PINS = Path(__file__).with_name("cli_pins.json")
 
@@ -85,7 +86,7 @@ WELL_FORMED = [
 
 @functools.cache
 def _parser():
-    return cli.build_parser()
+    return cliparser.build_parser()
 
 
 def _argparse_namespace(argv):

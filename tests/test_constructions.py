@@ -10,11 +10,11 @@ import pytest
 from starramsey import (
     EdgeColoring,
     balanced_class_sizes,
+    bulkparser,
     check_certificate,
     color_degree_profile,
     constructions,
     cyclic_matching_coloring,
-    fileio,
     min_star_colors,
     near_regular_coloring,
     parse_coloring,
@@ -32,11 +32,8 @@ from starramsey.coloring import (
     edge_rank,
 )
 from starramsey.errors import ColoringFormatError, ConstructionFailedError, InvalidParameterError
-from starramsey.formulas import (
-    WitnessRecipe,
-    classify,
-    star_upper,
-)
+from starramsey.exact import WitnessRecipe, star_upper
+from starramsey.formulas import classify
 
 from .conftest import monochrome_build, near_one_factorization
 
@@ -471,10 +468,10 @@ def test_size_limit_spares_only_the_bulk_parser(monkeypatch):
     with pytest.raises(InvalidParameterError, match="K_11"):
         EdgeColoring(11, 3, mapping)
     text = serialize_coloring(coloring)
-    assert fileio._parse_canonical(text.encode()) == coloring   # bulk path
+    assert bulkparser._parse_canonical(text.encode()) == coloring   # bulk path
     assert parse_coloring(text) == coloring
     # an indented comment is not dropped before the bulk path
-    assert fileio._parse_canonical(b"  # K_11\n" + text.encode()) is None
+    assert bulkparser._parse_canonical(b"  # K_11\n" + text.encode()) is None
     with pytest.raises(ColoringFormatError, match="^line 2: K_11 has 55 edges"):
         parse_coloring("  # K_11\n" + text)                    # line parser
     assert check_certificate(coloring, 8, 2).passed

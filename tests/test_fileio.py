@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from starramsey import (
     EdgeColoring,
+    bulkparser,
     check_certificate,
     cyclic_matching_coloring,
-    fileio,
     lineparser,
     parse_coloring,
     read_coloring,
@@ -279,7 +279,7 @@ def test_bulk_parser_keeps_one_color_array():
     data = serialize_coloring(coloring).encode()
     tracemalloc.start()
     try:
-        parsed = fileio._line_colors(data, coloring.p, coloring.t)
+        parsed = bulkparser._line_colors(data, coloring.p, coloring.t)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -374,18 +374,18 @@ def test_parse_agrees_with_line_parser_on_stacked_mutations(coloring, mutations)
 @given(colorings())
 def test_serialized_files_take_the_bulk_path(coloring):
     text = serialize_coloring(coloring)
-    assert fileio._parse_canonical(text.encode()) == coloring
+    assert bulkparser._parse_canonical(text.encode()) == coloring
     assert reference_parse_lines(text) == coloring
     assert lineparser._parse_lines(text.encode()) == coloring
 
 
 def test_bulk_path_refuses_near_canonical_files():
     text = serialize_coloring(witness_coloring(4, 2, 1)[0])
-    assert fileio._parse_canonical(text.encode()) is not None
+    assert bulkparser._parse_canonical(text.encode()) is not None
     for other in (text[:-1], text + "\n", text.replace("\n", "\r\n", 1),
                   text.replace(" ", "  ", 1), "# c\n" + text,
                   text.replace("1 2 ", "01 2 ", 1), text.replace("\n1 3", " 1\n3", 1)):
-        assert fileio._parse_canonical(other.encode()) is None
+        assert bulkparser._parse_canonical(other.encode()) is None
 
 
 def test_commented_files_take_the_bulk_path(monkeypatch):

@@ -2,16 +2,8 @@ import pytest
 
 from starramsey import classify, general_bounds, oracle
 from starramsey.errors import InvalidParameterError, UnsupportedParametersError
-from starramsey.formulas import (
-    MAX_WITNESS_COLORS,
-    WitnessRecipe,
-    _case_value,
-    _t_minus_1_case,
-    _t_minus_2_case,
-    _t_minus_2_clauses,
-    pigeonhole_upper,
-    star_upper,
-)
+from starramsey.exact import MAX_WITNESS_COLORS, WitnessRecipe, pigeonhole_upper, star_upper
+from starramsey.formulas import _case_value, _t_minus_1_case, _t_minus_2_case, _t_minus_2_clauses
 
 from .conftest import pigeonhole_order, threshold_predicate
 

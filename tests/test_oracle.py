@@ -7,7 +7,7 @@ import pytest
 
 from starramsey import EdgeColoring, check_certificate, classify, witness_coloring
 from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
-from starramsey.formulas import pigeonhole_upper, star_upper
+from starramsey.exact import pigeonhole_upper, star_upper
 from starramsey import oracle
 from starramsey.oracle import (SearchStats, _admissible_rows, _parity_forbids, _reachable_k, _search,
                                ramsey_value)
