@@ -4,7 +4,7 @@
 ``_case_value`` import them when called.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvalidParameterError
 
@@ -15,11 +15,11 @@ from .errors import InvalidParameterError
 MAX_WITNESS_COLORS = 1 << 20
 
 
-class WitnessRecipe(NamedTuple):
-    """Which builder produces the lower-bound certificate, with its arguments."""
+class WitnessRecipe(namedtuple("WitnessRecipe", "tag params")):
+    """Which builder produces the lower-bound certificate (``tag``, a str),
+    with its arguments (``params``, a dict)."""
 
-    tag: str
-    params: dict
+    __slots__ = ()
 
     def describe(self) -> str:
         inner = ", ".join(f"{k}={self.params[k]}" for k in sorted(self.params))

@@ -17,7 +17,7 @@ exact integer arithmetic, never in floats.
 """
 
 import functools
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InvalidParameterError, UnsupportedParametersError
 
@@ -32,26 +32,20 @@ def _exact():
     return exact
 
 
-class CaseVerdict(NamedTuple):
+class CaseVerdict(namedtuple("CaseVerdict", "value case_tag witness x q r",
+                             defaults=(None, None, None))):
     """Exact value (``star_upper``'s), the paper clause that names it, and
-    the witness recipe (None only in the rows ``_case_value`` returns)."""
+    the witness: a ``WitnessRecipe``, or None only in the rows
+    ``_case_value`` returns.  ``x``, ``q`` and ``r`` are ints, or None
+    where the clause has none (n = 1, and s = t-2 at t = 3)."""
 
-    value: int
-    case_tag: str
-    witness: "WitnessRecipe | None"
-    x: int | None = None
-    q: int | None = None
-    r: int | None = None
+    __slots__ = ()
 
 
-class BoundsInterval(NamedTuple):
-    """General-l bracket: lower <= R <= upper."""
+class BoundsInterval(namedtuple("BoundsInterval", "lower upper y epsilon t_prime")):
+    """General-l bracket: lower <= R <= upper, all five fields ints."""
 
-    lower: int
-    upper: int
-    y: int
-    epsilon: int
-    t_prime: int
+    __slots__ = ()
 
 
 def general_bounds(n: int, t: int, l: int) -> BoundsInterval:

@@ -36,8 +36,8 @@ deterministic, so results and node counts depend on the instance alone;
 ``threads`` (>= 1) runs the same search (a pool gave no speedup).
 """
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import InfeasibleInstanceError, InvalidParameterError
 
@@ -48,18 +48,11 @@ NODE_BUDGET = 500_000
 _MEMO_CELLS = 2**23
 
 
-class SearchStats(NamedTuple):
-    nodes: int
-    canonical_skips: int
-    bound_prunes: int
+SearchStats = namedtuple("SearchStats", "nodes canonical_skips bound_prunes")
+OracleResult = namedtuple("OracleResult", "value stats")
 
 
-class OracleResult(NamedTuple):
-    value: int
-    stats: SearchStats
-
-
-class RamseyResult(NamedTuple):
+class RamseyResult(namedtuple("RamseyResult", "value checked")):
     """Smallest p <= p_max with no witness on K_p, or None if none qualifies.
 
     ``checked`` lists the order the root checks settled (if it is at most
@@ -68,11 +61,11 @@ class RamseyResult(NamedTuple):
     when it refuted its order, and otherwise the witness's fewest star
     colors, so ``value > s`` marks a witness.  The order settled at the
     root counts zero nodes and one bound prune.  Orders the upward root
-    scan passed without settling are not listed.
+    scan passed without settling are not listed.  ``value`` is an int or
+    None, and ``checked`` a tuple of (order, ``OracleResult``) pairs.
     """
 
-    value: int | None
-    checked: tuple[tuple[int, OracleResult], ...]
+    __slots__ = ()
 
     @property
     def stats(self) -> SearchStats:

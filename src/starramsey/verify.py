@@ -18,8 +18,8 @@ counterexample.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .coloring import (MAX_COLOR, EdgeColoring, check_order, check_well_formed, defects,
                        edge_rank, join_store)
@@ -78,17 +78,14 @@ def min_star_colors(coloring: EdgeColoring, n: int) -> int | None:
     return None if profile is None else min(profile[2])
 
 
-class Certificate(NamedTuple):
-    """Outcome of checking that a coloring witnesses R > p for (n, t, s)."""
+class Certificate(namedtuple("Certificate", "coloring n s passed min_colors offending_vertex "
+                             "offending_colors covered_edges", defaults=(None, (), 0))):
+    """Outcome of checking that ``coloring``, an ``EdgeColoring``, witnesses
+    R > p for (n, t, s).  ``min_colors`` is an int, or None when no n-star
+    exists; on a fail, ``offending_vertex`` is an int and
+    ``offending_colors`` a tuple of ints."""
 
-    coloring: EdgeColoring
-    n: int
-    s: int
-    passed: bool
-    min_colors: int | None
-    offending_vertex: int | None = None
-    offending_colors: tuple[int, ...] = ()
-    covered_edges: int = 0
+    __slots__ = ()
 
 
 def check_certificate(coloring: EdgeColoring, n: int, s: int) -> Certificate:
@@ -112,12 +109,12 @@ def check_certificate(coloring: EdgeColoring, n: int, s: int) -> Certificate:
                        covered_edges=sum(row[i] for i in chosen))
 
 
-class SampleCheckResult(NamedTuple):
-    """Outcome of the upper-bound check of R <= p."""
+class SampleCheckResult(namedtuple("SampleCheckResult", "passed trials counterexample",
+                                   defaults=(None,))):
+    """Outcome of the upper-bound check of R <= p; ``counterexample`` is
+    an ``EdgeColoring``, or None on a pass."""
 
-    passed: bool
-    trials: int
-    counterexample: EdgeColoring | None = None
+    __slots__ = ()
 
 
 def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,

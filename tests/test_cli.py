@@ -424,9 +424,7 @@ LOADED = {CANONICAL_PROBE: ("starramsey.bulkparser",),
           COUNTEREXAMPLE_PROBE: ("starramsey.constructions",),
           WIDE_PROBE: ("array",),
           HELP_PROBE: ("argparse", "starramsey.cliparser")}
-
-
-@pytest.mark.parametrize("argv", [
+PROBES = [
     ("compute", "--n", "4", "--t", "2", "--s", "1"),
     ("oracle", "--n", "2", "--t", "3", "--s", "1", "--max-p", "6"),
     ("bounds", "--n", "5", "--t", "4", "--l", "2"),
@@ -441,7 +439,20 @@ LOADED = {CANONICAL_PROBE: ("starramsey.bulkparser",),
     COUNTEREXAMPLE_PROBE,
     WIDE_PROBE,
     HELP_PROBE,
-])
+]
+
+
+def _probe_argv(argv, tmp_path):
+    """``argv`` with ``{file}`` and ``{indented}`` replaced by a K_7
+    certificate and the same file behind an indented comment."""
+    path, indented = tmp_path / "k7.coloring", tmp_path / "k7-indented.coloring"
+    write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
+    indented.write_text("  # K_7, indented\n" + path.read_text())
+    return [arg.replace("{file}", str(path)).replace("{indented}", str(indented))
+            for arg in argv]
+
+
+@pytest.mark.parametrize("argv", PROBES)
 def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # Each command loads only the modules it runs, on the same start-up
     # path as `python -m starramsey`: package, then cli.  No command loads
@@ -450,9 +461,6 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     # on bytes.  A module counts as loaded when importing the package and
     # running the command added it to sys.modules, so a module that site
     # preloads on some interpreter fails no check and stays on the lists.
-    path, indented = tmp_path / "k7.coloring", tmp_path / "k7-indented.coloring"
-    write_coloring(str(path), constructions.witness_coloring(3, 3, 1)[0])
-    indented.write_text("  # K_7, indented\n" + path.read_text())
     watched = sorted({name for names in (*NOT_LOADED.values(), *LOADED.values())
                       for name in names})
     code = ("import sys\n"
@@ -461,16 +469,32 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
             "rc = main(sys.argv[1:])\n"
             f"print(rc, *[m for m in {watched!r} if m in sys.modules.keys() - preloaded])\n")
     probe = tuple(argv)
-    argv = [arg.replace("{file}", str(path)).replace("{indented}", str(indented))
-            for arg in argv]
-    proc = subprocess.run([sys.executable, "-c", code, *argv], env=_child_env(),
-                          capture_output=True, text=True, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", code, *_probe_argv(argv, tmp_path)],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
     rc, *loaded = proc.stdout.splitlines()[-1].split()
     assert rc == ("1" if probe == COUNTEREXAMPLE_PROBE else "0"), proc.stderr
     must_load = set(LOADED.get(probe, ()))
     not_loaded = set(NOT_LOADED.get(argv[0], ())) - must_load
     assert not set(loaded) & not_loaded, loaded
     assert must_load <= set(loaded), loaded
+
+
+@pytest.mark.parametrize("argv", [probe for probe in PROBES if probe != HELP_PROBE])
+def test_plain_launches_without_site_load_no_typing(argv, tmp_path):
+    # The probe above looks after site has run, and site may preload
+    # typing, re and enum (a .pth file that imports them).  Under
+    # `python -S -m starramsey` every module the launch loads shows in
+    # -v's "import 'name'" lines, and no launch in the plain form loads
+    # typing, re or enum.  runpy loads contextlib under -m, so it is not
+    # checked; --help is left out, since argparse imports re.
+    proc = subprocess.run([sys.executable, "-S", "-v", "-m", "starramsey",
+                           *_probe_argv(argv, tmp_path)], env=_child_env(),
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                          timeout=60)
+    assert proc.returncode == (1 if tuple(argv) == COUNTEREXAMPLE_PROBE else 0), proc.stderr
+    loaded = set(re.findall(r"^import '([\w.]+)' ", proc.stderr, re.M))
+    assert "starramsey.cli" in loaded
+    assert not loaded & {"typing", "re", "enum"}, loaded
 
 
 def test_oracle_default_edge_budget(capsys):

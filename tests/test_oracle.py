@@ -8,6 +8,7 @@ import pytest
 from starramsey import EdgeColoring, check_certificate, classify, witness_coloring
 from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
 from starramsey.exact import pigeonhole_upper, star_upper
+from starramsey.formulas import _t_minus_2_case
 from starramsey import oracle
 from starramsey.oracle import (SearchStats, _admissible_rows, _parity_forbids, _reachable_k, _search,
                                ramsey_value)
@@ -386,3 +387,19 @@ def test_oracle_matches_classifier_where_feasible():
     assert points == 305
     # about 0.8 s on a 2-vCPU VM; K_30 at t = 7 would add about 1.8 s
     assert time.perf_counter() - t0 < 5
+
+
+def test_oracle_refutes_the_xm2_clause_wherever_it_reaches():
+    # The audit points: s = t-2 >= 1 with t <= 40 and n <= 400, where the
+    # paper's x-2 default clause, as formulas transcribes it, lies above
+    # star_upper's value.  At each one the search can reach (star_upper at
+    # most K_40), the oracle, searching up to one order past the clause,
+    # finds R at star_upper's value, below the clause
+    audit = [(n, t, _t_minus_2_case(n, t)[1]) for t in range(3, 41) for n in range(2, 401)]
+    audit = [(n, t, clause) for n, t, clause in audit if clause > star_upper(n, t, t - 2)[0]]
+    assert len(audit) == 1911
+    reached = [(n, t, clause) for n, t, clause in audit if star_upper(n, t, t - 2)[0] <= 40]
+    assert [(n, t) for n, t, _ in reached] == [(9, 5), *((n, 5) for n in range(11, 25)),
+                                              (25, 7), (29, 7)]
+    for n, t, clause in reached:
+        assert ramsey_value(n, t, t - 2, clause + 1).value == star_upper(n, t, t - 2)[0], (n, t)

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import starramsey
-from starramsey import Certificate, EdgeColoring, oracle
+from starramsey import (BoundsInterval, CaseVerdict, Certificate, EdgeColoring,
+                        SampleCheckResult, WitnessRecipe, oracle)
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 
@@ -62,3 +63,42 @@ def test_readme_states_the_public_surface():
         assert set(re.findall(r"`(\w+)`", rows[module])) == set(names), module
     assert set(starramsey.__all__) == {n for names in starramsey._EXPORTS.values()
                                        for n in names} | {"oracle"}
+
+
+# Every result record, with its fields in order and its defaults.
+RECORDS = [
+    (WitnessRecipe, ("tag", "params"), {}),
+    (CaseVerdict, ("value", "case_tag", "witness", "x", "q", "r"),
+     {"x": None, "q": None, "r": None}),
+    (BoundsInterval, ("lower", "upper", "y", "epsilon", "t_prime"), {}),
+    (Certificate, ("coloring", "n", "s", "passed", "min_colors", "offending_vertex",
+                   "offending_colors", "covered_edges"),
+     {"offending_vertex": None, "offending_colors": (), "covered_edges": 0}),
+    (SampleCheckResult, ("passed", "trials", "counterexample"), {"counterexample": None}),
+    (oracle.SearchStats, ("nodes", "canonical_skips", "bound_prunes"), {}),
+    (oracle.OracleResult, ("value", "stats"), {}),
+    (oracle.RamseyResult, ("value", "checked"), {}),
+]
+
+
+@pytest.mark.parametrize("cls, fields, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_result_records_behave_as_readme_states(cls, fields, defaults):
+    assert cls._fields == fields and cls._field_defaults == defaults
+    values = tuple(range(1, len(fields) + 1))
+    record = cls(*values)
+    # read-only fields, and no attribute dict to take new ones
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], 0)
+    with pytest.raises(AttributeError):
+        record.extra = 0
+    assert not hasattr(record, "__dict__")
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value}" for name, value in zip(fields, values)) + ")"
+    assert hash(record) == hash(values)
+    # a tuple: it iterates, indexes and equals the plain tuple of its fields
+    assert tuple(record) == values and record[-1] == values[-1] and record == values
+    assert record._asdict() == dict(zip(fields, values))
+    replaced = record._replace(**{fields[-1]: 0})
+    assert type(replaced) is cls and replaced == (*values[:-1], 0)
+    required = values[:len(fields) - len(defaults)]
+    assert cls(*required) == (*required, *defaults.values())
