@@ -39,15 +39,16 @@ from .errors import InvalidParameterError
 
 Edge = tuple[int, int]
 
-# witness_coloring, sample_upper_check, the mapping constructor and the
-# line parser (fileio, for a file not in canonical form) refuse K_p when
-# its per-edge buffers would need more than this; the bulk parser reads a
-# canonical file of any order.  Building and writing a coloring and
-# reading and checking one peak well under 45 bytes per edge under
-# tracemalloc (one-byte colors, a p x p degree matrix, the padded file
-# render), and the line parser, which holds the file and one list entry
-# per edge, about 20; BYTES_PER_EDGE leaves room for the int64 store and
-# allocator overhead.  The limit admits orders up to K_5793.
+# the three builders of constructions, witness_coloring, sample_upper_check,
+# from_array, the mapping constructor and the line parser (lineparser, for
+# a file not in canonical form) refuse K_p when its per-edge buffers would
+# need more than this; the bulk parser reads a canonical file of any order.
+# Building and writing a coloring and reading and checking one peak well
+# under 45 bytes per edge under tracemalloc (one-byte colors, a p x p degree
+# matrix, the padded file render), and the line parser, which holds the
+# file and one list entry per edge, about 20; BYTES_PER_EDGE leaves room
+# for the int64 store and allocator overhead.  The limit admits orders up
+# to K_5793.
 MAX_COLORING_BYTES = 2 << 30
 BYTES_PER_EDGE = 128
 # the widest color an int64 store holds; the parsers and sample_upper_check

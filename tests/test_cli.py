@@ -85,6 +85,13 @@ def test_construct_verify_round_trip(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "--file", str(path), "--n", "3", "--s", "1")
     assert rc == 0
     assert kv(out)["verdict"] == "pass"
+    # the same file behind an indented comment takes the line parser, and
+    # verify reports it byte for byte as the canonical file, pass and fail
+    indented = tmp_path / "k7-indented.coloring"
+    indented.write_text("  # K_7, indented\n" + path.read_text())
+    for s in ("1", "2"):
+        assert run(capsys, "verify", "--file", str(indented), "--n", "3", "--s", s) == run(
+            capsys, "verify", "--file", str(path), "--n", "3", "--s", s), s
 
 
 def test_construct_stdout_is_a_coloring_file(capsys):
@@ -136,6 +143,8 @@ def test_construct_checks_parameters_before_any_budget_rule(capsys):
 def test_construct_then_verify_passes_every_budget_compute_refuses(capsys, tmp_path):
     # the 1,120 points s <= t-3, t = 4..10, n = 1..40: each certificate is
     # of K_{U_par - 1}, U_par = star_upper's value, and verify passes it
+    # with a least n-star of exactly s+1 colors, or none (K_24 of (10, 8, 3):
+    # min_star_colors 4)
     path = str(tmp_path / "cert.coloring")
     count = 0
     for t in range(4, 11):
@@ -146,7 +155,9 @@ def test_construct_then_verify_passes_every_budget_compute_refuses(capsys, tmp_p
                 assert (rc, err, kv(out)["order"]) == (
                     0, "", str(exact.star_upper(n, t, s)[0] - 1)), (n, t, s)
                 rc, out, err = run(capsys, "verify", "--file", path, *params)
-                assert (rc, err, out.splitlines()[0]) == (0, "", "verdict pass"), (n, t, s)
+                assert (rc, err) == (0, "") and out in (
+                    f"verdict pass\nmin_star_colors {s + 1}\n",
+                    "verdict pass\nmin_star_colors no-star\n"), (n, t, s)
                 count += 1
     assert count == 1120
 
@@ -677,6 +688,7 @@ PINNED = [
      "lower 7\nupper 10\ny 7\nepsilon 1\nt_prime 2\n", ""),
     (("bounds", "--n", "2", "--t", "100", "--l", "50"), 0,
      "lower -95\nupper 4\ny -95\nepsilon 1\nt_prime 2\n", ""),
+    (("bounds", "--n", "1", "--t", "4", "--l", "2"), 2, "", "error: need n >= 2, got 1\n"),
     (("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"), 0,
      "order 7\ncolors 3\nwitness cyclic(p=7, t=3)\nout {file}\n", ""),
     (("construct", "--n", "2", "--t", "2", "--s", "1"), 0, "2 2\n1 2 2\n", ""),
@@ -689,6 +701,8 @@ PINNED = [
     (("verify", "--file", "{file}", "--n", "3", "--s", "2"), 1,
      "verdict fail\nmin_star_colors 2\noffending_vertex 1\noffending_colors 1,2\n"
      "covered_edges 4\n", ""),
+    (("verify", "--file", "{file}", "--n", "3", "--s", "0"), 2, "",
+     "error: color budget must be >= 1, got 0\n"),
     (("verify", "--file", "{file}.missing", "--n", "3", "--s", "1"), 2, "",
      "error: [Errno 2] No such file or directory: '{file}.missing'\n"),
     (("oracle", "--n", "3", "--t", "2", "--s", "1", "--max-p", "4"), 0,
@@ -702,6 +716,8 @@ PINNED = [
     (("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "4",
       "--trials", "10000", "--seed", "42"), 1,
      "verdict counterexample\ntrials 10000\n", ""),
+    (("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "0",
+      "--trials", "10", "--seed", "1"), 2, "", "error: p, n, t, s, trials must all be >= 1\n"),
 ]
 
 

@@ -118,8 +118,12 @@ def test_near_regular_examples():
 
 
 def test_near_regular_rejects_even_order_and_bad_r():
+    with pytest.raises(InvalidParameterError, match="^order tq\\+r=6 must be odd$"):
+        near_regular_coloring(4, 1, 2)
+    with pytest.raises(InvalidParameterError, match="^need t >= 3, got 2$"):
+        near_regular_coloring(2, 1, 2)
     with pytest.raises(InvalidParameterError):
-        near_regular_coloring(3, 1, 3)   # order 6 is even
+        near_regular_coloring(3, 1, 3)   # r above t-1 (order 6 is even too)
     with pytest.raises(InvalidParameterError):
         near_regular_coloring(4, 1, 1)   # r below 2
     with pytest.raises(InvalidParameterError):
@@ -137,6 +141,9 @@ def test_partitioned_factorization_examples():
         partitioned_factorization_coloring(6, [2, 2])
     with pytest.raises(InvalidParameterError):
         partitioned_factorization_coloring(5, [2, 2])
+    with pytest.raises(InvalidParameterError,
+                       match=r"^class sizes must be nonnegative, got \[4, -1\]$"):
+        partitioned_factorization_coloring(4, [4, -1])
 
 
 def test_partitioned_factorization_random_sizes():
@@ -173,6 +180,8 @@ def test_cyclic_matching_coloring():
     assert len(coloring.colors) == 21
     with pytest.raises(InvalidParameterError):
         cyclic_matching_coloring(4, 3)
+    with pytest.raises(InvalidParameterError, match="^need t >= 1, got 0$"):
+        cyclic_matching_coloring(5, 0)
 
 
 @pytest.mark.parametrize("build, p, total", [
@@ -228,6 +237,10 @@ def test_balanced_class_sizes():
     assert balanced_class_sizes(5, 2) == [2, 3]
     assert balanced_class_sizes(6, 3) == [2, 2, 2]
     assert balanced_class_sizes(1, 4) == [0, 0, 0, 1]
+    for total, parts in ((5, 0), (-1, 2)):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^bad split: total={total}, parts={parts}$"):
+            balanced_class_sizes(total, parts)
 
 
 def test_witness_examples():

@@ -102,6 +102,7 @@ def test_header_only_file_names_first_gap_in_small_memory():
 def test_parse_rejects_malformed_lines():
     _expect_error("2 2\n1 2\n", "must be 'u v c'", line=2)
     _expect_error("2\n", "header", line=1)
+    _expect_error("0 3\n", "line 1: need p >= 1 and t >= 1, got p=0, t=3", line=1)
     _expect_error("", "empty file")
 
 

@@ -30,6 +30,16 @@ def test_general_bounds_needs_two_classes():
         general_bounds(3, 3, 2)
 
 
+@pytest.mark.parametrize("n, t, l, message", [
+    (1, 4, 2, "need n >= 2, got 1"),
+    (5, 4, 0, "need 1 <= l < t, got l=0, t=4"),
+    (5, 4, 4, "need 1 <= l < t, got l=4, t=4"),
+])
+def test_general_bounds_refuses_bad_arguments(n, t, l, message):
+    with pytest.raises(InvalidParameterError, match=f"^{message}$"):
+        general_bounds(n, t, l)
+
+
 def test_value_examples_budget_t_minus_1():
     assert classify(4, 2, 1).value == 7
     v = classify(3, 3, 2)

@@ -181,6 +181,8 @@ def test_check_certificate_rejects_invalid():
     del colors[(1, 2)]
     with pytest.raises(InvalidParameterError):
         check_certificate(EdgeColoring(4, 2, colors), 2, 1)
+    with pytest.raises(InvalidParameterError, match="^color budget must be >= 1, got 0$"):
+        check_certificate(_mono(3), 3, 0)
 
 
 def test_color_table_over_the_limit_is_refused():
@@ -277,6 +279,13 @@ def test_a_budget_of_t_or_more_colors_is_refused_at_every_order(p, n, t, s):
     # has no 5-star
     with pytest.raises(InvalidParameterError, match=f"^need 1 <= s < t, got s={s}, t={t}$"):
         sample_upper_check(p, n, t, s, trials=1, seed=0)
+
+
+@pytest.mark.parametrize("p, n, t, s, trials", (
+    (0, 2, 3, 1, 1), (3, 0, 3, 1, 1), (3, 2, 0, 1, 1), (3, 2, 3, 0, 1), (3, 2, 3, 1, 0)))
+def test_an_argument_below_one_is_refused_first(p, n, t, s, trials):
+    with pytest.raises(InvalidParameterError, match="^p, n, t, s, trials must all be >= 1$"):
+        sample_upper_check(p, n, t, s, trials=trials, seed=1)
 
 
 def test_sample_check_result_fields():
