@@ -86,9 +86,9 @@ def _parse_canonical(data: bytes) -> EdgeColoring | None:
     return coloring if end == len(data) else None
 
 
-def _drop_comment_and_empty_lines(data: bytes) -> bytes:
+def _drop_comment_lines(data: bytes) -> bytes:
     """``data`` without the lines that start with '#', found by one scan
-    for '#', and then without its empty lines."""
+    for '#'."""
     kept, start = [], 0
     at = data.find(b"#")
     while at >= 0:
@@ -99,8 +99,11 @@ def _drop_comment_and_empty_lines(data: bytes) -> bytes:
         end = data.find(b"\n", at)
         start = len(data) if end < 0 else end + 1
         at = data.find(b"#", start)
-    if kept:
-        data = b"".join(kept) + data[start:]
+    return b"".join(kept) + data[start:] if kept else data
+
+
+def _drop_empty_lines(data: bytes) -> bytes:
+    """``data`` without its empty lines."""
     while b"\n\n" in data:
         data = data.replace(b"\n\n", b"\n")
     return data.removeprefix(b"\n")

@@ -96,13 +96,15 @@ def parse_coloring(text: str | bytes) -> EdgeColoring:
     raw = text if isinstance(text, bytes) else text.encode("utf-8", "surrogatepass")
     data = raw.replace(b"\r\n", b"\n") if b"\r" in raw else raw
     # a file that only adds comment lines or empty lines also takes the
-    # bulk path, retried once when dropping them shortened the file
-    from .bulkparser import _drop_comment_and_empty_lines, _parse_canonical
+    # bulk path, parsed again after each drop that shortened it; empty
+    # lines are looked for only when that is still needed, since the scan
+    # stops at every newline and costs most of a parse
+    from .bulkparser import _drop_comment_lines, _drop_empty_lines, _parse_canonical
     coloring = _parse_canonical(data)
-    if coloring is None:
-        dropped = _drop_comment_and_empty_lines(data)
-        if len(dropped) < len(data):
-            coloring = _parse_canonical(dropped)
+    for drop in (_drop_comment_lines, _drop_empty_lines):
+        if coloring is None and len(shorter := drop(data)) < len(data):
+            data = shorter
+            coloring = _parse_canonical(data)
     if coloring is not None:
         return coloring
     from .lineparser import _parse_lines

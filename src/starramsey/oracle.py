@@ -21,9 +21,10 @@ rule.  A vertex whose n-stars all show more than s colors has an
 *admissible* color-degree row: its top-s sum is at most n-1.  When p is
 odd and every admissible row has all parts odd, each vertex would have
 odd degree in color 1, and p odd degrees cannot sum to the even
-2|E_1|; so K_p has no witness.  The rule walks the admissible rows
-itself, to the first with an even part, since the oracle is the check on
-``exact.star_upper`` and shares nothing with it: no module of the
+2|E_1|; so K_p has no witness.  The rule asks, for each even part e,
+whether a row that holds e can be admissible, by the water-filling
+lemma the bound rests on (``_parity_forbids``).  The oracle is the check
+on ``exact.star_upper`` and shares nothing with it: no module of the
 package imports the oracle, and of the commands only ``oracle`` loads
 it.
 
@@ -100,50 +101,36 @@ def _reachable_k(row: list[int], extra: int, n: int) -> int:
     return bisect_left(list(accumulate(filled)), n) + 1
 
 
-def _admissible_rows(total: int, t: int, s: int, room: int):
-    """Non-increasing t-tuples of nonnegative ints summing to ``total`` whose
-    s largest sum to at most ``room``, largest first, on one stack (t may
-    be in the thousands).  A head part x fits when h more head parts within the room
-    r left, then tail parts at most min(x, r // h), can hold the edges left;
-    that exact bound is not monotone in x (r grows as x falls), so a misfit
-    is skipped."""
-    heads, row, left, x = min(s, t), [], total, min(total, room)
-    while True:
-        i, h = len(row), max(heads - len(row) - 1, 0)  # h: head parts after this one
-        while i < t and x * (t - i) >= left:  # else the parts left, all <= x, are too few
-            r = room - (total - left) - x if i < heads else 0
-            if left - x <= min(r, h * x) + (t - i - 1 - h) * (min(x, r // h) if h else x):
-                break
-            x -= 1
-        else:  # a full row, or no part fits here: back up one part
-            if i == t:
-                yield tuple(row)
-            elif not row:
-                return
-            x = row.pop()
-            left, x = left + x, x - 1
-            continue
-        row.append(x)
-        left -= x
-        x = min(x, left, room - (total - left) if i + 1 < heads else left)
-
-
 def _parity_forbids(p: int, n: int, t: int, s: int) -> bool:
     """True when no t-coloring of K_p has every n-star on more than s
-    colors, by the parity rule of the module docstring: p is odd and
-    every admissible row, walked to the first with an even part, has all
-    parts odd."""
-    return p % 2 == 1 and all(
-        all(d % 2 for d in row) for row in _admissible_rows(p - 1, t, s, n - 1))
+    colors, by the parity rule of the module docstring: p is odd and no
+    admissible row holds an even part e.
+
+    The other p-1-e edges of a row that holds e fill t-1 parts, and their
+    even split has the least top-k sum for every k (the lemma of
+    ``_reachable_k``).  So the least top-s sum of such a row is
+    max(top_s(rest), e + top_{s-1}(rest)), rest that even split.  The
+    second term never falls as e grows, so the scan stops once it
+    passes n-1.  At t = 1 the one part is p-1.
+    """
+    if p % 2 == 0:
+        return False
+    with_e, without_e = min(s, t) - 1, min(s, t - 1)  # parts of rest in the top s
+    for e in range(0 if t > 1 else p - 1, p, 2):
+        a, b = divmod(p - 1 - e, max(t - 1, 1))
+        if e + with_e * a + min(with_e, b) > n - 1:
+            return True  # and for every larger e
+        if without_e * a + min(without_e, b) <= n - 1:
+            return False  # an admissible row holds e
+    return True
 
 
 def _root_settles(p: int, n: int, t: int, s: int) -> bool:
     """True when no t-coloring of K_p beats s, by the checks made before
     the first edge: the bound at the empty row, whose p-1 edges fill at
-    most ``min(t, p-1)`` classes, then parity, which needs t <= p-1 (past
-    it every admissible row has a 0 part)."""
+    most ``min(t, p-1)`` classes, then parity."""
     return (_reachable_k([0] * min(t, p - 1), p - 1, n) <= s
-            or t <= p - 1 and _parity_forbids(p, n, t, s))
+            or _parity_forbids(p, n, t, s))
 
 
 # an order settled at the root: no node, one bound prune

@@ -483,11 +483,11 @@ def test_numpy_free_commands_do_not_import_numpy(argv, tmp_path):
     proc = subprocess.run([sys.executable, "-c", code, *_probe_argv(argv, tmp_path)],
                           env=_child_env(), capture_output=True, text=True, timeout=60)
     rc, *loaded = proc.stdout.splitlines()[-1].split()
-    assert rc == ("1" if probe == COUNTEREXAMPLE_PROBE else "0"), proc.stderr
+    assert rc == ("1" if probe == COUNTEREXAMPLE_PROBE else "0"), (argv, proc.stderr)
     must_load = set(LOADED.get(probe, ()))
     not_loaded = set(NOT_LOADED.get(argv[0], ())) - must_load
-    assert not set(loaded) & not_loaded, loaded
-    assert must_load <= set(loaded), loaded
+    assert not set(loaded) & not_loaded, (argv, loaded)
+    assert must_load <= set(loaded), (argv, loaded)
 
 
 @pytest.mark.parametrize("argv", [probe for probe in PROBES if probe != HELP_PROBE])
@@ -502,10 +502,10 @@ def test_plain_launches_without_site_load_no_typing(argv, tmp_path):
                            *_probe_argv(argv, tmp_path)], env=_child_env(),
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
                           timeout=60)
-    assert proc.returncode == (1 if tuple(argv) == COUNTEREXAMPLE_PROBE else 0), proc.stderr
+    assert proc.returncode == (1 if tuple(argv) == COUNTEREXAMPLE_PROBE else 0), (argv, proc.stderr)
     loaded = set(re.findall(r"^import '([\w.]+)' ", proc.stderr, re.M))
-    assert "starramsey.cli" in loaded
-    assert not loaded & {"typing", "re", "enum"}, loaded
+    assert "starramsey.cli" in loaded, argv
+    assert not loaded & {"typing", "re", "enum"}, (argv, loaded)
 
 
 def test_oracle_default_edge_budget(capsys):

@@ -222,10 +222,11 @@ def test_case_value_is_classify_without_the_recipe():
 
 def _rows_or_parity_refute(p, n, t, s):
     """True when K_p has no admissible color-degree row (top-s sum <= n-1)
-    or the oracle's parity rule refutes every coloring, from the oracle's
-    own row walk."""
-    return (next(oracle._admissible_rows(p - 1, t, s, n - 1), None) is None
-            or oracle._parity_forbids(p, n, t, s))
+    or the oracle's parity rule refutes every coloring.  The even split of
+    p-1 edges into t parts has the least top-s sum of any row, so no row
+    is admissible exactly when that sum is above n-1."""
+    a, b = divmod(p - 1, t)
+    return s * a + min(s, b) > n - 1 or oracle._parity_forbids(p, n, t, s)
 
 
 def _first_forced_order(n, t, s):

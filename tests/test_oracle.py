@@ -10,11 +10,10 @@ from starramsey.errors import InfeasibleInstanceError, InvalidParameterError
 from starramsey.exact import pigeonhole_upper, star_upper
 from starramsey.formulas import _t_minus_2_case
 from starramsey import oracle
-from starramsey.oracle import (SearchStats, _admissible_rows, _parity_forbids, _reachable_k, _search,
-                               ramsey_value)
+from starramsey.oracle import SearchStats, _parity_forbids, _reachable_k, _search, ramsey_value
 
 from .conftest import (all_edges, brute_max_min_star, brute_min_star, parity_forbids_reference,
-                       parity_pigeonhole_order, profiles, star_minima_reference)
+                       parity_pigeonhole_order, star_minima_reference)
 
 
 def test_max_min_examples():
@@ -174,41 +173,29 @@ def test_parity_rule_is_sound():
         (3, 2, 2, 1), (5, 2, 4, 1), (5, 3, 4, 2), (5, 4, 4, 3)]
 
 
-def test_admissible_rows_are_the_filtered_profiles():
-    # every row of total <= 14 in t <= 5 parts, every s <= t and every
-    # room up to the total: the walk yields exactly the admissible rows,
-    # largest first, including the empty walk when none is admissible
-    for t in range(1, 6):
-        for s in range(1, t + 1):
-            for total in range(15):
-                for room in range(total + 2):
-                    want = sorted((row for row in profiles(total, t, total)
-                                   if sum(row[:s]) <= room), reverse=True)
-                    assert list(_admissible_rows(total, t, s, room)) == want, (total, t, s, room)
-
-
 def test_parity_rule_agrees_with_every_row_reference():
-    # every order from n+1 to two past U_par, t = 2..6, every s, n <= 15:
-    # 2,962 orders, 343 of them refuted by parity
+    # every order from K_1 to two past the pigeonhole bound, t = 1..6,
+    # s = 1..t+1, n <= 15: 6,778 orders, 607 of them refuted by parity,
+    # all past K_n.  At t = 1 the one part is p-1, and at s >= t a row's
+    # top-s sum is p-1, so a row is admissible exactly up to K_n
     fired = 0
-    for t in range(2, 7):
-        for s in range(1, t):
+    for t in range(1, 7):
+        for s in range(1, t + 2):
             for n in range(1, 16):
-                for p in range(n + 1, parity_pigeonhole_order(n, t, s) + 3):
+                for p in range(1, pigeonhole_upper(n, t, min(s, t)) + 3):
                     got = _parity_forbids(p, n, t, s)
                     assert got == parity_forbids_reference(p, n, t, s), (p, n, t, s)
                     fired += got
-    assert fired == 343
+    assert fired == 607
 
 
 def test_parity_rule_walks_thousands_of_colors():
-    # the walk keeps its own stack, so a row of thousands of parts does
-    # not recurse: K_5001 at t = 3000, where the most even row [2]*2000 +
-    # [1]*1000 leaves the order open, and t = 4000 at U_par, where the only
-    # admissible row is all ones
+    # the rule reads the even split of the other parts in closed form, so
+    # thousands of colors cost it no more than a few: K_5001 at t = 3000,
+    # where the most even row [2]*2000 + [1]*1000 leaves the order open,
+    # and t = 4000 at U_par, where the only admissible row is all ones
     assert not _parity_forbids(5001, 10, 3000, 2)
     assert _parity_forbids(4001, 2, 4000, 1)
-    assert list(_admissible_rows(4000, 4000, 1, 1)) == [(1,) * 4000]
 
 
 def test_reachable_k_is_the_best_any_completion_reaches():
