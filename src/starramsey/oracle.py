@@ -42,8 +42,12 @@ from itertools import accumulate
 
 from .errors import InfeasibleInstanceError, InvalidParameterError
 
-# The most nodes one ramsey_value call may search: a refusal comes in
-# about 0.6-1.2 s at small orders (2-vCPU VM, Python 3.11.7).
+# The most nodes one ramsey_value call may search.  A refusal takes
+# 0.4-0.75 s in process at t <= 8 and R-1 <= 45; whole `oracle` launches
+# (median of 5) refuse (31, 20, 10) at K_60 in 0.5 s and (91, 60, 30) at
+# K_180 in 1.0 s.  Past t = p-1 a node costs O(colors in use): the
+# 44,850-node K_300 witness at t = 10**6 takes 4.7 s (2-vCPU Xeon VM,
+# Python 3.11.7).
 NODE_BUDGET = 500_000
 # Row cells the bound memo holds (about 70 MB) before it starts over; never at t <= 8.
 _MEMO_CELLS = 2**23
@@ -142,39 +146,36 @@ def _search(p: int, n: int, t: int, s: int, spent: int = 0) -> OracleResult:
     has none; the search stops at the first leaf that beats s, and
     refuses once ``spent`` plus its own nodes pass ``NODE_BUDGET``.
 
-    A branch is pruned when the least per-vertex bound is ``<= s``; at a
-    leaf it is the coloring's exact value.  A root prune, by the bound or
-    by parity, is one ``bound_prunes``.  Each edge tries its colors
+    A branch is pruned when a vertex's bound is ``<= s``; at a leaf the
+    least bound is the coloring's exact value.  A root prune, by the bound
+    or by parity, is one ``bound_prunes``.  Each edge tries its colors
     least-loaded first (by its ends' degrees in the color, then by color),
     which reorders only the children: a refutation visits the same nodes.
-    Bounds are memoized by row, since a row fixes its remaining edges; an
-    edge only lowers its ends' bounds, so the least rides down the path.
-    The open edges sit on one stack, not one Python frame each, and a
-    resumed edge sorts its colors again.  Rows start at ``min(t, p-1)``
-    classes and grow as canonical colors open: a row of p-1 classes or
-    more has a 0 class per edge it still takes, so extras move no bound.
+    Bounds are memoized by row, since a row fixes its remaining edges.  An
+    edge changes only its ends' rows and never raises a bound, so only
+    the two changed rows can newly fail: every other row beat s when its
+    last edge was placed.  The open edges sit on one stack, not one
+    Python frame each, and a resumed edge sorts its colors again.  Rows
+    start at ``min(t, p-1)`` classes and grow as canonical colors open: a
+    row of p-1 classes or more has a 0 class per edge it still takes, so
+    extras move no bound.
     """
     if _root_settles(p, n, t, s):
         return OracleResult(s, _ROOT_PRUNE)
     # its own lexicographic edge list, not coloring.edges: oracle loads only errors
     edges = [(u, v) for u in range(1, p + 1) for v in range(u + 1, p + 1)]
     last = len(edges) - 1
-    width = min(t, p - 1)
-    counts = [[0] * width for _ in range(p + 1)]
-    low = _reachable_k([0] * width, p - 1, n)
-    vb = [low] * (p + 1)  # by vertex; 0 unused
+    counts = [[0] * min(t, p - 1) for _ in range(p + 1)]  # by vertex; 0 unused
     bounds: dict[tuple[int, ...], int] = {}
     nodes = skips = prunes = 0
     left = NODE_BUDGET - spent
-    stack = [(0, 0, 0)]  # per open edge: index, maxc, colors tried
-    path = []  # per stack entry under the top: its color, its ends' old bounds, old low
+    stack = [(0, 0, 0, 0)]  # per open edge: index, maxc, colors tried, its child's color
     while stack:
-        i, maxc, tried = stack[-1]
+        i, maxc, tried, c = stack[-1]
         u, v = edges[i]
         cu, cv = counts[u], counts[v]
         allowed = maxc + 1 if maxc < t else t
         if tried:  # back from a child: take back its color
-            c, vb[u], vb[v], low = path.pop()
             cu[c] -= 1
             cv[c] -= 1
         else:
@@ -193,28 +194,20 @@ def _search(p: int, n: int, t: int, s: int, spent: int = 0) -> OracleResult:
                     f"the search spent the budget of {NODE_BUDGET} nodes and left K_{p} open")
             cu[c] += 1
             cv[c] += 1
-            old_u, old_v = vb[u], vb[v]
-            key = tuple(cu)
-            b = bounds.get(key)
-            if b is None:
-                b = bounds[key] = _reachable_k(cu, p - 1 - sum(cu), n)
-            vb[u] = b
-            key = tuple(cv)
-            b = bounds.get(key)
-            if b is None:
-                b = bounds[key] = _reachable_k(cv, p - 1 - sum(cv), n)
-            vb[v] = b
-            bound = min(low, vb[u], vb[v])
-            if bound > s:
+            for row in cu, cv:  # the two changed rows, until one fails
+                b = bounds.get(key := tuple(row))
+                if b is None:
+                    b = bounds[key] = _reachable_k(row, p - 1 - sum(row), n)
+                if b <= s:
+                    break
+            if b > s:
                 if i == last:
-                    return OracleResult(bound, SearchStats(nodes, skips, prunes))
-                stack[-1] = i, maxc, tried
-                path.append((c, old_u, old_v, low))
-                low = bound
-                stack.append((i + 1, maxc if c < maxc else c + 1, 0))
+                    value = min(_reachable_k(row, 0, n) for row in counts[1:])
+                    return OracleResult(value, SearchStats(nodes, skips, prunes))
+                stack[-1] = i, maxc, tried, c
+                stack.append((i + 1, maxc if c < maxc else c + 1, 0, 0))
                 break
             prunes += 1
-            vb[u], vb[v] = old_u, old_v
             cu[c] -= 1
             cv[c] -= 1
         else:

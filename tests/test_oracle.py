@@ -34,6 +34,24 @@ def test_max_min_examples():
             assert (s < value <= f) if s < f else (value == s), (p, n, t, s)
 
 
+@pytest.mark.parametrize("p, n, t, s, value", (
+    (4, 3, 3, 1, 3), (4, 3, 4, 1, 3), (4, 3, 5, 1, 3),
+    (5, 4, 3, 1, 3), (5, 4, 4, 1, 3), (5, 4, 5, 1, 3),
+    (6, 5, 3, 1, 3), (6, 5, 4, 1, 3), (6, 5, 5, 1, 3),
+    (7, 5, 4, 1, 3), (7, 5, 5, 1, 3), (7, 6, 3, 1, 3), (7, 6, 4, 1, 3),
+    (7, 6, 5, 1, 4), (7, 6, 5, 2, 4),
+    (8, 5, 4, 1, 3), (8, 5, 5, 1, 3), (8, 6, 3, 1, 3), (8, 6, 4, 1, 3),
+    (8, 6, 5, 1, 4), (8, 6, 5, 2, 4),
+    (8, 7, 3, 1, 3), (8, 7, 4, 1, 4), (8, 7, 4, 2, 4),
+    (8, 7, 5, 1, 5), (8, 7, 5, 2, 5), (8, 7, 5, 3, 5),
+))
+def test_witness_value_is_its_least_vertex(p, n, t, s, value):
+    # every point of p <= 8, t <= 5, n < p, s < t whose first witness shows
+    # at least s+2 colors on each n-star: the value is the least over all p
+    # vertices, not over the last edge's two ends
+    assert _search(p, n, t, s).value == value
+
+
 @pytest.mark.parametrize("p", (3, 4, 5))
 @pytest.mark.parametrize("t", (2, 3))
 def test_pruned_search_equals_plain_enumeration(p, t):
