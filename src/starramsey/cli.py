@@ -152,11 +152,10 @@ def _cmd_table(args) -> tuple[int, dict]:
     if args.n_from > args.n_to or args.n_from < 1:
         raise InvalidParameterError(
             f"empty or invalid range: n-from={args.n_from}, n-to={args.n_to}")
-    # Rows need no witness recipe, whose class list may have t entries.
     # The last row sets the value column's width.  Computing it first also
-    # raises any error before a line is printed: classify's errors depend
-    # on (t, s) alone, except that n = 1 never raises.
-    width = max(len(str(formulas._case_value(args.n_to, args.t, args.s).value)), 5)
+    # raises any error before a line is printed: at n >= 1, classify's
+    # errors depend on (t, s) alone.
+    width = max(len(str(formulas.classify(args.n_to, args.t, args.s).value)), 5)
     if args.format == "csv":
         print("n,value,case")
         row = "{},{},{}".format
@@ -164,7 +163,7 @@ def _cmd_table(args) -> tuple[int, dict]:
         print(f"{'n':>4} {'value':>{width}}  case")
         row = f"{{:>4}} {{:>{width}}}  {{}}".format
     for n in range(args.n_from, args.n_to + 1):
-        verdict = formulas._case_value(n, args.t, args.s)
+        verdict = formulas.classify(n, args.t, args.s)
         print(row(n, verdict.value, verdict.case_tag))
     return 0, {}
 

@@ -24,32 +24,35 @@ Every builder refuses an order past ``coloring.check_order``'s limit
 before it builds any per-vertex or per-edge list.
 """
 
-from .coloring import (EdgeColoring, check_order, color_store, edge_rank, join_store,
-                       palette_row, patch_store)
+from .coloring import EdgeColoring, check_order, color_store, edge_rank, join_store, patch_store
 from .errors import ConstructionFailedError, InvalidParameterError
-from .exact import WitnessRecipe, _check_budget, _witness_recipe, star_upper
+from .exact import WitnessRecipe, _check_budget, _witness_recipe, balanced_class_sizes, star_upper
 from .verify import check_certificate
 
 
 def _certified(coloring: EdgeColoring, name: str, expected: list[int],
-               at_least: bool = False) -> EdgeColoring:
+               at_least: bool = False, first: int = 0) -> EdgeColoring:
     """``coloring`` once each row of its ``color_degrees`` equals
-    ``expected``, the row over colors 1..len(expected) (every color the
-    coloring uses, and 0 past them), at the palette's colors, or reaches
-    it when ``at_least``.  Once t > p-1 that table counts only the colors
-    that occur; every exact row here is nonnegative and sums to p-1, as
-    every real row does, so rows that agree there agree on all t colors.
+    ``expected``, the row over colors first+1..first+len(expected) (every
+    color the coloring uses, and 0 at the others), at the palette's
+    colors, or reaches it when ``at_least``.  Once t > p-1 that table
+    counts only the colors that occur; every exact row here is
+    nonnegative and sums to p-1, as every real row does, so rows that
+    agree there agree on all t colors.  A failure shows the row over the
+    colors ``expected`` covers.
     """
     palette, rows = coloring.color_degrees
-    want = tuple(expected[c - 1] for c in palette)
+    covered = range(first + 1, first + len(expected) + 1)
+    want = tuple(expected[c - covered.start] if c in covered else 0 for c in palette)
     if at_least:
         bad = (v for v, row in enumerate(rows) if any(map(int.__lt__, row, want)))
     else:
         bad = (v for v, row in enumerate(rows) if row != want)
     v = next(bad, None)
     if v is not None:
+        got = dict(zip(palette, rows[v]))
         raise ConstructionFailedError(
-            f"{name} row {palette_row(palette, rows[v], len(expected))} "
+            f"{name} row {[got.get(c, 0) for c in covered]} "
             f"{'below' if at_least else '!='} "
             f"{expected} at vertex {v + 1}"
         )
@@ -80,9 +83,31 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
     check_order(p)
-    coloring = EdgeColoring._adopt(
-        p, len(sizes), _rotation_colors(p, _classes_in_order(sizes), {}))
-    return _certified(coloring, "partitioned factorization", sizes)
+    return _factorization(p, len(sizes), 0, sizes)
+
+
+def _balanced_factorization(p: int, t: int) -> EdgeColoring:
+    """``partitioned_factorization_coloring(p, balanced_class_sizes(p-1, t))``
+    without the list of t sizes: past t = p-1 the first t-p+1 classes are
+    empty and the other p-1 take one round each, so the sizes it lists
+    are at most p-1.  The builder of a ``partitioned-factorization``
+    recipe."""
+    if p < 2 or p % 2:
+        raise InvalidParameterError(f"need even p >= 2, got {p}")
+    if t < 1:
+        raise InvalidParameterError(f"need t >= 1, got {t}")
+    check_order(p)
+    empty = max(t - (p - 1), 0)
+    return _factorization(p, t, empty, balanced_class_sizes(p - 1, t - empty))
+
+
+def _factorization(p: int, t: int, empty: int, sizes: list[int]) -> EdgeColoring:
+    """K_p with its rounds in colors empty+1..empty+len(sizes), color
+    empty+c taking sizes[c-1] of them in order; its callers check the
+    order first."""
+    rounds = [empty + c for c in _classes_in_order(sizes)]
+    coloring = EdgeColoring._adopt(p, t, _rotation_colors(p, rounds, {}))
+    return _certified(coloring, "partitioned factorization", sizes, first=empty)
 
 
 def _center_table(x: int, size: int) -> list[int]:
@@ -199,7 +224,7 @@ def cyclic_matching_coloring(p: int, t: int) -> EdgeColoring:
 # recipe tag -> builder, in the order ``_witness_recipe`` tries them; a
 # recipe's params are its builder's keyword arguments
 BUILDERS = {
-    "partitioned-factorization": partitioned_factorization_coloring,
+    "partitioned-factorization": _balanced_factorization,
     "cyclic": cyclic_matching_coloring,
     "near-regular": near_regular_coloring,
 }
@@ -220,12 +245,10 @@ def witness_coloring(n: int, t: int, s: int) -> tuple[EdgeColoring, WitnessRecip
     after ``_check_budget``.  ``check_certificate`` checks the claim (every
     n-star shows at least s+1 colors) before the coloring is returned; a
     failed check raises ``ConstructionFailedError``, naming ``star_upper``'s
-    argument.  An order past ``check_order``'s limit is refused before the
-    recipe lists its t class sizes.
+    argument.  Each builder refuses an order past ``check_order``'s limit.
     """
     _check_budget(n, t, s)
     value, argument = star_upper(n, t, s)
-    check_order(value - 1)
     coloring, recipe = build_recipe(_witness_recipe(n, t, s, value))
     cert = check_certificate(coloring, n, s)
     if not cert.passed:

@@ -1,23 +1,18 @@
 """R(n, t, s) for every budget 1 <= s < t: ``star_upper``'s U_par, and
 ``_witness_recipe``, the builder of its certificate of K_{U_par - 1}.
-``witness_coloring`` reads both, and ``formulas.classify`` and
-``_case_value`` import them when called.
+``witness_coloring`` reads both, and ``formulas.classify`` imports
+them when called.  A recipe is a tag and at most three integers, so
+naming one costs the same at any t.
 """
 
 from collections import namedtuple
 
 from .errors import InvalidParameterError
 
-# A witness recipe for t colors may list t class sizes, which ``compute``
-# prints and ``construct`` builds into int64 colors, so a recipe is refused
-# past this many colors: at the limit the list is 8 MiB and the printed
-# witness line about 3 MiB.
-MAX_WITNESS_COLORS = 1 << 20
-
 
 class WitnessRecipe(namedtuple("WitnessRecipe", "tag params")):
     """Which builder produces the lower-bound certificate (``tag``, a str),
-    with its arguments (``params``, a dict)."""
+    with its arguments (``params``, a dict of at most three ints)."""
 
     __slots__ = ()
 
@@ -85,10 +80,10 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
     largest color degrees of every vertex sum to at most n-1 = sa + b,
     and every p falls in one of three cases:
 
-    * p even: the balanced partitioned factorization of the p-1 = ta + b
-      (or ta - 1) matchings into t classes gives rows of a and a+1 with
-      at most b parts a+1 (of a-1 and a at a cut), so the top-s sum is at
-      most sa + b.
+    * p even: ``partitioned-factorization(p, t)``, the balanced split of
+      the p-1 = ta + b (or ta - 1) matchings into t classes, gives rows of
+      a and a+1 with at most b parts a+1 (of a-1 and a at a cut), so the
+      top-s sum is at most sa + b.
     * a = 0 or b = 0: ``cyclic(p, t)``.  At a = 0 (n <= s, p = n odd, n = 1
       among them) K_n has no n-star at all.  At b = 0, p = ta + 1 is odd,
       so a is even (a odd would make t even, the cut).  Each vertex meets
@@ -98,31 +93,22 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
     * otherwise p = ta + r with 2 <= r = b+1 <= s <= t-1:
       ``near-regular(t, a, r)``, every color at least a at every vertex,
       so the top-s sum is at most (p-1) - (t-s)a = sa + b.
-
-    ``_check_budget`` has already refused more than ``MAX_WITNESS_COLORS``
-    colors.
     """
     p = value - 1
     a, b = divmod(n - 1, s)
     if p % 2 == 0:
-        return WitnessRecipe("partitioned-factorization",
-                             {"p": p, "class_sizes": balanced_class_sizes(p - 1, t)})
+        return WitnessRecipe("partitioned-factorization", {"p": p, "t": t})
     if a == 0 or b == 0:
         return WitnessRecipe("cyclic", {"p": p, "t": t})
     return WitnessRecipe("near-regular", {"t": t, "q": a, "r": b + 1})
 
 
 def _check_budget(n: int, t: int, s: int) -> None:
-    """The check ``witness_coloring`` and ``_case_value`` share: t >= 2,
-    1 <= s < t, n >= 1, and for n >= 2 at most ``MAX_WITNESS_COLORS``
-    colors, since a recipe may list t class sizes.  It builds no list."""
+    """The check ``witness_coloring`` and ``formulas.classify`` share:
+    t >= 2, 1 <= s < t and n >= 1."""
     if t < 2:
         raise InvalidParameterError(f"need t >= 2, got {t}")
     if not 1 <= s < t:
         raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
     if n < 1:
         raise InvalidParameterError(f"need n >= 1, got {n}")
-    if n > 1 and t > MAX_WITNESS_COLORS:
-        raise InvalidParameterError(
-            f"a witness for t = {t} colors may list t color classes; "
-            f"the limit is {MAX_WITNESS_COLORS} colors")

@@ -8,9 +8,8 @@ builder whose certificate shows R > U_par - 1; both are ``exact``'s,
 which ``construct`` loads without this module.  ``classify`` gives
 ``compute`` and ``table`` the paper's budgets s = t-1 and s = t-2, whose
 case theorems only name the case; for other s it refers to
-``general_bounds``, the paper's bracket.  ``classify`` and
-``_case_value`` import ``exact`` on their first call (``_exact``), so
-``bounds`` compiles none of it.
+``general_bounds``, the paper's bracket.  ``classify`` imports ``exact``
+on its first call (``_exact``), so ``bounds`` compiles none of it.
 
 All bracket expressions are floors, and every comparison is done in
 exact integer arithmetic, never in floats.
@@ -35,9 +34,8 @@ def _exact():
 class CaseVerdict(namedtuple("CaseVerdict", "value case_tag witness x q r",
                              defaults=(None, None, None))):
     """Exact value (``star_upper``'s), the paper clause that names it, and
-    the witness: a ``WitnessRecipe``, or None only in the rows
-    ``_case_value`` returns.  ``x``, ``q`` and ``r`` are ints, or None
-    where the clause has none (n = 1, and s = t-2 at t = 3)."""
+    the witness, a ``WitnessRecipe``.  ``x``, ``q`` and ``r`` are ints, or
+    None where the clause has none (n = 1, and s = t-2 at t = 3)."""
 
     __slots__ = ()
 
@@ -71,11 +69,6 @@ def general_bounds(n: int, t: int, l: int) -> BoundsInterval:
     epsilon = 1 if y % 2 else 0
     return BoundsInterval(lower=y - epsilon + 1, upper=upper,
                           y=y, epsilon=epsilon, t_prime=t_prime)
-
-
-# A single edge is a 1-star with one color, so K_2 always suffices; its
-# witness is K_1, which lists no color classes.
-_TRIVIAL = CaseVerdict(value=2, case_tag="trivial", witness=None)
 
 
 def _t_minus_1_case(n: int, t: int) -> tuple[str, int, int, int, int]:
@@ -139,14 +132,6 @@ def classify(n: int, t: int, s: int) -> CaseVerdict:
     """``star_upper``'s value, the paper's clause that names it and the
     witness recipe, for ``compute``'s budgets s = t-1 and s = t-2; other
     budgets are referred to ``general_bounds``.  No builder reads it."""
-    case = _case_value(n, t, s)
-    return case._replace(witness=_exact()._witness_recipe(n, t, s, case.value))
-
-
-def _case_value(n: int, t: int, s: int) -> CaseVerdict:
-    """``classify`` without the witness recipe (``witness`` is None): the
-    same value, case tag, x, q, r and errors, and no t-sized class list.
-    The value is ``star_upper``'s; the paper's clause names the case."""
     exact = _exact()
     if 1 <= s < t - 2:  # false for a t or s the check refuses, so its errors come first
         raise UnsupportedParametersError(
@@ -154,10 +139,11 @@ def _case_value(n: int, t: int, s: int) -> CaseVerdict:
             "use general_bounds for other budgets"
         )
     exact._check_budget(n, t, s)
-    if n == 1:
-        return _TRIVIAL
     value, _ = exact.star_upper(n, t, s)
+    witness = exact._witness_recipe(n, t, s, value)
+    if n == 1:  # a single edge is a 1-star on one color, so K_2 suffices
+        return CaseVerdict(value, "trivial", witness)
     tag, clause_value, x, q, r = (_t_minus_1_case if s == t - 1 else _t_minus_2_case)(n, t)
     if clause_value > value:
         tag = "pigeonhole"
-    return CaseVerdict(value=value, case_tag=tag, witness=None, x=x, q=q, r=r)
+    return CaseVerdict(value, tag, witness, x, q, r)

@@ -132,9 +132,10 @@ def _parity_forbids(p: int, n: int, t: int, s: int) -> bool:
 def _root_settles(p: int, n: int, t: int, s: int) -> bool:
     """True when no t-coloring of K_p beats s, by the checks made before
     the first edge: the bound at the empty row, whose p-1 edges fill at
-    most ``min(t, p-1)`` classes, then parity."""
-    return (_reachable_k([0] * min(t, p - 1), p - 1, n) <= s
-            or _parity_forbids(p, n, t, s))
+    most ``min(t, p-1)`` classes, then parity.  False at p <= n, where K_p
+    has no n-star and every coloring beats s."""
+    return p > n and (_reachable_k([0] * min(t, p - 1), p - 1, n) <= s
+                      or _parity_forbids(p, n, t, s))
 
 
 # an order settled at the root: no node, one bound prune

@@ -116,7 +116,7 @@ def test_construct_failure_exits_one(capsys, monkeypatch):
     monkeypatch.setattr(constructions, "build_recipe", monochrome_build)
     for (n, t, s), recipe, argument in [
         ((9, 5, 3), "near-regular(q=2, r=3, t=5)", "pigeonhole value 14"),
-        ((10, 8, 3), "partitioned-factorization(class_sizes=[2, 3, 3, 3, 3, 3, 3, 3], p=24)",
+        ((10, 8, 3), "partitioned-factorization(p=24, t=8)",
          "parity value 25"),
     ]:
         assert run(capsys, "construct", "--n", str(n), "--t", str(t), "--s", str(s)) == (1, "", (
@@ -144,9 +144,9 @@ def test_construct_then_verify_passes_every_budget_compute_refuses(capsys, tmp_p
     # the 1,120 points s <= t-3, t = 4..10, n = 1..40: each certificate is
     # of K_{U_par - 1}, U_par = star_upper's value, and verify passes it
     # with a least n-star of exactly s+1 colors, or none (K_24 of (10, 8, 3):
-    # min_star_colors 4)
+    # min_star_colors 4); the digest pins every certificate's bytes
     path = str(tmp_path / "cert.coloring")
-    count = 0
+    count, digest = 0, hashlib.sha256()
     for t in range(4, 11):
         for s in range(1, t - 2):
             for n in range(1, 41):
@@ -154,12 +154,16 @@ def test_construct_then_verify_passes_every_budget_compute_refuses(capsys, tmp_p
                 rc, out, err = run(capsys, "construct", *params, "--t", str(t), "--out", path)
                 assert (rc, err, kv(out)["order"]) == (
                     0, "", str(exact.star_upper(n, t, s)[0] - 1)), (n, t, s)
+                with open(path, "rb") as f:
+                    digest.update(f.read())
                 rc, out, err = run(capsys, "verify", "--file", path, *params)
                 assert (rc, err) == (0, "") and out in (
                     f"verdict pass\nmin_star_colors {s + 1}\n",
                     "verdict pass\nmin_star_colors no-star\n"), (n, t, s)
                 count += 1
     assert count == 1120
+    assert digest.hexdigest() == (
+        "fca46468ef1bdb2c96d32bfbc3c5fa271373b921c847c55edda80e5d7d13a56c")
 
 
 def test_verify_fail_reports_offender(capsys, tmp_path):
@@ -288,14 +292,15 @@ def test_sample_check_command(capsys):
 @pytest.mark.parametrize("t", ("9223372036854775807", "18446744073709551616"))
 def test_sample_check_huge_t_exits_two(capsys, t):
     # K_3 lies below R(2, t, 1), and its counterexample is cut from the
-    # witness, which is refused past 2^20 colors; past 2^63-1 a
+    # witness of K_{t+1}, which check_order refuses; past 2^63-1 a
     # counterexample's colors would not fit its int64 store
     rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "1",
                        "--p", "3", "--trials", "1", "--seed", "0")
     assert (rc, out) == (2, "")
     if int(t) < 2**63:
-        assert err == "error: a witness for t = 9223372036854775807 colors may list t color " \
-                      "classes; the limit is 1048576 colors\n"
+        assert err == ("error: K_9223372036854775808 has 42535295865117307928310139910543638528 "
+                       "edges, about 5192296858534827627967546375798784 MiB of arrays; "
+                       "the limit is 2048 MiB\n")
     else:
         assert err.startswith("error: ") and "t must be <= 2^63-1" in err
 
@@ -318,21 +323,54 @@ def test_sample_check_refuses_before_the_row_bound(capsys, t, trials, seed, refu
         assert err.startswith("error: ") and refused in err
 
 
-@pytest.mark.parametrize("argv", [
-    ("compute", "--n", "2", "--t", "10000000", "--s", "9999999"),
-    ("compute", "--n", "2", "--t", "100000000000", "--s", "99999999999"),
-    ("compute", "--n", "2", "--t", "18446744073709551616", "--s", "18446744073709551615"),
-    ("table", "--t", "18446744073709551616", "--s", "18446744073709551615",
-     "--n-from", "2", "--n-to", "3"),
-    ("construct", "--n", "3", "--t", "18446744073709551616", "--s", "18446744073709551615"),
-])
-def test_huge_t_witness_exits_two(capsys, argv):
-    # the witness of (2, t, t-1) lists t class sizes; construct (3, t, t-1)
-    # would build a cyclic coloring whose colors overflow int64
-    rc, out, err = run(capsys, *argv)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: ") and f"limit is {exact.MAX_WITNESS_COLORS}" in err
+@pytest.mark.parametrize("t", [2**20 + 1, 10**18, 2**64])
+def test_compute_answers_at_any_color_count(capsys, t):
+    # every witness recipe is a tag and at most three integers, so no t
+    # is refused for the length of what compute prints
+    for n, witness in ((2, f"partitioned-factorization(p=2, t={t})"),
+                       (5, f"cyclic(p=5, t={t})")):
+        rc, out, err = run(capsys, "compute", "--n", str(n), "--t", str(t), "--s", str(t - 1))
+        assert (rc, err) == (0, "") and kv(out)["witness"] == witness
+        assert kv(out)["value"] == str(n + 1)
+
+
+@pytest.mark.parametrize("t", [2**20 + 1, 10**18, 2**64])
+def test_table_answers_at_any_color_count(capsys, t):
+    rc, out, err = run(capsys, "table", "--t", str(t), "--s", str(t - 1), "--n-from", "1",
+                       "--n-to", "3", "--format", "csv")
+    assert (rc, out, err) == (0, "n,value,case\n1,2,trivial\n2,3,xp1.even-x\n"
+                                 "3,4,xp1.remainder\n", "")
+
+
+def test_construct_past_int64_colors_at_n_below_the_budget(capsys, tmp_path):
+    # at n <= s the certificate is K_n.  Odd n takes the cyclic coloring,
+    # whose colors stay at most (n-1)/2, and the header keeps t; even n
+    # takes the factorization, whose top color t is past an int64 store
+    t = str(2**64)
+    path = str(tmp_path / "k3.coloring")
+    rc, out, err = run(capsys, "construct", "--n", "3", "--t", t, "--s", str(2**64 - 1),
+                       "--out", path)
+    assert (rc, err, kv(out)["witness"]) == (0, "", f"cyclic(p=3, t={t})")
+    with open(path, encoding="ascii") as f:
+        assert f.read() == f"3 {t}\n1 2 1\n1 3 1\n2 3 1\n"
+    assert run(capsys, "verify", "--file", path, "--n", "3", "--s", str(2**64 - 1)) == (
+        0, "verdict pass\nmin_star_colors no-star\n", "")
+    assert run(capsys, "construct", "--n", "2", "--t", t, "--s", str(2**64 - 1)) == (
+        2, "", "error: colors must be 64-bit integers\n")
+
+
+def test_construct_wide_palette_k2_stays_small(capsys):
+    # K_2 at t = 10^18 is one edge of color t, whatever the palette's width
+    argv = ["construct", "--n", "2", "--t", str(10**18), "--s", str(10**18 - 1)]
+    run(capsys, *argv)  # first-use imports and caches
+    tracemalloc.start()
+    try:
+        rc, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rc, out, err) == (0, f"2 {10**18}\n1 2 {10**18}\n", "")
+    assert peak < 1 << 20
 
 
 def test_usage_error_from_argparse(capsys):
@@ -577,13 +615,13 @@ def test_compute_output_is_pinned_over_grid():
                     runs += 1
     assert runs == 30_800
     assert writer.digest.hexdigest() == (
-        "999206f72d38048eaa1c86bd29c45282d880322a41988f41235947d5e2331a4a")
+        "6cc6cb31d7849e3fedda61e2f5549ad3b3589973c9f0e2c9a4a7318c74bcc915")
 
 
 def test_table_builds_no_witness_recipe():
-    # at t = 2^20 each row's recipe would list 2^20 class sizes, a
-    # transient 16 MiB; the rows need only value and case tag
-    t = exact.MAX_WITNESS_COLORS
+    # at t = 2^20 a recipe that listed 2^20 class sizes made a transient
+    # 16 MiB per row; each row's recipe is now a tag and two integers
+    t = 2**20
     argv = ["table", "--t", str(t), "--s", str(t - 1), "--n-from", "2", "--n-to", "41"]
     with contextlib.redirect_stdout(_DigestWriter()):
         main(argv)  # first-use imports and caches

@@ -233,6 +233,18 @@ def test_builder_row_checks_still_fire(monkeypatch, unused):
         cyclic_matching_coloring(7, 2**40)
 
 
+def test_recipe_factorization_is_the_balanced_class_list():
+    # the partitioned-factorization recipe names (p, t) and lists no t
+    # sizes; its coloring is the public builder's on the balanced sizes,
+    # byte for byte, on both sides of t = p-1
+    for p in range(2, 61, 2):
+        for t in range(2, p + 3):
+            recipe = WitnessRecipe("partitioned-factorization", {"p": p, "t": t})
+            got = constructions.build_recipe(recipe)[0]
+            want = partitioned_factorization_coloring(p, balanced_class_sizes(p - 1, t))
+            assert (got.p, got.t, bytes(got.array)) == (want.p, want.t, bytes(want.array)), (p, t)
+
+
 def test_balanced_class_sizes():
     assert balanced_class_sizes(5, 2) == [2, 3]
     assert balanced_class_sizes(6, 3) == [2, 2, 2]
@@ -406,8 +418,7 @@ def test_wide_palette_order_is_refused_before_its_recipe():
 def test_builders_refuse_oversized_orders_before_allocating():
     # the library builders and build_recipe check the order themselves,
     # before any per-vertex or per-edge list
-    recipe = WitnessRecipe("partitioned-factorization",
-                           {"p": 100_000, "class_sizes": balanced_class_sizes(99_999, 3)})
+    recipe = WitnessRecipe("partitioned-factorization", {"p": 100_000, "t": 3})
     tracemalloc.start()
     try:
         with pytest.raises(InvalidParameterError, match="K_100001 has"):

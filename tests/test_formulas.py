@@ -2,8 +2,8 @@ import pytest
 
 from starramsey import classify, general_bounds, oracle
 from starramsey.errors import InvalidParameterError, UnsupportedParametersError
-from starramsey.exact import MAX_WITNESS_COLORS, WitnessRecipe, pigeonhole_upper, star_upper
-from starramsey.formulas import _case_value, _t_minus_1_case, _t_minus_2_case, _t_minus_2_clauses
+from starramsey.exact import WitnessRecipe, pigeonhole_upper, star_upper
+from starramsey.formulas import _t_minus_1_case, _t_minus_2_case, _t_minus_2_clauses
 
 from .conftest import pigeonhole_order, threshold_predicate
 
@@ -183,41 +183,25 @@ def test_witness_recipe_matches_case():
     assert v.witness.tag == "cyclic"
     assert v.witness.params == {"p": 9, "t": 4}
     v = classify(4, 2, 1)
-    assert v.witness.tag == "partitioned-factorization"
-    assert v.witness.params["class_sizes"] == [2, 3]
+    assert v.witness == WitnessRecipe("partitioned-factorization", {"p": 6, "t": 2})
     v = classify(3, 5, 3)
     assert v.witness.tag == "cyclic"
     # (t, s) = (3, 1) takes the general cases
     assert classify(7, 3, 1).witness == WitnessRecipe("cyclic", {"p": 19, "t": 3})
     assert classify(6, 3, 1).witness == WitnessRecipe(
-        "partitioned-factorization", {"p": 16, "class_sizes": [5, 5, 5]})
+        "partitioned-factorization", {"p": 16, "t": 3})
 
 
-def test_witness_color_limit():
-    # (2, t, t-1) is K_3 with a K_2 witness listing t class sizes, and
-    # (2, t, t-2) at even t likewise; both stop at the limit
-    limit = MAX_WITNESS_COLORS
-    v = classify(2, limit, limit - 1)
-    assert v.value == 3 and len(v.witness.params["class_sizes"]) == limit
-    assert len(classify(2, limit, limit - 2).witness.params["class_sizes"]) == limit
-    for t in (limit + 1, 10 ** 11, 2 ** 64):
-        with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
-            classify(2, t, t - 1)
-        with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
-            classify(2, t, t - 2)
-    # n = 1 needs no witness coloring beyond K_1
-    assert classify(1, 2 ** 64, 2 ** 64 - 1).value == 2
-    for t in (limit + 1, 2 ** 64):
-        with pytest.raises(InvalidParameterError, match=f"limit is {limit} colors"):
-            _case_value(2, t, t - 1)
-    assert _case_value(1, 2 ** 64, 2 ** 64 - 1).value == 2
-
-
-def test_case_value_is_classify_without_the_recipe():
-    for t in range(2, 13):
-        for s in {t - 1, t - 2} - {0}:
-            for n in range(1, 201):
-                assert _case_value(n, t, s) == classify(n, t, s)._replace(witness=None)
+def test_classify_answers_at_any_color_count():
+    # (2, t, t-1) is K_3 with a K_2 witness, and (2, t, t-2) at even t
+    # likewise: each recipe is a tag and a few integers at any t
+    for t in (2 ** 20 + 1, 10 ** 18, 2 ** 64):
+        assert classify(2, t, t - 1) == (3, "xp1.even-x", WitnessRecipe(
+            "partitioned-factorization", {"p": 2, "t": t}), 2, 0, 2)
+        v = classify(2, t, t - 2)
+        assert v.value == star_upper(2, t, t - 2)[0] and len(v.witness.params) <= 3
+        assert classify(5, t, t - 1).witness == WitnessRecipe("cyclic", {"p": 5, "t": t})
+        assert classify(1, t, t - 1).value == 2
 
 
 def _rows_or_parity_refute(p, n, t, s):

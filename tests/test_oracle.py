@@ -129,6 +129,17 @@ def test_search_alone_refutes_parity_cuts(monkeypatch):
         assert (result.value, result.stats.nodes) == (s, nodes), (n, t, s)
 
 
+def test_root_checks_leave_orders_up_to_n_open():
+    # K_p with p <= n has no n-star, so every coloring of it is a witness
+    # and no root check may settle it, though an empty row of p-1 < n
+    # edges reads a bound of at most min(t, p-1) + 1
+    for t in range(2, 9):
+        for s in range(1, t):
+            for n in range(1, 41):
+                for p in range(1, n + 1):
+                    assert not oracle._root_settles(p, n, t, s), (p, n, t, s)
+
+
 # the small-exact benchmark instances, the README example, and the first
 # two points past K_14: R, and the (nodes, canonical skips, bound prunes)
 # of the whole scan, all of it spent finding the K_{R-1} witness
