@@ -51,8 +51,8 @@ Edge = tuple[int, int]
 # to K_5793.
 MAX_COLORING_BYTES = 2 << 30
 BYTES_PER_EDGE = 128
-# the widest color an int64 store holds; the parsers and sample_upper_check
-# refuse colors past it
+# the widest color an int64 store holds; only the parsers check colors
+# against it, since no builder colors K_p with a color above p
 MAX_COLOR = (1 << 63) - 1
 
 _BYTE_VALUES = bytes(range(256))

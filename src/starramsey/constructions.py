@@ -31,19 +31,18 @@ from .verify import check_certificate
 
 
 def _certified(coloring: EdgeColoring, name: str, expected: list[int],
-               at_least: bool = False, first: int = 0) -> EdgeColoring:
+               at_least: bool = False) -> EdgeColoring:
     """``coloring`` once each row of its ``color_degrees`` equals
-    ``expected``, the row over colors first+1..first+len(expected) (every
-    color the coloring uses, and 0 at the others), at the palette's
-    colors, or reaches it when ``at_least``.  Once t > p-1 that table
-    counts only the colors that occur; every exact row here is
-    nonnegative and sums to p-1, as every real row does, so rows that
-    agree there agree on all t colors.  A failure shows the row over the
-    colors ``expected`` covers.
+    ``expected``, the row over colors 1..len(expected) (every color the
+    coloring uses, and 0 at the others), at the palette's colors, or
+    reaches it when ``at_least``.  Once t > p-1 that table counts only the
+    colors that occur; every exact row here is nonnegative and sums to
+    p-1, as every real row does, so rows that agree there agree on all t
+    colors.  A failure shows the row over the colors ``expected`` covers.
     """
     palette, rows = coloring.color_degrees
-    covered = range(first + 1, first + len(expected) + 1)
-    want = tuple(expected[c - covered.start] if c in covered else 0 for c in palette)
+    covered = range(1, len(expected) + 1)
+    want = tuple(expected[c - 1] if c in covered else 0 for c in palette)
     if at_least:
         bad = (v for v, row in enumerate(rows) if any(map(int.__lt__, row, want)))
     else:
@@ -83,31 +82,28 @@ def partitioned_factorization_coloring(p: int, class_sizes: list[int]) -> EdgeCo
             f"class sizes must sum to p-1={p - 1}, got {sizes} (sum {sum(sizes)})"
         )
     check_order(p)
-    return _factorization(p, len(sizes), 0, sizes)
+    return _factorization(p, len(sizes), sizes)
 
 
 def _balanced_factorization(p: int, t: int) -> EdgeColoring:
-    """``partitioned_factorization_coloring(p, balanced_class_sizes(p-1, t))``
-    without the list of t sizes: past t = p-1 the first t-p+1 classes are
-    empty and the other p-1 take one round each, so the sizes it lists
-    are at most p-1.  The builder of a ``partitioned-factorization``
-    recipe."""
+    """K_p with its p-1 rounds split evenly over colors 1..min(t, p-1),
+    small classes first, in a file that declares t colors: at t <= p-1,
+    ``partitioned_factorization_coloring(p, balanced_class_sizes(p-1, t))``;
+    past it, one round per color and colors p..t unused, so no color
+    exceeds p-1.  The builder of a ``partitioned-factorization`` recipe."""
     if p < 2 or p % 2:
         raise InvalidParameterError(f"need even p >= 2, got {p}")
     if t < 1:
         raise InvalidParameterError(f"need t >= 1, got {t}")
     check_order(p)
-    empty = max(t - (p - 1), 0)
-    return _factorization(p, t, empty, balanced_class_sizes(p - 1, t - empty))
+    return _factorization(p, t, balanced_class_sizes(p - 1, min(t, p - 1)))
 
 
-def _factorization(p: int, t: int, empty: int, sizes: list[int]) -> EdgeColoring:
-    """K_p with its rounds in colors empty+1..empty+len(sizes), color
-    empty+c taking sizes[c-1] of them in order; its callers check the
-    order first."""
-    rounds = [empty + c for c in _classes_in_order(sizes)]
-    coloring = EdgeColoring._adopt(p, t, _rotation_colors(p, rounds, {}))
-    return _certified(coloring, "partitioned factorization", sizes, first=empty)
+def _factorization(p: int, t: int, sizes: list[int]) -> EdgeColoring:
+    """K_p with its rounds in colors 1..len(sizes), color c taking
+    sizes[c-1] of them in order; its callers check the order first."""
+    coloring = EdgeColoring._adopt(p, t, _rotation_colors(p, _classes_in_order(sizes), {}))
+    return _certified(coloring, "partitioned factorization", sizes)
 
 
 def _center_table(x: int, size: int) -> list[int]:

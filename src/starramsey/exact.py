@@ -81,9 +81,12 @@ def _witness_recipe(n: int, t: int, s: int, value: int) -> WitnessRecipe:
     and every p falls in one of three cases:
 
     * p even: ``partitioned-factorization(p, t)``, the balanced split of
-      the p-1 = ta + b (or ta - 1) matchings into t classes, gives rows of
-      a and a+1 with at most b parts a+1 (of a-1 and a at a cut), so the
-      top-s sum is at most sa + b.
+      the p-1 = ta + b (or ta - 1) matchings over min(t, p-1) classes,
+      gives rows of a and a+1 with at most b parts a+1 (of a-1 and a at a
+      cut), so the top-s sum is at most sa + b.  Past t = p-1 each color
+      1..p-1 takes one matching, and the colors left unused are the parts
+      0: parts a at a = 0, and the one part a-1 at the cut with a = 1,
+      where p = t.
     * a = 0 or b = 0: ``cyclic(p, t)``.  At a = 0 (n <= s, p = n odd, n = 1
       among them) K_n has no n-star at all.  At b = 0, p = ta + 1 is odd,
       so a is even (a odd would make t even, the cut).  Each vertex meets

@@ -21,8 +21,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from itertools import accumulate
 
-from .coloring import (MAX_COLOR, EdgeColoring, check_order, check_well_formed, defects,
-                       edge_rank, join_store)
+from .coloring import EdgeColoring, check_order, check_well_formed, defects, edge_rank, join_store
 from .errors import InvalidParameterError
 
 
@@ -124,18 +123,15 @@ def sample_upper_check(p: int, n: int, t: int, s: int, trials: int,
 
     Pass exactly when p >= ``star_upper``'s U_par.  Else return
     ``witness_coloring``'s K_{U_par-1} cut to its first p vertices, a
-    witness since each n-star of K_p is one of K_{U_par-1}; its refusals
-    stand.  Refused first: an argument below 1, s >= t (``star_upper``
-    holds for s < t only), t > 2^63-1 (no int64 color) and an order past
-    ``check_order``.
+    witness since each n-star of K_p is one of K_{U_par-1}, and its colors
+    are at most U_par-2, whatever t; its refusals stand.  Refused first:
+    an argument below 1, s >= t (``star_upper`` holds for s < t only) and
+    an order past ``check_order``.
     """
     if p < 1 or n < 1 or t < 1 or s < 1 or trials < 1:
         raise InvalidParameterError("p, n, t, s, trials must all be >= 1")
     if s >= t:
         raise InvalidParameterError(f"need 1 <= s < t, got s={s}, t={t}")
-    if t > MAX_COLOR:
-        raise InvalidParameterError(
-            f"a counterexample's colors are 64-bit integers: t must be <= 2^63-1, got {t}")
     check_order(p)
     from .exact import star_upper
     if p >= star_upper(n, t, s)[0]:

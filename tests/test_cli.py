@@ -163,7 +163,7 @@ def test_construct_then_verify_passes_every_budget_compute_refuses(capsys, tmp_p
                 count += 1
     assert count == 1120
     assert digest.hexdigest() == (
-        "fca46468ef1bdb2c96d32bfbc3c5fa271373b921c847c55edda80e5d7d13a56c")
+        "112044864f34174ea843622ba123e933fc6776f48faaa5c9c7fbc8bdc81a060c")
 
 
 def test_verify_fail_reports_offender(capsys, tmp_path):
@@ -289,31 +289,34 @@ def test_sample_check_command(capsys):
     assert kv(out) == {"verdict": "counterexample", "trials": "10000"}
 
 
+_HUGE_WITNESS_REFUSALS = {
+    "9223372036854775807": "K_9223372036854775808 has 42535295865117307928310139910543638528 "
+                           "edges, about 5192296858534827627967546375798784 MiB of arrays",
+    "18446744073709551616": "K_18446744073709551616 has 170141183460469231722463931679029329920 "
+                            "edges, about 20769187434139310512996085410037760 MiB of arrays",
+}
+
+
 @pytest.mark.parametrize("t", ("9223372036854775807", "18446744073709551616"))
 def test_sample_check_huge_t_exits_two(capsys, t):
     # K_3 lies below R(2, t, 1), and its counterexample is cut from the
-    # witness of K_{t+1}, which check_order refuses; past 2^63-1 a
-    # counterexample's colors would not fit its int64 store
+    # witness of K_{t+1} (odd t) or K_t (even t, the parity cut), which
+    # check_order refuses; no t is refused for the colors it names
     rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "1",
                        "--p", "3", "--trials", "1", "--seed", "0")
     assert (rc, out) == (2, "")
-    if int(t) < 2**63:
-        assert err == ("error: K_9223372036854775808 has 42535295865117307928310139910543638528 "
-                       "edges, about 5192296858534827627967546375798784 MiB of arrays; "
-                       "the limit is 2048 MiB\n")
-    else:
-        assert err.startswith("error: ") and "t must be <= 2^63-1" in err
+    assert err == f"error: {_HUGE_WITNESS_REFUSALS[t]}; the limit is 2048 MiB\n"
 
 
 @pytest.mark.parametrize("t, trials, seed, refused", [
     ("9223372036854775807", "3074457345618258602", "18446744073709551615", None),
-    ("9223372036854775808", "1", "0", "t must be <= 2^63-1"),
+    ("9223372036854775808", "1", "0", None),
     ("2", "1", "0", "need 1 <= s < t, got s=2, t=2"),
 ])
 def test_sample_check_refuses_before_the_row_bound(capsys, t, trials, seed, refused):
-    # K_4 lies past R(2, t, 2) = 3, so an accepted run passes at any
-    # trials and seed; the refusals of t and of s >= t (star_upper holds
-    # for s < t only) still come first
+    # K_4 lies past R(2, t, 2) = 3, so an accepted run passes at any t,
+    # trials and seed; the refusal of s >= t (star_upper holds for s < t
+    # only) still comes first
     rc, out, err = run(capsys, "sample-check", "--n", "2", "--t", t, "--s", "2",
                        "--p", "4", "--trials", trials, "--seed", seed)
     if refused is None:
@@ -344,23 +347,24 @@ def test_table_answers_at_any_color_count(capsys, t):
 
 def test_construct_past_int64_colors_at_n_below_the_budget(capsys, tmp_path):
     # at n <= s the certificate is K_n.  Odd n takes the cyclic coloring,
-    # whose colors stay at most (n-1)/2, and the header keeps t; even n
-    # takes the factorization, whose top color t is past an int64 store
+    # whose colors stay at most (n-1)/2, and even n the factorization,
+    # whose colors stay at most n-1; the header keeps t, which verify reads
     t = str(2**64)
-    path = str(tmp_path / "k3.coloring")
-    rc, out, err = run(capsys, "construct", "--n", "3", "--t", t, "--s", str(2**64 - 1),
-                       "--out", path)
-    assert (rc, err, kv(out)["witness"]) == (0, "", f"cyclic(p=3, t={t})")
-    with open(path, encoding="ascii") as f:
-        assert f.read() == f"3 {t}\n1 2 1\n1 3 1\n2 3 1\n"
-    assert run(capsys, "verify", "--file", path, "--n", "3", "--s", str(2**64 - 1)) == (
-        0, "verdict pass\nmin_star_colors no-star\n", "")
-    assert run(capsys, "construct", "--n", "2", "--t", t, "--s", str(2**64 - 1)) == (
-        2, "", "error: colors must be 64-bit integers\n")
+    for n, witness, body in (
+            (3, f"cyclic(p=3, t={t})", "1 2 1\n1 3 1\n2 3 1\n"),
+            (2, f"partitioned-factorization(p=2, t={t})", "1 2 1\n")):
+        path = str(tmp_path / f"k{n}.coloring")
+        rc, out, err = run(capsys, "construct", "--n", str(n), "--t", t, "--s", str(2**64 - 1),
+                           "--out", path)
+        assert (rc, err, kv(out)["witness"]) == (0, "", witness)
+        with open(path, encoding="ascii") as f:
+            assert f.read() == f"{n} {t}\n{body}"
+        assert run(capsys, "verify", "--file", path, "--n", str(n), "--s", str(2**64 - 1)) == (
+            0, "verdict pass\nmin_star_colors no-star\n", "")
 
 
 def test_construct_wide_palette_k2_stays_small(capsys):
-    # K_2 at t = 10^18 is one edge of color t, whatever the palette's width
+    # K_2 at t = 10^18 is one edge of color 1, whatever the palette's width
     argv = ["construct", "--n", "2", "--t", str(10**18), "--s", str(10**18 - 1)]
     run(capsys, *argv)  # first-use imports and caches
     tracemalloc.start()
@@ -369,7 +373,7 @@ def test_construct_wide_palette_k2_stays_small(capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (rc, out, err) == (0, f"2 {10**18}\n1 2 {10**18}\n", "")
+    assert (rc, out, err) == (0, f"2 {10**18}\n1 2 1\n", "")
     assert peak < 1 << 20
 
 
@@ -729,7 +733,7 @@ PINNED = [
     (("bounds", "--n", "1", "--t", "4", "--l", "2"), 2, "", "error: need n >= 2, got 1\n"),
     (("construct", "--n", "3", "--t", "3", "--s", "1", "--out", "{file}"), 0,
      "order 7\ncolors 3\nwitness cyclic(p=7, t=3)\nout {file}\n", ""),
-    (("construct", "--n", "2", "--t", "2", "--s", "1"), 0, "2 2\n1 2 2\n", ""),
+    (("construct", "--n", "2", "--t", "2", "--s", "1"), 0, "2 2\n1 2 1\n", ""),
     # s = t-4: a budget compute refuses, K_6 of 15 edges
     (("construct", "--n", "2", "--t", "5", "--s", "1"), 0,
      "6 5\n1 2 4\n1 3 2\n1 4 5\n1 5 3\n1 6 1\n2 3 5\n2 4 3\n2 5 1\n2 6 2\n3 4 1\n"
@@ -756,6 +760,10 @@ PINNED = [
      "verdict counterexample\ntrials 10000\n", ""),
     (("sample-check", "--n", "2", "--t", "3", "--s", "1", "--p", "0",
       "--trials", "10", "--seed", "1"), 2, "", "error: p, n, t, s, trials must all be >= 1\n"),
+    # K_2 lies below R = 3, and its counterexample colors its edge 1 at any t
+    (("sample-check", "--n", "2", "--t", "18446744073709551616", "--s", "18446744073709551615",
+      "--p", "2", "--trials", "1", "--seed", "0"), 1,
+     "verdict counterexample\ntrials 1\n", ""),
 ]
 
 

@@ -235,14 +235,15 @@ def test_builder_row_checks_still_fire(monkeypatch, unused):
 
 def test_recipe_factorization_is_the_balanced_class_list():
     # the partitioned-factorization recipe names (p, t) and lists no t
-    # sizes; its coloring is the public builder's on the balanced sizes,
-    # byte for byte, on both sides of t = p-1
+    # sizes; its coloring is the public builder's on the balanced sizes
+    # over colors 1..min(t, p-1), byte for byte, and declares t colors on
+    # both sides of t = p-1
     for p in range(2, 61, 2):
         for t in range(2, p + 3):
             recipe = WitnessRecipe("partitioned-factorization", {"p": p, "t": t})
             got = constructions.build_recipe(recipe)[0]
-            want = partitioned_factorization_coloring(p, balanced_class_sizes(p - 1, t))
-            assert (got.p, got.t, bytes(got.array)) == (want.p, want.t, bytes(want.array)), (p, t)
+            want = partitioned_factorization_coloring(p, balanced_class_sizes(p - 1, min(t, p - 1)))
+            assert (got.p, got.t, bytes(got.array)) == (want.p, t, bytes(want.array)), (p, t)
 
 
 def test_balanced_class_sizes():
@@ -282,6 +283,19 @@ def test_witness_failure_is_loud(monkeypatch):
         witness_coloring(9, 5, 3)
 
 
+@pytest.mark.parametrize("t", [*range(2, 11), 2**20 + 1, 2**64])
+def test_certificate_colors_never_pass_the_order(t):
+    # a certificate of K_p uses colors below p and declares all t: every
+    # budget s < t at small t, and at n <= s (K_n, odd and even n) past
+    # 2^20 and 2^63-1
+    budgets = range(1, t) if t <= 10 else (40, 41, t - 2, t - 1)
+    for s in budgets:
+        for n in range(1, 41):
+            coloring = witness_coloring(n, t, s)[0]
+            assert coloring.t == t, (n, t, s)
+            assert max(coloring.array, default=0) < coloring.p, (n, t, s)
+
+
 def _sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -298,7 +312,7 @@ def test_certificate_bytes_are_pinned_over_grid():
                 count += 1
     assert count == 507
     assert digest.hexdigest() == (
-        "5e570e7cfcbfdef0a7af409cb6087969432050a93bc79ed30f61f09b140fea45")
+        "57d63d8dc83c6b72fbe063253200302398a65bf4b8ef79cc3bae00a5c3217b3d")
 
 
 @pytest.mark.parametrize("n, t, s, order, tag, prefix", [
